@@ -1,6 +1,6 @@
 """OFDM link simulation and DFT-based channel estimation.
 
-Subpackages cover the power-of-two transform kernels (:mod:`ofdmce.spectral`),
+Subpackages cover the pinned-normalization DFT wrappers (:mod:`ofdmce.spectral`),
 the QPSK/OFDM signal chain (:mod:`ofdmce.phy`), tapped-delay-line fading
 channels (:mod:`ofdmce.channel`), the channel estimators themselves
 (:mod:`ofdmce.estimators`), the Monte Carlo BER harness

@@ -10,12 +10,14 @@ symbol of a block, and successive blocks draw independently.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+
+from .spectral import dft
 
 __all__ = [
     "ETU_DELAYS_NS",
@@ -29,7 +31,6 @@ __all__ = [
     "load_profile",
     "realize",
     "apply_channel",
-    "add_awgn",
     "complex_normal",
 ]
 
@@ -60,8 +61,8 @@ class PowerDelayProfile:
             raise ValueError("tap powers must be positive")
         if abs(sum(self.tap_powers) - 1.0) > 1e-12:
             raise ValueError(f"tap powers must sum to 1, got {sum(self.tap_powers)!r}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ValueError(f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}")
 
     @property
     def delay_spread(self) -> int:
@@ -80,6 +81,11 @@ def profile_from_taps(
     powers_db = np.asarray(powers_db, dtype=float)
     if delays_ns.shape != powers_db.shape or delays_ns.ndim != 1 or delays_ns.size == 0:
         raise ValueError("delays and powers must be equal-length nonempty vectors")
+    for field_name, values in (("delays_ns", delays_ns), ("powers_db", powers_db)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{field_name} must be finite, got {values.tolist()}")
+    if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValueError(f"sample_rate_hz must be finite and positive, got {sample_rate_hz}")
     samples = np.rint(delays_ns * sample_rate_hz / 1e9).astype(int)
     linear = 10.0 ** (powers_db / 10.0)
     merged: dict[int, float] = {}
@@ -138,16 +144,6 @@ def load_profile(path: str | Path, sample_rate_hz: float) -> PowerDelayProfile:
     return profile_from_taps(name, np.array(delays), np.array(powers), sample_rate_hz)
 
 
-@lru_cache(maxsize=None)
-def _phase_matrix(tap_delays: tuple[int, ...], n_subcarriers: int) -> np.ndarray:
-    """exp(-j 2 pi k d / N) per (tap, subcarrier), with exact index reduction."""
-    d = np.array(tap_delays, dtype=np.int64)[:, None]
-    k = np.arange(n_subcarriers, dtype=np.int64)[None, :]
-    mat = np.exp(-2j * np.pi * ((d * k) % n_subcarriers) / n_subcarriers)
-    mat.setflags(write=False)
-    return mat
-
-
 @dataclass(eq=False)
 class ChannelRealization:
     """One block-fading draw: tap gains plus the implied frequency response."""
@@ -160,11 +156,18 @@ class ChannelRealization:
     def from_taps(
         cls, tap_delays: np.ndarray, gains: np.ndarray, n_subcarriers: int
     ) -> "ChannelRealization":
-        """Build from explicit sample-spaced taps; gains may be batched (..., T)."""
-        delays = tuple(int(d) for d in np.asarray(tap_delays))
+        """Build from explicit sample-spaced taps; gains may be batched (..., T).
+
+        The frequency response is the DFT of the taps zero padded to
+        ``n_subcarriers``; taps sharing a delay add up.
+        """
+        delays = np.asarray(tap_delays, dtype=np.int64)
+        if np.any((delays < 0) | (delays >= n_subcarriers)):
+            raise ValueError(f"tap delays must lie in [0, {n_subcarriers}), got {delays.tolist()}")
         gains = np.asarray(gains, dtype=np.complex128)
-        freq = gains @ _phase_matrix(delays, n_subcarriers)
-        return cls(np.array(delays), gains, freq)
+        taps = np.zeros(gains.shape[:-1] + (n_subcarriers,), dtype=np.complex128)
+        np.add.at(taps, (..., delays), gains)
+        return cls(delays, gains, dft(taps))
 
     @property
     def delay_spread(self) -> int:
@@ -238,18 +241,17 @@ class NoiseSpec:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
+        if math.isnan(self.snr_db):
+            raise ValueError("snr_db must not be NaN")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2} (snr_db = {self.snr_db})")
 
     @classmethod
     def from_snr_db(cls, snr_db: float) -> "NoiseSpec":
         """Unit-power signal convention: sigma2 = 10^(-snr_db/10)."""
-        return cls(float(snr_db), 10.0 ** (-float(snr_db) / 10.0))
+        try:
+            sigma2 = 10.0 ** (-float(snr_db) / 10.0)
+        except OverflowError:
+            sigma2 = math.inf
+        return cls(float(snr_db), sigma2)
 
-
-def add_awgn(samples: np.ndarray, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Add i.i.d. CN(0, sigma2) to every sample; sigma2 = 0 passes through."""
-    arr = np.asarray(samples, dtype=np.complex128)
-    if noise.sigma2 == 0.0:
-        return arr.copy()
-    return arr + complex_normal(rng, arr.shape, noise.sigma2)

@@ -14,18 +14,19 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .channel import BUILTIN_PROFILES, build_profile
 from .estimators import (
     ConventionalParams,
     conventional_cleaned_cir,
-    conventional_estimate,
-    multi_symbol_cleaned_cir,
-    multi_symbol_estimate,
     multi_symbol_noise_var,
     stack_pilot_cir,
 )
 from .harness import (
+    ESTIMATOR_IDS,
+    ESTIMATORS,
     SimConfig,
     gap_report,
     read_csv,
@@ -216,8 +217,7 @@ def _cmd_inspect(args) -> int:
     grid = config.grid
     if not 0 <= args.symbol < grid.n_symbols:
         raise ValueError(f"symbol must lie in [0, {grid.n_symbols - 1}], got {args.symbol}")
-    snr_db = float(args.snr) if args.snr is not None else math.inf
-    state = simulate_subframe(config, snr_db, args.trial)
+    state = simulate_subframe(config, args.trial_snr, args.trial)
     fmt = "{:.12g}".format
     blocks: list[list[str]] = []
 
@@ -258,40 +258,32 @@ def _cmd_inspect(args) -> int:
     ]
     for th in (config.th_perfect, config.th_inaccurate):
         params = ConventionalParams(threshold=th, c=config.c)
-        for m in range(grid.n_symbols):
-            _, conv_noise = conventional_cleaned_cir(state.pilot_ls[:, m], params)
-            block.append(
-                f"conventional-th{th},{m},{conv_noise.sample_count},{fmt(conv_noise.sigma2_hat)}"
-            )
+        _, conv_noise = conventional_cleaned_cir(state.pilot_ls.T, params)
+        for m, sigma2 in enumerate(conv_noise.sigma2_hat):
+            block.append(f"conventional-th{th},{m},{conv_noise.sample_count},{fmt(sigma2)}")
     blocks.append(block)
 
-    if args.estimator == "proposed":
-        cleaned, _ = multi_symbol_cleaned_cir(state.pilot_ls)
-        estimate = multi_symbol_estimate(state.pilot_ls, grid.n_subcarriers)
-        origin = "multi-symbol block estimate"
-    else:
-        th = config.th_perfect if args.estimator == "conv-perfect" else config.th_inaccurate
-        params = ConventionalParams(threshold=th, c=config.c)
-        pilot_col = state.pilot_ls[:, args.symbol]
-        cleaned, _ = conventional_cleaned_cir(pilot_col, params)
-        estimate = conventional_estimate(pilot_col, params, grid.n_subcarriers)
-        origin = f"threshold {th} on symbol {args.symbol}"
+    # Symbol-major (M', ...) outputs; M' = 1 serves every symbol of the block.
+    freq, _, cleaned = ESTIMATORS[args.estimator][0](config, state.pilot_ls, state.realization)
+    origin = f"{args.estimator} on symbol {args.symbol}"
+    if cleaned is not None:
+        block = [
+            f"# post-threshold-cir: denoised impulse response before zero padding ({origin})",
+            "l,re,im",
+        ]
+        cir = np.broadcast_to(cleaned, (grid.n_symbols, grid.n_pilots))[args.symbol]
+        for l, value in enumerate(cir):
+            block.append(f"{l},{fmt(value.real)},{fmt(value.imag)}")
+        blocks.append(block)
 
-    block = [
-        f"# post-threshold-cir: denoised impulse response before zero padding ({origin})",
-        "l,re,im",
-    ]
-    for l, value in enumerate(cleaned):
-        block.append(f"{l},{fmt(value.real)},{fmt(value.imag)}")
-    blocks.append(block)
-
+    estimate = np.broadcast_to(freq, (grid.n_symbols, grid.n_subcarriers))[args.symbol]
     truth = state.realization.freq_response
     block = [
-        "# estimate-vs-truth: final frequency response next to the true channel",
+        f"# estimate-vs-truth: final frequency response next to the true channel ({origin})",
         "k,est_re,est_im,true_re,true_im",
     ]
     for k in range(grid.n_subcarriers):
-        est = estimate.freq_response[k]
+        est = estimate[k]
         block.append(
             f"{k},{fmt(est.real)},{fmt(est.imag)},{fmt(truth[k].real)},{fmt(truth[k].imag)}"
         )
@@ -311,11 +303,10 @@ def _cmd_profiles(args) -> int:
     return 0
 
 
-def _add_config_flags(parser, *, estimator_list: bool, snr_help: str) -> None:
+def _add_config_flags(parser, *, estimator_list: bool) -> None:
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--profile", help="builtin profile name or profile file path")
     parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--snr", help=snr_help)
     parser.add_argument("--subframes", type=int, help="trials per SNR point")
     parser.add_argument("--c", type=float, help="denoising constant for the threshold schemes")
     parser.add_argument("--th-perfect", dest="th_perfect", type=int, help="delay-spread threshold, accurate case")
@@ -333,9 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="{sweep,gaps,inspect,profiles}")
 
     sweep_p = sub.add_parser("sweep", help="run a BER sweep and write a CSV of records")
-    _add_config_flags(
-        sweep_p, estimator_list=True, snr_help="SNR points: comma list or start:step:stop (dB)"
-    )
+    _add_config_flags(sweep_p, estimator_list=True)
+    sweep_p.add_argument("--snr", help="SNR points: comma list or start:step:stop (dB)")
     sweep_p.add_argument("--out", default="sweep.csv", help="output CSV path (default sweep.csv)")
     sweep_p.add_argument("--workers", type=int, help="process count (default: machine parallelism)")
     sweep_p.set_defaults(func=_cmd_sweep)
@@ -347,19 +337,22 @@ def build_parser() -> argparse.ArgumentParser:
     gaps_p.set_defaults(func=_cmd_gaps)
 
     inspect_p = sub.add_parser("inspect", help="dump one trial's intermediate arrays as labeled CSV blocks")
-    _add_config_flags(
-        inspect_p,
-        estimator_list=False,
-        snr_help="SNR in dB for this trial (default inf = noiseless)",
+    _add_config_flags(inspect_p, estimator_list=False)
+    inspect_p.add_argument(
+        "--snr",
+        dest="trial_snr",
+        type=float,
+        default=math.inf,
+        help="SNR in dB for this trial (default inf = noiseless)",
     )
     inspect_p.add_argument("--trial", type=int, default=0, help="trial index to reproduce")
     inspect_p.add_argument(
         "--estimator",
-        choices=("proposed", "conv-perfect", "conv-inaccurate"),
+        choices=ESTIMATOR_IDS,
         default="proposed",
-        help="which denoising pipeline to show in detail",
+        help="which estimator to show in detail",
     )
-    inspect_p.add_argument("--symbol", type=int, default=0, help="OFDM symbol for the per-symbol scheme")
+    inspect_p.add_argument("--symbol", type=int, default=0, help="OFDM symbol whose estimate is shown")
     inspect_p.set_defaults(func=_cmd_inspect)
 
     profiles_p = sub.add_parser("profiles", help="list built-in power delay profiles")

@@ -20,22 +20,24 @@ Three estimator families share the pilot least-squares front end:
   estimate serves the whole block.
 
 All estimators are pure functions of their inputs and accept leading batch
-axes on the pilot arrays.
+axes on the pilot arrays. ``equalize`` and ``estimator_mse`` also take
+symbol-major estimates of shape ``(..., M', N)``: ``M' = 1`` for one
+response per block, ``M' = M`` for one per OFDM symbol.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .channel import ChannelRealization
-from .phy import GridConfig
+from .phy import GridConfig, extract_data
 from .spectral import dft, idft
 
 __all__ = [
-    "ESTIMATOR_IDS",
     "EQUALIZER_FLOOR",
     "NoiseEstimate",
     "ConventionalParams",
@@ -53,8 +55,6 @@ __all__ = [
     "equalize",
     "estimator_mse",
 ]
-
-ESTIMATOR_IDS = ("ideal", "conv-perfect", "conv-inaccurate", "proposed", "ls-only")
 
 EQUALIZER_FLOOR = 1e-12
 
@@ -77,8 +77,8 @@ class ConventionalParams:
     def __post_init__(self) -> None:
         if self.threshold < 0:
             raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be finite and positive, got {self.c}")
 
 
 @dataclass(eq=False)
@@ -112,11 +112,13 @@ class StackedCir:
 
 @dataclass(eq=False)
 class ChannelEstimate:
-    """Full-grid frequency response plus the noise estimate that shaped it."""
+    """Full-grid frequency response, the noise estimate that shaped it, and
+    the denoised impulse response it was transformed from."""
 
     freq_response: np.ndarray
     method: str
     noise: NoiseEstimate | None = None
+    cleaned_cir: np.ndarray | None = None
 
 
 def ideal_estimate(realization: ChannelRealization) -> ChannelEstimate:
@@ -184,14 +186,18 @@ def conventional_estimate(
     below-threshold leading samples (strictly below ``c * sigma2_hat``),
     zero padding to ``n_subcarriers``, forward transform.
     """
-    col = np.asarray(pilot_col, dtype=np.complex128)
-    n_pilots = col.shape[-1]
+    cleaned, noise = conventional_cleaned_cir(pilot_col, params)
+    return ChannelEstimate(_padded_dft(cleaned, n_subcarriers), "conventional", noise, cleaned)
+
+
+def _padded_dft(cleaned: np.ndarray, n_subcarriers: int) -> np.ndarray:
+    """Forward transform of a length-``Np`` impulse response zero padded to the grid."""
+    n_pilots = cleaned.shape[-1]
     if n_subcarriers < n_pilots:
         raise ValueError("n_subcarriers must be at least the pilot count")
-    cleaned, noise = conventional_cleaned_cir(col, params)
-    padded = np.zeros(col.shape[:-1] + (n_subcarriers,), dtype=np.complex128)
+    padded = np.zeros(cleaned.shape[:-1] + (n_subcarriers,), dtype=np.complex128)
     padded[..., :n_pilots] = cleaned
-    return ChannelEstimate(dft(padded), "conventional", noise)
+    return dft(padded)
 
 
 def stack_pilot_cir(pilots: np.ndarray) -> StackedCir:
@@ -241,34 +247,45 @@ def multi_symbol_estimate(pilots: np.ndarray, n_subcarriers: int) -> ChannelEsti
     of the block.
     """
     cleaned, noise = multi_symbol_cleaned_cir(pilots)
-    n_pilots = cleaned.shape[-1]
-    if n_subcarriers < n_pilots:
-        raise ValueError("n_subcarriers must be at least the pilot count")
-    padded = np.zeros(cleaned.shape[:-1] + (n_subcarriers,), dtype=np.complex128)
-    padded[..., :n_pilots] = cleaned
-    return ChannelEstimate(dft(padded), "multi-symbol", noise)
+    return ChannelEstimate(_padded_dft(cleaned, n_subcarriers), "multi-symbol", noise, cleaned)
 
 
 def equalize(rx_grid: np.ndarray, estimate: ChannelEstimate, cfg: GridConfig) -> np.ndarray:
     """Zero-forcing equalization of the data cells.
 
-    Divides every cell by the estimated response, with estimate magnitudes
-    floored at ``EQUALIZER_FLOOR`` (phase preserved) so deep fades cannot
+    ``estimate.freq_response`` is one ``(N,)`` response for every cell, or
+    symbol-major ``(..., M', N)`` with the grid's batch axes. Each cell is
+    divided by its estimated response, with magnitudes below
+    ``EQUALIZER_FLOOR`` raised to it (phase preserved) so deep fades cannot
     produce non-finite output. Returns the data symbols flattened
     symbol-major; pilot cells are dropped.
     """
-    grid = np.asarray(rx_grid)
+    grid = np.asarray(rx_grid, dtype=np.complex128)
     h = np.asarray(estimate.freq_response)
     if grid.shape[-2] != cfg.n_subcarriers or h.shape[-1] != cfg.n_subcarriers:
         raise ValueError("grid and estimate must cover all subcarriers")
-    mag = np.abs(h)
-    h_safe = np.where(mag < EQUALIZER_FLOOR, EQUALIZER_FLOOR * np.exp(1j * np.angle(h)), h)
-    cells = grid[..., cfg.data_indices, :] / h_safe[..., cfg.data_indices, None]
-    per_symbol = np.swapaxes(cells, -1, -2)
-    return per_symbol.reshape(per_symbol.shape[:-2] + (-1,))
+    if h.ndim > 1 and h.shape[:-2] != grid.shape[:-2]:
+        raise ValueError(f"estimate {h.shape} is not symbol-major (..., M', N) for grid {grid.shape}")
+    h = np.take(h, cfg.data_indices, axis=-1)
+    weak = np.abs(h) < EQUALIZER_FLOOR
+    h[weak] = EQUALIZER_FLOOR * np.exp(1j * np.angle(h[weak]))
+    batch = grid.shape[:-2]
+    cells = extract_data(grid, cfg).reshape(batch + (grid.shape[-1], cfg.n_data))
+    cells /= h
+    return cells.reshape(batch + (-1,))
 
 
 def estimator_mse(estimate: ChannelEstimate, realization: ChannelRealization) -> float | np.ndarray:
-    """Mean squared error of the estimate against the true response."""
-    diff = np.asarray(estimate.freq_response) - np.asarray(realization.freq_response)
-    return np.mean(np.abs(diff) ** 2, axis=-1)
+    """Mean squared error of the estimate against the true response.
+
+    The estimate has the truth's shape ``(..., N)`` or is symbol-major
+    ``(..., M', N)``; per-symbol errors are averaged over the symbols.
+    """
+    est = np.asarray(estimate.freq_response)
+    truth = np.asarray(realization.freq_response)
+    if est.ndim == truth.ndim:
+        est = est[..., None, :]
+    if est.shape[:-2] + est.shape[-1:] != truth.shape:
+        raise ValueError(f"estimate {est.shape} does not match the true response {truth.shape}")
+    per_symbol = np.mean(np.abs(est - truth[..., None, :]) ** 2, axis=-1)
+    return np.mean(per_symbol, axis=-1)

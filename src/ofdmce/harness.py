@@ -32,7 +32,7 @@ from .channel import (
     load_profile,
 )
 from .estimators import (
-    ESTIMATOR_IDS,
+    ChannelEstimate,
     ConventionalParams,
     conventional_estimate,
     equalize,
@@ -53,8 +53,9 @@ from .phy import (
 )
 
 __all__ = [
+    "ESTIMATORS",
+    "ESTIMATOR_IDS",
     "SimConfig",
-    "TrialResult",
     "SubframeState",
     "BerRecord",
     "GapReport",
@@ -62,7 +63,6 @@ __all__ = [
     "awgn_qpsk_ber",
     "resolve_profile",
     "simulate_subframe",
-    "run_trial",
     "sweep",
     "gap_report",
     "write_csv",
@@ -80,6 +80,52 @@ _BITS, _CHANNEL, _NOISE = 0, 1, 2
 _CHUNK = 256
 
 _DEFAULT_SNRS = tuple(float(s) for s in np.linspace(0.0, 30.0, 13))
+
+
+# ---------------------------------------------------------------------------
+# Estimator table
+# ---------------------------------------------------------------------------
+#
+# Each estimator maps a config, a pilot least-squares grid (..., Np, M) and
+# the true channel to a symbol-major estimate (..., M', N), the per-trial
+# noise estimate or None, and the symbol-major denoised impulse response
+# (..., M', Np) or None. M' is 1 when one estimate serves the whole block.
+
+
+def _ideal(config, pilot_ls, truth):
+    return ideal_estimate(truth).freq_response[..., None, :], None, None
+
+
+def _conventional(threshold):
+    def run(config, pilot_ls, truth):
+        params = ConventionalParams(threshold(config), config.c)
+        cols = np.swapaxes(pilot_ls, -1, -2)
+        est = conventional_estimate(cols, params, config.grid.n_subcarriers)
+        return est.freq_response, np.mean(est.noise.sigma2_hat, axis=-1), est.cleaned_cir
+
+    return run
+
+
+def _proposed(config, pilot_ls, truth):
+    est = multi_symbol_estimate(pilot_ls, config.grid.n_subcarriers)
+    return est.freq_response[..., None, :], est.noise.sigma2_hat, est.cleaned_cir[..., None, :]
+
+
+def _ls_only(config, pilot_ls, truth):
+    est = ls_nearest_estimate(np.swapaxes(pilot_ls, -1, -2), config.grid.n_subcarriers)
+    return est.freq_response, None, None
+
+
+# id -> (estimator, fewest OFDM symbols per block it works on)
+ESTIMATORS = {
+    "ideal": (_ideal, 1),
+    "conv-perfect": (_conventional(lambda config: config.th_perfect), 1),
+    "conv-inaccurate": (_conventional(lambda config: config.th_inaccurate), 1),
+    "proposed": (_proposed, 2),
+    "ls-only": (_ls_only, 1),
+}
+
+ESTIMATOR_IDS = tuple(ESTIMATORS)
 
 
 @dataclass(frozen=True)
@@ -101,39 +147,37 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.snr_points_db:
             raise ValueError("need at least one SNR point")
+        bad = [s for s in self.snr_points_db if not math.isfinite(s)]
+        if bad:
+            raise ValueError(f"snr_points_db must be finite, got {bad}")
+        for snr_db in self.snr_points_db:
+            NoiseSpec.from_snr_db(snr_db)
         if any(b <= a for a, b in zip(self.snr_points_db, self.snr_points_db[1:])):
             raise ValueError("SNR points must be strictly increasing")
         if self.subframes_per_point < 1:
             raise ValueError("subframes_per_point must be positive")
         if not self.estimators:
             raise ValueError("need at least one estimator")
-        unknown = [e for e in self.estimators if e not in ESTIMATOR_IDS]
+        unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators {unknown}; known ids are {ESTIMATOR_IDS}")
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError("estimator list contains duplicates")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        if "proposed" in self.estimators and self.grid.n_symbols < 2:
-            raise ValueError("the proposed estimator needs at least 2 symbols per block")
+        for estimator_id in self.estimators:
+            min_symbols = ESTIMATORS[estimator_id][1]
+            if self.grid.n_symbols < min_symbols:
+                raise ValueError(
+                    f"the {estimator_id} estimator needs at least {min_symbols} symbols per block"
+                )
         for th in (self.th_perfect, self.th_inaccurate):
             if not 0 <= th <= self.grid.n_pilots - 1:
                 raise ValueError(f"threshold {th} outside [0, {self.grid.n_pilots - 1}]")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-
-
-@dataclass(eq=False)
-class TrialResult:
-    """Outcome of one estimator on one subframe at one SNR point."""
-
-    estimator_id: str
-    snr_db: float
-    trial_index: int
-    bit_errors: int
-    total_bits: int
-    mse: float
-    sigma2_hat: float | None
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be finite and positive, got {self.c}")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ValueError(f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}")
 
 
 @dataclass(eq=False)
@@ -200,7 +244,7 @@ def _draw_chunk(
     n_trials = len(trials)
     n_taps = len(profile.tap_delays)
     amplitudes = np.sqrt(np.array(profile.tap_powers))
-    bits = np.empty((n_trials, grid.data_bits_per_block), dtype=np.int64)
+    bits = np.empty((n_trials, grid.data_bits_per_block), dtype=bool)
     unit_noise = np.empty((n_trials, grid.samples_per_block), dtype=np.complex128)
     gains = np.empty((n_trials, n_taps), dtype=np.complex128)
     for j, trial in enumerate(trials):
@@ -231,54 +275,6 @@ def _receive(state: _ChunkState, noise: NoiseSpec, grid: GridConfig, pilots: np.
     return rx_samples, rx_grid, pilot_ls
 
 
-def _evaluate(
-    estimator_id: str,
-    config: SimConfig,
-    state: _ChunkState,
-    rx_grid: np.ndarray,
-    pilot_ls: np.ndarray,
-):
-    """Per-trial bit errors, estimator MSE, and noise estimate for one id."""
-    grid = config.grid
-    n = grid.n_subcarriers
-    if estimator_id == "ideal":
-        estimate = ideal_estimate(state.realization)
-        eq = equalize(rx_grid, estimate, grid)
-        mse = np.zeros(len(state.trials))
-        sigma2 = None
-    elif estimator_id == "proposed":
-        estimate = multi_symbol_estimate(pilot_ls, n)
-        eq = equalize(rx_grid, estimate, grid)
-        mse = estimator_mse(estimate, state.realization)
-        sigma2 = np.asarray(estimate.noise.sigma2_hat)
-    elif estimator_id in ("conv-perfect", "conv-inaccurate"):
-        th = config.th_perfect if estimator_id == "conv-perfect" else config.th_inaccurate
-        params = ConventionalParams(threshold=th, c=config.c)
-        parts, mses, sigs = [], [], []
-        for m in range(grid.n_symbols):
-            estimate = conventional_estimate(pilot_ls[..., m], params, n)
-            parts.append(equalize(rx_grid[..., m : m + 1], estimate, grid))
-            mses.append(estimator_mse(estimate, state.realization))
-            sigs.append(np.asarray(estimate.noise.sigma2_hat))
-        eq = np.concatenate(parts, axis=-1)
-        mse = np.mean(mses, axis=0)
-        sigma2 = np.mean(sigs, axis=0)
-    elif estimator_id == "ls-only":
-        parts = []
-        mses = []
-        for m in range(grid.n_symbols):
-            estimate = ls_nearest_estimate(pilot_ls[..., m], n)
-            parts.append(equalize(rx_grid[..., m : m + 1], estimate, grid))
-            mses.append(estimator_mse(estimate, state.realization))
-        eq = np.concatenate(parts, axis=-1)
-        mse = np.mean(mses, axis=0)
-        sigma2 = None
-    else:
-        raise ValueError(f"unknown estimator id {estimator_id!r}")
-    errors = np.count_nonzero(qpsk_demodulate(eq) != state.bits, axis=-1)
-    return errors, np.atleast_1d(mse), sigma2
-
-
 def _chunk_bounds(n_trials: int) -> list[tuple[int, int]]:
     return [(start, min(start + _CHUNK, n_trials)) for start in range(0, n_trials, _CHUNK)]
 
@@ -292,7 +288,15 @@ def _sweep_chunk(args):
         noise = NoiseSpec.from_snr_db(snr_db)
         _, rx_grid, pilot_ls = _receive(state, noise, config.grid, pilots)
         for estimator_id in config.estimators:
-            errors, mse, sigma2 = _evaluate(estimator_id, config, state, rx_grid, pilot_ls)
+            estimator = ESTIMATORS[estimator_id][0]
+            freq, sigma2, _ = estimator(config, pilot_ls, state.realization)
+            estimate = ChannelEstimate(freq, estimator_id)
+            # MSE first and the estimate dropped before demapping, so that
+            # no two of their full-grid temporaries are alive at once.
+            mse = estimator_mse(estimate, state.realization)
+            eq = equalize(rx_grid, estimate, config.grid)
+            del estimate, freq
+            errors = np.count_nonzero(qpsk_demodulate(eq) != state.bits, axis=-1)
             partial[snr_idx, estimator_id] = (
                 int(errors.sum()),
                 float(mse.sum()),
@@ -325,34 +329,6 @@ def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int) -> Sub
         pilot_ls=pilot_ls[0],
         realization=single,
         noise=noise,
-    )
-
-
-def run_trial(
-    config: SimConfig, snr_db: float, trial_index: int, estimator_id: str
-) -> TrialResult:
-    """Evaluate one estimator on one subframe at one SNR point.
-
-    The subframe's random draws depend only on ``(master_seed,
-    trial_index)``, never on the estimator, so results pair across
-    estimator ids.
-    """
-    if estimator_id not in ESTIMATOR_IDS:
-        raise ValueError(f"unknown estimator id {estimator_id!r}")
-    profile = resolve_profile(config)
-    pilots = generate_pilots(config.master_seed, config.grid)
-    state = _draw_chunk(config, profile, pilots, np.array([trial_index]))
-    noise = NoiseSpec.from_snr_db(snr_db)
-    _, rx_grid, pilot_ls = _receive(state, noise, config.grid, pilots)
-    errors, mse, sigma2 = _evaluate(estimator_id, config, state, rx_grid, pilot_ls)
-    return TrialResult(
-        estimator_id=estimator_id,
-        snr_db=float(snr_db),
-        trial_index=trial_index,
-        bit_errors=int(errors[0]),
-        total_bits=config.grid.data_bits_per_block,
-        mse=float(mse[0]),
-        sigma2_hat=None if sigma2 is None else float(sigma2[0]),
     )
 
 

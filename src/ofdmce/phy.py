@@ -125,9 +125,10 @@ def qpsk_demodulate(symbols: np.ndarray) -> np.ndarray:
     """Hard decisions inverse to :func:`qpsk_modulate`.
 
     A component exactly on the decision boundary (zero) demaps to bit 0.
+    Bits come back as bool.
     """
     s = np.asarray(symbols)
-    bits = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=np.int64)
+    bits = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=bool)
     bits[..., 0::2] = s.real < 0
     bits[..., 1::2] = s.imag < 0
     return bits
@@ -155,9 +156,8 @@ def build_grid(data_symbols: np.ndarray, pilots: np.ndarray, cfg: GridConfig) ->
 
 
 def extract_data(grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
-    """Pull the data cells back out of a grid, flattened symbol-major."""
-    cells = np.asarray(grid)[..., cfg.data_indices, :]
-    per_symbol = np.swapaxes(cells, -1, -2)
+    """Copy the data cells out of a grid, flattened symbol-major."""
+    per_symbol = np.take(np.swapaxes(np.asarray(grid), -1, -2), cfg.data_indices, axis=-1)
     return per_symbol.reshape(per_symbol.shape[:-2] + (-1,))
 
 

@@ -1,4 +1,4 @@
-"""Power-of-two DFT/IDFT kernels with a pinned normalization convention.
+"""DFT/IDFT with a pinned normalization convention.
 
 The forward transform is unnormalized,
 
@@ -9,70 +9,22 @@ length-``Lp`` impulse response that is zero padded and forward transformed
 at a longer length ``L`` reproduces the underlying frequency response with
 unit gain, which is what the DFT-based channel estimators rely on.
 
-Both transforms are iterative radix-2 decimation-in-time butterflies over
-the last axis, so batched input (any number of leading axes) is transformed
-in one call. Bit-reversal permutations and per-stage twiddle tables are
-precomputed and cached per length.
+Both transforms run over the last axis, so batched input (any number of
+leading axes) is transformed in one call, at any length. They are thin
+wrappers around ``numpy.fft``, whose default ("backward") normalization is
+exactly this convention; the wrappers pin it and the complex128 output.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["dft", "idft"]
 
 
-@lru_cache(maxsize=None)
-def _bit_reversal(length: int) -> np.ndarray:
-    """Index permutation that bit-reverses ``log2(length)``-bit integers."""
-    n_bits = length.bit_length() - 1
-    idx = np.arange(length, dtype=np.intp)
-    rev = np.zeros(length, dtype=np.intp)
-    for _ in range(n_bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    rev.setflags(write=False)
-    return rev
-
-
-@lru_cache(maxsize=None)
-def _stage_twiddles(span: int, sign: int) -> np.ndarray:
-    """Twiddle factors exp(sign * j 2 pi q / span) for q = 0 .. span/2 - 1."""
-    w = np.exp(sign * 2j * np.pi * np.arange(span // 2) / span)
-    w.setflags(write=False)
-    return w
-
-
-def _radix2(x: np.ndarray, sign: int) -> np.ndarray:
-    data = np.asarray(x, dtype=np.complex128)
-    length = data.shape[-1]
-    if length <= 0 or length & (length - 1):
-        raise ValueError(f"transform length must be a power of two, got {length}")
-    data = data[..., _bit_reversal(length)]
-    half = 1
-    while half < length:
-        span = 2 * half
-        w = _stage_twiddles(span, sign)
-        blocks = data.reshape(data.shape[:-1] + (length // span, span))
-        even = blocks[..., :half]
-        odd = blocks[..., half:] * w
-        merged = np.empty_like(blocks)
-        np.add(even, odd, out=merged[..., :half])
-        np.subtract(even, odd, out=merged[..., half:])
-        data = merged.reshape(data.shape)
-        half = span
-    return data
-
-
 def dft(x: np.ndarray) -> np.ndarray:
-    """Unnormalized forward DFT along the last axis.
-
-    ``x`` may have any number of leading (batch) axes; the last axis length
-    must be a power of two.
-    """
-    return _radix2(x, -1)
+    """Unnormalized forward DFT along the last axis; leading axes are batch axes."""
+    return np.fft.fft(np.asarray(x, dtype=np.complex128))
 
 
 def idft(x: np.ndarray) -> np.ndarray:
@@ -80,6 +32,4 @@ def idft(x: np.ndarray) -> np.ndarray:
 
     Exact inverse of :func:`dft`: ``idft(dft(x)) == x`` up to roundoff.
     """
-    out = _radix2(x, +1)
-    out /= out.shape[-1]
-    return out
+    return np.fft.ifft(np.asarray(x, dtype=np.complex128))

@@ -7,7 +7,6 @@ from ofdmce.channel import (
     ChannelRealization,
     NoiseSpec,
     PowerDelayProfile,
-    add_awgn,
     apply_channel,
     build_profile,
     complex_normal,
@@ -77,6 +76,19 @@ class TestProfiles:
             PowerDelayProfile("bad", (0, 3, 3), (0.4, 0.3, 0.3), FS)
         with pytest.raises(ValueError, match="sum to 1"):
             PowerDelayProfile("bad", (0, 1), (0.7, 0.6), FS)
+
+    @pytest.mark.parametrize(
+        "delays, powers, rate, field",
+        [
+            ([np.nan, 0.0], [0.0, 0.0], FS, "delays_ns"),
+            ([0.0, 50.0], [0.0, np.inf], FS, "powers_db"),
+            ([0.0], [0.0], np.nan, "sample_rate_hz"),
+        ],
+    )
+    def test_non_finite_taps_rejected(self, delays, powers, rate, field):
+        """Non-finite tap values or sample rates name the offending field."""
+        with pytest.raises(ValueError, match=field):
+            profile_from_taps("bad", delays, powers, rate)
 
 
 class TestProfileFiles:
@@ -160,6 +172,12 @@ class TestRealize:
             for d, g in zip(delays, gains):
                 expected[k] += g * np.exp(-2j * np.pi * k * d / 64)
         assert np.abs(got - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("delays", [[0, 64], [-1, 3]])
+    def test_from_taps_rejects_delays_off_the_grid(self, delays):
+        """Tap delays must index one of the N DFT bins."""
+        with pytest.raises(ValueError, match=r"\[0, 64\)"):
+            ChannelRealization.from_taps(delays, [1.0, 0.5], 64)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +271,24 @@ class TestNoise:
         assert NoiseSpec.from_snr_db(np.inf).sigma2 == 0.0
 
     def test_zero_sigma2_passthrough(self):
+        """Unit noise scaled by sqrt(sigma2) of an infinite SNR adds nothing."""
         x = np.ones(50, dtype=complex)
-        out = add_awgn(x, NoiseSpec.from_snr_db(np.inf), np.random.default_rng(0))
+        noise = complex_normal(np.random.default_rng(0), 50, 1.0)
+        out = x + np.sqrt(NoiseSpec.from_snr_db(np.inf).sigma2) * noise
         assert np.array_equal(out, x)
-        assert out is not x
 
     def test_noise_variance_calibration(self):
+        """Unit noise scaled by sqrt(sigma2) has variance sigma2."""
         rng = np.random.default_rng(13)
-        out = add_awgn(np.zeros(200_000), NoiseSpec(3.0, 0.5), rng)
+        out = np.sqrt(NoiseSpec(3.0, 0.5).sigma2) * complex_normal(rng, 200_000, 1.0)
         measured = np.mean(np.abs(out) ** 2)
         assert abs(measured - 0.5) <= 0.01, f"measured {measured:.4f}"
+
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf, -4000.0])
+    def test_non_finite_noise_rejected(self, snr_db):
+        """NaN, -inf and overflowing dB values give no usable noise variance."""
+        with pytest.raises(ValueError, match="snr_db|sigma2"):
+            NoiseSpec.from_snr_db(snr_db)
 
     def test_complex_normal_is_circular(self):
         rng = np.random.default_rng(14)
@@ -277,7 +303,7 @@ class TestNoise:
         sigma2 = 0.25
         cells = []
         for _ in range(200):
-            noisy = add_awgn(np.zeros(cfg.samples_per_block), NoiseSpec(6.0, sigma2), rng)
+            noisy = complex_normal(rng, cfg.samples_per_block, sigma2)
             cells.append(ofdm_demodulate(noisy, cfg))
         var = np.mean(np.abs(np.stack(cells)) ** 2)
         assert abs(var - sigma2) <= 0.01, f"frequency-domain variance {var:.4f}"

@@ -174,6 +174,41 @@ class TestSweepCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestNonFiniteInput:
+    """Inputs with no meaningful result exit 1 and name the field."""
+
+    @pytest.mark.parametrize("spec", ["nan", "-inf,10", "inf"])
+    def test_snr_flag(self, spec, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", f"--snr={spec}", "--estimators", "ideal", "--subframes", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert "snr_points_db" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [("c = nan", "c must"), ("sample_rate_hz = nan", "sample_rate_hz")],
+    )
+    def test_config_value(self, line, field, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\nsubframes = 1\nsnr_db = 20\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert field in capsys.readouterr().err
+
+    def test_profile_tap(self, tmp_path, capsys):
+        prof = tmp_path / "bad.prof"
+        prof.write_text("tap = nan 0\n")
+        code = main(["sweep", "--profile", str(prof), "--snr", "20", "--subframes", "1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "delays_ns" in capsys.readouterr().err
+
+    def test_inspect_snr(self, capsys):
+        assert main(["inspect", "--snr", "nan"]) == 1
+        assert "snr_db" in capsys.readouterr().err
+
+
 class TestGapsCommand:
     def test_crossing_report(self, tmp_path, capsys):
         """Gaps read a sweep CSV back and report crossings per estimator."""
@@ -256,6 +291,24 @@ class TestInspectCommand:
         assert schemes == {"multi-symbol", "conventional-th39", "conventional-th19"}
         multi = next(r for r in rows if r.startswith("multi-symbol"))
         assert multi.split(",")[2] == "64"
+
+    @pytest.mark.parametrize("estimator", ["ideal", "ls-only"])
+    def test_estimators_without_cir_print_their_estimate(self, estimator, capsys):
+        """Estimators with no denoised CIR skip that block but print the estimate."""
+        assert main(["inspect", "--estimator", estimator, "--symbol", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "# post-threshold-cir" not in out
+        rows = block_lines(out, "estimate-vs-truth")[1:]
+        assert len(rows) == 512
+        values = [[float(x) for x in row.split(",")[1:]] for row in rows]
+        # Without noise both are exact on pilot subcarrier 8; the
+        # nearest-pilot fill copies it to subcarrier 9.
+        er, ei, tr, ti = values[8]
+        assert math.hypot(er - tr, ei - ti) <= 1e-9
+        if estimator == "ls-only":
+            assert values[9][:2] == values[8][:2]
+        else:
+            assert all(row[:2] == row[2:] for row in values), "genie must print the truth"
 
     def test_symbol_out_of_range(self, capsys):
         """Asking for a symbol the grid does not have exits 1."""

@@ -285,3 +285,27 @@ class TestEqualize:
         truth = ChannelRealization.from_taps([0], [1.0], 8)
         est = ChannelEstimate(truth.freq_response + 1.0, "test")
         assert estimator_mse(est, truth) == pytest.approx(1.0)
+
+    def test_symbol_major_estimate_divides_each_symbol_by_its_row(self):
+        grid = np.full((4, 2), 1.0 + 0.0j)
+        h = np.array([[1.0, 2.0, 1.0, 4.0], [1.0, 0.5, 1.0, 0.25]], dtype=complex)
+        out = equalize(grid, ChannelEstimate(h, "test"), self.CFG)
+        assert np.allclose(out, [0.5, 0.25, 2.0, 4.0]), f"got {out}"
+
+    def test_batched_estimate_needs_a_symbol_axis(self):
+        """A (B, N) response against a (B, N, M) grid is refused, not broadcast."""
+        grid = np.ones((2, 4, 2), dtype=complex)
+        with pytest.raises(ValueError, match="symbol-major"):
+            equalize(grid, ChannelEstimate(np.ones((2, 4), dtype=complex), "test"), self.CFG)
+
+    def test_mse_averages_symbol_major_rows(self):
+        truth = ChannelRealization.from_taps([0], [1.0], 8)
+        est = ChannelEstimate(truth.freq_response + np.array([[1.0], [3.0]]), "test")
+        assert estimator_mse(est, truth) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 8), (2, 8), (3, 2, 2, 8)])
+    def test_mse_rejects_mismatched_shapes(self, shape):
+        """Estimates that do not line up with the (3, N) truth raise, never broadcast."""
+        truth = ChannelRealization.from_taps([0], np.ones((3, 1)), 8)
+        with pytest.raises(ValueError, match="does not match"):
+            estimator_mse(ChannelEstimate(np.ones(shape), "test"), truth)

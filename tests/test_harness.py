@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from ofdmce import harness
 from ofdmce.channel import apply_channel
 from ofdmce.harness import (
+    ESTIMATOR_IDS,
     BerRecord,
     SimConfig,
     awgn_qpsk_ber,
     gap_report,
     read_csv,
     resolve_profile,
-    run_trial,
     simulate_subframe,
     sweep,
     write_csv,
@@ -59,6 +60,23 @@ class TestSimConfig:
         """Thresholds live in [0, n_pilots - 1]."""
         with pytest.raises(ValueError, match="outside"):
             tiny_config(th_perfect=64)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"snr_points_db": (math.nan,)}, "snr_points_db"),
+            ({"snr_points_db": (-math.inf, 10.0)}, "snr_points_db"),
+            ({"snr_points_db": (10.0, math.inf)}, "snr_points_db"),
+            ({"snr_points_db": (-4000.0, 10.0)}, "sigma2"),
+            ({"c": math.nan}, "c must"),
+            ({"c": math.inf}, "c must"),
+            ({"sample_rate_hz": math.nan}, "sample_rate_hz"),
+        ],
+    )
+    def test_rejects_non_finite_values(self, overrides, field):
+        """Non-finite numbers are refused up front, naming the field."""
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**overrides)
 
     def test_rejects_bad_counts(self):
         """Zero subframes, empty SNR grid, and empty estimator list all fail."""
@@ -148,55 +166,79 @@ class TestSubframePairing:
         assert np.array_equal(state.rx_samples, clean)
 
 
+def one_trial(estimator_id, snr_db):
+    """The record of one estimator on subframe 0 at one SNR point."""
+    cfg = tiny_config(subframes_per_point=1, snr_points_db=(snr_db,), estimators=(estimator_id,))
+    (record,) = sweep(cfg, workers=1)
+    return record
+
+
 class TestRunTrial:
+    """Single-subframe outcomes, read through a one-subframe sweep."""
+
     def test_noiseless_estimators_are_error_free(self):
-        """Exact-recovery estimators make no bit errors without noise."""
-        cfg = tiny_config()
+        """Exact-recovery estimators make no bit errors at 300 dB."""
         for estimator_id in ("ideal", "proposed", "conv-perfect"):
-            result = run_trial(cfg, math.inf, 0, estimator_id)
-            assert result.bit_errors == 0, f"{estimator_id}: {result.bit_errors} errors"
-            assert result.mse <= 1e-18, f"{estimator_id}: mse {result.mse}"
+            record = one_trial(estimator_id, 300.0)
+            assert record.bit_errors == 0, f"{estimator_id}: {record.bit_errors} errors"
+            assert record.mean_mse <= 1e-18, f"{estimator_id}: mse {record.mean_mse}"
 
     def test_total_bits_bookkeeping(self):
         """Each subframe carries M * (N - Np) * 2 data bits."""
-        cfg = tiny_config()
-        result = run_trial(cfg, 10.0, 0, "ideal")
-        grid = cfg.grid
+        record = one_trial("ideal", 10.0)
+        grid = tiny_config().grid
         expected = grid.n_symbols * (grid.n_subcarriers - grid.n_pilots) * 2
-        assert result.total_bits == expected, f"{result.total_bits} != {expected}"
+        assert record.total_bits == expected, f"{record.total_bits} != {expected}"
 
     def test_rejects_unknown_estimator(self):
         """An unknown id fails before any simulation work."""
         with pytest.raises(ValueError, match="unknown estimator"):
-            run_trial(tiny_config(), 10.0, 0, "secret")
+            one_trial("secret", 10.0)
 
     def test_sigma2_presence_by_estimator(self):
         """Only the thresholding estimators report a noise estimate."""
-        cfg = tiny_config()
-        assert run_trial(cfg, 10.0, 0, "ideal").sigma2_hat is None
-        assert run_trial(cfg, 10.0, 0, "ls-only").sigma2_hat is None
-        assert run_trial(cfg, 10.0, 0, "proposed").sigma2_hat > 0
-        assert run_trial(cfg, 10.0, 0, "conv-perfect").sigma2_hat > 0
+        assert one_trial("ideal", 10.0).mean_sigma2_hat is None
+        assert one_trial("ls-only", 10.0).mean_sigma2_hat is None
+        assert one_trial("proposed", 10.0).mean_sigma2_hat > 0
+        assert one_trial("conv-perfect", 10.0).mean_sigma2_hat > 0
 
 
 class TestSweep:
-    def test_matches_per_trial_runs(self):
-        """Sweep aggregates exactly what individual trials report."""
-        cfg = tiny_config(subframes_per_point=3)
-        records = sweep(cfg, workers=1)
-        for record in records:
-            trial_errors = sum(
-                run_trial(cfg, record.snr_db, t, record.estimator_id).bit_errors
-                for t in range(3)
-            )
-            assert record.bit_errors == trial_errors, (
-                f"{record.estimator_id}@{record.snr_db}: "
-                f"{record.bit_errors} != {trial_errors}"
-            )
-            trial_mse = np.mean(
-                [run_trial(cfg, record.snr_db, t, record.estimator_id).mse for t in range(3)]
-            )
-            assert record.mean_mse == pytest.approx(trial_mse, rel=1e-9, abs=1e-18)
+    def test_matches_per_trial_runs(self, monkeypatch):
+        """Chunks of one trial, or of three, total what the default chunking does.
+
+        Every trial draws from its own streams, so the bit-error counts match
+        exactly; the sums behind the means are reordered by the chunking.
+        """
+        cfg = tiny_config(subframes_per_point=7, estimators=ESTIMATOR_IDS)
+        reference = sweep(cfg, workers=1)
+        for chunk in (1, 3):
+            monkeypatch.setattr(harness, "_CHUNK", chunk)
+            records = sweep(cfg, workers=1)
+            for ref, rec in zip(reference, records, strict=True):
+                label = f"chunk {chunk}, {rec.estimator_id}@{rec.snr_db}"
+                assert rec.bit_errors == ref.bit_errors, label
+                assert rec.mean_mse == pytest.approx(ref.mean_mse, rel=1e-12, abs=1e-300), label
+                if ref.mean_sigma2_hat is None:
+                    assert rec.mean_sigma2_hat is None, label
+                else:
+                    assert rec.mean_sigma2_hat == pytest.approx(ref.mean_sigma2_hat, rel=1e-12), label
+
+    def test_three_symbol_blocks(self):
+        """A block length that is not a power of two runs the stacked estimator.
+
+        The stacked transform is Np * 3 = 192 points long. Noise-only samples
+        keep sigma2 / (Np * M) of energy; at 100 dB nothing is decided wrongly.
+        """
+        grid = GridConfig(n_symbols=3)
+        cfg = tiny_config(
+            grid=grid, subframes_per_point=32, snr_points_db=(20.0, 100.0), estimators=("proposed",)
+        )
+        noisy, clean = sweep(cfg, workers=1)
+        assert clean.bit_errors == 0, f"{clean.bit_errors} errors at 100 dB"
+        target = 10.0 ** -2.0 / (grid.n_pilots * grid.n_symbols)
+        ratio = noisy.mean_sigma2_hat / target
+        assert 0.9 <= ratio <= 1.1, f"sigma2_hat {noisy.mean_sigma2_hat:.3e} vs {target:.3e}"
 
     def test_record_layout(self):
         """One record per (estimator, SNR), estimators outermost."""

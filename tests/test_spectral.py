@@ -73,8 +73,12 @@ class TestKnownValues:
 # ---------------------------------------------------------------------------
 
 
+# Powers of two and lengths with odd factors; every length is supported.
+ORACLE_LENGTHS = [4, 8, 64, 128, 512, 3, 6, 12, 100]
+
+
 class TestDirectSummationOracle:
-    @pytest.mark.parametrize("length", [4, 8, 64, 128, 512])
+    @pytest.mark.parametrize("length", ORACLE_LENGTHS)
     def test_forward_matches_direct_sum(self, length):
         """Kernel output agrees with the literal summation per element."""
         rng = np.random.default_rng(1000 + length)
@@ -82,7 +86,7 @@ class TestDirectSummationOracle:
         err = np.abs(dft(x) - direct_dft(x))
         assert err.max() <= 1e-12, f"L={length}: max deviation {err.max():.3e}"
 
-    @pytest.mark.parametrize("length", [4, 8, 64, 128, 512])
+    @pytest.mark.parametrize("length", ORACLE_LENGTHS)
     def test_inverse_matches_direct_sum(self, length):
         rng = np.random.default_rng(2000 + length)
         x = random_complex(rng, length)
@@ -163,13 +167,8 @@ class TestPeriodicSpectrum:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("length", [3, 6, 12, 100])
-    def test_non_power_of_two_rejected(self, length):
-        with pytest.raises(ValueError, match="power of two"):
-            dft(np.zeros(length))
-
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
+        with pytest.raises(ValueError, match="Invalid number of FFT data points"):
             idft(np.zeros(0))
 
     def test_input_not_mutated(self):
