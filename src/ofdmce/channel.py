@@ -214,11 +214,11 @@ def apply_channel(samples: np.ndarray, realization: ChannelRealization, cp_len: 
 
     The stream starts from zero state and the output is truncated to the
     input length. Requires the delay spread to fit inside the cyclic
-    prefix, which is what makes per-symbol one-tap equalization exact.
+    prefix, which is what makes the demodulated grid exactly ``H * X``.
     """
-    if realization.delay_spread >= cp_len:
+    if realization.delay_spread > cp_len:
         raise ValueError(
-            f"delay spread {realization.delay_spread} must be below cp_len {cp_len}"
+            f"delay spread {realization.delay_spread} exceeds cp_len {cp_len}"
         )
     arr = np.asarray(samples, dtype=np.complex128)
     n_samples = arr.shape[-1]

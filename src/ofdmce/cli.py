@@ -111,8 +111,11 @@ def _load_key_values(path: Path) -> dict[str, str]:
     return values
 
 
-def _build_config(args) -> SimConfig:
-    """Merge config-file values and flag overrides into a SimConfig."""
+def _build_config(args, estimators: tuple[str, ...] | None = None) -> SimConfig:
+    """Merge config-file values and flag overrides into a SimConfig.
+
+    ``estimators``, if given, replaces the estimator list of file and flags.
+    """
     raw = _load_key_values(Path(args.config)) if getattr(args, "config", None) else {}
 
     def from_file(key, conv, default):
@@ -137,13 +140,15 @@ def _build_config(args) -> SimConfig:
             return conv(flag) if isinstance(flag, str) else flag
         return from_file(key, conv, default)
 
+    if estimators is None:
+        estimators = pick("estimators", "estimators", _parse_estimators, base.estimators)
     return SimConfig(
         grid=grid,
         profile=pick("profile", "profile", str, base.profile),
         sample_rate_hz=from_file("sample_rate_hz", float, base.sample_rate_hz),
         snr_points_db=pick("snr", "snr_db", _parse_snr_spec, base.snr_points_db),
         subframes_per_point=pick("subframes", "subframes", int, base.subframes_per_point),
-        estimators=pick("estimators", "estimators", _parse_estimators, base.estimators),
+        estimators=estimators,
         master_seed=pick("seed", "seed", int, base.master_seed),
         c=pick("c", "c", float, base.c),
         th_perfect=pick("th_perfect", "th_perfect", int, base.th_perfect),
@@ -213,7 +218,8 @@ def _cmd_gaps(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    config = _build_config(args)
+    # Validate the grid against the shown estimator only.
+    config = _build_config(args, estimators=(args.estimator,))
     grid = config.grid
     if not 0 <= args.symbol < grid.n_symbols:
         raise ValueError(f"symbol must lie in [0, {grid.n_symbols - 1}], got {args.symbol}")
@@ -239,22 +245,32 @@ def _cmd_inspect(args) -> int:
         block.append(f"{n},{cells}")
     blocks.append(block)
 
-    cir = stack_pilot_cir(state.pilot_ls)
-    block = [
-        "# stacked-cir: inverse transform of all pilot columns stacked symbol after"
-        " symbol; i = n*M + v; columns v > 0 carry no channel energy",
-        "i,n,v,re,im",
-    ]
-    for i, value in enumerate(cir.samples):
-        n, v = divmod(i, grid.n_symbols)
-        block.append(f"{i},{n},{v},{fmt(value.real)},{fmt(value.imag)}")
-    blocks.append(block)
+    noise_rows = []
+    if grid.n_symbols < 2:
+        blocks.append(
+            [
+                "# stacked-cir and multi-symbol noise variance skipped: they need at least"
+                f" 2 symbols per block, the grid has {grid.n_symbols}"
+            ]
+        )
+    else:
+        cir = stack_pilot_cir(state.pilot_ls)
+        block = [
+            "# stacked-cir: inverse transform of all pilot columns stacked symbol after"
+            " symbol; i = n*M + v; columns v > 0 carry no channel energy",
+            "i,n,v,re,im",
+        ]
+        for i, value in enumerate(cir.samples):
+            n, v = divmod(i, grid.n_symbols)
+            block.append(f"{i},{n},{v},{fmt(value.real)},{fmt(value.imag)}")
+        blocks.append(block)
+        noise = multi_symbol_noise_var(cir)
+        noise_rows.append(f"multi-symbol,all,{noise.sample_count},{fmt(noise.sigma2_hat)}")
 
-    noise = multi_symbol_noise_var(cir)
     block = [
         "# noise-variance: multi-symbol read-off vs per-symbol tail read-off",
         "scheme,symbol,sample_count,sigma2_hat",
-        f"multi-symbol,all,{noise.sample_count},{fmt(noise.sigma2_hat)}",
+        *noise_rows,
     ]
     for th in (config.th_perfect, config.th_inaccurate):
         params = ConventionalParams(threshold=th, c=config.c)
@@ -264,7 +280,7 @@ def _cmd_inspect(args) -> int:
     blocks.append(block)
 
     # Symbol-major (M', ...) outputs; M' = 1 serves every symbol of the block.
-    freq, _, cleaned = ESTIMATORS[args.estimator][0](config, state.pilot_ls, state.realization)
+    freq, _, cleaned = ESTIMATORS[args.estimator].run(config, state.pilot_ls, state.realization)
     origin = f"{args.estimator} on symbol {args.symbol}"
     if cleaned is not None:
         block = [

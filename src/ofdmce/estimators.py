@@ -20,9 +20,10 @@ Three estimator families share the pilot least-squares front end:
   estimate serves the whole block.
 
 All estimators are pure functions of their inputs and accept leading batch
-axes on the pilot arrays. ``equalize`` and ``estimator_mse`` also take
-symbol-major estimates of shape ``(..., M', N)``: ``M' = 1`` for one
-response per block, ``M' = M`` for one per OFDM symbol.
+axes on the pilot arrays. ``equalize`` and ``estimator_mse`` take
+symbol-major estimates of shape ``(..., M', N)`` (``equalize`` only their
+data cells): ``M' = 1`` for one response per block, ``M' = M`` for one per
+OFDM symbol.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelRealization
-from .phy import GridConfig, extract_data
 from .spectral import dft, idft
 
 __all__ = [
-    "EQUALIZER_FLOOR",
     "NoiseEstimate",
     "ConventionalParams",
     "StackedCir",
@@ -55,8 +54,6 @@ __all__ = [
     "equalize",
     "estimator_mse",
 ]
-
-EQUALIZER_FLOOR = 1e-12
 
 
 @dataclass(eq=False)
@@ -250,29 +247,29 @@ def multi_symbol_estimate(pilots: np.ndarray, n_subcarriers: int) -> ChannelEsti
     return ChannelEstimate(_padded_dft(cleaned, n_subcarriers), "multi-symbol", noise, cleaned)
 
 
-def equalize(rx_grid: np.ndarray, estimate: ChannelEstimate, cfg: GridConfig) -> np.ndarray:
-    """Zero-forcing equalization of the data cells.
+def equalize(rx_data: np.ndarray, h_data: np.ndarray) -> np.ndarray:
+    """Zero-forcing equalization for hard decisions, in the sign domain.
 
-    ``estimate.freq_response`` is one ``(N,)`` response for every cell, or
-    symbol-major ``(..., M', N)`` with the grid's batch axes. Each cell is
-    divided by its estimated response, with magnitudes below
-    ``EQUALIZER_FLOOR`` raised to it (phase preserved) so deep fades cannot
-    produce non-finite output. Returns the data symbols flattened
-    symbol-major; pilot cells are dropped.
+    ``rx_data`` holds data cells symbol-major, ``(..., M, K)``, and
+    ``h_data`` the estimate at the same cells, ``(..., M', K)`` with
+    ``M' = 1`` (one response for the block) or ``M' = M``. Returns
+    ``rx * conj(h)``, which is ``rx / h`` scaled by ``|h|**2 > 0``: the real
+    and imaginary parts keep their signs, so QPSK decisions are those of
+    dividing, a deep fade keeps its phase, and no division can overflow.
+    Cells where ``h`` is exactly 0 return ``rx`` itself, so their decisions
+    follow the received signs.
     """
-    grid = np.asarray(rx_grid, dtype=np.complex128)
-    h = np.asarray(estimate.freq_response)
-    if grid.shape[-2] != cfg.n_subcarriers or h.shape[-1] != cfg.n_subcarriers:
-        raise ValueError("grid and estimate must cover all subcarriers")
-    if h.ndim > 1 and h.shape[:-2] != grid.shape[:-2]:
-        raise ValueError(f"estimate {h.shape} is not symbol-major (..., M', N) for grid {grid.shape}")
-    h = np.take(h, cfg.data_indices, axis=-1)
-    weak = np.abs(h) < EQUALIZER_FLOOR
-    h[weak] = EQUALIZER_FLOOR * np.exp(1j * np.angle(h[weak]))
-    batch = grid.shape[:-2]
-    cells = extract_data(grid, cfg).reshape(batch + (grid.shape[-1], cfg.n_data))
-    cells /= h
-    return cells.reshape(batch + (-1,))
+    rx = np.asarray(rx_data)
+    h = np.asarray(h_data)
+    lines_up = h.ndim >= 2 and h.shape[:-2] == rx.shape[:-2] and h.shape[-1] == rx.shape[-1]
+    if not (lines_up and h.shape[-2] in (1, rx.shape[-2])):
+        raise ValueError(
+            f"estimate {h.shape} is not symbol-major (..., M', K) for data cells {rx.shape}"
+        )
+    weights = np.conj(np.broadcast_to(h, rx.shape))
+    if not weights.all():
+        weights[weights == 0] = 1.0
+    return np.multiply(rx, weights, out=weights)
 
 
 def estimator_mse(estimate: ChannelEstimate, realization: ChannelRealization) -> float | np.ndarray:

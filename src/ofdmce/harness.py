@@ -10,6 +10,15 @@ sums are reduced in chunk order, and the noise stream is drawn once per
 trial at unit variance and scaled per SNR point. Repeated runs of the same
 configuration therefore produce byte-identical CSV files at any worker
 count.
+
+Trials are received in the frequency domain. While the delay spread fits
+the cyclic prefix (checked before anything is drawn), the demodulated grid
+of the time-domain chain ``ofdm_demodulate(apply_channel(ofdm_modulate(X))
++ sqrt(sigma2) * w)`` is exactly ``H * X + sqrt(sigma2) * W`` with
+``W = ofdm_demodulate(w)``, the same in every symbol. So each chunk forms
+``H * X`` and ``W`` once, only at the data and pilot cells, and each SNR
+point only scales and adds them. The time-domain functions stay in the
+library as the reference model the tests check this against.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +36,6 @@ from .channel import (
     ChannelRealization,
     NoiseSpec,
     PowerDelayProfile,
-    apply_channel,
     build_profile,
     complex_normal,
     load_profile,
@@ -44,15 +53,16 @@ from .estimators import (
 from .phy import (
     GridConfig,
     build_grid,
+    extract_data,
     extract_pilot_ls,
     generate_pilots,
     ofdm_demodulate,
-    ofdm_modulate,
-    qpsk_demodulate,
+    qpsk_bit_errors,
     qpsk_modulate,
 )
 
 __all__ = [
+    "Estimator",
     "ESTIMATORS",
     "ESTIMATOR_IDS",
     "SimConfig",
@@ -116,13 +126,23 @@ def _ls_only(config, pilot_ls, truth):
     return est.freq_response, None, None
 
 
-# id -> (estimator, fewest OFDM symbols per block it works on)
+class Estimator(NamedTuple):
+    """One table entry: the estimator function and what it needs."""
+
+    run: Callable
+    # Fewest OFDM symbols per block it works on.
+    min_symbols: int
+    # False if it never reads the pilots, so one evaluation per chunk serves
+    # every SNR point.
+    reads_pilots: bool = True
+
+
 ESTIMATORS = {
-    "ideal": (_ideal, 1),
-    "conv-perfect": (_conventional(lambda config: config.th_perfect), 1),
-    "conv-inaccurate": (_conventional(lambda config: config.th_inaccurate), 1),
-    "proposed": (_proposed, 2),
-    "ls-only": (_ls_only, 1),
+    "ideal": Estimator(_ideal, 1, reads_pilots=False),
+    "conv-perfect": Estimator(_conventional(lambda config: config.th_perfect), 1),
+    "conv-inaccurate": Estimator(_conventional(lambda config: config.th_inaccurate), 1),
+    "proposed": Estimator(_proposed, 2),
+    "ls-only": Estimator(_ls_only, 1),
 }
 
 ESTIMATOR_IDS = tuple(ESTIMATORS)
@@ -166,7 +186,7 @@ class SimConfig:
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
         for estimator_id in self.estimators:
-            min_symbols = ESTIMATORS[estimator_id][1]
+            min_symbols = ESTIMATORS[estimator_id].min_symbols
             if self.grid.n_symbols < min_symbols:
                 raise ValueError(
                     f"the {estimator_id} estimator needs at least {min_symbols} symbols per block"
@@ -182,15 +202,17 @@ class SimConfig:
 
 @dataclass(eq=False)
 class SubframeState:
-    """Everything observable about one simulated subframe (for inspection)."""
+    """Everything observable about one simulated subframe (for inspection).
+
+    ``rx_grid`` holds the data cells the sweep decides on; its pilot cells
+    are ``pilot_ls`` times the pilots.
+    """
 
     trial_index: int
     snr_db: float
     bits: np.ndarray
     pilots: np.ndarray
     tx_grid: np.ndarray
-    tx_samples: np.ndarray
-    rx_samples: np.ndarray
     rx_grid: np.ndarray
     pilot_ls: np.ndarray
     realization: ChannelRealization
@@ -198,12 +220,23 @@ class SubframeState:
 
 
 def resolve_profile(config: SimConfig) -> PowerDelayProfile:
-    """Map the config's profile string to a builtin name or a file path."""
+    """Map the config's profile string to a builtin name or a file path.
+
+    Raises ValueError if the profile's delay spread exceeds the cyclic
+    prefix, where the received grid would no longer be ``H * X`` plus noise.
+    """
     from .channel import BUILTIN_PROFILES
 
     if config.profile.lower() in BUILTIN_PROFILES:
-        return build_profile(config.profile, config.sample_rate_hz)
-    return load_profile(config.profile, config.sample_rate_hz)
+        profile = build_profile(config.profile, config.sample_rate_hz)
+    else:
+        profile = load_profile(config.profile, config.sample_rate_hz)
+    if profile.delay_spread > config.grid.cp_len:
+        raise ValueError(
+            f"profile {profile.name} spreads over {profile.delay_spread} samples at "
+            f"{config.sample_rate_hz!r} Hz, more than cp_len = {config.grid.cp_len}"
+        )
+    return profile
 
 
 def awgn_qpsk_ber(snr_db: float) -> float:
@@ -227,19 +260,28 @@ def _trial_rng(seed: int, trial: int, purpose: int) -> np.random.Generator:
 
 @dataclass(eq=False)
 class _ChunkState:
-    trials: np.ndarray
+    """A chunk's received cells in two parts, ``clean + sqrt(sigma2) * noise``.
+
+    Data cells are symbol-major, ``(trials, M, n_data)``; pilot cells are
+    least-squares observations, ``(trials, Np, M)``.
+    """
+
     bits: np.ndarray
-    tx_grid: np.ndarray
-    tx_samples: np.ndarray
-    clean_samples: np.ndarray
-    unit_noise: np.ndarray
     realization: ChannelRealization
+    clean_data: np.ndarray
+    noise_data: np.ndarray
+    clean_pilot_ls: np.ndarray
+    noise_pilot_ls: np.ndarray
 
 
 def _draw_chunk(
     config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, trials: np.ndarray
 ) -> _ChunkState:
-    """Draw bits, channel, and unit-variance noise for a block of trials."""
+    """Draw bits, channel, and unit-variance noise for a block of trials.
+
+    Returns them as the two parts of the received cells; the noise is
+    demodulated here, once for every SNR point.
+    """
     grid = config.grid
     n_trials = len(trials)
     n_taps = len(profile.tap_delays)
@@ -262,17 +304,33 @@ def _draw_chunk(
     realization = ChannelRealization.from_taps(
         np.array(profile.tap_delays), gains, grid.n_subcarriers
     )
-    tx_grid = build_grid(qpsk_modulate(bits), pilots, grid)
-    tx_samples = ofdm_modulate(tx_grid, grid)
-    clean = apply_channel(tx_samples, realization, grid.cp_len)
-    return _ChunkState(trials, bits, tx_grid, tx_samples, clean, unit_noise, realization)
+    cells = (n_trials, grid.n_symbols, grid.n_data)
+    noise = ofdm_demodulate(unit_noise, grid)
+    del unit_noise
+    noise_data = extract_data(noise, grid).reshape(cells)
+    noise_pilot_ls = extract_pilot_ls(noise, pilots, grid)
+    del noise
+    h = realization.freq_response
+    clean_data = qpsk_modulate(bits).reshape(cells)
+    clean_data *= np.take(h, grid.data_indices, axis=-1)[:, None, :]
+    clean_pilot_ls = h[:, grid.pilot_indices, None] * pilots * np.conj(pilots)
+    return _ChunkState(bits, realization, clean_data, noise_data, clean_pilot_ls, noise_pilot_ls)
 
 
-def _receive(state: _ChunkState, noise: NoiseSpec, grid: GridConfig, pilots: np.ndarray):
-    rx_samples = state.clean_samples + np.sqrt(noise.sigma2) * state.unit_noise
-    rx_grid = ofdm_demodulate(rx_samples, grid)
-    pilot_ls = extract_pilot_ls(rx_grid, pilots, grid)
-    return rx_samples, rx_grid, pilot_ls
+def _receive(state: _ChunkState, noise: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Received data cells and pilot least-squares observations at one SNR."""
+    scale = math.sqrt(noise.sigma2)
+    rx_data = scale * state.noise_data
+    rx_data += state.clean_data
+    return rx_data, state.clean_pilot_ls + scale * state.noise_pilot_ls
+
+
+def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, realization):
+    """An estimate at the data cells, with the sums of its MSE and its σ̂² (or None)."""
+    freq, sigma2, _ = ESTIMATORS[estimator_id].run(config, pilot_ls, realization)
+    mse = estimator_mse(ChannelEstimate(freq, estimator_id), realization)
+    h_data = np.take(freq, config.grid.data_indices, axis=-1)
+    return h_data, float(mse.sum()), None if sigma2 is None else float(sigma2.sum())
 
 
 def _chunk_bounds(n_trials: int) -> list[tuple[int, int]]:
@@ -283,35 +341,35 @@ def _sweep_chunk(args):
     """Worker body: evaluate one trial chunk at every SNR point."""
     config, profile, pilots, start, stop = args
     state = _draw_chunk(config, profile, pilots, np.arange(start, stop))
+    # The drawn bits pair up with the data cells flattened symbol-major.
+    bits = state.bits
+    fixed = {
+        estimator_id: _estimate_cells(config, estimator_id, None, state.realization)
+        for estimator_id in config.estimators
+        if not ESTIMATORS[estimator_id].reads_pilots
+    }
     partial = {}
     for snr_idx, snr_db in enumerate(config.snr_points_db):
-        noise = NoiseSpec.from_snr_db(snr_db)
-        _, rx_grid, pilot_ls = _receive(state, noise, config.grid, pilots)
+        rx_data, pilot_ls = _receive(state, NoiseSpec.from_snr_db(snr_db))
         for estimator_id in config.estimators:
-            estimator = ESTIMATORS[estimator_id][0]
-            freq, sigma2, _ = estimator(config, pilot_ls, state.realization)
-            estimate = ChannelEstimate(freq, estimator_id)
-            # MSE first and the estimate dropped before demapping, so that
-            # no two of their full-grid temporaries are alive at once.
-            mse = estimator_mse(estimate, state.realization)
-            eq = equalize(rx_grid, estimate, config.grid)
-            del estimate, freq
-            errors = np.count_nonzero(qpsk_demodulate(eq) != state.bits, axis=-1)
-            partial[snr_idx, estimator_id] = (
-                int(errors.sum()),
-                float(mse.sum()),
-                None if sigma2 is None else float(sigma2.sum()),
-            )
+            if estimator_id in fixed:
+                h_data, mse, sigma2 = fixed[estimator_id]
+            else:
+                h_data, mse, sigma2 = _estimate_cells(
+                    config, estimator_id, pilot_ls, state.realization
+                )
+            decided = equalize(rx_data, h_data).reshape(bits.shape[:-1] + (-1,))
+            partial[snr_idx, estimator_id] = (qpsk_bit_errors(decided, bits), mse, sigma2)
     return partial
 
 
 def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int) -> SubframeState:
-    """Run one subframe end to end and keep every intermediate product."""
+    """Run one subframe through the sweep's receive path and keep its products."""
     profile = resolve_profile(config)
     pilots = generate_pilots(config.master_seed, config.grid)
     state = _draw_chunk(config, profile, pilots, np.array([trial_index]))
     noise = NoiseSpec.from_snr_db(snr_db)
-    rx_samples, rx_grid, pilot_ls = _receive(state, noise, config.grid, pilots)
+    rx_data, pilot_ls = _receive(state, noise)
     single = ChannelRealization(
         state.realization.tap_delays,
         state.realization.gains[0],
@@ -322,10 +380,8 @@ def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int) -> Sub
         snr_db=float(snr_db),
         bits=state.bits[0],
         pilots=pilots,
-        tx_grid=state.tx_grid[0],
-        tx_samples=state.tx_samples[0],
-        rx_samples=rx_samples[0],
-        rx_grid=rx_grid[0],
+        tx_grid=build_grid(qpsk_modulate(state.bits[0]), pilots, config.grid),
+        rx_grid=build_grid(rx_data[0].reshape(-1), pilot_ls[0] * pilots, config.grid),
         pilot_ls=pilot_ls[0],
         realization=single,
         noise=noise,
@@ -364,6 +420,10 @@ def sweep(config: SimConfig, *, workers: int | None = None, progress=None) -> li
     """
     if workers is not None and workers < 1:
         raise ValueError("workers must be positive")
+    if config.grid.n_data == 0:
+        raise ValueError(
+            "the grid has no data subcarriers (n_pilots = n_subcarriers), so no bits to count"
+        )
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     profile = resolve_profile(config)
     pilots = generate_pilots(config.master_seed, config.grid)

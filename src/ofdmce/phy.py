@@ -28,7 +28,7 @@ __all__ = [
     "GridConfig",
     "generate_pilots",
     "qpsk_modulate",
-    "qpsk_demodulate",
+    "qpsk_bit_errors",
     "build_grid",
     "extract_data",
     "ofdm_modulate",
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+
+# The four QPSK points indexed by 2 * b0 + b1.
+_QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / _SQRT2
 
 
 def _is_pow2(value: int) -> bool:
@@ -112,26 +115,32 @@ def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
     """Map bit pairs (b0, b1) to ((1 - 2 b0) + j (1 - 2 b1)) / sqrt(2).
 
     ``bits`` has an even last axis; output halves it. Gray mapping: b0
-    selects the sign of the real part, b1 of the imaginary part.
+    selects the sign of the real part, b1 of the imaginary part. Any nonzero
+    bit counts as 1.
     """
     arr = np.asarray(bits)
     if arr.shape[-1] % 2:
         raise ValueError(f"bit count must be even, got {arr.shape[-1]}")
-    pairs = arr.reshape(arr.shape[:-1] + (arr.shape[-1] // 2, 2))
-    return ((1.0 - 2.0 * pairs[..., 0]) + 1j * (1.0 - 2.0 * pairs[..., 1])) / _SQRT2
+    pairs = arr.astype(bool, copy=False).view(np.uint8)
+    pairs = pairs.reshape(arr.shape[:-1] + (arr.shape[-1] // 2, 2))
+    return _QPSK_POINTS[(pairs[..., 0] << 1) | pairs[..., 1]]
 
 
-def qpsk_demodulate(symbols: np.ndarray) -> np.ndarray:
-    """Hard decisions inverse to :func:`qpsk_modulate`.
+def qpsk_bit_errors(symbols: np.ndarray, bits: np.ndarray) -> int:
+    """Count the hard-decision errors of QPSK symbols against the bits they carry.
 
-    A component exactly on the decision boundary (zero) demaps to bit 0.
-    Bits come back as bool.
+    ``symbols`` is ``(..., K)`` and ``bits`` the ``(..., 2K)`` pairs that
+    :func:`qpsk_modulate` maps onto them. A negative real (imaginary) part
+    decides b0 (b1) = 1; a component exactly on the boundary (zero) decides
+    0. Only the signs matter, so any positive scaling of the symbols counts
+    the same errors.
     """
-    s = np.asarray(symbols)
-    bits = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=bool)
-    bits[..., 0::2] = s.real < 0
-    bits[..., 1::2] = s.imag < 0
-    return bits
+    s = np.ascontiguousarray(symbols, dtype=np.complex128)
+    b = np.asarray(bits)
+    if b.shape != s.shape[:-1] + (2 * s.shape[-1],):
+        raise ValueError(f"bits {b.shape} do not pair up with symbols {s.shape}")
+    # The float view interleaves (re, im) per symbol, as the bits do.
+    return int(np.count_nonzero(np.less(s.view(np.float64), 0.0) != b))
 
 
 def generate_pilots(seed: int, cfg: GridConfig) -> np.ndarray:
@@ -187,7 +196,8 @@ def ofdm_demodulate(samples: np.ndarray, cfg: GridConfig) -> np.ndarray:
         )
     blocks = arr.reshape(arr.shape[:-1] + (cfg.n_symbols, cfg.samples_per_symbol))
     body = blocks[..., cfg.cp_len :]
-    freq = dft(body) / np.sqrt(cfg.n_subcarriers)
+    freq = dft(body)
+    freq /= np.sqrt(cfg.n_subcarriers)
     return np.swapaxes(freq, -1, -2)
 
 

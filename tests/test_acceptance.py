@@ -169,7 +169,7 @@ class TestAcceptance:
         print(f"criterion 7: worst deviation {worst_z:.2f} standard errors across 13 points")
 
     def test_criterion_8_kernel_oracles(self):
-        """Hand-rolled transforms match direct summation, invert, and conserve energy."""
+        """The numpy.fft transforms match direct summation, invert, and conserve energy."""
         rng = np.random.default_rng(808)
         worst_direct = worst_round = worst_parseval = 0.0
         for length in (4, 8, 64, 128, 512):

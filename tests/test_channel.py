@@ -199,9 +199,25 @@ class TestApplyChannel:
         assert np.allclose(out, [0, 0, 1, 2, 3, 4, 5, 6])
 
     def test_delay_spread_must_fit_cp(self):
-        wide = ChannelRealization.from_taps([0, 40], [1.0, 0.5], 512)
+        """A spread of cp_len samples still fits the prefix; one more does not."""
+        wide = ChannelRealization.from_taps([0, 41], [1.0, 0.5], 512)
         with pytest.raises(ValueError, match="cp_len"):
             apply_channel(np.zeros(100), wide, 40)
+        fitting = ChannelRealization.from_taps([0, 40], [1.0, 0.5], 512)
+        assert apply_channel(np.zeros(100), fitting, 40).shape == (100,)
+
+    def test_spread_equal_to_cp_gives_the_frequency_response(self):
+        """The tap at delay cp_len reads only the prefix of its own symbol."""
+        cfg = GridConfig(n_subcarriers=64, n_pilots=8, n_symbols=2, cp_len=12)
+        rng = np.random.default_rng(14)
+        grid = build_grid(
+            qpsk_modulate(rng.integers(0, 2, cfg.data_bits_per_block)),
+            generate_pilots(4, cfg),
+            cfg,
+        )
+        edge = ChannelRealization.from_taps([0, 12], [1.0 + 0j, 0.5 - 0.5j], 64)
+        rx = ofdm_demodulate(apply_channel(ofdm_modulate(grid, cfg), edge, cfg.cp_len), cfg)
+        assert np.abs(rx - edge.freq_response[:, None] * grid).max() <= 1e-12
 
     def test_one_sample_delay_rotates_subcarriers(self):
         """A pure one-sample delay multiplies subcarrier k by e^{-j2pik/N}."""

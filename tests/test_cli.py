@@ -174,6 +174,26 @@ class TestSweepCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestGridChecks:
+    """Grids the frequency-domain receive cannot serve exit 1 before any work."""
+
+    def test_spread_beyond_prefix(self, tmp_path, capsys):
+        """ETU spreads over 38 samples at 7.68 MHz, beyond an 8-sample prefix."""
+        cfg = tmp_path / "short-cp.cfg"
+        cfg.write_text("cp_len = 8\nsubframes = 1\nsnr_db = 20\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "cp_len = 8" in err and "38 samples" in err, f"unhelpful message: {err}"
+        assert not out.exists()
+
+    def test_no_data_cells(self, tmp_path, capsys):
+        cfg = tmp_path / "pilots-only.cfg"
+        cfg.write_text("n_pilots = 512\nsubframes = 1\nsnr_db = 20\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert "no data subcarriers" in capsys.readouterr().err
+
+
 class TestNonFiniteInput:
     """Inputs with no meaningful result exit 1 and name the field."""
 
@@ -309,6 +329,20 @@ class TestInspectCommand:
             assert values[9][:2] == values[8][:2]
         else:
             assert all(row[:2] == row[2:] for row in values), "genie must print the truth"
+
+    def test_single_symbol_grid(self, tmp_path, capsys):
+        """One symbol per block: per-symbol estimators inspect, without the stacked blocks."""
+        cfg = tmp_path / "one-symbol.cfg"
+        cfg.write_text("n_symbols = 1\n")
+        assert main(["inspect", "--config", str(cfg), "--estimator", "conv-perfect"]) == 0
+        out = capsys.readouterr().out
+        assert "# stacked-cir:" not in out
+        assert "# stacked-cir and multi-symbol noise variance skipped" in out
+        rows = block_lines(out, "noise-variance")[1:]
+        assert {r.split(",")[0] for r in rows} == {"conventional-th39", "conventional-th19"}
+        assert len(block_lines(out, "estimate-vs-truth")[1:]) == 512
+        assert main(["inspect", "--config", str(cfg), "--estimator", "proposed"]) == 1
+        assert "proposed estimator needs at least 2 symbols" in capsys.readouterr().err
 
     def test_symbol_out_of_range(self, capsys):
         """Asking for a symbol the grid does not have exits 1."""

@@ -19,7 +19,7 @@ from ofdmce.estimators import (
     multi_symbol_noise_var,
     stack_pilot_cir,
 )
-from ofdmce.phy import GridConfig
+from ofdmce.phy import GridConfig, qpsk_bit_errors
 from ofdmce.spectral import dft, idft
 
 FS = 7.68e6
@@ -262,41 +262,68 @@ class TestBaselines:
 # ---------------------------------------------------------------------------
 
 
+def decided_bits(symbols: np.ndarray) -> np.ndarray:
+    """Hard-decision bits of symbols, (re, im) per symbol, zero deciding 0."""
+    bits = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=bool)
+    bits[..., 0::2] = symbols.real < 0
+    bits[..., 1::2] = symbols.imag < 0
+    return bits
+
+
 class TestEqualize:
-    CFG = GridConfig(n_subcarriers=4, n_pilots=2, n_symbols=2, cp_len=0)
+    """Decisions come from ``qpsk_bit_errors(equalize(rx, h), bits)``."""
 
-    def test_divides_data_cells_only(self):
-        grid = np.full((4, 2), 1.0 + 0.0j)
-        est = ChannelEstimate(np.array([1.0, 2.0, 1.0, 4.0], dtype=complex), "test")
-        out = equalize(grid, est, self.CFG)
-        assert np.allclose(out, [0.5, 0.25, 0.5, 0.25]), f"got {out}"
+    def test_zero_estimate_decides_on_rx(self):
+        """Where the estimate is exactly 0 the decisions follow the received signs."""
+        rng = np.random.default_rng(40)
+        rx = complex_normal(rng, (1, 6), 1.0)
+        h = np.array([[0, 1j, 0, -1, 0j, complex(-0.0, -0.0)]])
+        out = equalize(rx, h)
+        zero = h == 0
+        assert np.array_equal(out[zero], rx[zero])
+        assert qpsk_bit_errors(out[zero], decided_bits(rx[zero])) == 0
 
-    def test_deep_fade_floors_magnitude_preserving_phase(self):
-        grid = np.full((4, 2), 1.0 + 0.0j)
-        theta = 0.7
-        h = np.array([1.0, 1e-15 * np.exp(1j * theta), 1.0, 0.0], dtype=complex)
-        out = equalize(grid, ChannelEstimate(h, "test"), self.CFG)
+    def test_tiny_estimate_decides_as_division(self):
+        """A deep fade keeps its phase: decisions equal those of dividing by it."""
+        rng = np.random.default_rng(41)
+        theta = rng.uniform(-np.pi, np.pi, size=(3, 64))
+        h = 1e-15 * np.exp(1j * theta)
+        rx = complex_normal(rng, (3, 64), 1.0)
+        out = equalize(rx, h)
         assert np.all(np.isfinite(out))
-        assert abs(out[0]) == pytest.approx(1e12)
-        assert np.angle(out[0]) == pytest.approx(-theta, abs=1e-12)
-        assert out[1] == pytest.approx(1e12), "exact zero floors with zero phase"
+        assert qpsk_bit_errors(out, decided_bits(rx / h)) == 0
+
+    def test_zero_component_decides_bit_zero(self):
+        """A component that lands exactly on 0 decides bit 0."""
+        rx = np.array([[1.0 + 0.0j, 0.0 + 0.0j, 0.0 - 2.0j]])
+        h = np.array([[1.0 + 0.0j, 0.7 - 0.1j, 0.0 + 0.0j]])
+        out = equalize(rx, h)
+        assert out[0, 0].imag == 0 and out[0, 1] == 0 and out[0, 2].real == 0
+        assert qpsk_bit_errors(out, np.array([[0, 0, 0, 0, 0, 1]], dtype=bool)) == 0
+        assert qpsk_bit_errors(out, np.array([[0, 1, 1, 1, 1, 1]], dtype=bool)) == 4
+
+    def test_symbol_major_estimate_divides_each_symbol_by_its_row(self):
+        """Row m of an (M, K) estimate serves symbol m; a (1, K) row serves all."""
+        rx = np.array([[1.0 + 1.0j, -2.0 + 0.5j], [0.5 - 1.0j, 1.0 + 1.0j]])
+        h = np.array([[1.0 - 1.0j, 2.0 + 0.0j], [-1.0 + 0.0j, 0.0 + 4.0j]])
+        out = equalize(rx, h)
+        assert np.allclose(out, rx / h * np.abs(h) ** 2, rtol=1e-15)
+        shared = equalize(rx, h[:1])
+        assert np.allclose(shared, rx / h[:1] * np.abs(h[:1]) ** 2, rtol=1e-15)
+        assert qpsk_bit_errors(shared, decided_bits(rx / h[:1])) == 0
+
+    def test_batched_estimate_needs_a_symbol_axis(self):
+        """A (B, K) estimate against (B, M, K) cells is refused, not broadcast."""
+        rx = np.ones((2, 2, 4), dtype=complex)
+        with pytest.raises(ValueError, match="symbol-major"):
+            equalize(rx, np.ones((2, 4), dtype=complex))
+        with pytest.raises(ValueError, match="symbol-major"):
+            equalize(rx, np.ones((2, 3, 4), dtype=complex))
 
     def test_mse_of_constant_offset(self):
         truth = ChannelRealization.from_taps([0], [1.0], 8)
         est = ChannelEstimate(truth.freq_response + 1.0, "test")
         assert estimator_mse(est, truth) == pytest.approx(1.0)
-
-    def test_symbol_major_estimate_divides_each_symbol_by_its_row(self):
-        grid = np.full((4, 2), 1.0 + 0.0j)
-        h = np.array([[1.0, 2.0, 1.0, 4.0], [1.0, 0.5, 1.0, 0.25]], dtype=complex)
-        out = equalize(grid, ChannelEstimate(h, "test"), self.CFG)
-        assert np.allclose(out, [0.5, 0.25, 2.0, 4.0]), f"got {out}"
-
-    def test_batched_estimate_needs_a_symbol_axis(self):
-        """A (B, N) response against a (B, N, M) grid is refused, not broadcast."""
-        grid = np.ones((2, 4, 2), dtype=complex)
-        with pytest.raises(ValueError, match="symbol-major"):
-            equalize(grid, ChannelEstimate(np.ones((2, 4), dtype=complex), "test"), self.CFG)
 
     def test_mse_averages_symbol_major_rows(self):
         truth = ChannelRealization.from_taps([0], [1.0], 8)

@@ -1,12 +1,13 @@
 """Tests for the Monte Carlo harness: pairing, aggregation, CSV, gaps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ofdmce import harness
-from ofdmce.channel import apply_channel
+from ofdmce.channel import NoiseSpec, apply_channel, complex_normal
 from ofdmce.harness import (
     ESTIMATOR_IDS,
     BerRecord,
@@ -20,7 +21,15 @@ from ofdmce.harness import (
     write_csv,
     write_gaps,
 )
-from ofdmce.phy import GridConfig, ofdm_demodulate
+from ofdmce.phy import (
+    GridConfig,
+    build_grid,
+    extract_data,
+    extract_pilot_ls,
+    ofdm_demodulate,
+    ofdm_modulate,
+    qpsk_modulate,
+)
 
 
 def tiny_config(**overrides) -> SimConfig:
@@ -129,7 +138,7 @@ class TestSubframePairing:
         cfg = tiny_config()
         a = simulate_subframe(cfg, 15.0, 3)
         b = simulate_subframe(cfg, 15.0, 3)
-        assert np.array_equal(a.rx_samples, b.rx_samples)
+        assert np.array_equal(a.rx_grid, b.rx_grid)
         assert np.array_equal(a.bits, b.bits)
 
     def test_trials_differ(self):
@@ -145,25 +154,135 @@ class TestSubframePairing:
         cfg = tiny_config()
         lo = simulate_subframe(cfg, 10.0, 2)
         hi = simulate_subframe(cfg, 20.0, 2)
-        noise_lo = lo.rx_samples - apply_channel(lo.tx_samples, lo.realization, cfg.grid.cp_len)
-        noise_hi = hi.rx_samples - apply_channel(hi.tx_samples, hi.realization, cfg.grid.cp_len)
-        ratio = noise_lo / noise_hi
+        clean = simulate_subframe(cfg, math.inf, 2).rx_grid
+        ratio = (lo.rx_grid - clean) / (hi.rx_grid - clean)
         expected = math.sqrt(10.0)
         assert np.allclose(ratio, expected, rtol=1e-9), (
             f"noise ratio should be {expected}, got {ratio[:4]}"
         )
 
     def test_internal_consistency(self):
-        """The bundle's grid really is the demodulation of its samples."""
-        state = simulate_subframe(tiny_config(), 12.0, 1)
-        regrid = ofdm_demodulate(state.rx_samples, tiny_config().grid)
-        assert np.array_equal(state.rx_grid, regrid)
+        """The bundle's grids carry its bits, and its pilot cells its pilot LS."""
+        cfg = tiny_config()
+        state = simulate_subframe(cfg, 12.0, 1)
+        tx_grid = build_grid(qpsk_modulate(state.bits), state.pilots, cfg.grid)
+        assert np.array_equal(state.tx_grid, tx_grid)
+        regrid = extract_pilot_ls(state.rx_grid, state.pilots, cfg.grid)
+        assert np.allclose(regrid, state.pilot_ls, rtol=1e-15, atol=0)
 
     def test_infinite_snr_is_noiseless(self):
-        """snr = inf leaves the channel output untouched."""
-        state = simulate_subframe(tiny_config(), math.inf, 0)
-        clean = apply_channel(state.tx_samples, state.realization, tiny_config().grid.cp_len)
-        assert np.array_equal(state.rx_samples, clean)
+        """snr = inf leaves H * X at every cell."""
+        cfg = tiny_config()
+        state = simulate_subframe(cfg, math.inf, 0)
+        clean = state.realization.freq_response[:, None] * state.tx_grid
+        assert np.allclose(state.rx_grid, clean, rtol=1e-15, atol=0)
+
+
+def reference_configs():
+    """Small random grids, with M = 3, Np = N, cp_len = 0 and fading off among them."""
+    rng = np.random.default_rng(2024)
+    configs = [
+        # Every cell a pilot, and a one-tap channel with no prefix at all.
+        SimConfig(
+            grid=GridConfig(n_subcarriers=16, n_pilots=16, n_symbols=3, cp_len=0),
+            profile="single-tap", th_perfect=0, th_inaccurate=0, estimators=("ideal",),
+        ),
+        # ETU at 1.92 MHz spreads over 10 samples, exactly the prefix here.
+        SimConfig(
+            grid=GridConfig(n_subcarriers=64, n_pilots=16, n_symbols=2, cp_len=10),
+            sample_rate_hz=1.92e6, th_perfect=0, th_inaccurate=0, estimators=("ideal",),
+            fading=False,
+        ),
+    ]
+    for _ in range(6):
+        n = int(2 ** rng.integers(4, 8))
+        profile, sample_rate, spread = (
+            ("single-tap", 7.68e6, 0) if rng.random() < 0.5 else ("etu", 1.92e6, 10)
+        )
+        grid = GridConfig(
+            n_subcarriers=n,
+            n_pilots=int(2 ** rng.integers(0, int(math.log2(n)) + 1)),
+            n_symbols=int(rng.integers(1, 4)),
+            cp_len=int(rng.integers(spread, spread + 5)),
+        )
+        configs.append(
+            SimConfig(
+                grid=grid, profile=profile, sample_rate_hz=sample_rate, th_perfect=0,
+                th_inaccurate=0, estimators=("ideal",), fading=bool(rng.random() < 0.7),
+                master_seed=int(rng.integers(1000)),
+            )
+        )
+    return configs
+
+
+class TestFrequencyDomainReceive:
+    """The sweep's receive path against the time-domain reference model."""
+
+    @pytest.mark.parametrize("config", reference_configs(), ids=lambda c: f"{c.grid}-{c.profile}")
+    @pytest.mark.parametrize("snr_db", [7.0, math.inf])
+    def test_matches_the_time_domain_chain(self, config, snr_db):
+        """Data cells and pilot LS equal demodulate(channel(modulate(X)) + noise)."""
+        grid = config.grid
+        noise = NoiseSpec.from_snr_db(snr_db)
+        for trial in (0, 5):
+            state = simulate_subframe(config, snr_db, trial)
+            stream = harness._trial_rng(config.master_seed, trial, harness._NOISE)
+            unit_noise = complex_normal(stream, grid.samples_per_block, 1.0)
+            tx_samples = ofdm_modulate(state.tx_grid, grid)
+            rx_samples = apply_channel(tx_samples, state.realization, grid.cp_len)
+            rx_samples = rx_samples + math.sqrt(noise.sigma2) * unit_noise
+            reference = ofdm_demodulate(rx_samples, grid)
+            scale = np.abs(reference).max()
+            data_error = np.abs(extract_data(state.rx_grid, grid) - extract_data(reference, grid))
+            assert data_error.max(initial=0.0) <= 1e-12 * scale
+            pilot_error = np.abs(state.pilot_ls - extract_pilot_ls(reference, state.pilots, grid))
+            assert pilot_error.max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            c for c in reference_configs()
+            if c.grid.n_data and resolve_profile(c).delay_spread + 1 < c.grid.n_pilots
+        ],
+        ids=lambda c: f"{c.grid}-{c.profile}",
+    )
+    def test_no_bit_errors_at_300_db(self, config):
+        """Every estimator that can recover the channel exactly decides every bit right.
+
+        Grids need data cells and more pilots than the spread. Thresholds sit
+        one sample past the spread; ``proposed`` needs two symbols, and the
+        nearest-pilot fill is exact only on a flat channel.
+        """
+        spread = resolve_profile(config).delay_spread
+        estimators = ["ideal", "conv-perfect", "conv-inaccurate"]
+        if config.grid.n_symbols >= 2:
+            estimators.append("proposed")
+        if spread == 0:
+            estimators.append("ls-only")
+        cfg = replace(
+            config, snr_points_db=(300.0,), subframes_per_point=6, estimators=tuple(estimators),
+            th_perfect=spread + 1, th_inaccurate=spread + 1,
+        )
+        for record in sweep(cfg, workers=1):
+            assert record.bit_errors == 0, f"{record.estimator_id}: {record.bit_errors} errors"
+
+    def test_rejects_spread_beyond_prefix_before_drawing(self, monkeypatch):
+        """An ETU profile over an 8-sample prefix fails before any draw."""
+        def no_draws(*args):
+            raise AssertionError("drew before checking the prefix")
+
+        monkeypatch.setattr(harness, "_trial_rng", no_draws)
+        monkeypatch.setattr(harness, "generate_pilots", no_draws)
+        cfg = tiny_config(grid=GridConfig(cp_len=8))
+        for run in (lambda: sweep(cfg, workers=1), lambda: simulate_subframe(cfg, 10.0, 0)):
+            with pytest.raises(ValueError, match=r"38 samples.*cp_len = 8"):
+                run()
+
+    def test_rejects_a_grid_without_data_cells(self):
+        """With every subcarrier a pilot there are no bits to count."""
+        cfg = tiny_config(grid=GridConfig(n_subcarriers=64, n_pilots=64), th_perfect=39)
+        with pytest.raises(ValueError, match="no data subcarriers"):
+            sweep(cfg, workers=1)
 
 
 def one_trial(estimator_id, snr_db):

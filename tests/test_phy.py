@@ -11,7 +11,7 @@ from ofdmce.phy import (
     generate_pilots,
     ofdm_demodulate,
     ofdm_modulate,
-    qpsk_demodulate,
+    qpsk_bit_errors,
     qpsk_modulate,
 )
 
@@ -81,14 +81,38 @@ class TestQpsk:
         assert np.abs(np.abs(syms) ** 2 - 1.0).max() <= 1e-15
 
     def test_round_trip(self):
+        """Modulated bits decide back to themselves; the flipped bits all miss."""
         rng = np.random.default_rng(4)
-        bits = rng.integers(0, 2, size=2048)
-        assert np.array_equal(qpsk_demodulate(qpsk_modulate(bits)), bits)
+        bits = rng.integers(0, 2, size=2048).astype(bool)
+        assert qpsk_bit_errors(qpsk_modulate(bits), bits) == 0
+        assert qpsk_bit_errors(qpsk_modulate(bits), ~bits) == 2048
 
     def test_boundary_decides_bit_zero(self):
-        """Components exactly on the decision boundary demap to 0."""
-        bits = qpsk_demodulate(np.array([0.0 + 0.0j, 0.0 - 0.3j, 0.5 + 0.0j]))
-        assert bits.tolist() == [0, 0, 0, 1, 0, 0]
+        """Components exactly on the decision boundary (either zero) decide 0."""
+        symbols = np.array([0.0 + 0.0j, complex(-0.0, -0.3), 0.5 - 0.0j])
+        assert qpsk_bit_errors(symbols, np.array([0, 0, 0, 1, 0, 0], dtype=bool)) == 0
+        assert qpsk_bit_errors(symbols, np.array([1, 1, 1, 1, 0, 1], dtype=bool)) == 4
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_points_are_the_mapping_formula_exactly(self, dtype):
+        """Table lookup gives the formula's values to the last bit."""
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2, size=(3, 64))
+        formula = ((1.0 - 2.0 * bits[..., 0::2]) + 1j * (1.0 - 2.0 * bits[..., 1::2])) / np.sqrt(2.0)
+        symbols = qpsk_modulate(bits.astype(dtype))
+        assert symbols.dtype == np.complex128
+        assert np.array_equal(symbols.view(np.float64), formula.view(np.float64))
+
+    def test_bit_errors_count_per_component(self):
+        """Each wrong sign is one error, in (real, imag) order per symbol."""
+        symbols = np.array([[1 + 1j, -1 + 1j], [1 - 1j, -1 - 1j]])
+        bits = np.zeros((2, 4), dtype=bool)
+        assert qpsk_bit_errors(symbols, bits) == 4
+        assert qpsk_bit_errors(symbols, np.array([[0, 0, 1, 0], [0, 1, 1, 1]], dtype=bool)) == 0
+
+    def test_bit_errors_reject_unpaired_bits(self):
+        with pytest.raises(ValueError, match="pair up"):
+            qpsk_bit_errors(np.ones(4, dtype=complex), np.zeros(6, dtype=bool))
 
     def test_odd_bit_count_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -203,5 +227,4 @@ class TestEndToEnd:
         pilots = generate_pilots(13, DEFAULT)
         grid = build_grid(qpsk_modulate(bits), pilots, DEFAULT)
         rx_grid = ofdm_demodulate(ofdm_modulate(grid, DEFAULT), DEFAULT)
-        recovered = qpsk_demodulate(extract_data(rx_grid, DEFAULT))
-        assert np.array_equal(recovered, bits)
+        assert qpsk_bit_errors(extract_data(rx_grid, DEFAULT), bits) == 0
