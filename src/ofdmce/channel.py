@@ -29,7 +29,7 @@ __all__ = [
     "build_profile",
     "profile_from_taps",
     "load_profile",
-    "realize",
+    "tap_gains",
     "apply_channel",
     "complex_normal",
 ]
@@ -180,33 +180,18 @@ def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarr
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def realize(
-    profile: PowerDelayProfile,
-    n_subcarriers: int,
-    rng: np.random.Generator | None = None,
-    *,
-    size: int | None = None,
-    fading: bool = True,
-) -> ChannelRealization:
-    """Draw tap gains for one block (or a batch of ``size`` blocks).
+def tap_gains(profile: PowerDelayProfile, rng: np.random.Generator | None) -> np.ndarray:
+    """Draw the tap gains of one block.
 
-    With ``fading=True`` each tap is an independent complex Gaussian whose
-    variance is the tap power (Rayleigh magnitudes). With ``fading=False``
-    the gains are the deterministic square roots of the tap powers, which
-    for the single-tap profile degenerates to an identity (pure AWGN) link.
+    With a generator each tap is an independent complex Gaussian whose
+    variance is the tap power (Rayleigh magnitudes). With ``rng=None`` the
+    gains are the deterministic square roots of the tap powers, which for
+    the single-tap profile degenerates to an identity (pure AWGN) link.
     """
     amplitudes = np.sqrt(np.array(profile.tap_powers))
-    n_taps = len(profile.tap_delays)
-    if fading:
-        if rng is None:
-            raise ValueError("fading realizations need a Generator")
-        shape = (n_taps,) if size is None else (size, n_taps)
-        gains = amplitudes * complex_normal(rng, shape, 1.0)
-    else:
-        gains = amplitudes.astype(np.complex128)
-        if size is not None:
-            gains = np.broadcast_to(gains, (size, n_taps)).copy()
-    return ChannelRealization.from_taps(np.array(profile.tap_delays), gains, n_subcarriers)
+    if rng is None:
+        return amplitudes.astype(np.complex128)
+    return amplitudes * complex_normal(rng, len(amplitudes), 1.0)
 
 
 def apply_channel(samples: np.ndarray, realization: ChannelRealization, cp_len: int) -> np.ndarray:

@@ -11,19 +11,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .channel import BUILTIN_PROFILES, build_profile
-from .estimators import (
-    ConventionalParams,
-    conventional_cleaned_cir,
-    multi_symbol_noise_var,
-    stack_pilot_cir,
-)
+from .estimators import conventional_noise_var, multi_symbol_noise_var, stack_pilot_cir
 from .harness import (
     ESTIMATOR_IDS,
     ESTIMATORS,
@@ -36,20 +33,7 @@ from .harness import (
     write_gaps,
 )
 from .phy import GridConfig
-
-_GRID_KEYS = ("n_subcarriers", "n_pilots", "n_symbols", "cp_len")
-_CONFIG_KEYS = _GRID_KEYS + (
-    "profile",
-    "sample_rate_hz",
-    "snr_db",
-    "subframes",
-    "estimators",
-    "seed",
-    "c",
-    "th_perfect",
-    "th_inaccurate",
-    "fading",
-)
+from .spectral import idft
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,6 +51,8 @@ def _parse_snr_spec(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"SNR range must be start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, step, stop)):
+            raise ValueError(f"SNR range must be finite, got {text!r}")
         if step <= 0:
             raise ValueError(f"SNR range step must be positive, got {step}")
         if stop < start:
@@ -87,6 +73,38 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_estimators(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+class _Key(NamedTuple):
+    """How one config key reads into a config and prints back out."""
+
+    # SimConfig field; "grid." marks a GridConfig field.
+    field: str
+    parse: Callable[[str], object]
+    show: Callable[[object], str] = str
+    # Attribute of the parsed flags that overrides the file, if any.
+    flag: str | None = None
+
+
+# Every config key, in the order the sweep CSV header lists them.
+_CONFIG_KEYS = {
+    "n_subcarriers": _Key("grid.n_subcarriers", int),
+    "n_pilots": _Key("grid.n_pilots", int),
+    "n_symbols": _Key("grid.n_symbols", int),
+    "cp_len": _Key("grid.cp_len", int),
+    "profile": _Key("profile", str, flag="profile"),
+    "sample_rate_hz": _Key("sample_rate_hz", float, repr),
+    "snr_db": _Key(
+        "snr_points_db", _parse_snr_spec, lambda v: ",".join(map(repr, v)), flag="snr"
+    ),
+    "subframes": _Key("subframes_per_point", int, flag="subframes"),
+    "estimators": _Key("estimators", _parse_estimators, ",".join, flag="estimators"),
+    "seed": _Key("master_seed", int, flag="seed"),
+    "c": _Key("c", float, repr, flag="c"),
+    "th_perfect": _Key("th_perfect", int, flag="th_perfect"),
+    "th_inaccurate": _Key("th_inaccurate", int, flag="th_inaccurate"),
+    "fading": _Key("fading", _parse_bool, lambda v: "true" if v else "false"),
+}
 
 
 def _load_key_values(path: Path) -> dict[str, str]:
@@ -117,65 +135,29 @@ def _build_config(args, estimators: tuple[str, ...] | None = None) -> SimConfig:
     ``estimators``, if given, replaces the estimator list of file and flags.
     """
     raw = _load_key_values(Path(args.config)) if getattr(args, "config", None) else {}
-
-    def from_file(key, conv, default):
-        if key not in raw:
-            return default
-        try:
-            return conv(raw[key])
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
-
-    base = SimConfig()
-    grid = GridConfig(
-        n_subcarriers=from_file("n_subcarriers", int, base.grid.n_subcarriers),
-        n_pilots=from_file("n_pilots", int, base.grid.n_pilots),
-        n_symbols=from_file("n_symbols", int, base.grid.n_symbols),
-        cp_len=from_file("cp_len", int, base.grid.cp_len),
-    )
-
-    def pick(flag_name, key, conv, default):
-        flag = getattr(args, flag_name, None)
+    # Keyword arguments of GridConfig ("grid") and of SimConfig ("").
+    fields: dict[str, dict] = {"grid": {}, "": {}}
+    for key, spec in _CONFIG_KEYS.items():
+        owner, _, name = spec.field.rpartition(".")
+        flag = getattr(args, spec.flag, None) if spec.flag else None
         if flag is not None:
-            return conv(flag) if isinstance(flag, str) else flag
-        return from_file(key, conv, default)
-
-    if estimators is None:
-        estimators = pick("estimators", "estimators", _parse_estimators, base.estimators)
-    return SimConfig(
-        grid=grid,
-        profile=pick("profile", "profile", str, base.profile),
-        sample_rate_hz=from_file("sample_rate_hz", float, base.sample_rate_hz),
-        snr_points_db=pick("snr", "snr_db", _parse_snr_spec, base.snr_points_db),
-        subframes_per_point=pick("subframes", "subframes", int, base.subframes_per_point),
-        estimators=estimators,
-        master_seed=pick("seed", "seed", int, base.master_seed),
-        c=pick("c", "c", float, base.c),
-        th_perfect=pick("th_perfect", "th_perfect", int, base.th_perfect),
-        th_inaccurate=pick("th_inaccurate", "th_inaccurate", int, base.th_inaccurate),
-        fading=from_file("fading", _parse_bool, base.fading),
-    )
+            fields[owner][name] = spec.parse(flag) if isinstance(flag, str) else flag
+        elif key in raw:
+            try:
+                fields[owner][name] = spec.parse(raw[key])
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+    if estimators is not None:
+        fields[""]["estimators"] = estimators
+    return SimConfig(grid=GridConfig(**fields["grid"]), **fields[""])
 
 
 def _effective_config_lines(config: SimConfig) -> list[str]:
     """The fully resolved configuration, one ``key = value`` line per entry."""
-    return [
-        f"ofdmce {__version__}",
-        f"n_subcarriers = {config.grid.n_subcarriers}",
-        f"n_pilots = {config.grid.n_pilots}",
-        f"n_symbols = {config.grid.n_symbols}",
-        f"cp_len = {config.grid.cp_len}",
-        f"profile = {config.profile}",
-        f"sample_rate_hz = {config.sample_rate_hz!r}",
-        f"snr_db = {','.join(repr(s) for s in config.snr_points_db)}",
-        f"subframes = {config.subframes_per_point}",
-        f"estimators = {','.join(config.estimators)}",
-        f"seed = {config.master_seed}",
-        f"c = {config.c!r}",
-        f"th_perfect = {config.th_perfect}",
-        f"th_inaccurate = {config.th_inaccurate}",
-        f"fading = {'true' if config.fading else 'false'}",
-    ]
+    lines = [f"ofdmce {__version__}"]
+    for key, spec in _CONFIG_KEYS.items():
+        lines.append(f"{key} = {spec.show(operator.attrgetter(spec.field)(config))}")
+    return lines
 
 
 def _print_gap_summary(report) -> None:
@@ -223,6 +205,8 @@ def _cmd_inspect(args) -> int:
     grid = config.grid
     if not 0 <= args.symbol < grid.n_symbols:
         raise ValueError(f"symbol must lie in [0, {grid.n_symbols - 1}], got {args.symbol}")
+    if args.trial < 0:
+        raise ValueError(f"trial must be nonnegative, got {args.trial}")
     state = simulate_subframe(config, args.trial_snr, args.trial)
     fmt = "{:.12g}".format
     blocks: list[list[str]] = []
@@ -273,8 +257,7 @@ def _cmd_inspect(args) -> int:
         *noise_rows,
     ]
     for th in (config.th_perfect, config.th_inaccurate):
-        params = ConventionalParams(threshold=th, c=config.c)
-        _, conv_noise = conventional_cleaned_cir(state.pilot_ls.T, params)
+        conv_noise = conventional_noise_var(idft(state.pilot_ls.T), th)
         for m, sigma2 in enumerate(conv_noise.sigma2_hat):
             block.append(f"conventional-th{th},{m},{conv_noise.sample_count},{fmt(sigma2)}")
     blocks.append(block)

@@ -45,11 +45,9 @@ __all__ = [
     "ideal_estimate",
     "ls_nearest_estimate",
     "conventional_noise_var",
-    "conventional_cleaned_cir",
     "conventional_estimate",
     "stack_pilot_cir",
     "multi_symbol_noise_var",
-    "multi_symbol_cleaned_cir",
     "multi_symbol_estimate",
     "equalize",
     "estimator_mse",
@@ -113,14 +111,13 @@ class ChannelEstimate:
     the denoised impulse response it was transformed from."""
 
     freq_response: np.ndarray
-    method: str
     noise: NoiseEstimate | None = None
     cleaned_cir: np.ndarray | None = None
 
 
 def ideal_estimate(realization: ChannelRealization) -> ChannelEstimate:
     """Genie bound: hand back the true frequency response."""
-    return ChannelEstimate(realization.freq_response.copy(), "ideal")
+    return ChannelEstimate(realization.freq_response.copy())
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +134,7 @@ def ls_nearest_estimate(pilot_col: np.ndarray, n_subcarriers: int) -> ChannelEst
     """Diagnostic baseline: copy each subcarrier's nearest pilot observation."""
     col = np.asarray(pilot_col)
     nearest = _nearest_pilot(n_subcarriers, col.shape[-1])
-    return ChannelEstimate(col[..., nearest], "ls-nearest")
+    return ChannelEstimate(col[..., nearest])
 
 
 def conventional_noise_var(cir: np.ndarray, threshold: int) -> NoiseEstimate:
@@ -153,26 +150,6 @@ def conventional_noise_var(cir: np.ndarray, threshold: int) -> NoiseEstimate:
     return NoiseEstimate(sigma2_hat, n_pilots - threshold)
 
 
-def conventional_cleaned_cir(
-    pilot_col: np.ndarray, params: ConventionalParams
-) -> tuple[np.ndarray, NoiseEstimate]:
-    """Denoised length-``Np`` impulse response and its noise estimate.
-
-    Noise is read off the samples at and beyond ``params.threshold``; that
-    region is then zeroed, as is every leading sample whose energy falls
-    strictly below ``c * sigma2_hat``.
-    """
-    col = np.asarray(pilot_col, dtype=np.complex128)
-    cir = idft(col)
-    noise = conventional_noise_var(cir, params.threshold)
-    sigma2 = np.asarray(noise.sigma2_hat)
-    head = cir[..., : params.threshold]
-    keep = np.abs(head) ** 2 >= params.c * sigma2[..., None]
-    cleaned = np.zeros_like(cir)
-    cleaned[..., : params.threshold] = np.where(keep, head, 0.0)
-    return cleaned, noise
-
-
 def conventional_estimate(
     pilot_col: np.ndarray, params: ConventionalParams, n_subcarriers: int
 ) -> ChannelEstimate:
@@ -183,8 +160,14 @@ def conventional_estimate(
     below-threshold leading samples (strictly below ``c * sigma2_hat``),
     zero padding to ``n_subcarriers``, forward transform.
     """
-    cleaned, noise = conventional_cleaned_cir(pilot_col, params)
-    return ChannelEstimate(_padded_dft(cleaned, n_subcarriers), "conventional", noise, cleaned)
+    cir = idft(np.asarray(pilot_col, dtype=np.complex128))
+    noise = conventional_noise_var(cir, params.threshold)
+    sigma2 = np.asarray(noise.sigma2_hat)
+    head = cir[..., : params.threshold]
+    keep = np.abs(head) ** 2 >= params.c * sigma2[..., None]
+    cleaned = np.zeros_like(cir)
+    cleaned[..., : params.threshold] = np.where(keep, head, 0.0)
+    return ChannelEstimate(_padded_dft(cleaned, n_subcarriers), noise, cleaned)
 
 
 def _padded_dft(cleaned: np.ndarray, n_subcarriers: int) -> np.ndarray:
@@ -220,31 +203,21 @@ def multi_symbol_noise_var(cir: StackedCir) -> NoiseEstimate:
     return NoiseEstimate(sigma2_hat, cir.n_pilots * (cir.n_symbols - 1))
 
 
-def multi_symbol_cleaned_cir(pilots: np.ndarray) -> tuple[np.ndarray, NoiseEstimate]:
-    """Denoised channel-position samples of the stacked inverse transform.
+def multi_symbol_estimate(pilots: np.ndarray, n_subcarriers: int) -> ChannelEstimate:
+    """Block estimate from all pilot symbols with self-calibrated denoising.
 
-    Returns the length-``Np`` compacted channel column after zeroing every
-    sample whose energy falls strictly below the noise estimate (samples
-    exactly at the estimate survive), plus that estimate.
+    Channel-position CIR samples are kept unless their energy falls
+    strictly below the noise estimate (samples exactly at the estimate
+    survive); the kept samples are compacted, zero padded, and forward
+    transformed. One estimate serves every symbol of the block.
     """
     cir = stack_pilot_cir(pilots)
     noise = multi_symbol_noise_var(cir)
     sigma2 = np.asarray(noise.sigma2_hat)
     column = cir.channel_column
     keep = np.abs(column) ** 2 >= sigma2[..., None]
-    return np.where(keep, column, 0.0), noise
-
-
-def multi_symbol_estimate(pilots: np.ndarray, n_subcarriers: int) -> ChannelEstimate:
-    """Block estimate from all pilot symbols with self-calibrated denoising.
-
-    Channel-position CIR samples are kept unless their energy falls
-    strictly below the noise estimate; the kept samples are compacted,
-    zero padded, and forward transformed. One estimate serves every symbol
-    of the block.
-    """
-    cleaned, noise = multi_symbol_cleaned_cir(pilots)
-    return ChannelEstimate(_padded_dft(cleaned, n_subcarriers), "multi-symbol", noise, cleaned)
+    cleaned = np.where(keep, column, 0.0)
+    return ChannelEstimate(_padded_dft(cleaned, n_subcarriers), noise, cleaned)
 
 
 def equalize(rx_data: np.ndarray, h_data: np.ndarray) -> np.ndarray:
@@ -272,14 +245,14 @@ def equalize(rx_data: np.ndarray, h_data: np.ndarray) -> np.ndarray:
     return np.multiply(rx, weights, out=weights)
 
 
-def estimator_mse(estimate: ChannelEstimate, realization: ChannelRealization) -> float | np.ndarray:
-    """Mean squared error of the estimate against the true response.
+def estimator_mse(estimate: np.ndarray, truth: np.ndarray) -> float | np.ndarray:
+    """Mean squared error of an estimated frequency response against the true one.
 
     The estimate has the truth's shape ``(..., N)`` or is symbol-major
     ``(..., M', N)``; per-symbol errors are averaged over the symbols.
     """
-    est = np.asarray(estimate.freq_response)
-    truth = np.asarray(realization.freq_response)
+    est = np.asarray(estimate)
+    truth = np.asarray(truth)
     if est.ndim == truth.ndim:
         est = est[..., None, :]
     if est.shape[:-2] + est.shape[-1:] != truth.shape:

@@ -39,9 +39,9 @@ from .channel import (
     build_profile,
     complex_normal,
     load_profile,
+    tap_gains,
 )
 from .estimators import (
-    ChannelEstimate,
     ConventionalParams,
     conventional_estimate,
     equalize,
@@ -284,23 +284,18 @@ def _draw_chunk(
     """
     grid = config.grid
     n_trials = len(trials)
-    n_taps = len(profile.tap_delays)
-    amplitudes = np.sqrt(np.array(profile.tap_powers))
     bits = np.empty((n_trials, grid.data_bits_per_block), dtype=bool)
     unit_noise = np.empty((n_trials, grid.samples_per_block), dtype=np.complex128)
-    gains = np.empty((n_trials, n_taps), dtype=np.complex128)
+    gains = np.empty((n_trials, len(profile.tap_delays)), dtype=np.complex128)
     for j, trial in enumerate(trials):
         bits[j] = _trial_rng(config.master_seed, trial, _BITS).integers(
             0, 2, grid.data_bits_per_block
         )
-        if config.fading:
-            rng = _trial_rng(config.master_seed, trial, _CHANNEL)
-            gains[j] = amplitudes * complex_normal(rng, n_taps, 1.0)
+        channel_rng = _trial_rng(config.master_seed, trial, _CHANNEL) if config.fading else None
+        gains[j] = tap_gains(profile, channel_rng)
         unit_noise[j] = complex_normal(
             _trial_rng(config.master_seed, trial, _NOISE), grid.samples_per_block, 1.0
         )
-    if not config.fading:
-        gains[:] = amplitudes
     realization = ChannelRealization.from_taps(
         np.array(profile.tap_delays), gains, grid.n_subcarriers
     )
@@ -328,7 +323,7 @@ def _receive(state: _ChunkState, noise: NoiseSpec) -> tuple[np.ndarray, np.ndarr
 def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, realization):
     """An estimate at the data cells, with the sums of its MSE and its σ̂² (or None)."""
     freq, sigma2, _ = ESTIMATORS[estimator_id].run(config, pilot_ls, realization)
-    mse = estimator_mse(ChannelEstimate(freq, estimator_id), realization)
+    mse = estimator_mse(freq, realization.freq_response)
     h_data = np.take(freq, config.grid.data_indices, axis=-1)
     return h_data, float(mse.sum()), None if sigma2 is None else float(sigma2.sum())
 
@@ -411,12 +406,11 @@ class BerRecord:
         return math.sqrt(self.ber * (1.0 - self.ber) / self.total_bits)
 
 
-def sweep(config: SimConfig, *, workers: int | None = None, progress=None) -> list[BerRecord]:
+def sweep(config: SimConfig, *, workers: int | None = None) -> list[BerRecord]:
     """Run the full (estimator x SNR) matrix of ``config``.
 
     ``workers`` caps process parallelism (default: machine parallelism);
-    the output is byte-for-byte independent of it. ``progress`` is an
-    optional callable receiving one line per completed chunk.
+    the output is byte-for-byte independent of it.
     """
     if workers is not None and workers < 1:
         raise ValueError("workers must be positive")
@@ -429,18 +423,11 @@ def sweep(config: SimConfig, *, workers: int | None = None, progress=None) -> li
     pilots = generate_pilots(config.master_seed, config.grid)
     bounds = _chunk_bounds(config.subframes_per_point)
     tasks = [(config, profile, pilots, start, stop) for start, stop in bounds]
-    partials = []
     if n_workers == 1 or len(tasks) == 1:
-        for i, task in enumerate(tasks):
-            partials.append(_sweep_chunk(task))
-            if progress is not None:
-                progress(f"chunk {i + 1}/{len(tasks)} done")
+        partials = [_sweep_chunk(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for i, partial in enumerate(pool.map(_sweep_chunk, tasks)):
-                partials.append(partial)
-                if progress is not None:
-                    progress(f"chunk {i + 1}/{len(tasks)} done")
+            partials = list(pool.map(_sweep_chunk, tasks))
 
     n_trials = config.subframes_per_point
     total_bits = n_trials * config.grid.data_bits_per_block
@@ -520,6 +507,9 @@ def _crossing_snr(snrs, bers, bit_totals, target: float) -> float | None:
 
 def gap_report(records: list[BerRecord], target_bers=(1e-3,)) -> GapReport:
     """Locate BER target crossings for every estimator curve in ``records``."""
+    for target in target_bers:
+        if not 0 < target < 1:
+            raise ValueError(f"target BER must lie in (0, 1), got {target!r}")
     order: list[str] = []
     for record in records:
         if record.estimator_id not in order:
@@ -533,8 +523,6 @@ def gap_report(records: list[BerRecord], target_bers=(1e-3,)) -> GapReport:
         bers = [r.ber for r in curve]
         totals = [r.total_bits for r in curve]
         for target in target_bers:
-            if target <= 0:
-                raise ValueError("target BER must be positive")
             crossings[target, estimator_id] = _crossing_snr(snrs, bers, totals, target)
     return GapReport(tuple(target_bers), tuple(order), crossings)
 

@@ -11,10 +11,10 @@ estimate itself, versus twice it for the per-symbol scheme) retains e^-1
 of the noise-only impulse-response samples instead of e^-2. Summed over
 the block that costs the multi-symbol estimate about 0.07 sigma^2 of extra
 retained noise, and its crossing lands about 0.2 dB to the right of the
-per-symbol baseline instead of 0.5-2.5 dB to the left. The advantage the
-bounds encode appears when the tail read-off is biased by channel leakage
-(non-sample-spaced taps, a non-goal here) and the cleaner multi-symbol
-read-off then matters.
+per-symbol baseline instead of 0.5-2.5 dB to the left. The sweep's own
+mean MSE shows it: on the headline config (seed 7, 512 subframes per
+point) MSE / sigma^2 is about 0.32 for the per-symbol scheme and about 0.38
+for the multi-symbol scheme at every point from 25 to 30 dB.
 """
 
 import math

@@ -12,7 +12,7 @@ from ofdmce.channel import (
     complex_normal,
     load_profile,
     profile_from_taps,
-    realize,
+    tap_gains,
 )
 from ofdmce.phy import GridConfig, build_grid, generate_pilots, ofdm_demodulate, ofdm_modulate, qpsk_modulate
 
@@ -133,32 +133,55 @@ class TestProfileFiles:
 # ---------------------------------------------------------------------------
 
 
-class TestRealize:
+def draw_realization(profile: PowerDelayProfile, n_subcarriers: int, rng, size: int | None = None):
+    """A realization of ``tap_gains`` draws: one block, or ``size`` blocks from one stream."""
+    if size is None:
+        gains = tap_gains(profile, rng)
+    else:
+        gains = np.array([tap_gains(profile, rng) for _ in range(size)])
+    return ChannelRealization.from_taps(profile.tap_delays, gains, n_subcarriers)
+
+
+class TestTapGains:
     def test_shapes(self):
         profile = build_profile("etu", FS)
-        single = realize(profile, 512, np.random.default_rng(0))
+        assert tap_gains(profile, np.random.default_rng(0)).shape == (7,)
+        single = draw_realization(profile, 512, np.random.default_rng(0))
         assert single.gains.shape == (7,)
         assert single.freq_response.shape == (512,)
-        batch = realize(profile, 512, np.random.default_rng(0), size=10)
+        batch = draw_realization(profile, 512, np.random.default_rng(0), size=10)
         assert batch.gains.shape == (10, 7)
         assert batch.freq_response.shape == (10, 512)
+        assert np.array_equal(batch.gains[0], single.gains), "a batch is successive draws"
+
+    def test_draw_is_amplitudes_times_unit_normal(self):
+        """The gains are sqrt(power) times a unit complex normal from the given stream."""
+        profile = build_profile("etu", FS)
+        expected = np.sqrt(profile.tap_powers) * complex_normal(np.random.default_rng(3), 7, 1.0)
+        assert np.array_equal(tap_gains(profile, np.random.default_rng(3)), expected)
 
     def test_mean_energy_is_calibrated(self):
         """Average total tap energy over many draws stays within 1%."""
         profile = build_profile("etu", FS)
-        draws = realize(profile, 512, np.random.default_rng(42), size=100_000)
-        mean_energy = np.mean(np.sum(np.abs(draws.gains) ** 2, axis=-1))
+        rng = np.random.default_rng(42)
+        gains = np.array([tap_gains(profile, rng) for _ in range(100_000)])
+        mean_energy = np.mean(np.sum(np.abs(gains) ** 2, axis=-1))
         assert 0.99 <= mean_energy <= 1.01, f"mean energy {mean_energy:.4f}"
 
     def test_static_single_tap_is_identity(self):
         profile = build_profile("single-tap", FS)
-        fixed = realize(profile, 64, fading=False)
+        fixed = ChannelRealization.from_taps(profile.tap_delays, tap_gains(profile, None), 64)
         assert np.array_equal(fixed.gains, [1.0 + 0.0j])
+        assert fixed.gains.dtype == np.complex128
         assert np.allclose(fixed.freq_response, 1.0, atol=1e-15)
+
+    def test_static_gains_are_root_powers(self):
+        profile = build_profile("etu", FS)
+        assert np.array_equal(tap_gains(profile, None), np.sqrt(profile.tap_powers))
 
     def test_dc_response_is_gain_sum(self):
         profile = build_profile("etu", FS)
-        draw = realize(profile, 512, np.random.default_rng(5))
+        draw = draw_realization(profile, 512, np.random.default_rng(5))
         assert abs(draw.freq_response[0] - draw.gains.sum()) <= 1e-12
 
     def test_freq_response_matches_literal_sum(self):
@@ -254,7 +277,7 @@ class TestApplyChannel:
         """With cp_len above the delay spread, each cell is scaled by H[k]."""
         cfg = GridConfig()
         profile = build_profile("etu", FS)
-        draw = realize(profile, cfg.n_subcarriers, np.random.default_rng(10))
+        draw = draw_realization(profile, cfg.n_subcarriers, np.random.default_rng(10))
         rng = np.random.default_rng(11)
         grid = build_grid(
             qpsk_modulate(rng.integers(0, 2, cfg.data_bits_per_block)),
@@ -267,7 +290,7 @@ class TestApplyChannel:
 
     def test_batched_gains_broadcast(self):
         profile = build_profile("etu", FS)
-        draws = realize(profile, 512, np.random.default_rng(12), size=3)
+        draws = draw_realization(profile, 512, np.random.default_rng(12), size=3)
         x = np.ones(80, dtype=complex)
         out = apply_channel(x, draws, 40)
         assert out.shape == (3, 80)

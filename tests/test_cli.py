@@ -1,11 +1,18 @@
 """Tests for the command-line front end, run in-process via main()."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ofdmce.cli import _parse_snr_spec, main
-from ofdmce.harness import read_csv
+import ofdmce
+from ofdmce.cli import _build_config, _parse_snr_spec, build_parser, main
+from ofdmce.harness import ESTIMATOR_IDS, SimConfig, read_csv
+from ofdmce.phy import GridConfig
 
 
 def block_lines(output: str, label: str) -> list[str]:
@@ -45,6 +52,12 @@ class TestSnrSpec:
             _parse_snr_spec("0:-1:10")
         with pytest.raises(ValueError, match="precedes"):
             _parse_snr_spec("10:1:0")
+
+    @pytest.mark.parametrize("spec", ["0:1:inf", "nan:1:5", "0:nan:5", "-inf:1:0"])
+    def test_non_finite_range(self, spec):
+        """A range with a non-finite part is refused before its points are counted."""
+        with pytest.raises(ValueError, match="SNR range must be finite"):
+            _parse_snr_spec(spec)
 
 
 class TestTopLevel:
@@ -257,6 +270,18 @@ class TestGapsCommand:
         """A nonexistent sweep CSV is an I/O error."""
         assert main(["gaps", "--in", str(tmp_path / "none.csv")]) == 2
 
+    @pytest.mark.parametrize("targets", ["nan", "inf", "1e-3,nan"])
+    def test_target_that_is_no_probability(self, targets, tmp_path, capsys):
+        """A non-finite target exits 1 naming it, and prints no crossing block."""
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--estimators", "ideal", "--snr", "0,10", "--subframes", "2",
+              "--out", str(out)])
+        capsys.readouterr()
+        assert main(["gaps", "--in", str(out), "--targets", targets]) == 1
+        captured = capsys.readouterr()
+        assert f"got {targets.split(',')[-1]}" in captured.err
+        assert "crossings" not in captured.out
+
     def test_malformed_input(self, tmp_path):
         """A CSV with the wrong schema is a data error, exit 1."""
         bad = tmp_path / "bad.csv"
@@ -348,3 +373,167 @@ class TestInspectCommand:
         """Asking for a symbol the grid does not have exits 1."""
         assert main(["inspect", "--symbol", "5"]) == 1
         assert "symbol" in capsys.readouterr().err
+
+    def test_negative_trial(self, capsys):
+        """A negative trial index exits 1 naming the field."""
+        assert main(["inspect", "--trial", "-1"]) == 1
+        assert "trial must be nonnegative, got -1" in capsys.readouterr().err
+
+
+def random_config(rng: np.random.Generator) -> SimConfig:
+    """A random valid configuration that sweeps in milliseconds."""
+    n = int(2 ** rng.integers(4, 8))
+    n_symbols = int(rng.integers(1, 4))
+    if rng.random() < 0.5:
+        profile, sample_rate, cp_len = "etu", rng.uniform(0.5e6, 1.92e6), rng.integers(10, 17)
+    else:
+        profile, sample_rate, cp_len = "single-tap", rng.uniform(1e6, 5e7), rng.integers(0, 17)
+    grid = GridConfig(n, int(2 ** rng.integers(1, math.log2(n))), n_symbols, int(cp_len))
+    usable = [e for e in ESTIMATOR_IDS if n_symbols >= 2 or e != "proposed"]
+    estimators = rng.permutation(usable)[: rng.integers(1, len(usable) + 1)]
+    return SimConfig(
+        grid=grid,
+        profile=profile,
+        sample_rate_hz=float(sample_rate),
+        snr_points_db=tuple(np.unique(rng.uniform(-10.0, 40.0, rng.integers(1, 5))).tolist()),
+        subframes_per_point=int(rng.integers(1, 3)),
+        estimators=tuple(str(e) for e in estimators),
+        master_seed=int(rng.integers(0, 2**40)),
+        c=float(rng.uniform(0.1, 5.0)),
+        th_perfect=int(rng.integers(0, grid.n_pilots)),
+        th_inaccurate=int(rng.integers(0, grid.n_pilots)),
+        fading=bool(rng.random() < 0.5),
+    )
+
+
+def config_values(config: SimConfig) -> dict[str, str]:
+    """Every config key of ``config`` as the text a user would write."""
+    grid = config.grid
+    return {
+        "n_subcarriers": str(grid.n_subcarriers),
+        "n_pilots": str(grid.n_pilots),
+        "n_symbols": str(grid.n_symbols),
+        "cp_len": str(grid.cp_len),
+        "profile": config.profile,
+        "sample_rate_hz": repr(config.sample_rate_hz),
+        "snr_db": ",".join(repr(s) for s in config.snr_points_db),
+        "subframes": str(config.subframes_per_point),
+        "estimators": ",".join(config.estimators),
+        "seed": str(config.master_seed),
+        "c": repr(config.c),
+        "th_perfect": str(config.th_perfect),
+        "th_inaccurate": str(config.th_inaccurate),
+        "fading": "yes" if config.fading else "off",
+    }
+
+
+# The sweep flag that overrides each config key, where there is one.
+FLAGS = {
+    "profile": "--profile", "snr_db": "--snr", "subframes": "--subframes",
+    "estimators": "--estimators", "seed": "--seed", "c": "--c",
+    "th_perfect": "--th-perfect", "th_inaccurate": "--th-inaccurate",
+}
+
+
+# Config lines and flags that no command can run with.
+BAD_LINES = [
+    "frobnicate = 1", "just words", "seed =", "= 3", "seed = abc", "n_pilots = 1.5",
+    "n_subcarriers = 100", "n_symbols = 0", "cp_len = -1", "snr_db = 0:1:inf",
+    "snr_db = nan:1:5", "snr_db = 1:2", "snr_db = 5,1", "snr_db = ,", "c = nan", "c = -1",
+    "fading = maybe", "seed = -3", "subframes = 0", "th_perfect = 1e9", "sample_rate_hz = inf",
+    "profile = \x00", "profile = no-such-profile.txt",
+]
+BAD_FLAGS = [
+    ["--snr", "0:1:inf"], ["--snr", "nan"], ["--subframes", "x"], ["--seed", "-1"],
+    ["--c", "inf"], ["--th-perfect", "-2"], ["--profile", "no-such-profile.txt"],
+    ["--config", "no-such-config.cfg"], ["--bogus"],
+]
+JUNK_VALUES = ["", "nan", "inf", "-1", "0", "1", "2", "16", "1.5", "abc", "1e999", "0:5:10",
+               "5:1:0", "true", "0x10", "é", "etu", "ideal,proposed", "10,20", "#", "="]
+
+
+class TestConfigProperties:
+    """Properties over seeded random configurations and junk inputs."""
+
+    def test_csv_header_rebuilds_the_config(self, tmp_path, capsys):
+        """Fed back as --config, a sweep CSV's ``# key = value`` header gives an equal config.
+
+        Each case writes a random config's values as a file, with a random
+        subset moved onto flags over a decoy value in the file, so the
+        config the sweep ran with is known independently of the parser.
+        """
+        rng = np.random.default_rng(606)
+        parser = build_parser()
+        for case in range(20):
+            config, decoy = random_config(rng), random_config(rng)
+            lines, flags = [], []
+            for key, value in config_values(config).items():
+                flag = FLAGS.get(key)
+                if flag is not None and rng.random() < 0.5:
+                    flags.append(f"{flag}={value}")
+                    value = config_values(decoy)[key]
+                lines.append(f"{key} = {value}")
+            cfg = tmp_path / f"case{case}.cfg"
+            cfg.write_text("\n".join(rng.permutation(lines)) + "\n")
+            argv = ["sweep", "--config", str(cfg), *flags]
+            assert _build_config(parser.parse_args(argv)) == config, f"case {case}"
+            out = tmp_path / f"case{case}.csv"
+            assert main([*argv, "--workers", "1", "--out", str(out)]) == 0, capsys.readouterr().err
+            header = [line[2:] for line in out.read_text().splitlines()
+                      if line.startswith("# ") and " = " in line]
+            cfg.write_text("\n".join(header) + "\n")
+            rebuilt = _build_config(parser.parse_args(["sweep", "--config", str(cfg)]))
+            assert rebuilt == config, f"case {case}: {header}"
+
+    def test_junk_exits_with_a_code(self, tmp_path, capsys):
+        """Junk config lines and flags make main return 1 or 2, never raise."""
+        rng = np.random.default_rng(707)
+        keys = ["n_subcarriers", "n_pilots", "n_symbols", "cp_len", "profile", "sample_rate_hz",
+                "snr_db", "subframes", "estimators", "seed", "c", "th_perfect", "th_inaccurate",
+                "fading", "unknown"]
+        def pick(options):
+            return options[rng.integers(len(options))]
+
+        for case in range(60):
+            lines = [f"{pick(keys)} = {pick(JUNK_VALUES)}" for _ in range(rng.integers(0, 4))]
+            flags = []
+            for _ in range(rng.integers(1, 3)):
+                if rng.random() < 0.5:
+                    lines.insert(rng.integers(len(lines) + 1), pick(BAD_LINES))
+                else:
+                    flags += pick(BAD_FLAGS)
+            cfg = tmp_path / f"junk{case}.cfg"
+            cfg.write_text("\n".join(lines) + "\n")
+            argv = [pick(["sweep", "inspect"]), "--config", str(cfg), *flags]
+            if argv[0] == "sweep":
+                argv += ["--workers", "1", "--out", str(tmp_path / "junk.csv")]
+            code = main(argv)
+            capsys.readouterr()
+            assert code in (1, 2), f"{argv} with {lines} returned {code}"
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
+    def test_openblas_threads_default(self, preset, seen):
+        """The entry point defaults OPENBLAS_NUM_THREADS to 1 and keeps a value already set.
+
+        The default only takes effect if numpy is not yet imported, so the
+        package root must not import it.
+        """
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        src = str(Path(ofdmce.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        child = (
+            "import os, sys\n"
+            "import ofdmce\n"
+            "assert 'numpy' not in sys.modules, 'the package root imports numpy'\n"
+            "import ofdmce.__main__\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == seen

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ofdmce import harness
-from ofdmce.channel import NoiseSpec, apply_channel, complex_normal
+from ofdmce.channel import NoiseSpec, apply_channel, complex_normal, tap_gains
 from ofdmce.harness import (
     ESTIMATOR_IDS,
     BerRecord,
@@ -169,6 +169,19 @@ class TestSubframePairing:
         assert np.array_equal(state.tx_grid, tx_grid)
         regrid = extract_pilot_ls(state.rx_grid, state.pilots, cfg.grid)
         assert np.allclose(regrid, state.pilot_ls, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("fading", [True, False])
+    def test_chunk_gains_are_tap_gains_of_the_trial_stream(self, fading):
+        """Each trial's gains are one ``tap_gains`` draw from its own channel stream."""
+        cfg = tiny_config(fading=fading)
+        profile = resolve_profile(cfg)
+        pilots = harness.generate_pilots(cfg.master_seed, cfg.grid)
+        trials = np.array([0, 3, 300])
+        state = harness._draw_chunk(cfg, profile, pilots, trials)
+        for j, trial in enumerate(trials):
+            stream = harness._trial_rng(cfg.master_seed, trial, harness._CHANNEL)
+            expected = tap_gains(profile, stream if fading else None)
+            assert np.array_equal(state.realization.gains[j], expected)
 
     def test_infinite_snr_is_noiseless(self):
         """snr = inf leaves H * X at every cell."""
@@ -379,13 +392,6 @@ class TestSweep:
         parallel = sweep(cfg, workers=2)
         assert serial == parallel, "records differ between worker counts"
 
-    def test_progress_callback(self):
-        """The progress hook fires once per chunk."""
-        lines = []
-        cfg = tiny_config(subframes_per_point=300, snr_points_db=(12.0,), estimators=("ideal",))
-        sweep(cfg, workers=1, progress=lines.append)
-        assert len(lines) == 2, f"expected 2 chunks for 300 trials, saw {lines}"
-
     def test_rejects_bad_worker_count(self):
         """Zero workers is a usage error."""
         with pytest.raises(ValueError, match="workers"):
@@ -466,11 +472,12 @@ class TestGapReport:
             ("conv-perfect", "proposed"),
         ], f"unexpected pair order {names}"
 
-    def test_rejects_nonpositive_target(self):
-        """A zero or negative target BER is meaningless."""
+    @pytest.mark.parametrize("target", [0.0, -1e-3, math.nan, math.inf, -math.inf, 1.0, 1.5])
+    def test_rejects_target_outside_unit_interval(self, target):
+        """A target BER that is not finite or not inside (0, 1) is meaningless."""
         records = synthetic_curve("ideal", [(10.0, 1e-2)])
-        with pytest.raises(ValueError, match="target"):
-            gap_report(records, (0.0,))
+        with pytest.raises(ValueError, match=f"target BER .*got {target!r}"):
+            gap_report(records, (1e-3, target))
 
 
 class TestCsvRoundTrip:
@@ -481,6 +488,37 @@ class TestCsvRoundTrip:
         path = tmp_path / "out.csv"
         write_csv(records, path)
         assert read_csv(path) == records
+
+    def test_arbitrary_floats_round_trip(self, tmp_path):
+        """Random float fields, signed zeros, subnormals and extremes survive bit for bit."""
+        rng = np.random.default_rng(77)
+        special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+                   math.inf, -math.inf, 0.1, 1 / 3]
+
+        def some_float():
+            if rng.random() < 0.4:
+                return special[rng.integers(len(special))]
+            value = float(rng.integers(0, 2**64, dtype=np.uint64).view(np.float64))
+            return value if math.isfinite(value) else some_float()
+
+        for case in range(30):
+            records = [
+                BerRecord(
+                    estimator_id=ESTIMATOR_IDS[rng.integers(len(ESTIMATOR_IDS))],
+                    snr_db=some_float(),
+                    total_bits=int(rng.integers(1, 2**62)),
+                    bit_errors=int(rng.integers(0, 2**62)),
+                    ber=some_float(),
+                    mean_mse=some_float(),
+                    mean_sigma2_hat=None if rng.random() < 0.3 else some_float(),
+                )
+                for _ in range(int(rng.integers(0, 6)))
+            ]
+            path = tmp_path / f"case{case}.csv"
+            write_csv(records, path)
+            back = read_csv(path)
+            # repr tells -0.0 from 0.0, which == does not.
+            assert [repr(r) for r in back] == [repr(r) for r in records]
 
     def test_line_count_and_header(self, tmp_path):
         """Header plus one line per record, comments on top."""
