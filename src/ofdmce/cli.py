@@ -36,6 +36,10 @@ from .phy import GridConfig
 from .spectral import idft
 
 
+# Most points an SNR range may hold; a longer one is refused before it is built.
+_MAX_SNR_POINTS = 10_000
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit 1 instead of argparse's 2."""
 
@@ -57,7 +61,12 @@ def _parse_snr_spec(text: str) -> tuple[float, ...]:
             raise ValueError(f"SNR range step must be positive, got {step}")
         if stop < start:
             raise ValueError(f"SNR range stop {stop} precedes start {start}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        count = math.floor(span) + 1 if math.isfinite(span) else span
+        if count > _MAX_SNR_POINTS:
+            raise ValueError(
+                f"SNR range {text!r} has {count:.6g} points, more than {_MAX_SNR_POINTS}"
+            )
         return tuple(start + i * step for i in range(count))
     return tuple(float(p) for p in text.split(","))
 
@@ -244,12 +253,12 @@ def _cmd_inspect(args) -> int:
             " symbol; i = n*M + v; columns v > 0 carry no channel energy",
             "i,n,v,re,im",
         ]
-        for i, value in enumerate(cir.samples):
+        for i, value in enumerate(cir.reshape(-1)):
             n, v = divmod(i, grid.n_symbols)
             block.append(f"{i},{n},{v},{fmt(value.real)},{fmt(value.imag)}")
         blocks.append(block)
-        noise = multi_symbol_noise_var(cir)
-        noise_rows.append(f"multi-symbol,all,{noise.sample_count},{fmt(noise.sigma2_hat)}")
+        count = grid.n_pilots * (grid.n_symbols - 1)
+        noise_rows.append(f"multi-symbol,all,{count},{fmt(multi_symbol_noise_var(cir))}")
 
     block = [
         "# noise-variance: multi-symbol read-off vs per-symbol tail read-off",
@@ -257,9 +266,8 @@ def _cmd_inspect(args) -> int:
         *noise_rows,
     ]
     for th in (config.th_perfect, config.th_inaccurate):
-        conv_noise = conventional_noise_var(idft(state.pilot_ls.T), th)
-        for m, sigma2 in enumerate(conv_noise.sigma2_hat):
-            block.append(f"conventional-th{th},{m},{conv_noise.sample_count},{fmt(sigma2)}")
+        for m, sigma2 in enumerate(conventional_noise_var(idft(state.pilot_ls.T), th)):
+            block.append(f"conventional-th{th},{m},{grid.n_pilots - th},{fmt(sigma2)}")
     blocks.append(block)
 
     # Symbol-major (M', ...) outputs; M' = 1 serves every symbol of the block.
@@ -324,7 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="run a BER sweep and write a CSV of records")
     _add_config_flags(sweep_p, estimator_list=True)
-    sweep_p.add_argument("--snr", help="SNR points: comma list or start:step:stop (dB)")
+    sweep_p.add_argument(
+        "--snr",
+        help="SNR points: comma list or start:step:stop (dB); write one that starts "
+        "with a negative value as --snr=-5,10",
+    )
     sweep_p.add_argument("--out", default="sweep.csv", help="output CSV path (default sweep.csv)")
     sweep_p.add_argument("--workers", type=int, help="process count (default: machine parallelism)")
     sweep_p.set_defaults(func=_cmd_sweep)

@@ -1,48 +1,47 @@
 """DFT-based channel estimation from comb-type pilot observations.
 
-Three estimator families share the pilot least-squares front end:
+Every estimator takes the same input, the pilot least-squares grid
+``(..., Np, M)`` of a block of ``M`` OFDM symbols, and returns one
+:class:`Estimate`: the symbol-major frequency response ``(..., M', N)``,
+the noise estimate ``(..., M')`` and the denoised impulse response
+``(..., M', Np)`` (None where the estimator has none). ``M' = 1`` when one
+response serves the whole block and ``M' = M`` for one per OFDM symbol.
+Leading axes are batch axes.
 
-* ``ideal_estimate`` returns the true frequency response (genie bound).
 * ``conventional_estimate`` works one OFDM symbol at a time: it transforms
-  the pilot observations to a length-``Np`` impulse response, reads the
-  noise level off the samples beyond a caller-supplied delay-spread
-  threshold, zeroes that region, zeroes any remaining sample whose energy
-  falls below ``c`` times the noise estimate, and transforms back at the
-  full grid length. Its quality therefore hinges on how well the threshold
-  matches the actual delay spread.
+  each pilot column to a length-``Np`` impulse response, reads the noise
+  level off the samples beyond a caller-supplied delay-spread threshold,
+  zeroes that region, zeroes any remaining sample whose energy falls below
+  ``c`` times the noise estimate, and transforms back at the full grid
+  length. Its quality therefore hinges on how well the threshold matches
+  the actual delay spread.
 * ``multi_symbol_estimate`` stacks the pilot columns of all ``M`` symbols
-  of a block into one vector before the inverse transform. For a channel
-  that holds still over the block the stacked spectrum is periodic, so the
-  impulse response interleaves: channel energy lands only on indices
-  divisible by ``M`` while the other ``Np (M - 1)`` samples are pure noise.
-  That yields a noise-variance estimate from far more samples than the
-  conventional tail, needs no prior delay-spread knowledge, and one
-  estimate serves the whole block.
+  into one vector before the inverse transform. For a channel that holds
+  still over the block the stacked spectrum is periodic, so the impulse
+  response interleaves: channel energy lands only on indices divisible by
+  ``M`` while the other ``Np (M - 1)`` samples are pure noise. That yields
+  a noise-variance estimate from far more samples than the conventional
+  tail, needs no prior delay-spread knowledge, and one estimate serves the
+  whole block.
+* ``ls_nearest_estimate`` copies each subcarrier's nearest pilot
+  observation, a diagnostic baseline without denoising.
 
-All estimators are pure functions of their inputs and accept leading batch
-axes on the pilot arrays. ``equalize`` and ``estimator_mse`` take
-symbol-major estimates of shape ``(..., M', N)`` (``equalize`` only their
-data cells): ``M' = 1`` for one response per block, ``M' = M`` for one per
-OFDM symbol.
+The genie bound needs no function: it is ``Estimate(h[..., None, :])`` for
+the true response ``h``. ``equalize`` and ``estimator_mse`` take the
+symbol-major ``freq_response`` (``equalize`` only its data cells).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .spectral import dft, idft
 
 __all__ = [
-    "NoiseEstimate",
-    "ConventionalParams",
-    "StackedCir",
-    "ChannelEstimate",
-    "ideal_estimate",
+    "Estimate",
     "ls_nearest_estimate",
     "conventional_noise_var",
     "conventional_estimate",
@@ -54,70 +53,14 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class NoiseEstimate:
-    """Estimated per-CIR-sample noise variance and the sample count behind it."""
-
-    sigma2_hat: float | np.ndarray
-    sample_count: int
-
-
-@dataclass(frozen=True)
-class ConventionalParams:
-    """Delay-spread threshold (in CIR samples) and denoising constant."""
-
-    threshold: int
-    c: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.threshold < 0:
-            raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"c must be finite and positive, got {self.c}")
-
-
-@dataclass(eq=False)
-class StackedCir:
-    """Inverse transform of the symbol-stacked pilot observations.
-
-    ``samples[..., n * n_symbols + v]`` is entry ``(n, v)`` of the matrix
-    view. Column 0 holds the (decimated) channel impulse response; columns
-    1 .. M-1 hold only noise when the channel is block constant.
-    """
-
-    samples: np.ndarray
-    n_pilots: int
-    n_symbols: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        shape = self.samples.shape[:-1] + (self.n_pilots, self.n_symbols)
-        return self.samples.reshape(shape)
-
-    @property
-    def channel_column(self) -> np.ndarray:
-        return self.matrix[..., 0]
-
-    @property
-    def noise_block(self) -> np.ndarray:
-        """Columns 1 .. M-1 concatenated, shape (..., n_pilots * (M - 1))."""
-        tail = np.swapaxes(self.matrix[..., 1:], -1, -2)
-        return tail.reshape(tail.shape[:-2] + (-1,))
-
-
-@dataclass(eq=False)
-class ChannelEstimate:
-    """Full-grid frequency response, the noise estimate that shaped it, and
-    the denoised impulse response it was transformed from."""
+class Estimate(NamedTuple):
+    """Symbol-major frequency response ``(..., M', N)``, the noise estimate
+    ``(..., M')`` that shaped it and the denoised impulse response
+    ``(..., M', Np)`` it was transformed from, or None where there is none."""
 
     freq_response: np.ndarray
-    noise: NoiseEstimate | None = None
+    sigma2_hat: np.ndarray | None = None
     cleaned_cir: np.ndarray | None = None
-
-
-def ideal_estimate(realization: ChannelRealization) -> ChannelEstimate:
-    """Genie bound: hand back the true frequency response."""
-    return ChannelEstimate(realization.freq_response.copy())
 
 
 @lru_cache(maxsize=None)
@@ -130,44 +73,43 @@ def _nearest_pilot(n_subcarriers: int, n_pilots: int) -> np.ndarray:
     return idx
 
 
-def ls_nearest_estimate(pilot_col: np.ndarray, n_subcarriers: int) -> ChannelEstimate:
+def ls_nearest_estimate(pilots: np.ndarray, n_subcarriers: int) -> Estimate:
     """Diagnostic baseline: copy each subcarrier's nearest pilot observation."""
-    col = np.asarray(pilot_col)
-    nearest = _nearest_pilot(n_subcarriers, col.shape[-1])
-    return ChannelEstimate(col[..., nearest])
+    cols = np.swapaxes(pilots, -1, -2)
+    return Estimate(cols[..., _nearest_pilot(n_subcarriers, cols.shape[-1])])
 
 
-def conventional_noise_var(cir: np.ndarray, threshold: int) -> NoiseEstimate:
-    """Mean energy of the CIR samples at and beyond the delay-spread threshold."""
+def conventional_noise_var(cir: np.ndarray, threshold: int) -> np.ndarray:
+    """Mean energy of the CIR samples at and beyond the delay-spread threshold.
+
+    ``cir`` is ``(..., Np)``; the estimate rests on ``Np - threshold`` samples.
+    """
     arr = np.asarray(cir)
     n_pilots = arr.shape[-1]
     if not 0 <= threshold <= n_pilots - 1:
         raise ValueError(
             f"threshold must lie in [0, {n_pilots - 1}] to leave noise samples, got {threshold}"
         )
-    tail = arr[..., threshold:]
-    sigma2_hat = np.mean(np.abs(tail) ** 2, axis=-1)
-    return NoiseEstimate(sigma2_hat, n_pilots - threshold)
+    return np.mean(np.abs(arr[..., threshold:]) ** 2, axis=-1)
 
 
 def conventional_estimate(
-    pilot_col: np.ndarray, params: ConventionalParams, n_subcarriers: int
-) -> ChannelEstimate:
+    pilots: np.ndarray, n_subcarriers: int, threshold: int, c: float
+) -> Estimate:
     """Per-symbol DFT estimate with threshold-based CIR denoising.
 
-    Pipeline: inverse transform of one pilot LS column, noise read-off
-    beyond ``params.threshold``, hard zeroing of that region, zeroing of
+    Pipeline, for each symbol's pilot column: inverse transform, noise
+    read-off beyond ``threshold``, hard zeroing of that region, zeroing of
     below-threshold leading samples (strictly below ``c * sigma2_hat``),
-    zero padding to ``n_subcarriers``, forward transform.
+    zero padding to ``n_subcarriers``, forward transform. ``M' = M``.
     """
-    cir = idft(np.asarray(pilot_col, dtype=np.complex128))
-    noise = conventional_noise_var(cir, params.threshold)
-    sigma2 = np.asarray(noise.sigma2_hat)
-    head = cir[..., : params.threshold]
-    keep = np.abs(head) ** 2 >= params.c * sigma2[..., None]
+    cir = idft(np.swapaxes(pilots, -1, -2))
+    sigma2 = conventional_noise_var(cir, threshold)
+    head = cir[..., :threshold]
+    keep = np.abs(head) ** 2 >= c * sigma2[..., None]
     cleaned = np.zeros_like(cir)
-    cleaned[..., : params.threshold] = np.where(keep, head, 0.0)
-    return ChannelEstimate(_padded_dft(cleaned, n_subcarriers), noise, cleaned)
+    cleaned[..., :threshold] = np.where(keep, head, 0.0)
+    return Estimate(_padded_dft(cleaned, n_subcarriers), sigma2, cleaned)
 
 
 def _padded_dft(cleaned: np.ndarray, n_subcarriers: int) -> np.ndarray:
@@ -180,44 +122,47 @@ def _padded_dft(cleaned: np.ndarray, n_subcarriers: int) -> np.ndarray:
     return dft(padded)
 
 
-def stack_pilot_cir(pilots: np.ndarray) -> StackedCir:
+def stack_pilot_cir(pilots: np.ndarray) -> np.ndarray:
     """Inverse transform of the pilot columns stacked into one vector.
 
     Stacking order is symbol after symbol, so a block-constant channel
-    makes the stacked spectrum periodic with period ``n_pilots``.
+    makes the stacked spectrum periodic with period ``Np``. Returns the
+    ``(..., Np, M)`` matrix view of the ``Np * M`` samples: sample
+    ``n * M + v`` is entry ``(n, v)``, column 0 holds the (decimated)
+    channel impulse response, and columns 1 .. M-1 hold only noise when
+    the channel is block constant.
     """
     grid = np.asarray(pilots, dtype=np.complex128)
     if grid.ndim < 2:
         raise ValueError("pilots must have shape (..., n_pilots, n_symbols)")
-    n_pilots, n_symbols = grid.shape[-2], grid.shape[-1]
-    if n_symbols < 2:
+    if grid.shape[-1] < 2:
         raise ValueError("multi-symbol estimation needs at least 2 OFDM symbols per block")
-    stacked = np.swapaxes(grid, -1, -2).reshape(grid.shape[:-2] + (n_pilots * n_symbols,))
-    return StackedCir(idft(stacked), n_pilots, n_symbols)
+    stacked = np.swapaxes(grid, -1, -2).reshape(grid.shape[:-2] + (-1,))
+    return idft(stacked).reshape(grid.shape)
 
 
-def multi_symbol_noise_var(cir: StackedCir) -> NoiseEstimate:
-    """Mean energy of the noise-only interleave positions."""
-    block = cir.noise_block
-    sigma2_hat = np.mean(np.abs(block) ** 2, axis=-1)
-    return NoiseEstimate(sigma2_hat, cir.n_pilots * (cir.n_symbols - 1))
+def multi_symbol_noise_var(cir: np.ndarray) -> np.ndarray:
+    """Mean energy of the noise-only columns 1 .. M-1 of a stacked CIR matrix.
+
+    ``cir`` is ``(..., Np, M)``; the estimate rests on ``Np * (M - 1)`` samples.
+    """
+    tail = np.swapaxes(np.asarray(cir)[..., 1:], -1, -2)
+    return np.mean(np.abs(tail.reshape(tail.shape[:-2] + (-1,))) ** 2, axis=-1)
 
 
-def multi_symbol_estimate(pilots: np.ndarray, n_subcarriers: int) -> ChannelEstimate:
+def multi_symbol_estimate(pilots: np.ndarray, n_subcarriers: int) -> Estimate:
     """Block estimate from all pilot symbols with self-calibrated denoising.
 
     Channel-position CIR samples are kept unless their energy falls
     strictly below the noise estimate (samples exactly at the estimate
     survive); the kept samples are compacted, zero padded, and forward
-    transformed. One estimate serves every symbol of the block.
+    transformed. One estimate serves every symbol of the block: ``M' = 1``.
     """
     cir = stack_pilot_cir(pilots)
-    noise = multi_symbol_noise_var(cir)
-    sigma2 = np.asarray(noise.sigma2_hat)
-    column = cir.channel_column
-    keep = np.abs(column) ** 2 >= sigma2[..., None]
-    cleaned = np.where(keep, column, 0.0)
-    return ChannelEstimate(_padded_dft(cleaned, n_subcarriers), noise, cleaned)
+    sigma2 = multi_symbol_noise_var(cir)[..., None]
+    column = cir[..., None, :, 0]
+    cleaned = np.where(np.abs(column) ** 2 >= sigma2[..., None], column, 0.0)
+    return Estimate(_padded_dft(cleaned, n_subcarriers), sigma2, cleaned)
 
 
 def equalize(rx_data: np.ndarray, h_data: np.ndarray) -> np.ndarray:
@@ -248,14 +193,12 @@ def equalize(rx_data: np.ndarray, h_data: np.ndarray) -> np.ndarray:
 def estimator_mse(estimate: np.ndarray, truth: np.ndarray) -> float | np.ndarray:
     """Mean squared error of an estimated frequency response against the true one.
 
-    The estimate has the truth's shape ``(..., N)`` or is symbol-major
-    ``(..., M', N)``; per-symbol errors are averaged over the symbols.
+    The estimate is symbol-major, ``(..., M', N)`` against the truth's
+    ``(..., N)``; per-symbol errors are averaged over the symbols.
     """
     est = np.asarray(estimate)
     truth = np.asarray(truth)
-    if est.ndim == truth.ndim:
-        est = est[..., None, :]
-    if est.shape[:-2] + est.shape[-1:] != truth.shape:
+    if est.ndim < 2 or est.shape[:-2] + est.shape[-1:] != truth.shape:
         raise ValueError(f"estimate {est.shape} does not match the true response {truth.shape}")
     per_symbol = np.mean(np.abs(est - truth[..., None, :]) ** 2, axis=-1)
     return np.mean(per_symbol, axis=-1)

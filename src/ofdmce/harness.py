@@ -42,11 +42,10 @@ from .channel import (
     tap_gains,
 )
 from .estimators import (
-    ConventionalParams,
+    Estimate,
     conventional_estimate,
     equalize,
     estimator_mse,
-    ideal_estimate,
     ls_nearest_estimate,
     multi_symbol_estimate,
 )
@@ -95,35 +94,6 @@ _DEFAULT_SNRS = tuple(float(s) for s in np.linspace(0.0, 30.0, 13))
 # ---------------------------------------------------------------------------
 # Estimator table
 # ---------------------------------------------------------------------------
-#
-# Each estimator maps a config, a pilot least-squares grid (..., Np, M) and
-# the true channel to a symbol-major estimate (..., M', N), the per-trial
-# noise estimate or None, and the symbol-major denoised impulse response
-# (..., M', Np) or None. M' is 1 when one estimate serves the whole block.
-
-
-def _ideal(config, pilot_ls, truth):
-    return ideal_estimate(truth).freq_response[..., None, :], None, None
-
-
-def _conventional(threshold):
-    def run(config, pilot_ls, truth):
-        params = ConventionalParams(threshold(config), config.c)
-        cols = np.swapaxes(pilot_ls, -1, -2)
-        est = conventional_estimate(cols, params, config.grid.n_subcarriers)
-        return est.freq_response, np.mean(est.noise.sigma2_hat, axis=-1), est.cleaned_cir
-
-    return run
-
-
-def _proposed(config, pilot_ls, truth):
-    est = multi_symbol_estimate(pilot_ls, config.grid.n_subcarriers)
-    return est.freq_response[..., None, :], est.noise.sigma2_hat, est.cleaned_cir[..., None, :]
-
-
-def _ls_only(config, pilot_ls, truth):
-    est = ls_nearest_estimate(np.swapaxes(pilot_ls, -1, -2), config.grid.n_subcarriers)
-    return est.freq_response, None, None
 
 
 class Estimator(NamedTuple):
@@ -137,12 +107,22 @@ class Estimator(NamedTuple):
     reads_pilots: bool = True
 
 
+# Each run maps a config, a pilot least-squares grid ``ls`` (..., Np, M) and
+# the true channel to an ``estimators.Estimate``.
 ESTIMATORS = {
-    "ideal": Estimator(_ideal, 1, reads_pilots=False),
-    "conv-perfect": Estimator(_conventional(lambda config: config.th_perfect), 1),
-    "conv-inaccurate": Estimator(_conventional(lambda config: config.th_inaccurate), 1),
-    "proposed": Estimator(_proposed, 2),
-    "ls-only": Estimator(_ls_only, 1),
+    "ideal": Estimator(
+        lambda cfg, ls, truth: Estimate(truth.freq_response[..., None, :]), 1, reads_pilots=False
+    ),
+    "conv-perfect": Estimator(
+        lambda cfg, ls, _: conventional_estimate(ls, cfg.grid.n_subcarriers, cfg.th_perfect, cfg.c),
+        1,
+    ),
+    "conv-inaccurate": Estimator(
+        lambda cfg, ls, _: conventional_estimate(ls, cfg.grid.n_subcarriers, cfg.th_inaccurate, cfg.c),
+        1,
+    ),
+    "proposed": Estimator(lambda cfg, ls, _: multi_symbol_estimate(ls, cfg.grid.n_subcarriers), 2),
+    "ls-only": Estimator(lambda cfg, ls, _: ls_nearest_estimate(ls, cfg.grid.n_subcarriers), 1),
 }
 
 ESTIMATOR_IDS = tuple(ESTIMATORS)
@@ -321,11 +301,13 @@ def _receive(state: _ChunkState, noise: NoiseSpec) -> tuple[np.ndarray, np.ndarr
 
 
 def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, realization):
-    """An estimate at the data cells, with the sums of its MSE and its σ̂² (or None)."""
+    """An estimate at the data cells, with the sums of its MSE and of its σ̂²
+    averaged over the block (or None)."""
     freq, sigma2, _ = ESTIMATORS[estimator_id].run(config, pilot_ls, realization)
     mse = estimator_mse(freq, realization.freq_response)
     h_data = np.take(freq, config.grid.data_indices, axis=-1)
-    return h_data, float(mse.sum()), None if sigma2 is None else float(sigma2.sum())
+    sigma2_sum = None if sigma2 is None else float(np.mean(sigma2, axis=-1).sum())
+    return h_data, float(mse.sum()), sigma2_sum
 
 
 def _chunk_bounds(n_trials: int) -> list[tuple[int, int]]:
@@ -490,16 +472,15 @@ def _crossing_snr(snrs, bers, bit_totals, target: float) -> float | None:
 
     A zero-BER bracket endpoint is floored at half an error in its bit
     count so the interpolation stays finite; curves that never reach the
-    target give None.
+    target give None. Points are scanned in SNR order, so a point exactly at
+    the target counts only if no earlier bracket crosses it.
     """
-    for i, ber in enumerate(bers):
-        if ber == target:
+    for i, upper in enumerate(bers):
+        if upper == target:
             return snrs[i]
-    for i in range(len(snrs) - 1):
-        upper, lower = bers[i], bers[i + 1]
-        if upper > target > lower and upper > 0:
+        if i + 1 < len(bers) and upper > target > bers[i + 1]:
             floor = 0.5 / bit_totals[i + 1]
-            span = math.log10(max(lower, floor)) - math.log10(upper)
+            span = math.log10(max(bers[i + 1], floor)) - math.log10(upper)
             frac = (math.log10(target) - math.log10(upper)) / span
             return snrs[i] + (snrs[i + 1] - snrs[i]) * frac
     return None

@@ -25,7 +25,6 @@ import pytest
 from ofdmce.channel import complex_normal
 from ofdmce.cli import main
 from ofdmce.estimators import (
-    ConventionalParams,
     conventional_estimate,
     conventional_noise_var,
     multi_symbol_estimate,
@@ -94,11 +93,11 @@ class TestAcceptance:
         rng = np.random.default_rng(404)
         h_true = random_sparse_channels(rng, trials=1000, max_delay=38, n_subcarriers=512)
         pilot_col = h_true[:, ::8]
-        conv = conventional_estimate(pilot_col, ConventionalParams(threshold=39, c=2.0), 512)
+        conv = conventional_estimate(pilot_col[..., None], 512, threshold=39, c=2.0)
         prop = multi_symbol_estimate(np.stack([pilot_col, pilot_col], axis=-1), 512)
         scale = np.max(np.abs(h_true), axis=-1)
-        worst_conv = np.max(np.max(np.abs(conv.freq_response - h_true), axis=-1) / scale)
-        worst_prop = np.max(np.max(np.abs(prop.freq_response - h_true), axis=-1) / scale)
+        worst_conv = np.max(np.max(np.abs(conv.freq_response[:, 0] - h_true), axis=-1) / scale)
+        worst_prop = np.max(np.max(np.abs(prop.freq_response[:, 0] - h_true), axis=-1) / scale)
         print(f"criterion 4: worst relative error conv {worst_conv:.2e}, proposed {worst_prop:.2e}")
         assert worst_conv <= 1e-9, f"per-symbol recovery off by {worst_conv:.2e}"
         assert worst_prop <= 1e-9, f"multi-symbol recovery off by {worst_prop:.2e}"
@@ -108,18 +107,18 @@ class TestAcceptance:
         rng = np.random.default_rng(505)
         clean = rng.normal(size=(1000, 64)) + 1j * rng.normal(size=(1000, 64))
         stacked = stack_pilot_cir(np.stack([clean, clean], axis=-1))
-        worst = np.max(np.abs(stacked.noise_block))
+        worst = np.max(np.abs(stacked[..., 1:]))
         print(f"criterion 5: worst noiseless noise-block entry {worst:.2e}")
         assert worst <= 1e-12, f"noise block should vanish without noise, worst {worst:.2e}"
 
         trials, sigma2 = 10_000, 0.1
         channel = rng.normal(size=(trials, 64)) + 1j * rng.normal(size=(trials, 64))
         pilots = channel[..., None] + complex_normal(rng, (trials, 64, 2), sigma2)
-        noisy = stack_pilot_cir(pilots)
+        noise_block = stack_pilot_cir(pilots)[..., 1]
         channel_cir = idft(channel)
-        inner = np.sum(noisy.noise_block * np.conj(channel_cir))
+        inner = np.sum(noise_block * np.conj(channel_cir))
         corr = abs(inner) / math.sqrt(
-            float(np.sum(np.abs(noisy.noise_block) ** 2) * np.sum(np.abs(channel_cir) ** 2))
+            float(np.sum(np.abs(noise_block) ** 2) * np.sum(np.abs(channel_cir) ** 2))
         )
         print(f"criterion 5: |correlation| noise block vs channel = {corr:.4f}")
         assert corr <= 0.02, f"noise block should be uncorrelated with the channel, got {corr:.4f}"
@@ -129,8 +128,8 @@ class TestAcceptance:
         for sigma2 in (0.01, 0.1, 1.0):
             rng = np.random.default_rng((606, int(sigma2 * 1000)))
             pilots = 1.0 + complex_normal(rng, (10_000, 64, 2), sigma2)
-            prop = np.asarray(multi_symbol_noise_var(stack_pilot_cir(pilots)).sigma2_hat)
-            conv = np.asarray(conventional_noise_var(idft(pilots[..., 0]), 1).sigma2_hat)
+            prop = multi_symbol_noise_var(stack_pilot_cir(pilots))
+            conv = conventional_noise_var(idft(pilots[..., 0]), 1)
             prop_mean, conv_mean = float(np.mean(prop)), float(np.mean(conv))
             prop_target, conv_target = sigma2 / 128.0, sigma2 / 64.0
             print(

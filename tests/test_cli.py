@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ofdmce
-from ofdmce.cli import _build_config, _parse_snr_spec, build_parser, main
+from ofdmce.cli import _MAX_SNR_POINTS, _build_config, _parse_snr_spec, build_parser, main
 from ofdmce.harness import ESTIMATOR_IDS, SimConfig, read_csv
 from ofdmce.phy import GridConfig
 
@@ -58,6 +58,20 @@ class TestSnrSpec:
         """A range with a non-finite part is refused before its points are counted."""
         with pytest.raises(ValueError, match="SNR range must be finite"):
             _parse_snr_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, count",
+        [("0:1e-300:1", "1e+300"), ("-1e308:1e-300:1e308", "inf"), ("0:1:10000", "10001")],
+    )
+    def test_range_too_long(self, spec, count, tmp_path, capsys):
+        """A range above the point limit exits 1 naming its count, before it is built."""
+        assert len(_parse_snr_spec(f"0:1:{_MAX_SNR_POINTS - 1}")) == _MAX_SNR_POINTS
+        out = tmp_path / "x.csv"
+        code = main(["sweep", f"--snr={spec}", "--estimators", "ideal", "--subframes", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert f"has {count} points, more than {_MAX_SNR_POINTS}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTopLevel:
@@ -113,6 +127,15 @@ class TestSweepCommand:
         printed = capsys.readouterr().out
         assert printed.count("ideal") >= 2
         assert "crossings" in printed
+
+    def test_negative_first_value_needs_equals_sign(self, tmp_path, capsys):
+        """argparse takes "-5,10" for an option; "--snr=-5,10" passes it as the value."""
+        out = tmp_path / "neg.csv"
+        args = ["--estimators", "ideal", "--subframes", "1", "--out", str(out)]
+        assert main(["sweep", "--snr", "-5,10", *args]) == 1
+        assert "expected one argument" in capsys.readouterr().err
+        assert main(["sweep", "--snr=-5,10", *args]) == 0
+        assert "# snr_db = -5.0,10.0" in out.read_text().splitlines()
 
     def test_embedded_effective_config(self, tmp_path):
         """The CSV starts with the fully resolved configuration."""
@@ -334,8 +357,8 @@ class TestInspectCommand:
         rows = block_lines(out, "noise-variance")[1:]
         schemes = {r.split(",")[0] for r in rows}
         assert schemes == {"multi-symbol", "conventional-th39", "conventional-th19"}
-        multi = next(r for r in rows if r.startswith("multi-symbol"))
-        assert multi.split(",")[2] == "64"
+        counts = {r.split(",")[0]: r.split(",")[2] for r in rows}
+        assert counts == {"multi-symbol": "64", "conventional-th39": "25", "conventional-th19": "45"}
 
     @pytest.mark.parametrize("estimator", ["ideal", "ls-only"])
     def test_estimators_without_cir_print_their_estimate(self, estimator, capsys):

@@ -7,22 +7,22 @@ import pytest
 
 from ofdmce.channel import ChannelRealization, build_profile, complex_normal, tap_gains
 from ofdmce.estimators import (
-    ConventionalParams,
     conventional_estimate,
     conventional_noise_var,
     equalize,
     estimator_mse,
-    ideal_estimate,
     ls_nearest_estimate,
     multi_symbol_estimate,
     multi_symbol_noise_var,
     stack_pilot_cir,
 )
+from ofdmce.harness import ESTIMATORS
 from ofdmce.phy import GridConfig, qpsk_bit_errors
 from ofdmce.spectral import dft, idft
 
 FS = 7.68e6
-PERFECT = ConventionalParams(threshold=39, c=2.0)
+# Perfect delay-spread threshold and denoising constant of the default grid.
+PERFECT = (39, 2.0)
 
 
 def random_cir_channel(rng: np.random.Generator, max_delay: int, n: int) -> ChannelRealization:
@@ -48,9 +48,7 @@ class TestConventionalNoiseVar:
     def test_hand_computed_tail_mean(self):
         """Tail magnitudes [1, 1] beyond threshold 2 average to 1."""
         cir = np.array([5.0, 3.0j, 1.0, -1.0])
-        est = conventional_noise_var(cir, threshold=2)
-        assert est.sigma2_hat == pytest.approx(1.0)
-        assert est.sample_count == 2
+        assert conventional_noise_var(cir, threshold=2) == pytest.approx(1.0)
 
     def test_threshold_bounds(self):
         cir = np.zeros(8, dtype=complex)
@@ -58,7 +56,8 @@ class TestConventionalNoiseVar:
             conventional_noise_var(cir, 8)
         with pytest.raises(ValueError, match="threshold"):
             conventional_noise_var(cir, -1)
-        assert conventional_noise_var(cir, 0).sample_count == 8
+        assert conventional_noise_var(cir, 0) == 0.0
+        assert conventional_noise_var(np.ones((3, 8)), 7).shape == (3,)
 
 
 class TestConventionalEstimate:
@@ -69,7 +68,8 @@ class TestConventionalEstimate:
         for _ in range(50):
             truth = random_cir_channel(rng, 38, cfg.n_subcarriers)
             pilots = pilot_observation(truth, cfg)
-            est = conventional_estimate(pilots[:, 0], PERFECT, cfg.n_subcarriers)
+            est = conventional_estimate(pilots, cfg.n_subcarriers, *PERFECT)
+            assert est.freq_response.shape == (cfg.n_symbols, cfg.n_subcarriers)
             err = np.abs(est.freq_response - truth.freq_response).max()
             scale = np.abs(truth.freq_response).max()
             assert err <= 1e-9 * scale, f"relative error {err / scale:.2e}"
@@ -77,11 +77,11 @@ class TestConventionalEstimate:
     def test_energy_beyond_threshold_is_discarded(self):
         """A tap past the threshold is treated as noise and removed."""
         truth = ChannelRealization.from_taps([0, 45], [1.0, 0.7], 512)
-        col = truth.freq_response[::8]
-        est = conventional_estimate(col, PERFECT, 512)
+        col = truth.freq_response[::8, None]
+        est = conventional_estimate(col, 512, *PERFECT)
         assert np.abs(est.freq_response - 1.0).max() <= 1e-9
         # The removed tap dominates the tail, inflating the noise estimate.
-        assert est.noise.sigma2_hat == pytest.approx(0.49 / 25, rel=1e-9)
+        assert est.sigma2_hat == pytest.approx([0.49 / 25], rel=1e-9)
 
     def test_weak_leading_samples_are_zeroed(self):
         """Head samples below c * sigma2_hat are cleared, strong ones kept."""
@@ -89,23 +89,22 @@ class TestConventionalEstimate:
         cir[0] = 1.0
         cir[5] = 0.05
         cir[40:] = 0.1
-        col = dft(cir)
-        est = conventional_estimate(col, PERFECT, 512)
+        col = dft(cir)[:, None]
+        est = conventional_estimate(col, 512, *PERFECT)
         # sigma2_hat = 24 * 0.01 / 25; c = 2 puts the cut at 0.0192 > 0.05^2.
         assert np.abs(est.freq_response - 1.0).max() <= 1e-9
 
     def test_batched_matches_single(self):
         cfg = GridConfig()
         rng = np.random.default_rng(22)
-        cols = complex_normal(rng, (5, cfg.n_pilots), 1.0)
-        batched = conventional_estimate(cols, PERFECT, cfg.n_subcarriers)
+        pilots = complex_normal(rng, (5, cfg.n_pilots, cfg.n_symbols), 1.0)
+        batched = conventional_estimate(pilots, cfg.n_subcarriers, *PERFECT)
         for i in range(5):
-            single = conventional_estimate(cols[i], PERFECT, cfg.n_subcarriers)
+            single = conventional_estimate(pilots[i], cfg.n_subcarriers, *PERFECT)
             assert np.array_equal(batched.freq_response[i], single.freq_response)
+            assert np.array_equal(batched.cleaned_cir[i], single.cleaned_cir)
             # The mean reduction may differ in the last ulp between layouts.
-            assert batched.noise.sigma2_hat[i] == pytest.approx(
-                single.noise.sigma2_hat, rel=1e-12
-            )
+            assert batched.sigma2_hat[i] == pytest.approx(single.sigma2_hat, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +119,9 @@ class TestStacking:
         pilots = np.array([[a, a], [b, b]])
         cir = stack_pilot_cir(pilots)
         expected = np.array([(a + b) / 2, 0, (a - b) / 2, 0])
-        assert np.allclose(cir.samples, expected, atol=1e-14)
-        assert np.allclose(cir.channel_column, [(a + b) / 2, (a - b) / 2], atol=1e-14)
-        assert np.allclose(cir.noise_block, 0, atol=1e-14)
+        assert np.allclose(cir.reshape(-1), expected, atol=1e-14)
+        assert np.allclose(cir[:, 0], [(a + b) / 2, (a - b) / 2], atol=1e-14)
+        assert np.allclose(cir[:, 1:], 0, atol=1e-14)
 
     def test_noise_block_vanishes_for_block_constant_channels(self):
         cfg = GridConfig()
@@ -130,7 +129,7 @@ class TestStacking:
         for _ in range(20):
             truth = random_cir_channel(rng, 63, cfg.n_subcarriers)
             cir = stack_pilot_cir(pilot_observation(truth, cfg))
-            assert np.abs(cir.noise_block).max() <= 1e-12
+            assert np.abs(cir[..., 1:]).max() <= 1e-12
 
     def test_noise_block_ignores_the_channel(self):
         """Swapping the channel while holding pilot noise fixed leaves the
@@ -142,7 +141,7 @@ class TestStacking:
         for _ in range(2):
             truth = random_cir_channel(rng, 38, cfg.n_subcarriers)
             cir = stack_pilot_cir(pilot_observation(truth, cfg) + noise)
-            blocks.append(cir.noise_block)
+            blocks.append(cir[..., 1:])
         assert np.abs(blocks[0] - blocks[1]).max() <= 1e-12
 
     def test_single_symbol_rejected(self):
@@ -150,14 +149,16 @@ class TestStacking:
             stack_pilot_cir(np.ones((64, 1)))
 
     def test_matrix_view_indexing(self):
-        """samples[n * M + v] appears at matrix position (n, v)."""
+        """Stacked CIR sample n * M + v appears at matrix position (n, v)."""
         samples = np.arange(8.0)
-        pilots = np.ones((4, 2))
+        # Pilot column v holds entries v * Np .. (v + 1) * Np - 1 of the stacked spectrum.
+        pilots = dft(samples).reshape(2, 4).T
         cir = stack_pilot_cir(pilots)
-        cir.samples = samples
-        assert cir.matrix[3, 1] == samples[7]
-        assert np.array_equal(cir.channel_column, samples[0::2])
-        assert np.array_equal(cir.noise_block, samples[1::2])
+        assert cir.shape == (4, 2)
+        assert cir[3, 1] == pytest.approx(samples[7], abs=1e-14)
+        assert np.allclose(cir[:, 0], samples[0::2], atol=1e-14)
+        assert np.allclose(cir[:, 1], samples[1::2], atol=1e-14)
+        assert multi_symbol_noise_var(cir) == pytest.approx(np.mean(samples[1::2] ** 2))
 
 
 class TestMultiSymbolEstimate:
@@ -167,6 +168,7 @@ class TestMultiSymbolEstimate:
         for _ in range(50):
             truth = random_cir_channel(rng, 38, cfg.n_subcarriers)
             est = multi_symbol_estimate(pilot_observation(truth, cfg), cfg.n_subcarriers)
+            assert est.freq_response.shape == (1, cfg.n_subcarriers)
             err = np.abs(est.freq_response - truth.freq_response).max()
             scale = np.abs(truth.freq_response).max()
             assert err <= 1e-9 * scale, f"relative error {err / scale:.2e}"
@@ -181,8 +183,8 @@ class TestMultiSymbolEstimate:
         stacked = dft(np.full(8, 0.3 + 0.0j))
         pilots = np.stack([stacked[:4], stacked[4:]], axis=-1)
         est = multi_symbol_estimate(pilots, 8)
-        assert est.freq_response[0] == pytest.approx(4 * 0.3, abs=1e-12)
-        assert est.noise.sigma2_hat == pytest.approx(0.09, abs=1e-15)
+        assert est.freq_response[0, 0] == pytest.approx(4 * 0.3, abs=1e-12)
+        assert est.sigma2_hat == pytest.approx([0.09], abs=1e-15)
 
     def test_takes_no_prior_channel_knowledge(self):
         """The signature closes over pilot data and grid size only."""
@@ -195,10 +197,10 @@ class TestMultiSymbolEstimate:
         sigma2 = 0.1
         pilots = 1.0 + complex_normal(rng, (5000, 64, 2), sigma2)
         est = multi_symbol_noise_var(stack_pilot_cir(pilots))
-        mean = est.sigma2_hat.mean()
+        assert est.shape == (5000,)
+        mean = est.mean()
         target = sigma2 / 128
         assert 0.98 * target <= mean <= 1.02 * target, f"mean {mean:.3e} vs {target:.3e}"
-        assert est.sample_count == 64
 
     def test_tighter_than_conventional_tail_estimate(self):
         """More noise samples mean lower estimator variance."""
@@ -208,8 +210,8 @@ class TestMultiSymbolEstimate:
         multi = multi_symbol_noise_var(stack_pilot_cir(pilots))
         conv = conventional_noise_var(idft(pilots[:, :, 0]), threshold=1)
         # Rescale to a common target before comparing spreads.
-        rel_multi = np.var(multi.sigma2_hat * 128 / sigma2)
-        rel_conv = np.var(conv.sigma2_hat * 64 / sigma2)
+        rel_multi = np.var(multi * 128 / sigma2)
+        rel_conv = np.var(conv * 64 / sigma2)
         assert rel_multi < rel_conv
 
     def test_batched_matches_single(self):
@@ -219,6 +221,45 @@ class TestMultiSymbolEstimate:
         for i in range(5):
             single = multi_symbol_estimate(pilots[i], 512)
             assert np.array_equal(batched.freq_response[i], single.freq_response)
+            assert np.array_equal(batched.cleaned_cir[i], single.cleaned_cir)
+
+
+class TestRandomGrids:
+    """Properties over seeded random grids, M = 2..5 symbols per block included."""
+
+    @staticmethod
+    def draw_cases(seed: int, count: int):
+        """Noiseless pilot grids (3, Np, M) of sample-spaced channels whose taps
+        all lie below a drawn threshold, with their true responses (3, N)."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n_pilots = 2 ** int(rng.integers(2, 8))
+            n_subcarriers = n_pilots * 2 ** int(rng.integers(0, 4))
+            n_symbols = int(rng.integers(2, 6))
+            threshold = int(rng.integers(1, n_pilots))
+            n_taps = int(rng.integers(1, min(threshold, 8) + 1))
+            delays = np.sort(rng.choice(threshold, size=n_taps, replace=False))
+            gains = complex_normal(rng, (3, n_taps), 1.0)
+            truth = ChannelRealization.from_taps(delays, gains, n_subcarriers).freq_response
+            col = truth[:, :: n_subcarriers // n_pilots]
+            pilots = np.repeat(col[..., None], n_symbols, axis=-1)
+            yield pilots, truth, threshold
+
+    def test_noiseless_channels_are_recovered(self):
+        for pilots, truth, threshold in self.draw_cases(31, 60):
+            n_subcarriers = truth.shape[-1]
+            scale = np.abs(truth).max(axis=-1)[:, None, None]
+            for est in (
+                conventional_estimate(pilots, n_subcarriers, threshold, 2.0),
+                multi_symbol_estimate(pilots, n_subcarriers),
+            ):
+                err = np.abs(est.freq_response - truth[:, None, :]) / scale
+                assert err.max() <= 1e-9, f"{pilots.shape}, N = {n_subcarriers}: {err.max():.2e}"
+
+    def test_noise_columns_vanish(self):
+        for pilots, _, _ in self.draw_cases(32, 60):
+            worst = np.abs(stack_pilot_cir(pilots)[..., 1:]).max()
+            assert worst <= 1e-12, f"{pilots.shape}: {worst:.2e}"
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +272,23 @@ class TestBaselines:
         profile = build_profile("etu", FS)
         gains = tap_gains(profile, np.random.default_rng(29))
         truth = ChannelRealization.from_taps(profile.tap_delays, gains, 512)
-        est = ideal_estimate(truth)
+        est = ESTIMATORS["ideal"].run(None, None, truth)
+        assert est.freq_response.shape == (1, 512)
+        assert est.sigma2_hat is None and est.cleaned_cir is None
         assert estimator_mse(est.freq_response, truth.freq_response) == 0.0
-        est.freq_response[0] = 99.0
-        assert truth.freq_response[0] != 99.0, "ideal estimate must be a copy"
 
     def test_nearest_pilot_fill_on_flat_channel(self):
-        est = ls_nearest_estimate(np.ones(64, dtype=complex), 512)
-        assert np.array_equal(est.freq_response, np.ones(512))
+        est = ls_nearest_estimate(np.ones((64, 2), dtype=complex), 512)
+        assert np.array_equal(est.freq_response, np.ones((2, 512)))
+        assert est.sigma2_hat is None and est.cleaned_cir is None
 
     def test_nearest_pilot_wraps_and_rounds_up(self):
         col = np.arange(64, dtype=complex)
-        est = ls_nearest_estimate(col, 512)
-        assert est.freq_response[3] == col[0]
-        assert est.freq_response[4] == col[1], "midpoint rounds to the next pilot"
-        assert est.freq_response[509] == col[0], "top subcarriers wrap to pilot 0"
+        est = ls_nearest_estimate(np.stack([col, col + 100], axis=-1), 512)
+        for m, offset in enumerate((0, 100)):
+            assert est.freq_response[m, 3] == col[0] + offset
+            assert est.freq_response[m, 4] == col[1] + offset, "midpoint rounds to the next pilot"
+            assert est.freq_response[m, 509] == col[0] + offset, "top subcarriers wrap to pilot 0"
 
     def test_nearest_pilot_is_coarser_than_multi_symbol(self):
         """Interpolation-free fill loses to the stacked estimator on MSE."""
@@ -255,7 +298,7 @@ class TestBaselines:
         gains = [tap_gains(profile, rng) for _ in range(100)]
         truth = ChannelRealization.from_taps(profile.tap_delays, gains, cfg.n_subcarriers)
         noisy = pilot_observation(truth, cfg) + complex_normal(rng, (100, 64, 2), 0.1)
-        near = ls_nearest_estimate(noisy[..., 0], 512).freq_response
+        near = ls_nearest_estimate(noisy[..., :1], 512).freq_response
         mse_near = estimator_mse(near, truth.freq_response).mean()
         multi = multi_symbol_estimate(noisy, 512).freq_response
         mse_multi = estimator_mse(multi, truth.freq_response).mean()
@@ -327,7 +370,7 @@ class TestEqualize:
 
     def test_mse_of_constant_offset(self):
         truth = ChannelRealization.from_taps([0], [1.0], 8)
-        est = truth.freq_response + 1.0
+        est = truth.freq_response[None, :] + 1.0
         assert estimator_mse(est, truth.freq_response) == pytest.approx(1.0)
 
     def test_mse_averages_symbol_major_rows(self):
@@ -335,9 +378,9 @@ class TestEqualize:
         est = truth.freq_response + np.array([[1.0], [3.0]])
         assert estimator_mse(est, truth.freq_response) == pytest.approx(5.0)
 
-    @pytest.mark.parametrize("shape", [(2, 1, 8), (2, 8), (3, 2, 2, 8)])
+    @pytest.mark.parametrize("shape", [(2, 1, 8), (2, 8), (3, 8), (3, 2, 2, 8)])
     def test_mse_rejects_mismatched_shapes(self, shape):
-        """Estimates that do not line up with the (3, N) truth raise, never broadcast."""
+        """Estimates that are not symbol-major against the (3, N) truth raise, never broadcast."""
         truth = ChannelRealization.from_taps([0], np.ones((3, 1)), 8)
         with pytest.raises(ValueError, match="does not match"):
             estimator_mse(np.ones(shape), truth.freq_response)

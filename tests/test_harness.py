@@ -423,6 +423,20 @@ class TestGapReport:
         report = gap_report(records, (1e-3,))
         assert report.crossings[1e-3, "ideal"] == 14.0
 
+    def test_earlier_bracket_wins_over_later_exact_hit(self):
+        """The first downward crossing counts, even if a later point sits exactly
+        on the target (224 errors in 224 000 bits is exactly 1e-3)."""
+        total = 224_000
+        bers = [1e-2, 5e-4, 224 / total]
+        assert bers[2] == 1e-3
+        records = synthetic_curve("ideal", list(zip([0.0, 10.0, 20.0], bers)), total_bits=total)
+        report = gap_report(records, (1e-3,))
+        expected = 10.0 * (math.log10(1e-3) - math.log10(1e-2)) / (
+            math.log10(5e-4) - math.log10(1e-2)
+        )
+        assert report.crossings[1e-3, "ideal"] == pytest.approx(expected, rel=1e-12)
+        assert report.crossings[1e-3, "ideal"] == pytest.approx(7.686, abs=1e-3)
+
     def test_identical_curves_gap_zero(self):
         """Two estimators with the same curve have exactly zero gap."""
         points = [(10.0, 1e-2), (14.0, 1e-4)]
