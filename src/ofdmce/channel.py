@@ -173,6 +173,14 @@ class ChannelRealization:
     def delay_spread(self) -> int:
         return int(self.tap_delays[-1])
 
+    def split_taps(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """The impulse response at delays below ``length``, ``(..., length)``,
+        and the energy ``(...)`` of the rest; taps sharing a delay add up."""
+        width = max(length, int(self.tap_delays.max()) + 1)
+        taps = np.zeros(self.gains.shape[:-1] + (width,), dtype=np.complex128)
+        np.add.at(taps, (..., self.tap_delays), self.gains)
+        return taps[..., :length], np.sum(np.abs(taps[..., length:]) ** 2, axis=-1)
+
 
 def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     """Circularly symmetric complex Gaussian draws with the given variance."""

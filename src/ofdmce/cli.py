@@ -32,7 +32,7 @@ from .harness import (
     write_csv,
     write_gaps,
 )
-from .phy import GridConfig
+from .phy import GridConfig, residue_major
 from .spectral import idft
 
 
@@ -271,7 +271,10 @@ def _cmd_inspect(args) -> int:
     blocks.append(block)
 
     # Symbol-major (M', ...) outputs; M' = 1 serves every symbol of the block.
-    freq, _, cleaned = ESTIMATORS[args.estimator].run(config, state.pilot_ls, state.realization)
+    result = ESTIMATORS[args.estimator].run(
+        config, state.pilot_ls, residue_major(state.realization.freq_response, grid.n_pilots)
+    )
+    freq, cleaned = result.freq_response, result.cleaned_cir
     origin = f"{args.estimator} on symbol {args.symbol}"
     if cleaned is not None:
         block = [

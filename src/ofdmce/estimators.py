@@ -2,11 +2,11 @@
 
 Every estimator takes the same input, the pilot least-squares grid
 ``(..., Np, M)`` of a block of ``M`` OFDM symbols, and returns one
-:class:`Estimate`: the symbol-major frequency response ``(..., M', N)``,
-the noise estimate ``(..., M')`` and the denoised impulse response
-``(..., M', Np)`` (None where the estimator has none). ``M' = 1`` when one
-response serves the whole block and ``M' = M`` for one per OFDM symbol.
-Leading axes are batch axes.
+:class:`Estimate`: the estimate at the data and pilot cells, the noise
+estimate ``(..., M')`` and the denoised impulse response ``(..., M', Np)``
+(None where the estimator has none). ``M' = 1`` when one response serves the
+whole block and ``M' = M`` for one per OFDM symbol. Leading axes are batch
+axes.
 
 * ``conventional_estimate`` works one OFDM symbol at a time: it transforms
   each pilot column to a length-``Np`` impulse response, reads the noise
@@ -26,14 +26,18 @@ Leading axes are batch axes.
 * ``ls_nearest_estimate`` copies each subcarrier's nearest pilot
   observation, a diagnostic baseline without denoising.
 
-The genie bound needs no function: it is ``Estimate(h[..., None, :])`` for
-the true response ``h``. ``equalize`` and ``estimator_mse`` take the
-symbol-major ``freq_response`` (``equalize`` only its data cells).
+Data cells are in residue order: with pilot spacing ``S = N / Np``,
+subcarrier ``p S + r`` is entry ``[r - 1, p]`` of one C-ordered
+``(..., M', S - 1, Np)`` block, which ``equalize`` reads flattened with no
+gather. Transforming back at the full grid length is the zero-padded
+length-``N`` DFT at those cells only, ``S - 1`` pilot-length transforms (a
+pruned FFT). The genie bound is the true response in residue order.
+``estimator_mse`` scores a whole grid; ``cir_mse`` gives the same number
+for a cleaned impulse response from the true taps alone, by Parseval.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -50,33 +54,40 @@ __all__ = [
     "multi_symbol_estimate",
     "equalize",
     "estimator_mse",
+    "cir_mse",
 ]
 
 
 class Estimate(NamedTuple):
-    """Symbol-major frequency response ``(..., M', N)``, the noise estimate
-    ``(..., M')`` that shaped it and the denoised impulse response
-    ``(..., M', Np)`` it was transformed from, or None where there is none."""
+    """Data cells ``(..., M', S - 1, Np)`` in residue order, pilot cells
+    ``(..., M', Np)`` or None where they are ``dft(cleaned_cir)``, the noise
+    estimate ``(..., M')`` and the denoised impulse response ``(..., M', Np)``
+    transformed into them, each None where there is none."""
 
-    freq_response: np.ndarray
+    data_cells: np.ndarray
+    pilot_cells: np.ndarray | None = None
     sigma2_hat: np.ndarray | None = None
     cleaned_cir: np.ndarray | None = None
 
-
-@lru_cache(maxsize=None)
-def _nearest_pilot(n_subcarriers: int, n_pilots: int) -> np.ndarray:
-    spacing = n_subcarriers // n_pilots
-    k = np.arange(n_subcarriers)
-    # Cyclically nearest pilot; exact midpoints round up to the next pilot.
-    idx = ((k + spacing // 2) // spacing) % n_pilots
-    idx.setflags(write=False)
-    return idx
+    @property
+    def freq_response(self) -> np.ndarray:
+        """Every cell in subcarrier order, ``(..., M', N)``."""
+        pilots = dft(self.cleaned_cir) if self.pilot_cells is None else self.pilot_cells
+        cells = np.concatenate((pilots[..., None, :], self.data_cells), axis=-2)
+        return np.swapaxes(cells, -1, -2).reshape(cells.shape[:-2] + (-1,))
 
 
 def ls_nearest_estimate(pilots: np.ndarray, n_subcarriers: int) -> Estimate:
     """Diagnostic baseline: copy each subcarrier's nearest pilot observation."""
     cols = np.swapaxes(pilots, -1, -2)
-    return Estimate(cols[..., _nearest_pilot(n_subcarriers, cols.shape[-1])])
+    spacing = _pilot_spacing(n_subcarriers, cols.shape[-1])
+    cells = np.empty(cols.shape[:-1] + (spacing - 1, cols.shape[-1]), dtype=np.complex128)
+    # Residues r < S/2, pilot p's own residue 0 among them, copy pilot p; the
+    # others, exact midpoints too, copy pilot p + 1 (cyclically).
+    near = (spacing + 1) // 2 - 1
+    cells[..., :near, :] = cols[..., None, :]
+    cells[..., near:, :] = np.roll(cols, -1, axis=-1)[..., None, :]
+    return Estimate(cells, cols)
 
 
 def conventional_noise_var(cir: np.ndarray, threshold: int) -> np.ndarray:
@@ -109,17 +120,28 @@ def conventional_estimate(
     keep = np.abs(head) ** 2 >= c * sigma2[..., None]
     cleaned = np.zeros_like(cir)
     cleaned[..., :threshold] = np.where(keep, head, 0.0)
-    return Estimate(_padded_dft(cleaned, n_subcarriers), sigma2, cleaned)
+    return Estimate(_data_cells(cleaned, n_subcarriers), sigma2_hat=sigma2, cleaned_cir=cleaned)
 
 
-def _padded_dft(cleaned: np.ndarray, n_subcarriers: int) -> np.ndarray:
-    """Forward transform of a length-``Np`` impulse response zero padded to the grid."""
+def _pilot_spacing(n_subcarriers: int, n_pilots: int) -> int:
+    if n_subcarriers < n_pilots or n_subcarriers % n_pilots:
+        raise ValueError("n_subcarriers must be a multiple of the pilot count")
+    return n_subcarriers // n_pilots
+
+
+def _data_cells(cleaned: np.ndarray, n_subcarriers: int) -> np.ndarray:
+    """Data cells of the zero-padded length-``N`` transform of ``cleaned``.
+
+    Cell ``p S + r`` is the length-``Np`` transform of ``cleaned[l] *
+    exp(-2j pi r l / N)`` at ``p`` (a pruned FFT), so the ``S - 1`` residues
+    are one batched transform, done in place on a fresh C-ordered block.
+    """
     n_pilots = cleaned.shape[-1]
-    if n_subcarriers < n_pilots:
-        raise ValueError("n_subcarriers must be at least the pilot count")
-    padded = np.zeros(cleaned.shape[:-1] + (n_subcarriers,), dtype=np.complex128)
-    padded[..., :n_pilots] = cleaned
-    return dft(padded)
+    r = np.arange(1, _pilot_spacing(n_subcarriers, n_pilots))[:, None]
+    twiddles = np.exp(-2j * np.pi * r * np.arange(n_pilots) / n_subcarriers)
+    twiddled = np.empty(cleaned.shape[:-1] + twiddles.shape, dtype=np.complex128)
+    np.multiply(cleaned[..., None, :], twiddles, out=twiddled)
+    return dft(twiddled, out=twiddled)
 
 
 def stack_pilot_cir(pilots: np.ndarray) -> np.ndarray:
@@ -162,7 +184,7 @@ def multi_symbol_estimate(pilots: np.ndarray, n_subcarriers: int) -> Estimate:
     sigma2 = multi_symbol_noise_var(cir)[..., None]
     column = cir[..., None, :, 0]
     cleaned = np.where(np.abs(column) ** 2 >= sigma2[..., None], column, 0.0)
-    return Estimate(_padded_dft(cleaned, n_subcarriers), sigma2, cleaned)
+    return Estimate(_data_cells(cleaned, n_subcarriers), sigma2_hat=sigma2, cleaned_cir=cleaned)
 
 
 def equalize(rx_data: np.ndarray, h_data: np.ndarray) -> np.ndarray:
@@ -184,7 +206,8 @@ def equalize(rx_data: np.ndarray, h_data: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"estimate {h.shape} is not symbol-major (..., M', K) for data cells {rx.shape}"
         )
-    weights = np.conj(np.broadcast_to(h, rx.shape))
+    # A fresh C-ordered product, whatever the strides of h.
+    weights = np.conjugate(h, out=np.empty(rx.shape, dtype=np.complex128))
     if not weights.all():
         weights[weights == 0] = 1.0
     return np.multiply(rx, weights, out=weights)
@@ -202,3 +225,14 @@ def estimator_mse(estimate: np.ndarray, truth: np.ndarray) -> float | np.ndarray
         raise ValueError(f"estimate {est.shape} does not match the true response {truth.shape}")
     per_symbol = np.mean(np.abs(est - truth[..., None, :]) ** 2, axis=-1)
     return np.mean(per_symbol, axis=-1)
+
+
+def cir_mse(cleaned_cir: np.ndarray, true_head: np.ndarray, tail_energy: np.ndarray) -> np.ndarray:
+    """:func:`estimator_mse` of the zero-padded ``(..., M', Np)`` impulse response.
+
+    By Parseval (the forward transform is unnormalized) that is its energy
+    error against the true taps: the taps at delays below ``Np``, ``(..., Np)``,
+    and the energy of the rest, ``(...)`` (``ChannelRealization.split_taps``).
+    """
+    head = np.sum(np.abs(cleaned_cir - true_head[..., None, :]) ** 2, axis=-1)
+    return np.mean(head, axis=-1) + tail_energy

@@ -43,6 +43,7 @@ from .channel import (
 )
 from .estimators import (
     Estimate,
+    cir_mse,
     conventional_estimate,
     equalize,
     estimator_mse,
@@ -52,12 +53,12 @@ from .estimators import (
 from .phy import (
     GridConfig,
     build_grid,
-    extract_data,
     extract_pilot_ls,
     generate_pilots,
     ofdm_demodulate,
     qpsk_bit_errors,
     qpsk_modulate,
+    residue_major,
 )
 
 __all__ = [
@@ -108,10 +109,11 @@ class Estimator(NamedTuple):
 
 
 # Each run maps a config, a pilot least-squares grid ``ls`` (..., Np, M) and
-# the true channel to an ``estimators.Estimate``.
+# the true response in residue order (..., S, Np) (``phy.residue_major``) to
+# an ``estimators.Estimate``.
 ESTIMATORS = {
     "ideal": Estimator(
-        lambda cfg, ls, truth: Estimate(truth.freq_response[..., None, :]), 1, reads_pilots=False
+        lambda cfg, ls, h: Estimate(h[..., None, 1:, :], h[..., None, 0, :]), 1, reads_pilots=False
     ),
     "conv-perfect": Estimator(
         lambda cfg, ls, _: conventional_estimate(ls, cfg.grid.n_subcarriers, cfg.th_perfect, cfg.c),
@@ -240,14 +242,17 @@ def _trial_rng(seed: int, trial: int, purpose: int) -> np.random.Generator:
 
 @dataclass(eq=False)
 class _ChunkState:
-    """A chunk's received cells in two parts, ``clean + sqrt(sigma2) * noise``.
-
-    Data cells are symbol-major, ``(trials, M, n_data)``; pilot cells are
-    least-squares observations, ``(trials, Np, M)``.
+    """A chunk's received cells in two parts, ``clean + sqrt(sigma2) * noise``,
+    and its true channel: the response ``(trials, S, Np)`` and its taps split
+    at ``Np``. Data cells are ``(trials, M, n_data)`` in residue order, with
+    ``bits`` in step; pilot cells are least-squares observations, ``(trials, Np, M)``.
     """
 
     bits: np.ndarray
-    realization: ChannelRealization
+    gains: np.ndarray
+    truth: np.ndarray
+    true_head: np.ndarray
+    tail_energy: np.ndarray
     clean_data: np.ndarray
     noise_data: np.ndarray
     clean_pilot_ls: np.ndarray
@@ -279,17 +284,25 @@ def _draw_chunk(
     realization = ChannelRealization.from_taps(
         np.array(profile.tap_delays), gains, grid.n_subcarriers
     )
+    truth = np.ascontiguousarray(residue_major(realization.freq_response, grid.n_pilots))
+    true_head, tail_energy = realization.split_taps(grid.n_pilots)
+    del realization
     cells = (n_trials, grid.n_symbols, grid.n_data)
     noise = ofdm_demodulate(unit_noise, grid)
     del unit_noise
-    noise_data = extract_data(noise, grid).reshape(cells)
+    noise_data = residue_major(np.swapaxes(noise, -1, -2), grid.n_pilots)[..., 1:, :].reshape(cells)
     noise_pilot_ls = extract_pilot_ls(noise, pilots, grid)
     del noise
-    h = realization.freq_response
+    # Drawn symbol-major, a symbol's bit pairs are (Np, S - 1) cells; transpose them.
+    drawn = bits.reshape(cells[:2] + (grid.n_pilots, grid.pilot_spacing - 1, 2))
+    bits = np.swapaxes(drawn, 2, 3).reshape(n_trials, -1)
     clean_data = qpsk_modulate(bits).reshape(cells)
-    clean_data *= np.take(h, grid.data_indices, axis=-1)[:, None, :]
-    clean_pilot_ls = h[:, grid.pilot_indices, None] * pilots * np.conj(pilots)
-    return _ChunkState(bits, realization, clean_data, noise_data, clean_pilot_ls, noise_pilot_ls)
+    clean_data *= truth[:, None, 1:, :].reshape(n_trials, 1, -1)
+    clean_pilot_ls = truth[:, 0, :, None] * pilots * np.conj(pilots)
+    return _ChunkState(
+        bits, gains, truth, true_head, tail_energy,
+        clean_data, noise_data, clean_pilot_ls, noise_pilot_ls,
+    )
 
 
 def _receive(state: _ChunkState, noise: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -300,14 +313,28 @@ def _receive(state: _ChunkState, noise: NoiseSpec) -> tuple[np.ndarray, np.ndarr
     return rx_data, state.clean_pilot_ls + scale * state.noise_pilot_ls
 
 
-def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, realization):
+def _flat(cells: np.ndarray) -> np.ndarray:
+    return cells.reshape(cells.shape[:-2] + (-1,))
+
+
+def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, state: _ChunkState):
     """An estimate at the data cells, with the sums of its MSE and of its σ̂²
-    averaged over the block (or None)."""
-    freq, sigma2, _ = ESTIMATORS[estimator_id].run(config, pilot_ls, realization)
-    mse = estimator_mse(freq, realization.freq_response)
-    h_data = np.take(freq, config.grid.data_indices, axis=-1)
-    sigma2_sum = None if sigma2 is None else float(np.mean(sigma2, axis=-1).sum())
-    return h_data, float(mse.sum()), sigma2_sum
+    averaged over the block (or None).
+
+    The MSE over all ``N`` cells is taken by Parseval where the estimate has
+    an impulse response, else as the pilot row's and data block's MSEs
+    weighted ``1 : S - 1``.
+    """
+    est = ESTIMATORS[estimator_id].run(config, pilot_ls, state.truth)
+    if est.cleaned_cir is None:
+        pilot_mse = estimator_mse(est.pilot_cells, state.truth[:, 0])
+        data_mse = estimator_mse(_flat(est.data_cells), _flat(state.truth[:, 1:]))
+        spacing = config.grid.pilot_spacing
+        mse = (pilot_mse + (spacing - 1) * data_mse) / spacing
+    else:
+        mse = cir_mse(est.cleaned_cir, state.true_head, state.tail_energy)
+    sigma2_sum = None if est.sigma2_hat is None else float(np.mean(est.sigma2_hat, axis=-1).sum())
+    return _flat(est.data_cells), float(mse.sum()), sigma2_sum
 
 
 def _chunk_bounds(n_trials: int) -> list[tuple[int, int]]:
@@ -318,10 +345,9 @@ def _sweep_chunk(args):
     """Worker body: evaluate one trial chunk at every SNR point."""
     config, profile, pilots, start, stop = args
     state = _draw_chunk(config, profile, pilots, np.arange(start, stop))
-    # The drawn bits pair up with the data cells flattened symbol-major.
     bits = state.bits
     fixed = {
-        estimator_id: _estimate_cells(config, estimator_id, None, state.realization)
+        estimator_id: _estimate_cells(config, estimator_id, None, state)
         for estimator_id in config.estimators
         if not ESTIMATORS[estimator_id].reads_pilots
     }
@@ -332,9 +358,7 @@ def _sweep_chunk(args):
             if estimator_id in fixed:
                 h_data, mse, sigma2 = fixed[estimator_id]
             else:
-                h_data, mse, sigma2 = _estimate_cells(
-                    config, estimator_id, pilot_ls, state.realization
-                )
+                h_data, mse, sigma2 = _estimate_cells(config, estimator_id, pilot_ls, state)
             decided = equalize(rx_data, h_data).reshape(bits.shape[:-1] + (-1,))
             partial[snr_idx, estimator_id] = (qpsk_bit_errors(decided, bits), mse, sigma2)
     return partial
@@ -342,23 +366,28 @@ def _sweep_chunk(args):
 
 def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int) -> SubframeState:
     """Run one subframe through the sweep's receive path and keep its products."""
+    grid = config.grid
     profile = resolve_profile(config)
-    pilots = generate_pilots(config.master_seed, config.grid)
+    pilots = generate_pilots(config.master_seed, grid)
     state = _draw_chunk(config, profile, pilots, np.array([trial_index]))
     noise = NoiseSpec.from_snr_db(snr_db)
     rx_data, pilot_ls = _receive(state, noise)
+    # Back from the chunk's residue order to the symbol-major order of phy.
+    per_symbol = (grid.n_symbols, grid.pilot_spacing - 1, grid.n_pilots)
+    bits = np.swapaxes(state.bits[0].reshape(per_symbol + (2,)), 1, 2).reshape(-1)
+    rx_cells = np.swapaxes(rx_data[0].reshape(per_symbol), 1, 2).reshape(-1)
     single = ChannelRealization(
-        state.realization.tap_delays,
-        state.realization.gains[0],
-        state.realization.freq_response[0],
+        np.array(profile.tap_delays, dtype=np.int64),
+        state.gains[0],
+        np.swapaxes(state.truth[0], 0, 1).reshape(-1),
     )
     return SubframeState(
         trial_index=trial_index,
         snr_db=float(snr_db),
-        bits=state.bits[0],
+        bits=bits,
         pilots=pilots,
-        tx_grid=build_grid(qpsk_modulate(state.bits[0]), pilots, config.grid),
-        rx_grid=build_grid(rx_data[0].reshape(-1), pilot_ls[0] * pilots, config.grid),
+        tx_grid=build_grid(qpsk_modulate(bits), pilots, grid),
+        rx_grid=build_grid(rx_cells, pilot_ls[0] * pilots, grid),
         pilot_ls=pilot_ls[0],
         realization=single,
         noise=noise,

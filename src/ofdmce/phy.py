@@ -11,14 +11,16 @@ Conventions used throughout the package:
   the average cell power and frequency-domain noise keeps the variance of
   the time-domain noise it came from.
 * Data symbols flatten symbol-major: entry ``m * n_data + d`` of a flat
-  data vector is subcarrier ``data_indices[d]`` of OFDM symbol ``m``.
-  Bits pair up as (real, imag) per QPSK symbol in the same order.
+  data vector is the ``d``-th data subcarrier of OFDM symbol ``m``, which
+  for ``d = p (S - 1) + r - 1`` is subcarrier ``p S + r``. Bits pair up as
+  (real, imag) per QPSK symbol in the same order. Inside the sweep a
+  symbol's data cells and bits are in residue order instead, that of the
+  channel estimates: subcarrier ``p S + r`` comes at ``(r - 1) Np + p``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,10 +32,10 @@ __all__ = [
     "qpsk_modulate",
     "qpsk_bit_errors",
     "build_grid",
-    "extract_data",
     "ofdm_modulate",
     "ofdm_demodulate",
     "extract_pilot_ls",
+    "residue_major",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -44,15 +46,6 @@ _QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / _SQRT2
 
 def _is_pow2(value: int) -> bool:
     return value > 0 and value & (value - 1) == 0
-
-
-@lru_cache(maxsize=None)
-def _data_indices(n_subcarriers: int, n_pilots: int) -> np.ndarray:
-    mask = np.ones(n_subcarriers, dtype=bool)
-    mask[:: n_subcarriers // n_pilots] = False
-    idx = np.nonzero(mask)[0]
-    idx.setflags(write=False)
-    return idx
 
 
 @dataclass(frozen=True)
@@ -87,10 +80,6 @@ class GridConfig:
     @property
     def pilot_indices(self) -> np.ndarray:
         return np.arange(0, self.n_subcarriers, self.pilot_spacing)
-
-    @property
-    def data_indices(self) -> np.ndarray:
-        return _data_indices(self.n_subcarriers, self.n_pilots)
 
     @property
     def n_data(self) -> int:
@@ -156,18 +145,12 @@ def build_grid(data_symbols: np.ndarray, pilots: np.ndarray, cfg: GridConfig) ->
     expected = cfg.n_symbols * cfg.n_data
     if data.shape[-1] != expected:
         raise ValueError(f"expected {expected} data symbols per block, got {data.shape[-1]}")
-    batch = data.shape[:-1]
-    grid = np.zeros(batch + (cfg.n_subcarriers, cfg.n_symbols), dtype=np.complex128)
-    grid[..., cfg.pilot_indices, :] = pilots
-    per_symbol = data.reshape(batch + (cfg.n_symbols, cfg.n_data))
-    grid[..., cfg.data_indices, :] = np.swapaxes(per_symbol, -1, -2)
-    return grid
-
-
-def extract_data(grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
-    """Copy the data cells out of a grid, flattened symbol-major."""
-    per_symbol = np.take(np.swapaxes(np.asarray(grid), -1, -2), cfg.data_indices, axis=-1)
-    return per_symbol.reshape(per_symbol.shape[:-2] + (-1,))
+    # Symbol m as (Np, S): pilot p, then data cells p (S - 1) .. p (S - 1) + S - 2.
+    shape = data.shape[:-1] + (cfg.n_symbols, cfg.n_pilots, cfg.pilot_spacing)
+    cells = np.empty(shape, dtype=np.complex128)
+    cells[..., 0] = np.swapaxes(pilots, -1, -2)
+    cells[..., 1:] = data.reshape(cells[..., 1:].shape)
+    return np.swapaxes(cells.reshape(cells.shape[:-2] + (-1,)), -1, -2)
 
 
 def ofdm_modulate(grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
@@ -199,6 +182,13 @@ def ofdm_demodulate(samples: np.ndarray, cfg: GridConfig) -> np.ndarray:
     freq = dft(body)
     freq /= np.sqrt(cfg.n_subcarriers)
     return np.swapaxes(freq, -1, -2)
+
+
+def residue_major(cells: np.ndarray, n_pilots: int) -> np.ndarray:
+    """View cells in subcarrier order, ``(..., N)``, as ``(..., S, Np)`` whose
+    entry ``[r, p]`` is subcarrier ``p S + r``: row 0 the pilots, then data."""
+    arr = np.asarray(cells)
+    return np.swapaxes(arr.reshape(arr.shape[:-1] + (n_pilots, -1)), -1, -2)
 
 
 def extract_pilot_ls(rx_grid: np.ndarray, pilots: np.ndarray, cfg: GridConfig) -> np.ndarray:

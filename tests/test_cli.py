@@ -360,6 +360,23 @@ class TestInspectCommand:
         counts = {r.split(",")[0]: r.split(",")[2] for r in rows}
         assert counts == {"multi-symbol": "64", "conventional-th39": "25", "conventional-th19": "45"}
 
+    @pytest.mark.parametrize("estimator", ESTIMATOR_IDS)
+    def test_every_subcarrier_a_pilot(self, estimator, tmp_path, capsys):
+        """With pilot spacing 1 there are no data cells; each estimator still
+        prints its whole estimate, ``ls-only`` the least-squares pilots themselves."""
+        cfg = tmp_path / "dense.cfg"
+        cfg.write_text("n_pilots = 512\n")
+        argv = ["inspect", "--config", str(cfg), "--snr", "20", "--trial", "3"]
+        assert main([*argv, "--estimator", estimator]) == 0
+        out = capsys.readouterr().out
+        rows = [row.split(",") for row in block_lines(out, "estimate-vs-truth")[1:]]
+        assert len(rows) == 512
+        if estimator == "ideal":
+            assert all(row[1:3] == row[3:] for row in rows)
+        if estimator == "ls-only":
+            pilot_ls = [row.split(",")[1:3] for row in block_lines(out, "pilot-ls")[1:]]
+            assert [row[1:3] for row in rows] == pilot_ls
+
     @pytest.mark.parametrize("estimator", ["ideal", "ls-only"])
     def test_estimators_without_cir_print_their_estimate(self, estimator, capsys):
         """Estimators with no denoised CIR skip that block but print the estimate."""

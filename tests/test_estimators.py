@@ -7,6 +7,7 @@ import pytest
 
 from ofdmce.channel import ChannelRealization, build_profile, complex_normal, tap_gains
 from ofdmce.estimators import (
+    cir_mse,
     conventional_estimate,
     conventional_noise_var,
     equalize,
@@ -17,7 +18,7 @@ from ofdmce.estimators import (
     stack_pilot_cir,
 )
 from ofdmce.harness import ESTIMATORS
-from ofdmce.phy import GridConfig, qpsk_bit_errors
+from ofdmce.phy import GridConfig, qpsk_bit_errors, residue_major
 from ofdmce.spectral import dft, idft
 
 FS = 7.68e6
@@ -263,6 +264,93 @@ class TestRandomGrids:
 
 
 # ---------------------------------------------------------------------------
+# Residue order and MSE by Parseval
+# ---------------------------------------------------------------------------
+
+
+def padded_dft(cir: np.ndarray, n_subcarriers: int) -> np.ndarray:
+    """Reference: the length-N transform of the zero-padded impulse response."""
+    padded = np.zeros(cir.shape[:-1] + (n_subcarriers,), dtype=np.complex128)
+    padded[..., : cir.shape[-1]] = cir
+    return dft(padded)
+
+
+def nearest_pilot_fill(pilots: np.ndarray, n_subcarriers: int) -> np.ndarray:
+    """Reference: gather each subcarrier's cyclically nearest pilot, midpoints
+    rounding up, symbol-major (..., M, N)."""
+    cols = np.swapaxes(pilots, -1, -2)
+    spacing = n_subcarriers // cols.shape[-1]
+    k = np.arange(n_subcarriers)
+    return cols[..., ((k + spacing // 2) // spacing) % cols.shape[-1]]
+
+
+class TestResidueOrder:
+    """Seeded random grids, pilot spacing S = 1 (every cell a pilot) included."""
+
+    @staticmethod
+    def draw_grids(seed: int, count: int):
+        """(rng, N, Np, M) with S = N / Np from 1 to 16."""
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            n_pilots = 2 ** int(rng.integers(0, 8))
+            spacing = 1 if i == 0 else 2 ** int(rng.integers(0, 5))
+            yield rng, n_pilots * spacing, n_pilots, int(rng.integers(1, 5))
+
+    def test_data_cells_are_the_padded_transform_reordered(self):
+        for rng, n, n_pilots, n_symbols in self.draw_grids(51, 60):
+            pilots = complex_normal(rng, (3, n_pilots, n_symbols), 1.0)
+            threshold = int(rng.integers(0, n_pilots))
+            estimates = [conventional_estimate(pilots, n, threshold, 2.0)]
+            if n_symbols >= 2:
+                estimates.append(multi_symbol_estimate(pilots, n))
+            for est in estimates:
+                reference = padded_dft(est.cleaned_cir, n)
+                scale = np.abs(reference).max(initial=1e-300)
+                cells = est.data_cells
+                assert cells.shape == est.cleaned_cir.shape[:-1] + (n // n_pilots - 1, n_pilots)
+                assert cells.flags.c_contiguous
+                err = np.abs(cells - residue_major(reference, n_pilots)[..., 1:, :])
+                assert err.max(initial=0.0) <= 1e-12 * scale, f"N = {n}, Np = {n_pilots}"
+                err = np.abs(est.freq_response - reference).max()
+                assert err <= 1e-12 * scale, f"N = {n}, Np = {n_pilots}: {err / scale:.2e}"
+
+    def test_parseval_mse_is_the_grid_mse(self):
+        """Against taps beyond Np and taps sharing a delay, as well as ETU's
+        38-sample spread over 16 pilots."""
+        cases = [(16, 512, build_profile("etu", FS).tap_delays)]
+        for rng, n, n_pilots, _ in self.draw_grids(52, 60):
+            cases.append((n_pilots, n, rng.integers(0, n, size=int(rng.integers(1, 12)))))
+        rng = np.random.default_rng(53)
+        for n_pilots, n, delays in cases:
+            truth = ChannelRealization.from_taps(delays, complex_normal(rng, (4, len(delays)), 1.0), n)
+            cleaned = complex_normal(rng, (4, 2, n_pilots), 0.1)
+            cleaned[..., n_pilots // 2 :] = 0.0
+            mse = cir_mse(cleaned, *truth.split_taps(n_pilots))
+            grid = estimator_mse(padded_dft(cleaned, n), truth.freq_response)
+            assert mse.shape == (4,)
+            assert np.allclose(mse, grid, rtol=1e-12, atol=0), f"Np = {n_pilots}, delays {delays}"
+
+    def test_split_taps_adds_shared_delays(self):
+        truth = ChannelRealization.from_taps([0, 3, 3, 20, 20], [1.0, 2.0, -0.5, 1.0j, 2.0j], 64)
+        head, tail = truth.split_taps(16)
+        assert np.array_equal(head, np.eye(1, 16, 0)[0] + 1.5 * np.eye(1, 16, 3)[0])
+        assert tail == 9.0
+
+    def test_ls_only_is_the_nearest_pilot_gather(self):
+        for rng, n, n_pilots, n_symbols in self.draw_grids(54, 60):
+            pilots = complex_normal(rng, (3, n_pilots, n_symbols), 1.0)
+            est = ls_nearest_estimate(pilots, n)
+            assert est.data_cells.flags.c_contiguous
+            assert np.array_equal(est.freq_response, nearest_pilot_fill(pilots, n)), f"N = {n}, Np = {n_pilots}"
+
+    def test_grid_must_hold_whole_pilot_spacings(self):
+        with pytest.raises(ValueError, match="multiple of the pilot count"):
+            conventional_estimate(np.ones((64, 1)), 100, 39, 2.0)
+        with pytest.raises(ValueError, match="multiple of the pilot count"):
+            ls_nearest_estimate(np.ones((64, 1)), 32)
+
+
+# ---------------------------------------------------------------------------
 # Ideal and nearest-pilot baselines
 # ---------------------------------------------------------------------------
 
@@ -272,8 +360,9 @@ class TestBaselines:
         profile = build_profile("etu", FS)
         gains = tap_gains(profile, np.random.default_rng(29))
         truth = ChannelRealization.from_taps(profile.tap_delays, gains, 512)
-        est = ESTIMATORS["ideal"].run(None, None, truth)
-        assert est.freq_response.shape == (1, 512)
+        est = ESTIMATORS["ideal"].run(None, None, residue_major(truth.freq_response, 64))
+        assert est.data_cells.shape == (1, 7, 64)
+        assert np.array_equal(est.freq_response, truth.freq_response[None, :])
         assert est.sigma2_hat is None and est.cleaned_cir is None
         assert estimator_mse(est.freq_response, truth.freq_response) == 0.0
 
@@ -367,6 +456,23 @@ class TestEqualize:
             equalize(rx, np.ones((2, 4), dtype=complex))
         with pytest.raises(ValueError, match="symbol-major"):
             equalize(rx, np.ones((2, 3, 4), dtype=complex))
+
+    def test_strided_estimate_gives_c_ordered_products(self):
+        """Strided estimates, such as ideal's rows of the true response or a
+        Fortran-ordered block, equalize into a fresh C-ordered array with the
+        decisions of a contiguous copy."""
+        rng = np.random.default_rng(42)
+        rx = complex_normal(rng, (5, 2, 56), 1.0)
+        truth = complex_normal(rng, (5, 8, 8), 1.0)
+        for h in (
+            truth[:, None, 1:, :].reshape(5, 1, 56),
+            np.asfortranarray(complex_normal(rng, (5, 2, 56), 1.0)),
+        ):
+            assert not h.flags.c_contiguous
+            out = equalize(rx, h)
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, equalize(rx, np.ascontiguousarray(h)))
+            assert qpsk_bit_errors(out, decided_bits(rx / h)) == 0
 
     def test_mse_of_constant_offset(self):
         truth = ChannelRealization.from_taps([0], [1.0], 8)

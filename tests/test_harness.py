@@ -8,8 +8,10 @@ import pytest
 
 from ofdmce import harness
 from ofdmce.channel import NoiseSpec, apply_channel, complex_normal, tap_gains
+from ofdmce.estimators import estimator_mse
 from ofdmce.harness import (
     ESTIMATOR_IDS,
+    ESTIMATORS,
     BerRecord,
     SimConfig,
     awgn_qpsk_ber,
@@ -24,12 +26,14 @@ from ofdmce.harness import (
 from ofdmce.phy import (
     GridConfig,
     build_grid,
-    extract_data,
     extract_pilot_ls,
     ofdm_demodulate,
     ofdm_modulate,
     qpsk_modulate,
+    residue_major,
 )
+
+from test_phy import data_cells
 
 
 def tiny_config(**overrides) -> SimConfig:
@@ -181,7 +185,16 @@ class TestSubframePairing:
         for j, trial in enumerate(trials):
             stream = harness._trial_rng(cfg.master_seed, trial, harness._CHANNEL)
             expected = tap_gains(profile, stream if fading else None)
-            assert np.array_equal(state.realization.gains[j], expected)
+            assert np.array_equal(state.gains[j], expected)
+
+    def test_bits_are_the_trial_stream_in_grid_order(self):
+        """A subframe's bits are its bit stream as drawn, in phy's symbol-major
+        order, whatever order the sweep keeps them in."""
+        cfg = tiny_config()
+        for trial in (0, 7):
+            stream = harness._trial_rng(cfg.master_seed, trial, harness._BITS)
+            drawn = stream.integers(0, 2, cfg.grid.data_bits_per_block)
+            assert np.array_equal(simulate_subframe(cfg, 10.0, trial).bits, drawn)
 
     def test_infinite_snr_is_noiseless(self):
         """snr = inf leaves H * X at every cell."""
@@ -246,7 +259,7 @@ class TestFrequencyDomainReceive:
             rx_samples = rx_samples + math.sqrt(noise.sigma2) * unit_noise
             reference = ofdm_demodulate(rx_samples, grid)
             scale = np.abs(reference).max()
-            data_error = np.abs(extract_data(state.rx_grid, grid) - extract_data(reference, grid))
+            data_error = np.abs(data_cells(state.rx_grid, grid) - data_cells(reference, grid))
             assert data_error.max(initial=0.0) <= 1e-12 * scale
             pilot_error = np.abs(state.pilot_ls - extract_pilot_ls(reference, state.pilots, grid))
             assert pilot_error.max() <= 1e-12 * scale
@@ -315,6 +328,22 @@ class TestRunTrial:
             assert record.bit_errors == 0, f"{estimator_id}: {record.bit_errors} errors"
             assert record.mean_mse <= 1e-18, f"{estimator_id}: mse {record.mean_mse}"
 
+    def test_mse_is_the_full_grid_error(self):
+        """Every estimator's mean_mse is the mean over subframes of its
+        estimate's squared error over all N cells, whether the sweep takes it
+        by Parseval or from the pilot row and data block; ideal's is 0."""
+        cfg = tiny_config(subframes_per_point=3, snr_points_db=(15.0,), estimators=ESTIMATOR_IDS)
+        for record in sweep(cfg, workers=1):
+            errors = []
+            for trial in range(3):
+                state = simulate_subframe(cfg, 15.0, trial)
+                truth = state.realization.freq_response
+                est = ESTIMATORS[record.estimator_id].run(
+                    cfg, state.pilot_ls, residue_major(truth, cfg.grid.n_pilots)
+                )
+                errors.append(estimator_mse(est.freq_response, truth))
+            assert record.mean_mse == pytest.approx(np.mean(errors), rel=1e-12), record.estimator_id
+
     def test_total_bits_bookkeeping(self):
         """Each subframe carries M * (N - Np) * 2 data bits."""
         record = one_trial("ideal", 10.0)
@@ -336,20 +365,36 @@ class TestRunTrial:
 
 
 class TestSweep:
-    def test_matches_per_trial_runs(self, monkeypatch):
-        """Chunks of one trial, or of three, total what the default chunking does.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_trial_runs(self, monkeypatch, seed):
+        """Chunks of one trial, of seven, or of 256 total the same counts, on
+        seeded random grids with all five estimators.
 
         Every trial draws from its own streams, so the bit-error counts match
         exactly; the sums behind the means are reordered by the chunking.
         """
-        cfg = tiny_config(subframes_per_point=7, estimators=ESTIMATOR_IDS)
-        reference = sweep(cfg, workers=1)
-        for chunk in (1, 3):
+        rng = np.random.default_rng(seed)
+        n_pilots = 2 ** int(rng.integers(3, 7))
+        grid = GridConfig(
+            n_subcarriers=n_pilots * 2 ** int(rng.integers(1, 4)),
+            n_pilots=n_pilots,
+            n_symbols=int(rng.integers(2, 4)),
+            cp_len=10,
+        )
+        cfg = SimConfig(
+            grid=grid, sample_rate_hz=1.92e6, snr_points_db=(5.0, 15.0),
+            subframes_per_point=int(rng.integers(8, 20)), estimators=ESTIMATOR_IDS,
+            master_seed=seed, th_perfect=n_pilots - 1, th_inaccurate=n_pilots // 2,
+        )
+        records = {}
+        for chunk in (1, 7, 256):
             monkeypatch.setattr(harness, "_CHUNK", chunk)
-            records = sweep(cfg, workers=1)
-            for ref, rec in zip(reference, records, strict=True):
+            records[chunk] = sweep(cfg, workers=1)
+        reference = records.pop(256)
+        for chunk, chunked in records.items():
+            for ref, rec in zip(reference, chunked, strict=True):
                 label = f"chunk {chunk}, {rec.estimator_id}@{rec.snr_db}"
-                assert rec.bit_errors == ref.bit_errors, label
+                assert (rec.bit_errors, rec.total_bits) == (ref.bit_errors, ref.total_bits), label
                 assert rec.mean_mse == pytest.approx(ref.mean_mse, rel=1e-12, abs=1e-300), label
                 if ref.mean_sigma2_hat is None:
                     assert rec.mean_sigma2_hat is None, label

@@ -6,17 +6,23 @@ import pytest
 from ofdmce.phy import (
     GridConfig,
     build_grid,
-    extract_data,
     extract_pilot_ls,
     generate_pilots,
     ofdm_demodulate,
     ofdm_modulate,
     qpsk_bit_errors,
     qpsk_modulate,
+    residue_major,
 )
 
 DEFAULT = GridConfig()
 SMALL = GridConfig(n_subcarriers=64, n_pilots=8, n_symbols=2, cp_len=12)
+
+
+def data_cells(grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
+    """Reference: a grid's non-pilot cells, flattened symbol-major."""
+    per_symbol = np.delete(np.swapaxes(grid, -1, -2), cfg.pilot_indices, axis=-1)
+    return per_symbol.reshape(per_symbol.shape[:-2] + (-1,))
 
 
 def random_grid(rng: np.random.Generator, cfg: GridConfig) -> np.ndarray:
@@ -41,10 +47,12 @@ class TestGridConfig:
         assert np.array_equal(DEFAULT.pilot_indices, np.arange(0, 512, 8))
         assert DEFAULT.pilot_indices[0] == 0, "subcarrier 0 carries a pilot"
 
-    def test_pilots_and_data_partition_the_grid(self):
-        """Every subcarrier is exactly one of pilot or data."""
-        merged = np.concatenate([DEFAULT.pilot_indices, DEFAULT.data_indices])
-        assert np.array_equal(np.sort(merged), np.arange(512))
+    def test_residue_major_view(self):
+        """Entry [r, p] is subcarrier p S + r; row 0 holds the pilot subcarriers."""
+        cells = residue_major(np.arange(2 * 64).reshape(2, 64), 8)
+        assert cells.shape == (2, 8, 8)
+        assert cells[1, 3, 5] == 64 + 5 * 8 + 3
+        assert np.array_equal(cells[0, 0], SMALL.pilot_indices)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -146,7 +154,8 @@ class TestGridAssembly:
         data = qpsk_modulate(rng.integers(0, 2, size=SMALL.data_bits_per_block))
         grid = build_grid(data, generate_pilots(1, SMALL), SMALL)
         assert grid.shape == (64, 2)
-        assert np.array_equal(extract_data(grid, SMALL), data)
+        assert np.array_equal(data_cells(grid, SMALL), data)
+        assert np.array_equal(grid[SMALL.pilot_indices], generate_pilots(1, SMALL))
 
     def test_pilot_cells_hold_pilot_values(self):
         pilots = generate_pilots(2, SMALL)
@@ -227,4 +236,4 @@ class TestEndToEnd:
         pilots = generate_pilots(13, DEFAULT)
         grid = build_grid(qpsk_modulate(bits), pilots, DEFAULT)
         rx_grid = ofdm_demodulate(ofdm_modulate(grid, DEFAULT), DEFAULT)
-        assert qpsk_bit_errors(extract_data(rx_grid, DEFAULT), bits) == 0
+        assert qpsk_bit_errors(data_cells(rx_grid, DEFAULT), bits) == 0
