@@ -171,12 +171,13 @@ class ChannelRealization:
 
     @property
     def delay_spread(self) -> int:
-        return int(self.tap_delays[-1])
+        """Largest tap delay in samples, in whatever order the taps come."""
+        return int(self.tap_delays.max())
 
     def split_taps(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """The impulse response at delays below ``length``, ``(..., length)``,
         and the energy ``(...)`` of the rest; taps sharing a delay add up."""
-        width = max(length, int(self.tap_delays.max()) + 1)
+        width = max(length, self.delay_spread + 1)
         taps = np.zeros(self.gains.shape[:-1] + (width,), dtype=np.complex128)
         np.add.at(taps, (..., self.tap_delays), self.gains)
         return taps[..., :length], np.sum(np.abs(taps[..., length:]) ** 2, axis=-1)

@@ -187,7 +187,7 @@ def multi_symbol_estimate(pilots: np.ndarray, n_subcarriers: int) -> Estimate:
     return Estimate(_data_cells(cleaned, n_subcarriers), sigma2_hat=sigma2, cleaned_cir=cleaned)
 
 
-def equalize(rx_data: np.ndarray, h_data: np.ndarray) -> np.ndarray:
+def equalize(rx_data: np.ndarray, h_data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Zero-forcing equalization for hard decisions, in the sign domain.
 
     ``rx_data`` holds data cells symbol-major, ``(..., M, K)``, and
@@ -197,7 +197,8 @@ def equalize(rx_data: np.ndarray, h_data: np.ndarray) -> np.ndarray:
     and imaginary parts keep their signs, so QPSK decisions are those of
     dividing, a deep fade keeps its phase, and no division can overflow.
     Cells where ``h`` is exactly 0 return ``rx`` itself, so their decisions
-    follow the received signs.
+    follow the received signs. The product is written into ``out`` if given,
+    a C-ordered complex128 array of ``rx``'s shape that does not overlap it.
     """
     rx = np.asarray(rx_data)
     h = np.asarray(h_data)
@@ -206,8 +207,10 @@ def equalize(rx_data: np.ndarray, h_data: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"estimate {h.shape} is not symbol-major (..., M', K) for data cells {rx.shape}"
         )
-    # A fresh C-ordered product, whatever the strides of h.
-    weights = np.conjugate(h, out=np.empty(rx.shape, dtype=np.complex128))
+    # A C-ordered product, whatever the strides of h.
+    if out is None:
+        out = np.empty(rx.shape, dtype=np.complex128)
+    weights = np.conjugate(h, out=out)
     if not weights.all():
         weights[weights == 0] = 1.0
     return np.multiply(rx, weights, out=weights)

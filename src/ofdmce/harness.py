@@ -1,13 +1,19 @@
 """Monte Carlo BER harness with paired random streams.
 
-Every trial (subframe) owns three random substreams derived from
-``(master_seed, trial_index, purpose)`` with purposes bits / channel /
-noise. Estimator choice never touches the streams, so all estimators see
-identical channels and noise (paired comparison), and results do not
-depend on how trials are scheduled across workers: trials are processed in
-fixed-size chunks whose boundaries depend only on the trial count, partial
-sums are reduced in chunk order, and the noise stream is drawn once per
-trial at unit variance and scaled per SNR point. Repeated runs of the same
+Every trial (subframe) owns three random substreams, exactly numpy's
+``default_rng((master_seed, trial_index, purpose))`` with purposes bits /
+channel / noise. They are seeded a chunk at a time: one vectorised pass of
+SeedSequence's hash gives the PCG64 state of every stream of the chunk, and
+three reused generators take those states trial by trial. The stream tests
+compare these states with ``default_rng``'s, so a numpy release that changed
+SeedSequence or PCG64 fails them.
+
+Estimator choice never touches the streams, so all estimators see identical
+channels and noise (paired comparison), and results do not depend on how
+trials are scheduled across workers: trials are processed in fixed-size
+chunks whose boundaries depend only on the trial count, partial sums are
+reduced in chunk order, and the noise stream is drawn once per trial at
+unit variance and scaled per SNR point. Repeated runs of the same
 configuration therefore produce byte-identical CSV files at any worker
 count.
 
@@ -236,8 +242,92 @@ def awgn_qpsk_ber(snr_db: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _trial_rng(seed: int, trial: int, purpose: int) -> np.random.Generator:
-    return np.random.default_rng((seed, int(trial), purpose))
+# numpy's SeedSequence hash over a pool of four 32-bit words, and PCG64's
+# seeding step; NEP 19 fixes both for every numpy release.
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _entropy_words(value: int) -> list[int]:
+    """SeedSequence's 32-bit words of a nonnegative int, least significant first."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's running hash of 32-bit words; each call moves the constant on."""
+
+    def step(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return step
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word with a hashed word."""
+    value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return value ^ (value >> _XSHIFT)
+
+
+def _stream_states(seed: int, trials) -> list[tuple[dict, ...]]:
+    """The PCG64 states of ``np.random.default_rng((seed, trial, purpose))``
+    for every trial, one per purpose, hashed in one pass over the chunk.
+
+    Entropy shorter than the pool is hashed as if zero padded; every word
+    past the pool (seeds or trials of 2**32 and up) is mixed into each pool
+    word, but only in the rows that have it.
+    """
+    head = _entropy_words(int(seed))
+    rows = [head + _entropy_words(int(trial)) for trial in trials]
+    lengths = np.array([len(row) + 1 for row in rows])[:, None]
+    entropy = np.zeros((len(rows), 3, max(_POOL, int(lengths.max()))), dtype=np.uint32)
+    for j, row in enumerate(rows):
+        entropy[j, :, : len(row)] = row
+        entropy[j, :, len(row)] = (_BITS, _CHANNEL, _NOISE)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[..., i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, entropy.shape[-1]):
+        has_word = lengths > src
+        for dst in range(_POOL):
+            pool[dst] = np.where(has_word, _mix(pool[dst], hashmix(entropy[..., src])), pool[dst])
+
+    # generate_state(4, uint64): eight words cycled from the pool, paired little-endian.
+    generate = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([generate(pool[i % _POOL]) for i in range(8)], axis=-1).astype("<u4", copy=False)
+    words = state.view("<u8").reshape(len(rows), 3 * 4).tolist()
+
+    # PCG64's seeding step, in Python ints because its state takes them.
+    def pcg64(w0, w1, w2, w3):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        pcg = {"state": ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+        return {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+
+    return [(pcg64(*w[0:4]), pcg64(*w[4:8]), pcg64(*w[8:12])) for w in words]
+
+
+def _bits_from_raw(raw: np.ndarray, n_bits: int) -> np.ndarray:
+    """``integers(0, 2, n_bits)`` of each row's generator from its
+    ``random_raw((n_bits + 1) // 2)`` outputs: the top bit of every 32-bit
+    half, low half first."""
+    return np.asarray(raw, dtype="<u8").view("<u4")[..., :n_bits] >= np.uint32(2**31)
 
 
 @dataclass(eq=False)
@@ -269,18 +359,25 @@ def _draw_chunk(
     """
     grid = config.grid
     n_trials = len(trials)
-    bits = np.empty((n_trials, grid.data_bits_per_block), dtype=bool)
+    states = _stream_states(config.master_seed, trials)
+    # Three generators, reseated for every trial.
+    bits_gen, channel_gen, noise_gen = (np.random.PCG64(0) for _ in range(3))
+    channel_rng = np.random.Generator(channel_gen) if config.fading else None
+    noise_rng = np.random.Generator(noise_gen)
+    # Bits first, so that their raw outputs are freed before the noise is drawn.
+    raw = np.empty((n_trials, (grid.data_bits_per_block + 1) // 2), dtype="<u8")
+    for j, trial_states in enumerate(states):
+        bits_gen.state = trial_states[_BITS]
+        raw[j] = bits_gen.random_raw(raw.shape[1])
+    bits = _bits_from_raw(raw, grid.data_bits_per_block)
+    del raw
     unit_noise = np.empty((n_trials, grid.samples_per_block), dtype=np.complex128)
     gains = np.empty((n_trials, len(profile.tap_delays)), dtype=np.complex128)
-    for j, trial in enumerate(trials):
-        bits[j] = _trial_rng(config.master_seed, trial, _BITS).integers(
-            0, 2, grid.data_bits_per_block
-        )
-        channel_rng = _trial_rng(config.master_seed, trial, _CHANNEL) if config.fading else None
+    for j, trial_states in enumerate(states):
+        channel_gen.state = trial_states[_CHANNEL]
+        noise_gen.state = trial_states[_NOISE]
         gains[j] = tap_gains(profile, channel_rng)
-        unit_noise[j] = complex_normal(
-            _trial_rng(config.master_seed, trial, _NOISE), grid.samples_per_block, 1.0
-        )
+        unit_noise[j] = complex_normal(noise_rng, grid.samples_per_block, 1.0)
     realization = ChannelRealization.from_taps(
         np.array(profile.tap_delays), gains, grid.n_subcarriers
     )
@@ -305,12 +402,13 @@ def _draw_chunk(
     )
 
 
-def _receive(state: _ChunkState, noise: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Received data cells and pilot least-squares observations at one SNR."""
+def _receive(state: _ChunkState, noise: NoiseSpec, rx_data: np.ndarray) -> np.ndarray:
+    """Write the received data cells at one SNR into ``rx_data`` and return
+    the pilot least-squares observations."""
     scale = math.sqrt(noise.sigma2)
-    rx_data = scale * state.noise_data
+    np.multiply(state.noise_data, scale, out=rx_data)
     rx_data += state.clean_data
-    return rx_data, state.clean_pilot_ls + scale * state.noise_pilot_ls
+    return state.clean_pilot_ls + scale * state.noise_pilot_ls
 
 
 def _flat(cells: np.ndarray) -> np.ndarray:
@@ -351,15 +449,18 @@ def _sweep_chunk(args):
         for estimator_id in config.estimators
         if not ESTIMATORS[estimator_id].reads_pilots
     }
+    # One received-cells and one product buffer serve every SNR point.
+    rx_data = np.empty_like(state.clean_data)
+    product = np.empty_like(state.clean_data)
     partial = {}
     for snr_idx, snr_db in enumerate(config.snr_points_db):
-        rx_data, pilot_ls = _receive(state, NoiseSpec.from_snr_db(snr_db))
+        pilot_ls = _receive(state, NoiseSpec.from_snr_db(snr_db), rx_data)
         for estimator_id in config.estimators:
             if estimator_id in fixed:
                 h_data, mse, sigma2 = fixed[estimator_id]
             else:
                 h_data, mse, sigma2 = _estimate_cells(config, estimator_id, pilot_ls, state)
-            decided = equalize(rx_data, h_data).reshape(bits.shape[:-1] + (-1,))
+            decided = equalize(rx_data, h_data, out=product).reshape(bits.shape[:-1] + (-1,))
             partial[snr_idx, estimator_id] = (qpsk_bit_errors(decided, bits), mse, sigma2)
     return partial
 
@@ -371,7 +472,8 @@ def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int) -> Sub
     pilots = generate_pilots(config.master_seed, grid)
     state = _draw_chunk(config, profile, pilots, np.array([trial_index]))
     noise = NoiseSpec.from_snr_db(snr_db)
-    rx_data, pilot_ls = _receive(state, noise)
+    rx_data = np.empty_like(state.clean_data)
+    pilot_ls = _receive(state, noise, rx_data)
     # Back from the chunk's residue order to the symbol-major order of phy.
     per_symbol = (grid.n_symbols, grid.pilot_spacing - 1, grid.n_pilots)
     bits = np.swapaxes(state.bits[0].reshape(per_symbol + (2,)), 1, 2).reshape(-1)

@@ -229,6 +229,14 @@ class TestApplyChannel:
         fitting = ChannelRealization.from_taps([0, 40], [1.0, 0.5], 512)
         assert apply_channel(np.zeros(100), fitting, 40).shape == (100,)
 
+    def test_unsorted_delays_check_the_largest(self):
+        """Taps may come in any order; the spread is the largest delay, so a
+        5-sample echo listed first is refused without a prefix."""
+        unsorted = ChannelRealization.from_taps([5, 0], [1, 1], 16)
+        assert unsorted.delay_spread == 5
+        with pytest.raises(ValueError, match="delay spread 5 exceeds cp_len 0"):
+            apply_channel(np.ones(16), unsorted, cp_len=0)
+
     def test_spread_equal_to_cp_gives_the_frequency_response(self):
         """The tap at delay cp_len reads only the prefix of its own symbol."""
         cfg = GridConfig(n_subcarriers=64, n_pilots=8, n_symbols=2, cp_len=12)

@@ -474,6 +474,19 @@ class TestEqualize:
             assert np.array_equal(out, equalize(rx, np.ascontiguousarray(h)))
             assert qpsk_bit_errors(out, decided_bits(rx / h)) == 0
 
+    def test_writes_the_product_into_out(self):
+        """With ``out`` the product lands in that buffer, reused call after
+        call, equal to a fresh product, zero-estimate cells included."""
+        rng = np.random.default_rng(43)
+        rx = complex_normal(rng, (4, 2, 24), 1.0)
+        out = np.full(rx.shape, np.nan, dtype=np.complex128)
+        for rows in (1, 2):
+            h = complex_normal(rng, (4, rows, 24), 1.0)
+            h[:, :, ::5] = 0
+            fresh = equalize(rx, h)
+            assert equalize(rx, h, out=out) is out
+            assert np.array_equal(out, fresh)
+
     def test_mse_of_constant_offset(self):
         truth = ChannelRealization.from_taps([0], [1.0], 8)
         est = truth.freq_response[None, :] + 1.0

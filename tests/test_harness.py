@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ofdmce import harness
-from ofdmce.channel import NoiseSpec, apply_channel, complex_normal, tap_gains
+from ofdmce.channel import ChannelRealization, NoiseSpec, apply_channel, complex_normal, tap_gains
+from ofdmce.cli import main
 from ofdmce.estimators import estimator_mse
 from ofdmce.harness import (
     ESTIMATOR_IDS,
@@ -27,12 +28,15 @@ from ofdmce.phy import (
     GridConfig,
     build_grid,
     extract_pilot_ls,
+    generate_pilots,
     ofdm_demodulate,
     ofdm_modulate,
+    qpsk_bit_errors,
     qpsk_modulate,
     residue_major,
 )
 
+from test_cli import block_lines
 from test_phy import data_cells
 
 
@@ -183,7 +187,7 @@ class TestSubframePairing:
         trials = np.array([0, 3, 300])
         state = harness._draw_chunk(cfg, profile, pilots, trials)
         for j, trial in enumerate(trials):
-            stream = harness._trial_rng(cfg.master_seed, trial, harness._CHANNEL)
+            stream = np.random.default_rng((cfg.master_seed, int(trial), harness._CHANNEL))
             expected = tap_gains(profile, stream if fading else None)
             assert np.array_equal(state.gains[j], expected)
 
@@ -192,7 +196,7 @@ class TestSubframePairing:
         order, whatever order the sweep keeps them in."""
         cfg = tiny_config()
         for trial in (0, 7):
-            stream = harness._trial_rng(cfg.master_seed, trial, harness._BITS)
+            stream = np.random.default_rng((cfg.master_seed, trial, harness._BITS))
             drawn = stream.integers(0, 2, cfg.grid.data_bits_per_block)
             assert np.array_equal(simulate_subframe(cfg, 10.0, trial).bits, drawn)
 
@@ -202,6 +206,107 @@ class TestSubframePairing:
         state = simulate_subframe(cfg, math.inf, 0)
         clean = state.realization.freq_response[:, None] * state.tx_grid
         assert np.allclose(state.rx_grid, clean, rtol=1e-15, atol=0)
+
+
+def reference_subframe(config: SimConfig, trial: int, snr_db: float):
+    """One subframe drawn from its own ``default_rng((seed, trial, purpose))``
+    streams and sent through the time-domain chain: its bits, channel and
+    demodulated grid."""
+    grid = config.grid
+    profile = resolve_profile(config)
+    bits_rng, channel_rng, noise_rng = (
+        np.random.default_rng((config.master_seed, trial, purpose)) for purpose in range(3)
+    )
+    bits = bits_rng.integers(0, 2, grid.data_bits_per_block)
+    gains = tap_gains(profile, channel_rng if config.fading else None)
+    unit_noise = complex_normal(noise_rng, grid.samples_per_block, 1.0)
+    realization = ChannelRealization.from_taps(profile.tap_delays, gains, grid.n_subcarriers)
+    tx_grid = build_grid(qpsk_modulate(bits), generate_pilots(config.master_seed, grid), grid)
+    rx_samples = apply_channel(ofdm_modulate(tx_grid, grid), realization, grid.cp_len)
+    rx_samples += math.sqrt(NoiseSpec.from_snr_db(snr_db).sigma2) * unit_noise
+    return bits, realization, ofdm_demodulate(rx_samples, grid)
+
+
+class TestTrialStreams:
+    """Each chunk seeds its streams in one batch; every stream stays exactly
+    numpy's ``default_rng((seed, trial, purpose))``, so these tests also catch
+    a numpy release that changed SeedSequence or PCG64."""
+
+    EDGES = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**100]
+
+    def test_states_are_the_default_rng_states(self):
+        """Batched PCG64 states equal default_rng's for all three purposes,
+        over random and edge seeds and trials (one to four entropy words
+        each, so up to nine words, and rows of different lengths in a batch)."""
+        rng = np.random.default_rng(909)
+        seeds = self.EDGES + [int(rng.integers(2**32)), int(rng.integers(2**63)), 12345]
+        trials = self.EDGES + [int(t) for t in rng.integers(0, 2**40, 6)] + [2**32 - 2, 7]
+        for seed in seeds:
+            states = harness._stream_states(seed, trials)
+            assert len(states) == len(trials)
+            for trial, trial_states in zip(trials, states):
+                for purpose in (harness._BITS, harness._CHANNEL, harness._NOISE):
+                    expected = np.random.default_rng((seed, trial, purpose)).bit_generator.state
+                    assert trial_states[purpose] == expected, (seed, trial, purpose)
+
+    @pytest.mark.parametrize("n_bits", [1, 2, 6, 7, 1792, 1794])
+    def test_raw_bits_are_integers_0_2(self, n_bits):
+        """The top bit of each 32-bit half, low half first, is ``integers(0, 2, n)``,
+        for an odd count of raw outputs too; rows are independent streams."""
+        n_raw = (n_bits + 1) // 2
+        raw = np.stack([np.random.PCG64(seed).random_raw(n_raw) for seed in range(3)])
+        expected = [np.random.Generator(np.random.PCG64(seed)).integers(0, 2, n_bits) for seed in range(3)]
+        assert np.array_equal(harness._bits_from_raw(raw, n_bits), np.stack(expected))
+
+    def test_chunk_across_two_to_the_32(self):
+        """A chunk whose trials straddle 2**32, under a two-word seed, draws
+        each trial's bits and gains from its own default_rng streams."""
+        cfg = tiny_config(master_seed=2**32 + 1)
+        profile = resolve_profile(cfg)
+        trials = [2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1]
+        state = harness._draw_chunk(
+            cfg, profile, generate_pilots(cfg.master_seed, cfg.grid), np.array(trials)
+        )
+        for j, trial in enumerate(trials):
+            bits, realization, _ = reference_subframe(cfg, trial, 10.0)
+            assert np.array_equal(state.gains[j], realization.gains)
+            assert np.array_equal(simulate_subframe(cfg, 10.0, trial).bits, bits)
+
+    def test_inspect_of_a_large_trial_matches_the_reference(self, capsys):
+        """``inspect --trial 4294967299`` prints the channel and pilot LS of
+        that trial's default_rng streams."""
+        trial, snr_db = 4294967299, 20.0
+        assert main(["inspect", "--trial", str(trial), "--snr", "20", "--estimator", "ideal"]) == 0
+        out = capsys.readouterr().out
+        cfg = SimConfig()
+        _, realization, rx = reference_subframe(cfg, trial, snr_db)
+        rows = block_lines(out, "pilot-ls")[1:]
+        printed = np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
+        pilot_ls = printed[:, 0::2] + 1j * printed[:, 1::2]
+        reference = extract_pilot_ls(rx, generate_pilots(cfg.master_seed, cfg.grid), cfg.grid)
+        assert np.abs(pilot_ls - reference).max() <= 1e-9 * np.abs(reference).max()
+        rows = block_lines(out, "estimate-vs-truth")[1:]
+        printed = np.array([[float(x) for x in row.split(",")[3:]] for row in rows])
+        truth = realization.freq_response
+        assert np.abs(printed[:, 0] + 1j * printed[:, 1] - truth).max() <= 1e-11 * np.abs(truth).max()
+
+    def test_sweep_at_a_large_seed_matches_the_reference(self, tmp_path):
+        """``sweep --seed 4294967301`` counts the errors of the default_rng
+        subframes equalized with the true channel."""
+        seed, snr_db, n_trials = 4294967301, 3.0, 3
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--seed", str(seed), "--estimators", "ideal", "--snr", "3",
+                "--subframes", str(n_trials), "--workers", "1", "--out", str(out)]
+        assert main(argv) == 0
+        (record,) = read_csv(out)
+        cfg = SimConfig(master_seed=seed)
+        errors = 0
+        for trial in range(n_trials):
+            bits, realization, rx = reference_subframe(cfg, trial, snr_db)
+            equalized = rx * np.conj(realization.freq_response)[:, None]
+            errors += qpsk_bit_errors(data_cells(equalized, cfg.grid), bits)
+        assert errors > 0
+        assert (record.bit_errors, record.total_bits) == (errors, n_trials * cfg.grid.data_bits_per_block)
 
 
 def reference_configs():
@@ -252,7 +357,7 @@ class TestFrequencyDomainReceive:
         noise = NoiseSpec.from_snr_db(snr_db)
         for trial in (0, 5):
             state = simulate_subframe(config, snr_db, trial)
-            stream = harness._trial_rng(config.master_seed, trial, harness._NOISE)
+            stream = np.random.default_rng((config.master_seed, trial, harness._NOISE))
             unit_noise = complex_normal(stream, grid.samples_per_block, 1.0)
             tx_samples = ofdm_modulate(state.tx_grid, grid)
             rx_samples = apply_channel(tx_samples, state.realization, grid.cp_len)
@@ -297,7 +402,7 @@ class TestFrequencyDomainReceive:
         def no_draws(*args):
             raise AssertionError("drew before checking the prefix")
 
-        monkeypatch.setattr(harness, "_trial_rng", no_draws)
+        monkeypatch.setattr(harness, "_stream_states", no_draws)
         monkeypatch.setattr(harness, "generate_pilots", no_draws)
         cfg = tiny_config(grid=GridConfig(cp_len=8))
         for run in (lambda: sweep(cfg, workers=1), lambda: simulate_subframe(cfg, 10.0, 0)):
