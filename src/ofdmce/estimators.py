@@ -2,9 +2,9 @@
 
 Every estimator takes the same input, the pilot least-squares grid
 ``(..., Np, M)`` of a block of ``M`` OFDM symbols, and returns one
-:class:`Estimate`: the estimate at the data and pilot cells, the noise
-estimate ``(..., M')`` and the denoised impulse response ``(..., M', Np)``
-(None where the estimator has none). ``M' = 1`` when one response serves the
+:class:`Estimate`: the estimate at every cell, the noise estimate
+``(..., M')`` and the denoised impulse response ``(..., M', Np)`` (None
+where the estimator has none). ``M' = 1`` when one response serves the
 whole block and ``M' = M`` for one per OFDM symbol. Leading axes are batch
 axes.
 
@@ -26,12 +26,12 @@ axes.
 * ``ls_nearest_estimate`` copies each subcarrier's nearest pilot
   observation, a diagnostic baseline without denoising.
 
-Data cells are in residue order: with pilot spacing ``S = N / Np``,
-subcarrier ``p S + r`` is entry ``[r - 1, p]`` of one C-ordered
-``(..., M', S - 1, Np)`` block, which ``equalize`` reads flattened with no
-gather. Transforming back at the full grid length is the zero-padded
-length-``N`` DFT at those cells only, ``S - 1`` pilot-length transforms (a
-pruned FFT). The genie bound is the true response in residue order.
+Cells are in residue order: with pilot spacing ``S = N / Np``, subcarrier
+``p S + r`` is entry ``[r, p]`` of one C-ordered ``(..., M', S, Np)`` grid,
+row 0 the pilots and rows ``1 .. S - 1`` the data, which ``equalize`` reads
+flattened with no gather. Transforming back at the full grid length is the
+zero-padded length-``N`` DFT as ``S`` pilot-length transforms (a pruned
+FFT). The genie bound is the true response in residue order.
 ``estimator_mse`` scores a whole grid; ``cir_mse`` gives the same number
 for a cleaned impulse response from the true taps alone, by Parseval.
 """
@@ -59,35 +59,31 @@ __all__ = [
 
 
 class Estimate(NamedTuple):
-    """Data cells ``(..., M', S - 1, Np)`` in residue order, pilot cells
-    ``(..., M', Np)`` or None where they are ``dft(cleaned_cir)``, the noise
-    estimate ``(..., M')`` and the denoised impulse response ``(..., M', Np)``
-    transformed into them, each None where there is none."""
+    """Every cell ``(..., M', S, Np)`` in residue order, the noise estimate
+    ``(..., M')`` and the denoised impulse response ``(..., M', Np)``
+    transformed into the cells, each None where there is none."""
 
-    data_cells: np.ndarray
-    pilot_cells: np.ndarray | None = None
+    cells: np.ndarray
     sigma2_hat: np.ndarray | None = None
     cleaned_cir: np.ndarray | None = None
 
     @property
     def freq_response(self) -> np.ndarray:
         """Every cell in subcarrier order, ``(..., M', N)``."""
-        pilots = dft(self.cleaned_cir) if self.pilot_cells is None else self.pilot_cells
-        cells = np.concatenate((pilots[..., None, :], self.data_cells), axis=-2)
-        return np.swapaxes(cells, -1, -2).reshape(cells.shape[:-2] + (-1,))
+        return np.swapaxes(self.cells, -1, -2).reshape(self.cells.shape[:-2] + (-1,))
 
 
 def ls_nearest_estimate(pilots: np.ndarray, n_subcarriers: int) -> Estimate:
     """Diagnostic baseline: copy each subcarrier's nearest pilot observation."""
     cols = np.swapaxes(pilots, -1, -2)
     spacing = _pilot_spacing(n_subcarriers, cols.shape[-1])
-    cells = np.empty(cols.shape[:-1] + (spacing - 1, cols.shape[-1]), dtype=np.complex128)
+    cells = np.empty(cols.shape[:-1] + (spacing, cols.shape[-1]), dtype=np.complex128)
     # Residues r < S/2, pilot p's own residue 0 among them, copy pilot p; the
     # others, exact midpoints too, copy pilot p + 1 (cyclically).
-    near = (spacing + 1) // 2 - 1
+    near = (spacing + 1) // 2
     cells[..., :near, :] = cols[..., None, :]
     cells[..., near:, :] = np.roll(cols, -1, axis=-1)[..., None, :]
-    return Estimate(cells, cols)
+    return Estimate(cells)
 
 
 def conventional_noise_var(cir: np.ndarray, threshold: int) -> np.ndarray:
@@ -120,7 +116,7 @@ def conventional_estimate(
     keep = np.abs(head) ** 2 >= c * sigma2[..., None]
     cleaned = np.zeros_like(cir)
     cleaned[..., :threshold] = np.where(keep, head, 0.0)
-    return Estimate(_data_cells(cleaned, n_subcarriers), sigma2_hat=sigma2, cleaned_cir=cleaned)
+    return Estimate(_grid_cells(cleaned, n_subcarriers), sigma2, cleaned)
 
 
 def _pilot_spacing(n_subcarriers: int, n_pilots: int) -> int:
@@ -129,15 +125,15 @@ def _pilot_spacing(n_subcarriers: int, n_pilots: int) -> int:
     return n_subcarriers // n_pilots
 
 
-def _data_cells(cleaned: np.ndarray, n_subcarriers: int) -> np.ndarray:
-    """Data cells of the zero-padded length-``N`` transform of ``cleaned``.
+def _grid_cells(cleaned: np.ndarray, n_subcarriers: int) -> np.ndarray:
+    """Every cell of the zero-padded length-``N`` transform of ``cleaned``.
 
     Cell ``p S + r`` is the length-``Np`` transform of ``cleaned[l] *
-    exp(-2j pi r l / N)`` at ``p`` (a pruned FFT), so the ``S - 1`` residues
-    are one batched transform, done in place on a fresh C-ordered block.
+    exp(-2j pi r l / N)`` at ``p``, so the ``S`` residues are one batched
+    transform, in place on a fresh C-ordered block; row 0's twiddle is 1.
     """
     n_pilots = cleaned.shape[-1]
-    r = np.arange(1, _pilot_spacing(n_subcarriers, n_pilots))[:, None]
+    r = np.arange(_pilot_spacing(n_subcarriers, n_pilots))[:, None]
     twiddles = np.exp(-2j * np.pi * r * np.arange(n_pilots) / n_subcarriers)
     twiddled = np.empty(cleaned.shape[:-1] + twiddles.shape, dtype=np.complex128)
     np.multiply(cleaned[..., None, :], twiddles, out=twiddled)
@@ -184,7 +180,7 @@ def multi_symbol_estimate(pilots: np.ndarray, n_subcarriers: int) -> Estimate:
     sigma2 = multi_symbol_noise_var(cir)[..., None]
     column = cir[..., None, :, 0]
     cleaned = np.where(np.abs(column) ** 2 >= sigma2[..., None], column, 0.0)
-    return Estimate(_data_cells(cleaned, n_subcarriers), sigma2_hat=sigma2, cleaned_cir=cleaned)
+    return Estimate(_grid_cells(cleaned, n_subcarriers), sigma2, cleaned)
 
 
 def equalize(rx_data: np.ndarray, h_data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -220,14 +216,17 @@ def estimator_mse(estimate: np.ndarray, truth: np.ndarray) -> float | np.ndarray
     """Mean squared error of an estimated frequency response against the true one.
 
     The estimate is symbol-major, ``(..., M', N)`` against the truth's
-    ``(..., N)``; per-symbol errors are averaged over the symbols.
+    ``(..., N)``; per-symbol errors are averaged over the symbols. The
+    difference is squared in place, as ``re**2 + im**2`` on its float view.
     """
     est = np.asarray(estimate)
     truth = np.asarray(truth)
     if est.ndim < 2 or est.shape[:-2] + est.shape[-1:] != truth.shape:
         raise ValueError(f"estimate {est.shape} does not match the true response {truth.shape}")
-    per_symbol = np.mean(np.abs(est - truth[..., None, :]) ** 2, axis=-1)
-    return np.mean(per_symbol, axis=-1)
+    diff = np.subtract(est, truth[..., None, :], out=np.empty(est.shape, dtype=np.complex128))
+    squares = np.square(diff.view(np.float64), out=diff.view(np.float64))
+    # The mean over 2N squares is half the mean over N cells.
+    return 2.0 * np.mean(np.mean(squares, axis=-1), axis=-1)
 
 
 def cir_mse(cleaned_cir: np.ndarray, true_head: np.ndarray, tail_energy: np.ndarray) -> np.ndarray:

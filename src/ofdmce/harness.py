@@ -22,8 +22,11 @@ the cyclic prefix (checked before anything is drawn), the demodulated grid
 of the time-domain chain ``ofdm_demodulate(apply_channel(ofdm_modulate(X))
 + sqrt(sigma2) * w)`` is exactly ``H * X + sqrt(sigma2) * W`` with
 ``W = ofdm_demodulate(w)``, the same in every symbol. So each chunk forms
-``H * X`` and ``W`` once, only at the data and pilot cells, and each SNR
-point only scales and adds them. The time-domain functions stay in the
+``H * X`` and ``W`` once, and each SNR point only scales and adds them, in
+the layout of the truth and of every estimate: one residue grid ``(..., S,
+Np)`` per OFDM symbol (``phy.residue_major``) whose row 0 holds the pilot
+least-squares observations the estimators read, and rows ``1 .. S - 1`` the
+data cells ``equalize`` decides on. The time-domain functions stay in the
 library as the reference model the tests check this against.
 """
 
@@ -59,7 +62,6 @@ from .estimators import (
 from .phy import (
     GridConfig,
     build_grid,
-    extract_pilot_ls,
     generate_pilots,
     ofdm_demodulate,
     qpsk_bit_errors,
@@ -119,7 +121,7 @@ class Estimator(NamedTuple):
 # an ``estimators.Estimate``.
 ESTIMATORS = {
     "ideal": Estimator(
-        lambda cfg, ls, h: Estimate(h[..., None, 1:, :], h[..., None, 0, :]), 1, reads_pilots=False
+        lambda cfg, ls, h: Estimate(h[..., None, :, :]), 1, reads_pilots=False
     ),
     "conv-perfect": Estimator(
         lambda cfg, ls, _: conventional_estimate(ls, cfg.grid.n_subcarriers, cfg.th_perfect, cfg.c),
@@ -333,20 +335,18 @@ def _bits_from_raw(raw: np.ndarray, n_bits: int) -> np.ndarray:
 @dataclass(eq=False)
 class _ChunkState:
     """A chunk's received cells in two parts, ``clean + sqrt(sigma2) * noise``,
-    and its true channel: the response ``(trials, S, Np)`` and its taps split
-    at ``Np``. Data cells are ``(trials, M, n_data)`` in residue order, with
-    ``bits`` in step; pilot cells are least-squares observations, ``(trials, Np, M)``.
-    """
+    each ``(trials, M, S, Np)`` in residue order, and its true channel: the
+    response ``(trials, S, Np)`` and its taps split at ``Np``. Row 0 holds the
+    pilot least-squares parts, ``H p conj(p)`` and ``W conj(p)``, and rows
+    ``1 .. S - 1`` the data cells, with ``bits`` in step."""
 
     bits: np.ndarray
     gains: np.ndarray
     truth: np.ndarray
     true_head: np.ndarray
     tail_energy: np.ndarray
-    clean_data: np.ndarray
-    noise_data: np.ndarray
-    clean_pilot_ls: np.ndarray
-    noise_pilot_ls: np.ndarray
+    clean: np.ndarray
+    noise: np.ndarray
 
 
 def _draw_chunk(
@@ -384,31 +384,29 @@ def _draw_chunk(
     truth = np.ascontiguousarray(residue_major(realization.freq_response, grid.n_pilots))
     true_head, tail_energy = realization.split_taps(grid.n_pilots)
     del realization
-    cells = (n_trials, grid.n_symbols, grid.n_data)
-    noise = ofdm_demodulate(unit_noise, grid)
+    # Symbol-major pilots, (M, Np), in step with the grid's pilot row.
+    row = np.swapaxes(pilots, -1, -2)
+    demodulated = ofdm_demodulate(unit_noise, grid)
     del unit_noise
-    noise_data = residue_major(np.swapaxes(noise, -1, -2), grid.n_pilots)[..., 1:, :].reshape(cells)
-    noise_pilot_ls = extract_pilot_ls(noise, pilots, grid)
-    del noise
+    noise = np.ascontiguousarray(residue_major(np.swapaxes(demodulated, -1, -2), grid.n_pilots))
+    del demodulated
+    noise[..., 0, :] *= np.conj(row)
     # Drawn symbol-major, a symbol's bit pairs are (Np, S - 1) cells; transpose them.
-    drawn = bits.reshape(cells[:2] + (grid.n_pilots, grid.pilot_spacing - 1, 2))
+    drawn = bits.reshape((n_trials, grid.n_symbols, grid.n_pilots, grid.pilot_spacing - 1, 2))
     bits = np.swapaxes(drawn, 2, 3).reshape(n_trials, -1)
-    clean_data = qpsk_modulate(bits).reshape(cells)
-    clean_data *= truth[:, None, 1:, :].reshape(n_trials, 1, -1)
-    clean_pilot_ls = truth[:, 0, :, None] * pilots * np.conj(pilots)
-    return _ChunkState(
-        bits, gains, truth, true_head, tail_energy,
-        clean_data, noise_data, clean_pilot_ls, noise_pilot_ls,
-    )
+    clean = np.empty_like(noise)
+    data = clean[..., 1:, :]
+    np.multiply(qpsk_modulate(bits).reshape(data.shape), truth[:, None, 1:, :], out=data)
+    clean[..., 0, :] = truth[:, None, 0, :] * row * np.conj(row)
+    return _ChunkState(bits, gains, truth, true_head, tail_energy, clean, noise)
 
 
-def _receive(state: _ChunkState, noise: NoiseSpec, rx_data: np.ndarray) -> np.ndarray:
-    """Write the received data cells at one SNR into ``rx_data`` and return
-    the pilot least-squares observations."""
-    scale = math.sqrt(noise.sigma2)
-    np.multiply(state.noise_data, scale, out=rx_data)
-    rx_data += state.clean_data
-    return state.clean_pilot_ls + scale * state.noise_pilot_ls
+def _receive(state: _ChunkState, noise: NoiseSpec, rx: np.ndarray) -> np.ndarray:
+    """Write the received cells at one SNR into ``rx`` and return the pilot
+    least-squares grid, ``(trials, Np, M)``, a view of its pilot row."""
+    np.multiply(state.noise, math.sqrt(noise.sigma2), out=rx)
+    rx += state.clean
+    return np.swapaxes(rx[..., 0, :], -1, -2)
 
 
 def _flat(cells: np.ndarray) -> np.ndarray:
@@ -420,19 +418,15 @@ def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, state: _Chun
     averaged over the block (or None).
 
     The MSE over all ``N`` cells is taken by Parseval where the estimate has
-    an impulse response, else as the pilot row's and data block's MSEs
-    weighted ``1 : S - 1``.
+    an impulse response, else over the whole grid.
     """
     est = ESTIMATORS[estimator_id].run(config, pilot_ls, state.truth)
     if est.cleaned_cir is None:
-        pilot_mse = estimator_mse(est.pilot_cells, state.truth[:, 0])
-        data_mse = estimator_mse(_flat(est.data_cells), _flat(state.truth[:, 1:]))
-        spacing = config.grid.pilot_spacing
-        mse = (pilot_mse + (spacing - 1) * data_mse) / spacing
+        mse = estimator_mse(_flat(est.cells), _flat(state.truth))
     else:
         mse = cir_mse(est.cleaned_cir, state.true_head, state.tail_energy)
     sigma2_sum = None if est.sigma2_hat is None else float(np.mean(est.sigma2_hat, axis=-1).sum())
-    return _flat(est.data_cells), float(mse.sum()), sigma2_sum
+    return _flat(est.cells[..., 1:, :]), float(mse.sum()), sigma2_sum
 
 
 def _chunk_bounds(n_trials: int) -> list[tuple[int, int]]:
@@ -449,12 +443,13 @@ def _sweep_chunk(args):
         for estimator_id in config.estimators
         if not ESTIMATORS[estimator_id].reads_pilots
     }
-    # One received-cells and one product buffer serve every SNR point.
-    rx_data = np.empty_like(state.clean_data)
-    product = np.empty_like(state.clean_data)
+    # One received grid (its data rows a flat view) and one product buffer serve every SNR point.
+    rx = np.empty_like(state.clean)
+    rx_data = _flat(rx[..., 1:, :])
+    product = np.empty(rx_data.shape, dtype=np.complex128)
     partial = {}
     for snr_idx, snr_db in enumerate(config.snr_points_db):
-        pilot_ls = _receive(state, NoiseSpec.from_snr_db(snr_db), rx_data)
+        pilot_ls = _receive(state, NoiseSpec.from_snr_db(snr_db), rx)
         for estimator_id in config.estimators:
             if estimator_id in fixed:
                 h_data, mse, sigma2 = fixed[estimator_id]
@@ -472,12 +467,14 @@ def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int) -> Sub
     pilots = generate_pilots(config.master_seed, grid)
     state = _draw_chunk(config, profile, pilots, np.array([trial_index]))
     noise = NoiseSpec.from_snr_db(snr_db)
-    rx_data = np.empty_like(state.clean_data)
-    pilot_ls = _receive(state, noise, rx_data)
-    # Back from the chunk's residue order to the symbol-major order of phy.
-    per_symbol = (grid.n_symbols, grid.pilot_spacing - 1, grid.n_pilots)
-    bits = np.swapaxes(state.bits[0].reshape(per_symbol + (2,)), 1, 2).reshape(-1)
-    rx_cells = np.swapaxes(rx_data[0].reshape(per_symbol), 1, 2).reshape(-1)
+    rx = np.empty_like(state.clean)
+    pilot_ls = _receive(state, noise, rx)[0].copy()
+    # The received pilot cells, then every cell in subcarrier order.
+    rx[0, :, 0, :] *= np.swapaxes(pilots, 0, 1)
+    rx_grid = np.swapaxes(rx[0], 1, 2).reshape(grid.n_symbols, -1).T
+    # Back from the chunk's residue order to the symbol-major bits of phy.
+    per_symbol = (grid.n_symbols, grid.pilot_spacing - 1, grid.n_pilots, 2)
+    bits = np.swapaxes(state.bits[0].reshape(per_symbol), 1, 2).reshape(-1)
     single = ChannelRealization(
         np.array(profile.tap_delays, dtype=np.int64),
         state.gains[0],
@@ -489,8 +486,8 @@ def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int) -> Sub
         bits=bits,
         pilots=pilots,
         tx_grid=build_grid(qpsk_modulate(bits), pilots, grid),
-        rx_grid=build_grid(rx_cells, pilot_ls[0] * pilots, grid),
-        pilot_ls=pilot_ls[0],
+        rx_grid=rx_grid,
+        pilot_ls=pilot_ls,
         realization=single,
         noise=noise,
     )
@@ -531,12 +528,14 @@ def sweep(config: SimConfig, *, workers: int | None = None) -> list[BerRecord]:
         raise ValueError(
             "the grid has no data subcarriers (n_pilots = n_subcarriers), so no bits to count"
         )
-    n_workers = workers if workers is not None else (os.cpu_count() or 1)
     profile = resolve_profile(config)
     pilots = generate_pilots(config.master_seed, config.grid)
     bounds = _chunk_bounds(config.subframes_per_point)
     tasks = [(config, profile, pilots, start, stop) for start, stop in bounds]
-    if n_workers == 1 or len(tasks) == 1:
+    # At most one process per chunk: the fork start method launches the
+    # whole pool at the first submit.
+    n_workers = min(workers or os.cpu_count() or 1, len(tasks))
+    if n_workers == 1:
         partials = [_sweep_chunk(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -550,21 +549,10 @@ def sweep(config: SimConfig, *, workers: int | None = None) -> list[BerRecord]:
             cells = [p[snr_idx, estimator_id] for p in partials]
             errors = sum(c[0] for c in cells)
             mean_mse = math.fsum(c[1] for c in cells) / n_trials
-            if cells[0][2] is None:
-                mean_sigma2 = None
-            else:
-                mean_sigma2 = math.fsum(c[2] for c in cells) / n_trials
-            records.append(
-                BerRecord(
-                    estimator_id=estimator_id,
-                    snr_db=float(snr_db),
-                    total_bits=total_bits,
-                    bit_errors=errors,
-                    ber=errors / total_bits,
-                    mean_mse=mean_mse,
-                    mean_sigma2_hat=mean_sigma2,
-                )
-            )
+            sigma2 = None if cells[0][2] is None else math.fsum(c[2] for c in cells) / n_trials
+            records.append(BerRecord(
+                estimator_id, float(snr_db), total_bits, errors, errors / total_bits, mean_mse, sigma2
+            ))
     return records
 
 
@@ -618,14 +606,24 @@ def _crossing_snr(snrs, bers, bit_totals, target: float) -> float | None:
 
 
 def gap_report(records: list[BerRecord], target_bers=(1e-3,)) -> GapReport:
-    """Locate BER target crossings for every estimator curve in ``records``."""
+    """Locate BER target crossings for every estimator curve in ``records``;
+    a record that cannot sit on a curve raises ValueError naming it."""
     for target in target_bers:
         if not 0 < target < 1:
             raise ValueError(f"target BER must lie in (0, 1), got {target!r}")
-    order: list[str] = []
-    for record in records:
-        if record.estimator_id not in order:
-            order.append(record.estimator_id)
+    seen = set()
+    for r in records:
+        where = f"record {r.estimator_id} at snr_db {r.snr_db!r}"
+        if not math.isfinite(r.snr_db):
+            raise ValueError(f"{where}: SNR must be finite")
+        if r.total_bits < 1:
+            raise ValueError(f"{where}: total_bits must be positive, got {r.total_bits}")
+        if not 0 <= r.ber <= 1:
+            raise ValueError(f"{where}: BER must lie in [0, 1], got {r.ber!r}")
+        if (r.estimator_id, r.snr_db) in seen:
+            raise ValueError(f"{where}: a second record for the same point")
+        seen.add((r.estimator_id, r.snr_db))
+    order = list(dict.fromkeys(r.estimator_id for r in records))
     crossings: dict[tuple[float, str], float | None] = {}
     for estimator_id in order:
         curve = sorted(

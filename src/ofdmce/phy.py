@@ -13,9 +13,11 @@ Conventions used throughout the package:
 * Data symbols flatten symbol-major: entry ``m * n_data + d`` of a flat
   data vector is the ``d``-th data subcarrier of OFDM symbol ``m``, which
   for ``d = p (S - 1) + r - 1`` is subcarrier ``p S + r``. Bits pair up as
-  (real, imag) per QPSK symbol in the same order. Inside the sweep a
-  symbol's data cells and bits are in residue order instead, that of the
-  channel estimates: subcarrier ``p S + r`` comes at ``(r - 1) Np + p``.
+  (real, imag) per QPSK symbol in the same order.
+* Inside the sweep every cell is in residue order instead, that of the
+  channel estimates: a symbol's cells are one ``(S, Np)`` grid, entry
+  ``[r, p]`` subcarrier ``p S + r`` (:func:`residue_major`), row 0 the
+  pilots; data cells and bits follow rows ``1 .. S - 1``.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import pytest
 
 import ofdmce
 from ofdmce.cli import _MAX_SNR_POINTS, _build_config, _parse_snr_spec, build_parser, main
-from ofdmce.harness import ESTIMATOR_IDS, SimConfig, read_csv
+from ofdmce.harness import CSV_HEADER, ESTIMATOR_IDS, SimConfig, read_csv
 from ofdmce.phy import GridConfig
 
 
@@ -303,6 +303,23 @@ class TestGapsCommand:
         assert main(["gaps", "--in", str(out), "--targets", targets]) == 1
         captured = capsys.readouterr()
         assert f"got {targets.split(',')[-1]}" in captured.err
+        assert "crossings" not in captured.out
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("ideal,15.0,0,0,0.0,0.0,nan", "total_bits must be positive"),
+            ("ideal,10.0,1000,10,0.01,0.0,nan", "a second record"),
+            ("ideal,nan,1000,10,0.01,0.0,nan", "SNR must be finite"),
+        ],
+    )
+    def test_record_off_any_curve(self, row, message, tmp_path, capsys):
+        """A row that cannot sit on a curve exits 1 naming it, and prints no crossing block."""
+        out = tmp_path / "sweep.csv"
+        out.write_text(f"{CSV_HEADER}\nideal,10.0,1000,10,0.01,0.0,nan\nideal,20.0,1000,0,0.0,0.0,nan\n{row}\n")
+        assert main(["gaps", "--in", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"record ideal at snr_db {row.split(',')[1]}: {message}" in captured.err
         assert "crossings" not in captured.out
 
     def test_malformed_input(self, tmp_path):

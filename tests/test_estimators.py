@@ -17,8 +17,9 @@ from ofdmce.estimators import (
     multi_symbol_noise_var,
     stack_pilot_cir,
 )
-from ofdmce.harness import ESTIMATORS
-from ofdmce.phy import GridConfig, qpsk_bit_errors, residue_major
+from ofdmce import harness
+from ofdmce.harness import ESTIMATORS, SimConfig, resolve_profile
+from ofdmce.phy import GridConfig, generate_pilots, qpsk_bit_errors, residue_major
 from ofdmce.spectral import dft, idft
 
 FS = 7.68e6
@@ -306,10 +307,10 @@ class TestResidueOrder:
             for est in estimates:
                 reference = padded_dft(est.cleaned_cir, n)
                 scale = np.abs(reference).max(initial=1e-300)
-                cells = est.data_cells
-                assert cells.shape == est.cleaned_cir.shape[:-1] + (n // n_pilots - 1, n_pilots)
+                cells = est.cells
+                assert cells.shape == est.cleaned_cir.shape[:-1] + (n // n_pilots, n_pilots)
                 assert cells.flags.c_contiguous
-                err = np.abs(cells - residue_major(reference, n_pilots)[..., 1:, :])
+                err = np.abs(cells - residue_major(reference, n_pilots))
                 assert err.max(initial=0.0) <= 1e-12 * scale, f"N = {n}, Np = {n_pilots}"
                 err = np.abs(est.freq_response - reference).max()
                 assert err <= 1e-12 * scale, f"N = {n}, Np = {n_pilots}: {err / scale:.2e}"
@@ -340,7 +341,7 @@ class TestResidueOrder:
         for rng, n, n_pilots, n_symbols in self.draw_grids(54, 60):
             pilots = complex_normal(rng, (3, n_pilots, n_symbols), 1.0)
             est = ls_nearest_estimate(pilots, n)
-            assert est.data_cells.flags.c_contiguous
+            assert est.cells.flags.c_contiguous
             assert np.array_equal(est.freq_response, nearest_pilot_fill(pilots, n)), f"N = {n}, Np = {n_pilots}"
 
     def test_grid_must_hold_whole_pilot_spacings(self):
@@ -361,10 +362,18 @@ class TestBaselines:
         gains = tap_gains(profile, np.random.default_rng(29))
         truth = ChannelRealization.from_taps(profile.tap_delays, gains, 512)
         est = ESTIMATORS["ideal"].run(None, None, residue_major(truth.freq_response, 64))
-        assert est.data_cells.shape == (1, 7, 64)
+        assert est.cells.shape == (1, 8, 64)
         assert np.array_equal(est.freq_response, truth.freq_response[None, :])
         assert est.sigma2_hat is None and est.cleaned_cir is None
         assert estimator_mse(est.freq_response, truth.freq_response) == 0.0
+
+    def test_ideal_is_a_view_of_the_chunk_truth(self):
+        config = SimConfig(subframes_per_point=4)
+        pilots = generate_pilots(config.master_seed, config.grid)
+        state = harness._draw_chunk(config, resolve_profile(config), pilots, np.arange(4))
+        est = ESTIMATORS["ideal"].run(config, None, state.truth)
+        assert est.cells.shape == (4, 1, 8, 64)
+        assert est.cells.base is state.truth
 
     def test_nearest_pilot_fill_on_flat_channel(self):
         est = ls_nearest_estimate(np.ones((64, 2), dtype=complex), 512)
@@ -496,6 +505,23 @@ class TestEqualize:
         truth = ChannelRealization.from_taps([0], [1.0], 8)
         est = truth.freq_response + np.array([[1.0], [3.0]])
         assert estimator_mse(est, truth.freq_response) == pytest.approx(5.0)
+
+    def test_mse_is_the_mean_squared_magnitude(self):
+        rng = np.random.default_rng(57)
+        for shape in [(1, 1), (3, 1, 8), (5, 2, 512), (2, 3, 4, 100)]:
+            est = complex_normal(rng, shape, 1.0)
+            truth = complex_normal(rng, shape[:-2] + shape[-1:], 1.0)
+            expected = np.mean(np.abs(est - truth[..., None, :]) ** 2, axis=(-2, -1))
+            assert np.allclose(estimator_mse(est, truth), expected, rtol=1e-15, atol=0), shape
+
+    def test_mse_leaves_its_inputs_unchanged(self):
+        rng = np.random.default_rng(58)
+        est = complex_normal(rng, (4, 2, 64), 1.0)
+        truth = complex_normal(rng, (4, 64), 1.0)
+        est_before, truth_before = est.copy(), truth.copy()
+        estimator_mse(est, truth)
+        estimator_mse(est[:, :1], truth)
+        assert np.array_equal(est, est_before) and np.array_equal(truth, truth_before)
 
     @pytest.mark.parametrize("shape", [(2, 1, 8), (2, 8), (3, 8), (3, 2, 2, 8)])
     def test_mse_rejects_mismatched_shapes(self, shape):

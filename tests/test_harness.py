@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: pairing, aggregation, CSV, gaps."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -542,6 +543,30 @@ class TestSweep:
         parallel = sweep(cfg, workers=2)
         assert serial == parallel, "records differ between worker counts"
 
+    def test_pool_never_exceeds_the_chunk_count(self, monkeypatch):
+        """``workers=512`` on a two-chunk sweep asks for a pool of two; a fake
+        pool records the request and maps serially, so no process starts."""
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "_CHUNK", 2)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        cfg = tiny_config(estimators=("ideal",))
+        assert sweep(cfg, workers=512) == sweep(cfg, workers=1)
+        assert requested == [2]
+
     def test_rejects_bad_worker_count(self):
         """Zero workers is a usage error."""
         with pytest.raises(ValueError, match="workers"):
@@ -642,6 +667,33 @@ class TestGapReport:
         records = synthetic_curve("ideal", [(10.0, 1e-2)])
         with pytest.raises(ValueError, match=f"target BER .*got {target!r}"):
             gap_report(records, (1e-3, target))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("snr_db", math.nan, "SNR must be finite"),
+            ("snr_db", math.inf, "SNR must be finite"),
+            ("total_bits", 0, "total_bits must be positive"),
+            ("ber", math.nan, "BER must lie in"),
+            ("ber", -1e-3, "BER must lie in"),
+            ("ber", 1.5, "BER must lie in"),
+        ],
+    )
+    def test_rejects_a_record_off_any_curve(self, field, value, message):
+        """A record that cannot sit on a curve raises, naming its estimator and SNR."""
+        records = synthetic_curve("ideal", [(10.0, 1e-2), (14.0, 1e-4)])
+        records[1] = replace(records[1], **{field: value})
+        snr = records[1].snr_db
+        with pytest.raises(ValueError, match=f"record ideal at snr_db {re.escape(repr(snr))}: {message}"):
+            gap_report(records, (1e-3,))
+
+    def test_rejects_a_repeated_point(self):
+        """A second record at the same (estimator, SNR) would fold two curves into one."""
+        records = synthetic_curve("ideal", [(8.0, 2e-2), (10.0, 1e-2), (10.0, 1e-4)])
+        records += synthetic_curve("proposed", [(10.0, 1e-2)])
+        with pytest.raises(ValueError, match="record ideal at snr_db 10.0: a second record"):
+            gap_report(records, (1e-3,))
+        assert gap_report(records[:2] + records[3:], (1e-3,)).estimator_ids == ("ideal", "proposed")
 
 
 class TestCsvRoundTrip:
