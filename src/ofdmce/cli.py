@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import operator
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -181,8 +182,19 @@ def _print_gap_summary(report) -> None:
             print(f"  gap {a} vs {b}: {text}")
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would, leaving no new file behind."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
+    # Refuse an unwritable output before the sweep, not after it.
+    _check_writable(args.out)
     records = sweep(config, workers=args.workers)
     write_csv(records, args.out, header_comments=_effective_config_lines(config))
     for r in records:

@@ -38,6 +38,7 @@ for a cleaned impulse response from the true taps alone, by Parseval.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -125,6 +126,17 @@ def _pilot_spacing(n_subcarriers: int, n_pilots: int) -> int:
     return n_subcarriers // n_pilots
 
 
+# Cached: the sweep calls _grid_cells on one grid once per estimator, SNR
+# point and trial sub-block, and the exponentials are a third of a call's time.
+@functools.lru_cache(maxsize=8)
+def _twiddles(n_subcarriers: int, n_pilots: int) -> np.ndarray:
+    """``exp(-2j pi r l / N)`` at residue ``r`` and tap ``l``, ``(S, Np)``, read-only."""
+    r = np.arange(_pilot_spacing(n_subcarriers, n_pilots))[:, None]
+    twiddles = np.exp(-2j * np.pi * r * np.arange(n_pilots) / n_subcarriers)
+    twiddles.flags.writeable = False
+    return twiddles
+
+
 def _grid_cells(cleaned: np.ndarray, n_subcarriers: int) -> np.ndarray:
     """Every cell of the zero-padded length-``N`` transform of ``cleaned``.
 
@@ -132,9 +144,7 @@ def _grid_cells(cleaned: np.ndarray, n_subcarriers: int) -> np.ndarray:
     exp(-2j pi r l / N)`` at ``p``, so the ``S`` residues are one batched
     transform, in place on a fresh C-ordered block; row 0's twiddle is 1.
     """
-    n_pilots = cleaned.shape[-1]
-    r = np.arange(_pilot_spacing(n_subcarriers, n_pilots))[:, None]
-    twiddles = np.exp(-2j * np.pi * r * np.arange(n_pilots) / n_subcarriers)
+    twiddles = _twiddles(n_subcarriers, cleaned.shape[-1])
     twiddled = np.empty(cleaned.shape[:-1] + twiddles.shape, dtype=np.complex128)
     np.multiply(cleaned[..., None, :], twiddles, out=twiddled)
     return dft(twiddled, out=twiddled)

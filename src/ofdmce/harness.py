@@ -2,27 +2,30 @@
 
 Every trial (subframe) owns three random substreams, exactly numpy's
 ``default_rng((master_seed, trial_index, purpose))`` with purposes bits /
-channel / noise. They are seeded a chunk at a time: one vectorised pass of
-SeedSequence's hash gives the PCG64 state of every stream of the chunk, and
-three reused generators take those states trial by trial. The stream tests
-compare these states with ``default_rng``'s, so a numpy release that changed
-SeedSequence or PCG64 fails them.
+channel / noise. They are seeded a block of trials at a time: one
+vectorised pass of SeedSequence's hash gives the PCG64 state of every stream
+of the block, and three reused generators take those states trial by trial.
+The stream tests compare these states with ``default_rng``'s, so a numpy
+release that changed SeedSequence or PCG64 fails them.
 
 Estimator choice never touches the streams, so all estimators see identical
 channels and noise (paired comparison), and results do not depend on how
 trials are scheduled across workers: trials are processed in fixed-size
-chunks whose boundaries depend only on the trial count, partial sums are
-reduced in chunk order, and the noise stream is drawn once per trial at
-unit variance and scaled per SNR point. Repeated runs of the same
-configuration therefore produce byte-identical CSV files at any worker
-count.
+chunks whose boundaries depend only on the trial count, each chunk sums its
+per-trial values once in trial order, partial sums are reduced in chunk
+order, and the noise stream is drawn once per trial at unit variance and
+scaled per SNR point. Repeated runs of the same configuration therefore
+produce byte-identical CSV files at any worker count.
 
 Trials are received in the frequency domain. While the delay spread fits
 the cyclic prefix (checked before anything is drawn), the demodulated grid
 of the time-domain chain ``ofdm_demodulate(apply_channel(ofdm_modulate(X))
 + sqrt(sigma2) * w)`` is exactly ``H * X + sqrt(sigma2) * W`` with
-``W = ofdm_demodulate(w)``, the same in every symbol. So each chunk forms
-``H * X`` and ``W`` once, and each SNR point only scales and adds them, in
+``W = ofdm_demodulate(w)``, the same in every symbol. A chunk is worked
+through in cache-sized sub-blocks of trials (``_BLOCK_BYTES`` of cell grid
+each): each sub-block's ``H * X`` and ``W`` are drawn once and run through
+every SNR point, where each point only scales and adds them, while the
+256-trial chunk stays the unit of scheduling and reduction. The cells are in
 the layout of the truth and of every estimate: one residue grid ``(..., S,
 Np)`` per OFDM symbol (``phy.residue_major``) whose row 0 holds the pilot
 least-squares observations the estimators read, and rows ``1 .. S - 1`` the
@@ -96,6 +99,13 @@ _BITS, _CHANNEL, _NOISE = 0, 1, 2
 # count. Changing this constant changes nothing statistically but shifts
 # results in the last ulp, so treat it as part of the output contract.
 _CHUNK = 256
+
+# Bytes of one cell grid per trial sub-block. A chunk is drawn and received
+# a sub-block at a time, so every SNR point re-reads grids of this size,
+# which stay in cache, not chunk-sized ones (16 MiB on a 2048-point grid),
+# which do not. Every value a sub-block yields is per trial, so its size
+# moves no result.
+_BLOCK_BYTES = 1 << 20
 
 _DEFAULT_SNRS = tuple(float(s) for s in np.linspace(0.0, 30.0, 13))
 
@@ -334,11 +344,12 @@ def _bits_from_raw(raw: np.ndarray, n_bits: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class _ChunkState:
-    """A chunk's received cells in two parts, ``clean + sqrt(sigma2) * noise``,
-    each ``(trials, M, S, Np)`` in residue order, and its true channel: the
-    response ``(trials, S, Np)`` and its taps split at ``Np``. Row 0 holds the
-    pilot least-squares parts, ``H p conj(p)`` and ``W conj(p)``, and rows
-    ``1 .. S - 1`` the data cells, with ``bits`` in step."""
+    """A sub-block's received cells in two parts, ``clean + sqrt(sigma2) *
+    noise``, each ``(trials, M, S, Np)`` in residue order, and its true
+    channel: the response ``(trials, S, Np)`` and its taps split at ``Np``.
+    Row 0 holds the pilot least-squares parts, ``H p conj(p)`` and ``W
+    conj(p)``, and rows ``1 .. S - 1`` the data cells, with ``bits`` in step.
+    Drawn once, it serves every SNR point."""
 
     bits: np.ndarray
     gains: np.ndarray
@@ -355,7 +366,8 @@ def _draw_chunk(
     """Draw bits, channel, and unit-variance noise for a block of trials.
 
     Returns them as the two parts of the received cells; the noise is
-    demodulated here, once for every SNR point.
+    demodulated here, once for every SNR point. Every draw is the trial's
+    own, so a trial's values do not depend on the block it is drawn in.
     """
     grid = config.grid
     n_trials = len(trials)
@@ -414,8 +426,8 @@ def _flat(cells: np.ndarray) -> np.ndarray:
 
 
 def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, state: _ChunkState):
-    """An estimate at the data cells, with the sums of its MSE and of its σ̂²
-    averaged over the block (or None).
+    """An estimate at the data cells, with the per-trial MSE and the
+    per-trial mean σ̂² (or None) of the block.
 
     The MSE over all ``N`` cells is taken by Parseval where the estimate has
     an impulse response, else over the whole grid.
@@ -425,18 +437,23 @@ def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, state: _Chun
         mse = estimator_mse(_flat(est.cells), _flat(state.truth))
     else:
         mse = cir_mse(est.cleaned_cir, state.true_head, state.tail_energy)
-    sigma2_sum = None if est.sigma2_hat is None else float(np.mean(est.sigma2_hat, axis=-1).sum())
-    return _flat(est.cells[..., 1:, :]), float(mse.sum()), sigma2_sum
+    sigma2 = None if est.sigma2_hat is None else np.mean(est.sigma2_hat, axis=-1)
+    return _flat(est.cells[..., 1:, :]), mse, sigma2
 
 
 def _chunk_bounds(n_trials: int) -> list[tuple[int, int]]:
     return [(start, min(start + _CHUNK, n_trials)) for start in range(0, n_trials, _CHUNK)]
 
 
-def _sweep_chunk(args):
-    """Worker body: evaluate one trial chunk at every SNR point."""
-    config, profile, pilots, start, stop = args
-    state = _draw_chunk(config, profile, pilots, np.arange(start, stop))
+def _block_trials(grid: GridConfig) -> int:
+    """Trials per sub-block: as many complex128 cell grids as fit ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (16 * grid.n_symbols * grid.n_subcarriers))
+
+
+def _sweep_block(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, trials):
+    """Evaluate one sub-block at every SNR point: per (SNR index, estimator),
+    its bit errors and its per-trial MSE and mean σ̂² (or None)."""
+    state = _draw_chunk(config, profile, pilots, trials)
     bits = state.bits
     fixed = {
         estimator_id: _estimate_cells(config, estimator_id, None, state)
@@ -458,6 +475,26 @@ def _sweep_chunk(args):
             decided = equalize(rx_data, h_data, out=product).reshape(bits.shape[:-1] + (-1,))
             partial[snr_idx, estimator_id] = (qpsk_bit_errors(decided, bits), mse, sigma2)
     return partial
+
+
+def _sweep_chunk(args):
+    """Worker body: evaluate one trial chunk at every SNR point, a sub-block
+    at a time, and sum each per-trial value once over the chunk in trial order."""
+    config, profile, pilots, start, stop = args
+    step = _block_trials(config.grid)
+    blocks = [
+        _sweep_block(config, profile, pilots, np.arange(lo, min(lo + step, stop)))
+        for lo in range(start, stop, step)
+    ]
+
+    def total(key, field):
+        parts = [block[key][field] for block in blocks]
+        return None if parts[0] is None else float(np.concatenate(parts).sum())
+
+    return {
+        key: (sum(block[key][0] for block in blocks), total(key, 1), total(key, 2))
+        for key in blocks[0]
+    }
 
 
 def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int) -> SubframeState:

@@ -196,6 +196,27 @@ class TestSweepCommand:
         """A nonexistent config path is an I/O error."""
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_unwritable_out_fails_before_the_sweep(self, monkeypatch, tmp_path, capsys):
+        """An output path in a missing directory exits 2 naming it, and no sweep runs."""
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(ofdmce.cli, "sweep", no_sweep)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["sweep", "--estimators", "ideal", "--snr", "5", "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+
+    def test_existing_out_is_left_alone_on_failure(self, tmp_path, capsys):
+        """Checking an existing output path leaves its contents as they were
+        when the sweep then fails."""
+        cfg = tmp_path / "short-cp.cfg"
+        cfg.write_text("cp_len = 8\nsubframes = 1\nsnr_db = 20\n")
+        out = tmp_path / "kept.csv"
+        out.write_text("old contents\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert out.read_text() == "old contents\n"
+
     def test_unknown_estimator_id(self, capsys):
         """A bogus estimator id is a configuration error."""
         assert main(["sweep", "--estimators", "wizard", "--snr", "5", "--subframes", "1"]) == 1

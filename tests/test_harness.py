@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -470,6 +471,23 @@ class TestRunTrial:
         assert one_trial("conv-perfect", 10.0).mean_sigma2_hat > 0
 
 
+def random_grid_config(seed: int) -> SimConfig:
+    """A seeded random grid and trial count, all five estimators, two SNR points."""
+    rng = np.random.default_rng(seed)
+    n_pilots = 2 ** int(rng.integers(3, 7))
+    grid = GridConfig(
+        n_subcarriers=n_pilots * 2 ** int(rng.integers(1, 4)),
+        n_pilots=n_pilots,
+        n_symbols=int(rng.integers(2, 4)),
+        cp_len=10,
+    )
+    return SimConfig(
+        grid=grid, sample_rate_hz=1.92e6, snr_points_db=(5.0, 15.0),
+        subframes_per_point=int(rng.integers(8, 20)), estimators=ESTIMATOR_IDS,
+        master_seed=seed, th_perfect=n_pilots - 1, th_inaccurate=n_pilots // 2,
+    )
+
+
 class TestSweep:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_per_trial_runs(self, monkeypatch, seed):
@@ -479,19 +497,7 @@ class TestSweep:
         Every trial draws from its own streams, so the bit-error counts match
         exactly; the sums behind the means are reordered by the chunking.
         """
-        rng = np.random.default_rng(seed)
-        n_pilots = 2 ** int(rng.integers(3, 7))
-        grid = GridConfig(
-            n_subcarriers=n_pilots * 2 ** int(rng.integers(1, 4)),
-            n_pilots=n_pilots,
-            n_symbols=int(rng.integers(2, 4)),
-            cp_len=10,
-        )
-        cfg = SimConfig(
-            grid=grid, sample_rate_hz=1.92e6, snr_points_db=(5.0, 15.0),
-            subframes_per_point=int(rng.integers(8, 20)), estimators=ESTIMATOR_IDS,
-            master_seed=seed, th_perfect=n_pilots - 1, th_inaccurate=n_pilots // 2,
-        )
+        cfg = random_grid_config(seed)
         records = {}
         for chunk in (1, 7, 256):
             monkeypatch.setattr(harness, "_CHUNK", chunk)
@@ -506,6 +512,60 @@ class TestSweep:
                     assert rec.mean_sigma2_hat is None, label
                 else:
                     assert rec.mean_sigma2_hat == pytest.approx(ref.mean_sigma2_hat, rel=1e-12), label
+
+    @staticmethod
+    def _sweeps_by_block(monkeypatch, cfg, workers=1):
+        """Records of ``cfg`` with sub-blocks of 1 and of 3 trials, and at the
+        default block size."""
+        cell_bytes = 16 * cfg.grid.n_symbols * cfg.grid.n_subcarriers
+        records = {"default": sweep(cfg, workers=workers)}
+        for trials in (1, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "_BLOCK_BYTES", trials * cell_bytes)
+                assert harness._block_trials(cfg.grid) == trials
+                records[trials] = sweep(cfg, workers=workers)
+        return records
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sub_blocks_do_not_move_any_record(self, monkeypatch, seed):
+        """Sub-blocks of 1 or 3 trials give exactly the default records on
+        seeded random grids with all five estimators: every value summed is
+        per trial and every sum runs over the whole chunk in trial order."""
+        cfg = random_grid_config(seed)
+        records = self._sweeps_by_block(monkeypatch, cfg)
+        assert records[1] == records["default"]
+        assert records[3] == records["default"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sub_blocks_of_a_ragged_sweep(self, monkeypatch, workers):
+        """A 300-trial sweep (a full chunk and a ragged one of 44) gives the
+        same records with sub-blocks of 1 and 3 trials as at the default
+        size, serially and on two workers."""
+        cfg = tiny_config(subframes_per_point=300, snr_points_db=(5.0, 15.0), estimators=ESTIMATOR_IDS)
+        records = self._sweeps_by_block(monkeypatch, cfg, workers)
+        assert records[1] == records["default"]
+        assert records[3] == records["default"]
+        if workers == 2:
+            assert records["default"] == sweep(cfg, workers=1)
+
+    def test_chunk_memory_stays_below_one_chunk_grid(self):
+        """A 256-trial chunk of the 2048-subcarrier grid peaks below 16 MiB of
+        traced allocations, the size of one chunk-sized cell grid: the chunk
+        is drawn and received a cache-sized sub-block at a time."""
+        grid = GridConfig(n_subcarriers=2048, n_pilots=256, n_symbols=2, cp_len=160)
+        cfg = SimConfig(
+            grid=grid, sample_rate_hz=30.72e6, snr_points_db=(10.0, 30.0),
+            subframes_per_point=256, estimators=ESTIMATOR_IDS, th_perfect=155, th_inaccurate=77,
+        )
+        chunk_grid = 256 * grid.n_symbols * grid.n_subcarriers * 16
+        task = (cfg, resolve_profile(cfg), generate_pilots(cfg.master_seed, grid), 0, 256)
+        tracemalloc.start()
+        try:
+            harness._sweep_chunk(task)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < chunk_grid, f"peak {peak / 2**20:.1f} MiB"
 
     def test_three_symbol_blocks(self):
         """A block length that is not a power of two runs the stacked estimator.
