@@ -86,13 +86,21 @@ def profile_from_taps(
             raise ValueError(f"{field_name} must be finite, got {values.tolist()}")
     if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
         raise ValueError(f"sample_rate_hz must be finite and positive, got {sample_rate_hz}")
-    samples = np.rint(delays_ns * sample_rate_hz / 1e9).astype(int)
-    linear = 10.0 ** (powers_db / 10.0)
+    with np.errstate(over="ignore"):
+        samples = np.rint(delays_ns * sample_rate_hz / 1e9)
+        linear = 10.0 ** (powers_db / 10.0)
+    if not np.all(np.abs(samples) < 2.0**63):
+        raise ValueError(
+            f"delays_ns {delays_ns.tolist()} at sample_rate_hz {sample_rate_hz!r} "
+            "fall outside the int64 sample range"
+        )
     merged: dict[int, float] = {}
-    for idx, power in zip(samples.tolist(), linear.tolist()):
+    for idx, power in zip(samples.astype(np.int64).tolist(), linear.tolist()):
         merged[idx] = merged.get(idx, 0.0) + power
     delays = tuple(sorted(merged))
     total = sum(merged[d] for d in delays)
+    if not math.isfinite(total):
+        raise ValueError(f"powers_db {powers_db.tolist()} overflow as linear powers")
     powers = tuple(merged[d] / total for d in delays)
     return PowerDelayProfile(name, delays, powers, sample_rate_hz)
 

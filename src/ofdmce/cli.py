@@ -33,7 +33,7 @@ from .harness import (
     write_csv,
     write_gaps,
 )
-from .phy import GridConfig, residue_major
+from .phy import GridConfig
 from .spectral import idft
 
 
@@ -228,12 +228,12 @@ def _cmd_inspect(args) -> int:
         raise ValueError(f"symbol must lie in [0, {grid.n_symbols - 1}], got {args.symbol}")
     if args.trial < 0:
         raise ValueError(f"trial must be nonnegative, got {args.trial}")
-    state = simulate_subframe(config, args.trial_snr, args.trial)
+    pilot_ls, truth = simulate_subframe(config, args.trial_snr, args.trial)
     fmt = "{:.12g}".format
     blocks: list[list[str]] = []
 
     header = [
-        f"# subframe: trial = {state.trial_index}, snr_db = {fmt(state.snr_db)}, "
+        f"# subframe: trial = {args.trial}, snr_db = {fmt(args.trial_snr)}, "
         f"profile = {config.profile}, estimator = {args.estimator}"
     ]
     blocks.append(header)
@@ -244,7 +244,7 @@ def _cmd_inspect(args) -> int:
     ]
     for n in range(grid.n_pilots):
         cells = ",".join(
-            f"{fmt(state.pilot_ls[n, m].real)},{fmt(state.pilot_ls[n, m].imag)}"
+            f"{fmt(pilot_ls[n, m].real)},{fmt(pilot_ls[n, m].imag)}"
             for m in range(grid.n_symbols)
         )
         block.append(f"{n},{cells}")
@@ -259,7 +259,7 @@ def _cmd_inspect(args) -> int:
             ]
         )
     else:
-        cir = stack_pilot_cir(state.pilot_ls)
+        cir = stack_pilot_cir(pilot_ls)
         block = [
             "# stacked-cir: inverse transform of all pilot columns stacked symbol after"
             " symbol; i = n*M + v; columns v > 0 carry no channel energy",
@@ -278,14 +278,12 @@ def _cmd_inspect(args) -> int:
         *noise_rows,
     ]
     for th in (config.th_perfect, config.th_inaccurate):
-        for m, sigma2 in enumerate(conventional_noise_var(idft(state.pilot_ls.T), th)):
+        for m, sigma2 in enumerate(conventional_noise_var(idft(pilot_ls.T), th)):
             block.append(f"conventional-th{th},{m},{grid.n_pilots - th},{fmt(sigma2)}")
     blocks.append(block)
 
     # Symbol-major (M', ...) outputs; M' = 1 serves every symbol of the block.
-    result = ESTIMATORS[args.estimator].run(
-        config, state.pilot_ls, residue_major(state.realization.freq_response, grid.n_pilots)
-    )
+    result = ESTIMATORS[args.estimator].run(config, pilot_ls, truth)
     freq, cleaned = result.freq_response, result.cleaned_cir
     origin = f"{args.estimator} on symbol {args.symbol}"
     if cleaned is not None:
@@ -299,7 +297,8 @@ def _cmd_inspect(args) -> int:
         blocks.append(block)
 
     estimate = np.broadcast_to(freq, (grid.n_symbols, grid.n_subcarriers))[args.symbol]
-    truth = state.realization.freq_response
+    # Residue order (S, Np) back to subcarrier order.
+    truth = truth.T.reshape(-1)
     block = [
         f"# estimate-vs-truth: final frequency response next to the true channel ({origin})",
         "k,est_re,est_im,true_re,true_im",

@@ -29,8 +29,10 @@ every SNR point, where each point only scales and adds them, while the
 the layout of the truth and of every estimate: one residue grid ``(..., S,
 Np)`` per OFDM symbol (``phy.residue_major``) whose row 0 holds the pilot
 least-squares observations the estimators read, and rows ``1 .. S - 1`` the
-data cells ``equalize`` decides on. The time-domain functions stay in the
-library as the reference model the tests check this against.
+data cells ``equalize`` decides on. ``simulate_subframe`` draws and receives
+a one-trial block the same way and returns its pilot row and truth as they
+are, so ``inspect`` shows what the sweep scored. The time-domain functions
+stay in the library as the reference model the tests check this against.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from .estimators import (
 )
 from .phy import (
     GridConfig,
-    build_grid,
     generate_pilots,
     ofdm_demodulate,
     qpsk_bit_errors,
@@ -77,7 +78,6 @@ __all__ = [
     "ESTIMATORS",
     "ESTIMATOR_IDS",
     "SimConfig",
-    "SubframeState",
     "BerRecord",
     "GapReport",
     "CSV_HEADER",
@@ -121,7 +121,7 @@ class Estimator(NamedTuple):
     run: Callable
     # Fewest OFDM symbols per block it works on.
     min_symbols: int
-    # False if it never reads the pilots, so one evaluation per chunk serves
+    # False if it never reads the pilots, so one evaluation per trial block serves
     # every SNR point.
     reads_pilots: bool = True
 
@@ -198,25 +198,6 @@ class SimConfig:
             raise ValueError(f"c must be finite and positive, got {self.c}")
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise ValueError(f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}")
-
-
-@dataclass(eq=False)
-class SubframeState:
-    """Everything observable about one simulated subframe (for inspection).
-
-    ``rx_grid`` holds the data cells the sweep decides on; its pilot cells
-    are ``pilot_ls`` times the pilots.
-    """
-
-    trial_index: int
-    snr_db: float
-    bits: np.ndarray
-    pilots: np.ndarray
-    tx_grid: np.ndarray
-    rx_grid: np.ndarray
-    pilot_ls: np.ndarray
-    realization: ChannelRealization
-    noise: NoiseSpec
 
 
 def resolve_profile(config: SimConfig) -> PowerDelayProfile:
@@ -296,7 +277,7 @@ def _mix(x, y):
 
 def _stream_states(seed: int, trials) -> list[tuple[dict, ...]]:
     """The PCG64 states of ``np.random.default_rng((seed, trial, purpose))``
-    for every trial, one per purpose, hashed in one pass over the chunk.
+    for every trial, one per purpose, hashed in one pass over the block.
 
     Entropy shorter than the pool is hashed as if zero padded; every word
     past the pool (seeds or trials of 2**32 and up) is mixed into each pool
@@ -343,8 +324,8 @@ def _bits_from_raw(raw: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class _ChunkState:
-    """A sub-block's received cells in two parts, ``clean + sqrt(sigma2) *
+class _Block:
+    """A trial block's received cells in two parts, ``clean + sqrt(sigma2) *
     noise``, each ``(trials, M, S, Np)`` in residue order, and its true
     channel: the response ``(trials, S, Np)`` and its taps split at ``Np``.
     Row 0 holds the pilot least-squares parts, ``H p conj(p)`` and ``W
@@ -352,7 +333,6 @@ class _ChunkState:
     Drawn once, it serves every SNR point."""
 
     bits: np.ndarray
-    gains: np.ndarray
     truth: np.ndarray
     true_head: np.ndarray
     tail_energy: np.ndarray
@@ -360,9 +340,9 @@ class _ChunkState:
     noise: np.ndarray
 
 
-def _draw_chunk(
+def _draw_block(
     config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, trials: np.ndarray
-) -> _ChunkState:
+) -> _Block:
     """Draw bits, channel, and unit-variance noise for a block of trials.
 
     Returns them as the two parts of the received cells; the noise is
@@ -410,14 +390,14 @@ def _draw_chunk(
     data = clean[..., 1:, :]
     np.multiply(qpsk_modulate(bits).reshape(data.shape), truth[:, None, 1:, :], out=data)
     clean[..., 0, :] = truth[:, None, 0, :] * row * np.conj(row)
-    return _ChunkState(bits, gains, truth, true_head, tail_energy, clean, noise)
+    return _Block(bits, truth, true_head, tail_energy, clean, noise)
 
 
-def _receive(state: _ChunkState, noise: NoiseSpec, rx: np.ndarray) -> np.ndarray:
+def _receive(block: _Block, noise: NoiseSpec, rx: np.ndarray) -> np.ndarray:
     """Write the received cells at one SNR into ``rx`` and return the pilot
     least-squares grid, ``(trials, Np, M)``, a view of its pilot row."""
-    np.multiply(state.noise, math.sqrt(noise.sigma2), out=rx)
-    rx += state.clean
+    np.multiply(block.noise, math.sqrt(noise.sigma2), out=rx)
+    rx += block.clean
     return np.swapaxes(rx[..., 0, :], -1, -2)
 
 
@@ -425,18 +405,18 @@ def _flat(cells: np.ndarray) -> np.ndarray:
     return cells.reshape(cells.shape[:-2] + (-1,))
 
 
-def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, state: _ChunkState):
+def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, block: _Block):
     """An estimate at the data cells, with the per-trial MSE and the
     per-trial mean σ̂² (or None) of the block.
 
     The MSE over all ``N`` cells is taken by Parseval where the estimate has
     an impulse response, else over the whole grid.
     """
-    est = ESTIMATORS[estimator_id].run(config, pilot_ls, state.truth)
+    est = ESTIMATORS[estimator_id].run(config, pilot_ls, block.truth)
     if est.cleaned_cir is None:
-        mse = estimator_mse(_flat(est.cells), _flat(state.truth))
+        mse = estimator_mse(_flat(est.cells), _flat(block.truth))
     else:
-        mse = cir_mse(est.cleaned_cir, state.true_head, state.tail_energy)
+        mse = cir_mse(est.cleaned_cir, block.true_head, block.tail_energy)
     sigma2 = None if est.sigma2_hat is None else np.mean(est.sigma2_hat, axis=-1)
     return _flat(est.cells[..., 1:, :]), mse, sigma2
 
@@ -453,25 +433,25 @@ def _block_trials(grid: GridConfig) -> int:
 def _sweep_block(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, trials):
     """Evaluate one sub-block at every SNR point: per (SNR index, estimator),
     its bit errors and its per-trial MSE and mean σ̂² (or None)."""
-    state = _draw_chunk(config, profile, pilots, trials)
-    bits = state.bits
+    block = _draw_block(config, profile, pilots, trials)
+    bits = block.bits
     fixed = {
-        estimator_id: _estimate_cells(config, estimator_id, None, state)
+        estimator_id: _estimate_cells(config, estimator_id, None, block)
         for estimator_id in config.estimators
         if not ESTIMATORS[estimator_id].reads_pilots
     }
     # One received grid (its data rows a flat view) and one product buffer serve every SNR point.
-    rx = np.empty_like(state.clean)
+    rx = np.empty_like(block.clean)
     rx_data = _flat(rx[..., 1:, :])
     product = np.empty(rx_data.shape, dtype=np.complex128)
     partial = {}
     for snr_idx, snr_db in enumerate(config.snr_points_db):
-        pilot_ls = _receive(state, NoiseSpec.from_snr_db(snr_db), rx)
+        pilot_ls = _receive(block, NoiseSpec.from_snr_db(snr_db), rx)
         for estimator_id in config.estimators:
             if estimator_id in fixed:
                 h_data, mse, sigma2 = fixed[estimator_id]
             else:
-                h_data, mse, sigma2 = _estimate_cells(config, estimator_id, pilot_ls, state)
+                h_data, mse, sigma2 = _estimate_cells(config, estimator_id, pilot_ls, block)
             decided = equalize(rx_data, h_data, out=product).reshape(bits.shape[:-1] + (-1,))
             partial[snr_idx, estimator_id] = (qpsk_bit_errors(decided, bits), mse, sigma2)
     return partial
@@ -497,37 +477,14 @@ def _sweep_chunk(args):
     }
 
 
-def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int) -> SubframeState:
-    """Run one subframe through the sweep's receive path and keep its products."""
-    grid = config.grid
+def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int):
+    """One trial as the sweep scores it: its pilot least-squares grid ``(Np,
+    M)`` and its true response in residue order ``(S, Np)``."""
     profile = resolve_profile(config)
-    pilots = generate_pilots(config.master_seed, grid)
-    state = _draw_chunk(config, profile, pilots, np.array([trial_index]))
-    noise = NoiseSpec.from_snr_db(snr_db)
-    rx = np.empty_like(state.clean)
-    pilot_ls = _receive(state, noise, rx)[0].copy()
-    # The received pilot cells, then every cell in subcarrier order.
-    rx[0, :, 0, :] *= np.swapaxes(pilots, 0, 1)
-    rx_grid = np.swapaxes(rx[0], 1, 2).reshape(grid.n_symbols, -1).T
-    # Back from the chunk's residue order to the symbol-major bits of phy.
-    per_symbol = (grid.n_symbols, grid.pilot_spacing - 1, grid.n_pilots, 2)
-    bits = np.swapaxes(state.bits[0].reshape(per_symbol), 1, 2).reshape(-1)
-    single = ChannelRealization(
-        np.array(profile.tap_delays, dtype=np.int64),
-        state.gains[0],
-        np.swapaxes(state.truth[0], 0, 1).reshape(-1),
-    )
-    return SubframeState(
-        trial_index=trial_index,
-        snr_db=float(snr_db),
-        bits=bits,
-        pilots=pilots,
-        tx_grid=build_grid(qpsk_modulate(bits), pilots, grid),
-        rx_grid=rx_grid,
-        pilot_ls=pilot_ls,
-        realization=single,
-        noise=noise,
-    )
+    pilots = generate_pilots(config.master_seed, config.grid)
+    block = _draw_block(config, profile, pilots, np.array([trial_index]))
+    pilot_ls = _receive(block, NoiseSpec.from_snr_db(snr_db), np.empty_like(block.clean))
+    return pilot_ls[0], block.truth[0]
 
 
 # ---------------------------------------------------------------------------

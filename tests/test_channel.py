@@ -90,6 +90,31 @@ class TestProfiles:
         with pytest.raises(ValueError, match=field):
             profile_from_taps("bad", delays, powers, rate)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "delays, powers, rate, fields",
+        [
+            ([0.0, 5000.0], [0.0, 0.0], 1e300, ["delays_ns", "sample_rate_hz 1e+300"]),
+            ([0.0, 5000.0], [0.0, 0.0], 1e308, ["delays_ns", "sample_rate_hz 1e+308"]),
+            ([0.0, 1e30], [0.0, -3.0], FS, ["delays_ns", "sample_rate_hz"]),
+            ([0.0, -1e30], [0.0, -3.0], FS, ["delays_ns", "sample_rate_hz"]),
+            ([0.0], [4000.0], FS, ["powers_db"]),
+            ([0.0, 50.0], [3080.0, 3080.0], FS, ["powers_db"]),
+        ],
+    )
+    def test_overflowing_taps_rejected(self, delays, powers, rate, fields):
+        """Delays past the int64 sample range, and powers whose linear sum
+        overflows, name the field before any cast warns."""
+        with pytest.raises(ValueError) as excinfo:
+            profile_from_taps("bad", delays, powers, rate)
+        for field in fields:
+            assert field in str(excinfo.value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_delays_inside_the_int64_range_are_kept(self):
+        profile = profile_from_taps("far", [0.0, 1e18], [0.0, 0.0], 1e9)
+        assert profile.tap_delays == (0, 10**18)
+
 
 class TestProfileFiles:
     def test_round_trip_through_file(self, tmp_path):

@@ -286,6 +286,31 @@ class TestNonFiniteInput:
         assert "snr_db" in capsys.readouterr().err
 
 
+class TestOverflowingProfile:
+    """Profile numbers beyond the sample or power range exit 1 naming the field."""
+
+    pytestmark = pytest.mark.filterwarnings("error")
+
+    def test_profiles_sample_rate(self, capsys):
+        assert main(["profiles", "--sample-rate", "1e300"]) == 1
+        err = capsys.readouterr().err
+        assert "delays_ns" in err and "sample_rate_hz 1e+300" in err
+
+    def test_config_sample_rate(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sample_rate_hz = 1e300\nsubframes = 1\nsnr_db = 20\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "delays_ns" in err and "sample_rate_hz 1e+300" in err
+
+    @pytest.mark.parametrize("tap, field", [("1e30 -3", "delays_ns"), ("0 4000", "powers_db")])
+    def test_profile_tap(self, tap, field, tmp_path, capsys):
+        prof = tmp_path / "far.prof"
+        prof.write_text(f"tap = 0 0\ntap = {tap}\n")
+        assert main(["inspect", "--profile", str(prof)]) == 1
+        assert field in capsys.readouterr().err
+
+
 class TestGapsCommand:
     def test_crossing_report(self, tmp_path, capsys):
         """Gaps read a sweep CSV back and report crossings per estimator."""

@@ -370,10 +370,10 @@ class TestBaselines:
     def test_ideal_is_a_view_of_the_chunk_truth(self):
         config = SimConfig(subframes_per_point=4)
         pilots = generate_pilots(config.master_seed, config.grid)
-        state = harness._draw_chunk(config, resolve_profile(config), pilots, np.arange(4))
-        est = ESTIMATORS["ideal"].run(config, None, state.truth)
+        block = harness._draw_block(config, resolve_profile(config), pilots, np.arange(4))
+        est = ESTIMATORS["ideal"].run(config, None, block.truth)
         assert est.cells.shape == (4, 1, 8, 64)
-        assert est.cells.base is state.truth
+        assert est.cells.base is block.truth
 
     def test_nearest_pilot_fill_on_flat_channel(self):
         est = ls_nearest_estimate(np.ones((64, 2), dtype=complex), 512)

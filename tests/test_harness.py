@@ -142,72 +142,30 @@ class TestResolveProfile:
             resolve_profile(tiny_config(profile="no-such-profile"))
 
 
-class TestSubframePairing:
-    def test_subframe_reproducible(self):
-        """The same (seed, trial) pair always produces the same subframe."""
-        cfg = tiny_config()
-        a = simulate_subframe(cfg, 15.0, 3)
-        b = simulate_subframe(cfg, 15.0, 3)
-        assert np.array_equal(a.rx_grid, b.rx_grid)
-        assert np.array_equal(a.bits, b.bits)
+def draw_block(config: SimConfig, trials):
+    """The sweep's block of ``trials``, drawn by ``_draw_block``."""
+    pilots = generate_pilots(config.master_seed, config.grid)
+    return harness._draw_block(config, resolve_profile(config), pilots, np.asarray(trials))
 
-    def test_trials_differ(self):
-        """Different trial indices draw different channels and noise."""
-        cfg = tiny_config()
-        a = simulate_subframe(cfg, 15.0, 0)
-        b = simulate_subframe(cfg, 15.0, 1)
-        assert not np.array_equal(a.realization.gains, b.realization.gains)
-        assert not np.array_equal(a.bits, b.bits)
 
-    def test_noise_scales_not_redraws(self):
-        """Changing SNR rescales the same noise realization."""
-        cfg = tiny_config()
-        lo = simulate_subframe(cfg, 10.0, 2)
-        hi = simulate_subframe(cfg, 20.0, 2)
-        clean = simulate_subframe(cfg, math.inf, 2).rx_grid
-        ratio = (lo.rx_grid - clean) / (hi.rx_grid - clean)
-        expected = math.sqrt(10.0)
-        assert np.allclose(ratio, expected, rtol=1e-9), (
-            f"noise ratio should be {expected}, got {ratio[:4]}"
-        )
+def receive(block, snr_db: float):
+    """A block's received cells at one SNR, ``(trials, M, S, Np)``, and its
+    pilot LS grid, ``(trials, Np, M)``."""
+    rx = np.empty_like(block.clean)
+    return rx, harness._receive(block, NoiseSpec.from_snr_db(snr_db), rx)
 
-    def test_internal_consistency(self):
-        """The bundle's grids carry its bits, and its pilot cells its pilot LS."""
-        cfg = tiny_config()
-        state = simulate_subframe(cfg, 12.0, 1)
-        tx_grid = build_grid(qpsk_modulate(state.bits), state.pilots, cfg.grid)
-        assert np.array_equal(state.tx_grid, tx_grid)
-        regrid = extract_pilot_ls(state.rx_grid, state.pilots, cfg.grid)
-        assert np.allclose(regrid, state.pilot_ls, rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("fading", [True, False])
-    def test_chunk_gains_are_tap_gains_of_the_trial_stream(self, fading):
-        """Each trial's gains are one ``tap_gains`` draw from its own channel stream."""
-        cfg = tiny_config(fading=fading)
-        profile = resolve_profile(cfg)
-        pilots = harness.generate_pilots(cfg.master_seed, cfg.grid)
-        trials = np.array([0, 3, 300])
-        state = harness._draw_chunk(cfg, profile, pilots, trials)
-        for j, trial in enumerate(trials):
-            stream = np.random.default_rng((cfg.master_seed, int(trial), harness._CHANNEL))
-            expected = tap_gains(profile, stream if fading else None)
-            assert np.array_equal(state.gains[j], expected)
+def residue_cells(cells: np.ndarray, grid: GridConfig) -> np.ndarray:
+    """A subcarrier-order grid ``(..., N, M)`` in the block's residue order ``(..., M, S, Np)``."""
+    return residue_major(np.swapaxes(cells, -1, -2), grid.n_pilots)
 
-    def test_bits_are_the_trial_stream_in_grid_order(self):
-        """A subframe's bits are its bit stream as drawn, in phy's symbol-major
-        order, whatever order the sweep keeps them in."""
-        cfg = tiny_config()
-        for trial in (0, 7):
-            stream = np.random.default_rng((cfg.master_seed, trial, harness._BITS))
-            drawn = stream.integers(0, 2, cfg.grid.data_bits_per_block)
-            assert np.array_equal(simulate_subframe(cfg, 10.0, trial).bits, drawn)
 
-    def test_infinite_snr_is_noiseless(self):
-        """snr = inf leaves H * X at every cell."""
-        cfg = tiny_config()
-        state = simulate_subframe(cfg, math.inf, 0)
-        clean = state.realization.freq_response[:, None] * state.tx_grid
-        assert np.allclose(state.rx_grid, clean, rtol=1e-15, atol=0)
+def residue_data(bits: np.ndarray, config: SimConfig) -> np.ndarray:
+    """The QPSK symbols of a subframe's bits at its data cells, where phy's
+    ``build_grid`` puts them, in residue order: ``(M, S - 1, Np)``."""
+    grid = config.grid
+    tx_grid = build_grid(qpsk_modulate(bits), generate_pilots(config.master_seed, grid), grid)
+    return residue_cells(tx_grid, grid)[..., 1:, :]
 
 
 def reference_subframe(config: SimConfig, trial: int, snr_db: float):
@@ -227,6 +185,98 @@ def reference_subframe(config: SimConfig, trial: int, snr_db: float):
     rx_samples = apply_channel(ofdm_modulate(tx_grid, grid), realization, grid.cp_len)
     rx_samples += math.sqrt(NoiseSpec.from_snr_db(snr_db).sigma2) * unit_noise
     return bits, realization, ofdm_demodulate(rx_samples, grid)
+
+
+class TestSubframePairing:
+    """The sweep's blocks, read in their own residue order."""
+
+    def test_subframe_reproducible(self):
+        """The same (seed, trial) pair always produces the same subframe."""
+        cfg = tiny_config()
+        a, b = draw_block(cfg, [3]), draw_block(cfg, [3])
+        assert np.array_equal(receive(a, 15.0)[0], receive(b, 15.0)[0])
+        assert np.array_equal(a.bits, b.bits)
+
+    def test_trials_differ(self):
+        """Different trial indices draw different channels and noise."""
+        cfg = tiny_config()
+        a, b = draw_block(cfg, [0]), draw_block(cfg, [1])
+        assert not np.array_equal(a.truth, b.truth)
+        assert not np.array_equal(a.bits, b.bits)
+
+    def test_noise_scales_not_redraws(self):
+        """Changing SNR rescales the same noise realization."""
+        cfg = tiny_config()
+        lo, hi, clean = (receive(draw_block(cfg, [2]), snr)[0] for snr in (10.0, 20.0, math.inf))
+        ratio = (lo - clean) / (hi - clean)
+        expected = math.sqrt(10.0)
+        assert np.allclose(ratio, expected, rtol=1e-9), (
+            f"noise ratio should be {expected}, got {ratio.reshape(-1)[:4]}"
+        )
+
+    def test_internal_consistency(self):
+        """The block's data cells carry its bits, and its pilot row is its pilot LS."""
+        cfg = tiny_config()
+        block = draw_block(cfg, [1])
+        rx, pilot_ls = receive(block, 12.0)
+        symbols = qpsk_modulate(block.bits).reshape(rx[:, :, 1:, :].shape)
+        assert np.array_equal(block.clean[:, :, 1:, :], symbols * block.truth[:, None, 1:, :])
+        assert np.array_equal(pilot_ls, np.swapaxes(rx[:, :, 0, :], 1, 2))
+        assert np.allclose(block.clean[:, :, 0, :], block.truth[:, None, 0, :], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("fading", [True, False])
+    def test_block_channel_is_tap_gains_of_the_trial_stream(self, fading):
+        """Each trial's channel is one ``tap_gains`` draw from its own channel stream."""
+        cfg = tiny_config(fading=fading)
+        grid = cfg.grid
+        profile = resolve_profile(cfg)
+        trials = [0, 3, 300]
+        block = draw_block(cfg, trials)
+        for j, trial in enumerate(trials):
+            stream = np.random.default_rng((cfg.master_seed, trial, harness._CHANNEL))
+            gains = tap_gains(profile, stream if fading else None)
+            expected = ChannelRealization.from_taps(profile.tap_delays, gains, grid.n_subcarriers)
+            assert np.array_equal(block.truth[j], residue_major(expected.freq_response, grid.n_pilots))
+            head, tail_energy = expected.split_taps(grid.n_pilots)
+            assert np.array_equal(block.true_head[j], head)
+            assert block.tail_energy[j] == tail_energy
+
+    def test_bits_are_the_trial_stream_in_grid_order(self):
+        """A block's bits are each trial's bit stream as drawn, in step with
+        the data cells phy puts them in, whatever order the sweep keeps them in."""
+        cfg = tiny_config()
+        trials = [0, 7]
+        block = draw_block(cfg, trials)
+        for j, trial in enumerate(trials):
+            stream = np.random.default_rng((cfg.master_seed, trial, harness._BITS))
+            expected = residue_data(stream.integers(0, 2, cfg.grid.data_bits_per_block), cfg)
+            assert np.array_equal(qpsk_modulate(block.bits[j]).reshape(expected.shape), expected)
+
+    def test_infinite_snr_is_noiseless(self):
+        """snr = inf leaves H * X at every data cell and H at the pilot row."""
+        cfg = tiny_config()
+        rx, _ = receive(draw_block(cfg, [0]), math.inf)
+        bits, realization, _ = reference_subframe(cfg, 0, math.inf)
+        pilots = generate_pilots(cfg.master_seed, cfg.grid)
+        tx_grid = build_grid(qpsk_modulate(bits), pilots, cfg.grid)
+        clean = residue_cells(realization.freq_response[:, None] * tx_grid, cfg.grid)
+        clean[:, 0, :] *= np.conj(pilots.T)
+        assert np.allclose(rx[0], clean, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("snr_db", [12.0, math.inf])
+    @pytest.mark.parametrize("trial", [1, 2**32])
+    def test_inspect_shows_the_trial_the_sweep_scored(self, trial, snr_db):
+        """``simulate_subframe`` returns exactly the middle row of a three-trial
+        block drawn and received at the same SNR: its pilot LS grid and truth."""
+        cfg = tiny_config()
+        grid = cfg.grid
+        block = draw_block(cfg, [trial - 1, trial, trial + 1])
+        _, pilot_ls = receive(block, snr_db)
+        single_ls, truth = simulate_subframe(cfg, snr_db, trial)
+        assert single_ls.shape == (grid.n_pilots, grid.n_symbols)
+        assert truth.shape == (grid.pilot_spacing, grid.n_pilots)
+        assert np.array_equal(single_ls, pilot_ls[1])
+        assert np.array_equal(truth, block.truth[1])
 
 
 class TestTrialStreams:
@@ -261,18 +311,17 @@ class TestTrialStreams:
         assert np.array_equal(harness._bits_from_raw(raw, n_bits), np.stack(expected))
 
     def test_chunk_across_two_to_the_32(self):
-        """A chunk whose trials straddle 2**32, under a two-word seed, draws
-        each trial's bits and gains from its own default_rng streams."""
+        """A block whose trials straddle 2**32, under a two-word seed, draws
+        each trial's bits and channel from its own default_rng streams."""
         cfg = tiny_config(master_seed=2**32 + 1)
-        profile = resolve_profile(cfg)
         trials = [2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1]
-        state = harness._draw_chunk(
-            cfg, profile, generate_pilots(cfg.master_seed, cfg.grid), np.array(trials)
-        )
+        block = draw_block(cfg, trials)
         for j, trial in enumerate(trials):
             bits, realization, _ = reference_subframe(cfg, trial, 10.0)
-            assert np.array_equal(state.gains[j], realization.gains)
-            assert np.array_equal(simulate_subframe(cfg, 10.0, trial).bits, bits)
+            truth = residue_major(realization.freq_response, cfg.grid.n_pilots)
+            assert np.array_equal(block.truth[j], truth)
+            expected = residue_data(bits, cfg)
+            assert np.array_equal(qpsk_modulate(block.bits[j]).reshape(expected.shape), expected)
 
     def test_inspect_of_a_large_trial_matches_the_reference(self, capsys):
         """``inspect --trial 4294967299`` prints the channel and pilot LS of
@@ -356,19 +405,15 @@ class TestFrequencyDomainReceive:
     def test_matches_the_time_domain_chain(self, config, snr_db):
         """Data cells and pilot LS equal demodulate(channel(modulate(X)) + noise)."""
         grid = config.grid
-        noise = NoiseSpec.from_snr_db(snr_db)
-        for trial in (0, 5):
-            state = simulate_subframe(config, snr_db, trial)
-            stream = np.random.default_rng((config.master_seed, trial, harness._NOISE))
-            unit_noise = complex_normal(stream, grid.samples_per_block, 1.0)
-            tx_samples = ofdm_modulate(state.tx_grid, grid)
-            rx_samples = apply_channel(tx_samples, state.realization, grid.cp_len)
-            rx_samples = rx_samples + math.sqrt(noise.sigma2) * unit_noise
-            reference = ofdm_demodulate(rx_samples, grid)
+        pilots = generate_pilots(config.master_seed, grid)
+        trials = (0, 5)
+        rx, pilot_ls = receive(draw_block(config, trials), snr_db)
+        for j, trial in enumerate(trials):
+            _, _, reference = reference_subframe(config, trial, snr_db)
             scale = np.abs(reference).max()
-            data_error = np.abs(data_cells(state.rx_grid, grid) - data_cells(reference, grid))
+            data_error = np.abs(rx[j, :, 1:, :] - residue_cells(reference, grid)[:, 1:, :])
             assert data_error.max(initial=0.0) <= 1e-12 * scale
-            pilot_error = np.abs(state.pilot_ls - extract_pilot_ls(reference, state.pilots, grid))
+            pilot_error = np.abs(pilot_ls[j] - extract_pilot_ls(reference, pilots, grid))
             assert pilot_error.max() <= 1e-12 * scale
 
     @pytest.mark.parametrize(
@@ -443,12 +488,10 @@ class TestRunTrial:
         for record in sweep(cfg, workers=1):
             errors = []
             for trial in range(3):
-                state = simulate_subframe(cfg, 15.0, trial)
-                truth = state.realization.freq_response
-                est = ESTIMATORS[record.estimator_id].run(
-                    cfg, state.pilot_ls, residue_major(truth, cfg.grid.n_pilots)
-                )
-                errors.append(estimator_mse(est.freq_response, truth))
+                pilot_ls, truth = simulate_subframe(cfg, 15.0, trial)
+                est = ESTIMATORS[record.estimator_id].run(cfg, pilot_ls, truth)
+                _, realization, _ = reference_subframe(cfg, trial, 15.0)
+                errors.append(estimator_mse(est.freq_response, realization.freq_response))
             assert record.mean_mse == pytest.approx(np.mean(errors), rel=1e-12), record.estimator_id
 
     def test_total_bits_bookkeeping(self):
