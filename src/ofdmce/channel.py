@@ -101,6 +101,9 @@ def profile_from_taps(
     total = sum(merged[d] for d in delays)
     if not math.isfinite(total):
         raise ValueError(f"powers_db {powers_db.tolist()} overflow as linear powers")
+    tiny = np.finfo(float).tiny
+    if total < tiny or min(merged.values()) / total < tiny:
+        raise ValueError(f"powers_db {powers_db.tolist()} underflow as normalized linear powers")
     powers = tuple(merged[d] / total for d in delays)
     return PowerDelayProfile(name, delays, powers, sample_rate_hz)
 

@@ -315,10 +315,10 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_profiles(args) -> int:
+    profiles = [build_profile(name, args.sample_rate) for name in BUILTIN_PROFILES]
     print(f"# built-in power delay profiles at sample_rate_hz = {args.sample_rate!r}")
     print("profile,tap,delay_samples,power")
-    for name in BUILTIN_PROFILES:
-        profile = build_profile(name, args.sample_rate)
+    for name, profile in zip(BUILTIN_PROFILES, profiles):
         for tap, (delay, power) in enumerate(zip(profile.tap_delays, profile.tap_powers)):
             print(f"{name},{tap},{delay},{power:.12g}")
     return 0

@@ -127,7 +127,7 @@ def _pilot_spacing(n_subcarriers: int, n_pilots: int) -> int:
 
 
 # Cached: the sweep calls _grid_cells on one grid once per estimator, SNR
-# point and trial sub-block, and the exponentials are a third of a call's time.
+# point and trial block, and the exponentials are a third of a call's time.
 @functools.lru_cache(maxsize=8)
 def _twiddles(n_subcarriers: int, n_pilots: int) -> np.ndarray:
     """``exp(-2j pi r l / N)`` at residue ``r`` and tap ``l``, ``(S, Np)``, read-only."""
@@ -217,7 +217,7 @@ def equalize(rx_data: np.ndarray, h_data: np.ndarray, out: np.ndarray | None = N
     if out is None:
         out = np.empty(rx.shape, dtype=np.complex128)
     weights = np.conjugate(h, out=out)
-    if not weights.all():
+    if not h.all():
         weights[weights == 0] = 1.0
     return np.multiply(rx, weights, out=weights)
 

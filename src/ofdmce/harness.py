@@ -9,30 +9,29 @@ The stream tests compare these states with ``default_rng``'s, so a numpy
 release that changed SeedSequence or PCG64 fails them.
 
 Estimator choice never touches the streams, so all estimators see identical
-channels and noise (paired comparison), and results do not depend on how
-trials are scheduled across workers: trials are processed in fixed-size
-chunks whose boundaries depend only on the trial count, each chunk sums its
-per-trial values once in trial order, partial sums are reduced in chunk
-order, and the noise stream is drawn once per trial at unit variance and
-scaled per SNR point. Repeated runs of the same configuration therefore
-produce byte-identical CSV files at any worker count.
+channels and noise (paired comparison). The noise stream is drawn once per
+trial at unit variance and scaled per SNR point. Each record is an integer
+count and exactly rounded sums of per-trial values, kept as a few floats as
+blocks arrive (``_exact_terms``). These do not depend on order, so records
+do not depend on block size, task split or worker count, and reruns give
+byte-identical CSV files.
 
 Trials are received in the frequency domain. While the delay spread fits
 the cyclic prefix (checked before anything is drawn), the demodulated grid
 of the time-domain chain ``ofdm_demodulate(apply_channel(ofdm_modulate(X))
 + sqrt(sigma2) * w)`` is exactly ``H * X + sqrt(sigma2) * W`` with
-``W = ofdm_demodulate(w)``, the same in every symbol. A chunk is worked
-through in cache-sized sub-blocks of trials (``_BLOCK_BYTES`` of cell grid
-each): each sub-block's ``H * X`` and ``W`` are drawn once and run through
-every SNR point, where each point only scales and adds them, while the
-256-trial chunk stays the unit of scheduling and reduction. The cells are in
-the layout of the truth and of every estimate: one residue grid ``(..., S,
-Np)`` per OFDM symbol (``phy.residue_major``) whose row 0 holds the pilot
-least-squares observations the estimators read, and rows ``1 .. S - 1`` the
-data cells ``equalize`` decides on. ``simulate_subframe`` draws and receives
-a one-trial block the same way and returns its pilot row and truth as they
-are, so ``inspect`` shows what the sweep scored. The time-domain functions
-stay in the library as the reference model the tests check this against.
+``W = ofdm_demodulate(w)``, the same in every symbol. The sweep's unit of
+work is a cache-sized block of trials (``_BLOCK_BYTES`` of cell grid): each
+block's ``H * X`` and ``W`` are drawn once and run through every SNR point,
+where each point only scales and adds them; a pool task is a run of whole
+blocks. The cells are in the layout of the truth and of every estimate: one
+residue grid ``(..., S, Np)`` per OFDM symbol (``phy.residue_major``) whose
+row 0 holds the pilot least-squares observations the estimators read, and
+rows ``1 .. S - 1`` the data cells ``equalize`` decides on.
+``simulate_subframe`` draws and receives a one-trial block the same way and
+returns its pilot row and truth as they are, so ``inspect`` shows what the
+sweep scored. The time-domain functions stay in the library as the
+reference model the tests check this against.
 """
 
 from __future__ import annotations
@@ -94,16 +93,9 @@ __all__ = [
 # Stream purposes; part of the reproducibility contract.
 _BITS, _CHANNEL, _NOISE = 0, 1, 2
 
-# Trials per processing chunk. Fixed so that chunk boundaries, and with
-# them all floating-point reduction orders, are independent of the worker
-# count. Changing this constant changes nothing statistically but shifts
-# results in the last ulp, so treat it as part of the output contract.
-_CHUNK = 256
-
-# Bytes of one cell grid per trial sub-block. A chunk is drawn and received
-# a sub-block at a time, so every SNR point re-reads grids of this size,
-# which stay in cache, not chunk-sized ones (16 MiB on a 2048-point grid),
-# which do not. Every value a sub-block yields is per trial, so its size
+# Bytes of one cell grid per trial block, the sweep's unit of work. Every
+# SNR point re-reads grids of this size, which stay in cache. Every value a
+# block yields is per trial and every sum is exactly rounded, so its size
 # moves no result.
 _BLOCK_BYTES = 1 << 20
 
@@ -231,7 +223,7 @@ def awgn_qpsk_ber(snr_db: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Chunked simulation engine
+# Block simulation engine
 # ---------------------------------------------------------------------------
 
 
@@ -421,18 +413,14 @@ def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, block: _Bloc
     return _flat(est.cells[..., 1:, :]), mse, sigma2
 
 
-def _chunk_bounds(n_trials: int) -> list[tuple[int, int]]:
-    return [(start, min(start + _CHUNK, n_trials)) for start in range(0, n_trials, _CHUNK)]
-
-
 def _block_trials(grid: GridConfig) -> int:
-    """Trials per sub-block: as many complex128 cell grids as fit ``_BLOCK_BYTES``."""
+    """Trials per block: as many complex128 cell grids as fit ``_BLOCK_BYTES``."""
     return max(1, _BLOCK_BYTES // (16 * grid.n_symbols * grid.n_subcarriers))
 
 
 def _sweep_block(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, trials):
-    """Evaluate one sub-block at every SNR point: per (SNR index, estimator),
-    its bit errors and its per-trial MSE and mean σ̂² (or None)."""
+    """Evaluate one block at every SNR point: per (SNR index, estimator), its
+    bit errors and its per-trial MSE and mean σ̂² (or None)."""
     block = _draw_block(config, profile, pilots, trials)
     bits = block.bits
     fixed = {
@@ -457,24 +445,35 @@ def _sweep_block(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarr
     return partial
 
 
-def _sweep_chunk(args):
-    """Worker body: evaluate one trial chunk at every SNR point, a sub-block
-    at a time, and sum each per-trial value once over the chunk in trial order."""
-    config, profile, pilots, start, stop = args
+def _sweep_trials(args):
+    """Worker body: trials ``lo .. hi - 1``, a block at a time, folded into
+    totals as ``sweep`` keeps them."""
+    config, profile, pilots, lo, hi = args
     step = _block_trials(config.grid)
-    blocks = [
-        _sweep_block(config, profile, pilots, np.arange(lo, min(lo + step, stop)))
-        for lo in range(start, stop, step)
-    ]
+    totals = {}
+    for start in range(lo, hi, step):
+        _add(totals, _sweep_block(config, profile, pilots, np.arange(start, min(start + step, hi))))
+    return totals
 
-    def total(key, field):
-        parts = [block[key][field] for block in blocks]
-        return None if parts[0] is None else float(np.concatenate(parts).sum())
 
-    return {
-        key: (sum(block[key][0] for block in blocks), total(key, 1), total(key, 2))
-        for key in blocks[0]
-    }
+def _add(totals: dict, partial: dict) -> None:
+    """Fold per-key ``(bit errors, MSE values, σ̂² values or None)`` into ``totals`` exactly."""
+    for key, (errors, mse, sigma2) in partial.items():
+        old_errors, old_mse, old_sigma2 = totals.get(key, (0, [], []))
+        totals[key] = (
+            old_errors + errors, _exact_terms(old_mse + list(mse)),
+            None if sigma2 is None else _exact_terms(old_sigma2 + list(sigma2)),
+        )
+
+
+def _exact_terms(values: list[float]) -> list[float]:
+    """Floats with the exact sum of ``values``, each the rounded remainder of the
+    last (Shewchuk's expansion): ``math.fsum`` of them and more is exact."""
+    terms = []
+    while (term := math.fsum(values)) and math.isfinite(term):
+        terms.append(term)
+        values.append(-term)
+    return terms + [term] if term else terms
 
 
 def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int):
@@ -524,30 +523,34 @@ def sweep(config: SimConfig, *, workers: int | None = None) -> list[BerRecord]:
         )
     profile = resolve_profile(config)
     pilots = generate_pilots(config.master_seed, config.grid)
-    bounds = _chunk_bounds(config.subframes_per_point)
-    tasks = [(config, profile, pilots, start, stop) for start, stop in bounds]
-    # At most one process per chunk: the fork start method launches the
-    # whole pool at the first submit.
-    n_workers = min(workers or os.cpu_count() or 1, len(tasks))
+    n_trials = config.subframes_per_point
+    step = _block_trials(config.grid)
+    n_blocks = -(-n_trials // step)
+    # At most one process per block (the fork start method launches the whole
+    # pool at the first submit), and a few runs of whole blocks per worker.
+    n_workers = min(workers or os.cpu_count() or 1, n_blocks)
+    n_tasks = 1 if n_workers == 1 else min(n_blocks, 4 * n_workers)
+    edges = [min(n_trials, step * (n_blocks * k // n_tasks)) for k in range(n_tasks + 1)]
+    tasks = [(config, profile, pilots, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    # Per (SNR index, estimator), as ``_add`` keeps them; records go in this order.
+    keys = [(i, e) for e in config.estimators for i in range(len(config.snr_points_db))]
+    totals = dict.fromkeys(keys, (0, [], []))
     if n_workers == 1:
-        partials = [_sweep_chunk(task) for task in tasks]
+        partials = [_sweep_trials(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(_sweep_chunk, tasks))
+            partials = list(pool.map(_sweep_trials, tasks))
+    for partial in partials:
+        _add(totals, partial)
 
-    n_trials = config.subframes_per_point
     total_bits = n_trials * config.grid.data_bits_per_block
-    records = []
-    for estimator_id in config.estimators:
-        for snr_idx, snr_db in enumerate(config.snr_points_db):
-            cells = [p[snr_idx, estimator_id] for p in partials]
-            errors = sum(c[0] for c in cells)
-            mean_mse = math.fsum(c[1] for c in cells) / n_trials
-            sigma2 = None if cells[0][2] is None else math.fsum(c[2] for c in cells) / n_trials
-            records.append(BerRecord(
-                estimator_id, float(snr_db), total_bits, errors, errors / total_bits, mean_mse, sigma2
-            ))
-    return records
+    return [
+        BerRecord(
+            e, float(config.snr_points_db[i]), total_bits, errors, errors / total_bits,
+            math.fsum(mse) / n_trials, None if sigma2 is None else math.fsum(sigma2) / n_trials,
+        )
+        for (i, e), (errors, mse, sigma2) in totals.items()
+    ]
 
 
 # ---------------------------------------------------------------------------

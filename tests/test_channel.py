@@ -100,11 +100,18 @@ class TestProfiles:
             ([0.0, -1e30], [0.0, -3.0], FS, ["delays_ns", "sample_rate_hz"]),
             ([0.0], [4000.0], FS, ["powers_db"]),
             ([0.0, 50.0], [3080.0, 3080.0], FS, ["powers_db"]),
+            # 0.0 as a linear power; 1e-20 that is subnormal 1e-320 once
+            # normalized; a total of 0.0; a subnormal total.
+            ([0.0, 500.0], [0.0, -4000.0], FS, ["powers_db [0.0, -4000.0]"]),
+            ([0.0, 500.0], [3000.0, -200.0], FS, ["powers_db [3000.0, -200.0]"]),
+            ([0.0], [-4000.0], FS, ["powers_db [-4000.0]"]),
+            ([0.0, 500.0], [-3200.0, -3200.0], FS, ["powers_db [-3200.0, -3200.0]"]),
         ],
     )
     def test_overflowing_taps_rejected(self, delays, powers, rate, fields):
-        """Delays past the int64 sample range, and powers whose linear sum
-        overflows, name the field before any cast warns."""
+        """Delays past the int64 sample range, powers whose linear sum
+        overflows, and powers below the normal float range once normalized
+        name the field before any cast warns."""
         with pytest.raises(ValueError) as excinfo:
             profile_from_taps("bad", delays, powers, rate)
         for field in fields:
@@ -114,6 +121,10 @@ class TestProfiles:
     def test_delays_inside_the_int64_range_are_kept(self):
         profile = profile_from_taps("far", [0.0, 1e18], [0.0, 0.0], 1e9)
         assert profile.tap_delays == (0, 10**18)
+
+    def test_faint_normal_powers_are_kept(self):
+        profile = profile_from_taps("faint", [0.0, 500.0], [0.0, -3000.0], FS)
+        assert profile.tap_powers[1] == pytest.approx(1e-300, rel=1e-12)
 
 
 class TestProfileFiles:

@@ -292,9 +292,12 @@ class TestOverflowingProfile:
     pytestmark = pytest.mark.filterwarnings("error")
 
     def test_profiles_sample_rate(self, capsys):
+        """Every builtin profile is built before the table starts, so a
+        failing one leaves no partial CSV."""
         assert main(["profiles", "--sample-rate", "1e300"]) == 1
-        err = capsys.readouterr().err
-        assert "delays_ns" in err and "sample_rate_hz 1e+300" in err
+        captured = capsys.readouterr()
+        assert "delays_ns" in captured.err and "sample_rate_hz 1e+300" in captured.err
+        assert captured.out == ""
 
     def test_config_sample_rate(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -309,6 +312,19 @@ class TestOverflowingProfile:
         prof.write_text(f"tap = 0 0\ntap = {tap}\n")
         assert main(["inspect", "--profile", str(prof)]) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "taps", [("0 0", "500 -4000"), ("0 3000", "500 -200"), ("0 -4000",)]
+    )
+    def test_underflowing_profile_tap(self, taps, tmp_path, capsys):
+        """A tap power that underflows, as dB to linear or only once
+        normalized, or a total that underflows, exits 1 naming
+        ``powers_db`` with nothing printed."""
+        prof = tmp_path / "faint.prof"
+        prof.write_text("".join(f"tap = {tap}\n" for tap in taps))
+        assert main(["inspect", "--profile", str(prof)]) == 1
+        captured = capsys.readouterr()
+        assert "powers_db" in captured.err and captured.out == ""
 
 
 class TestGapsCommand:

@@ -280,7 +280,7 @@ class TestSubframePairing:
 
 
 class TestTrialStreams:
-    """Each chunk seeds its streams in one batch; every stream stays exactly
+    """Each block seeds its streams in one batch; every stream stays exactly
     numpy's ``default_rng((seed, trial, purpose))``, so these tests also catch
     a numpy release that changed SeedSequence or PCG64."""
 
@@ -532,37 +532,13 @@ def random_grid_config(seed: int) -> SimConfig:
 
 
 class TestSweep:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_per_trial_runs(self, monkeypatch, seed):
-        """Chunks of one trial, of seven, or of 256 total the same counts, on
-        seeded random grids with all five estimators.
-
-        Every trial draws from its own streams, so the bit-error counts match
-        exactly; the sums behind the means are reordered by the chunking.
-        """
-        cfg = random_grid_config(seed)
-        records = {}
-        for chunk in (1, 7, 256):
-            monkeypatch.setattr(harness, "_CHUNK", chunk)
-            records[chunk] = sweep(cfg, workers=1)
-        reference = records.pop(256)
-        for chunk, chunked in records.items():
-            for ref, rec in zip(reference, chunked, strict=True):
-                label = f"chunk {chunk}, {rec.estimator_id}@{rec.snr_db}"
-                assert (rec.bit_errors, rec.total_bits) == (ref.bit_errors, ref.total_bits), label
-                assert rec.mean_mse == pytest.approx(ref.mean_mse, rel=1e-12, abs=1e-300), label
-                if ref.mean_sigma2_hat is None:
-                    assert rec.mean_sigma2_hat is None, label
-                else:
-                    assert rec.mean_sigma2_hat == pytest.approx(ref.mean_sigma2_hat, rel=1e-12), label
-
     @staticmethod
     def _sweeps_by_block(monkeypatch, cfg, workers=1):
-        """Records of ``cfg`` with sub-blocks of 1 and of 3 trials, and at the
+        """Records of ``cfg`` with blocks of 1, 3 and 7 trials, and at the
         default block size."""
         cell_bytes = 16 * cfg.grid.n_symbols * cfg.grid.n_subcarriers
         records = {"default": sweep(cfg, workers=workers)}
-        for trials in (1, 3):
+        for trials in (1, 3, 7):
             with monkeypatch.context() as patch:
                 patch.setattr(harness, "_BLOCK_BYTES", trials * cell_bytes)
                 assert harness._block_trials(cfg.grid) == trials
@@ -570,45 +546,99 @@ class TestSweep:
         return records
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_sub_blocks_do_not_move_any_record(self, monkeypatch, seed):
-        """Sub-blocks of 1 or 3 trials give exactly the default records on
-        seeded random grids with all five estimators: every value summed is
-        per trial and every sum runs over the whole chunk in trial order."""
+    def test_block_size_does_not_move_any_record(self, monkeypatch, seed):
+        """Blocks of 1, 3 or 7 trials give exactly the default records on
+        seeded random grids with all five estimators: every trial draws from
+        its own streams, every value summed is per trial, and every sum is
+        exactly rounded."""
         cfg = random_grid_config(seed)
         records = self._sweeps_by_block(monkeypatch, cfg)
-        assert records[1] == records["default"]
-        assert records[3] == records["default"]
+        for trials in (1, 3, 7):
+            assert records[trials] == records["default"], f"blocks of {trials}"
+
+    def test_means_are_exact_sums_of_one_trial_blocks(self):
+        """Each record's ``mean_mse`` and ``mean_sigma2_hat`` is ``math.fsum``
+        of the one-trial blocks' values divided by the trial count, exactly."""
+        cfg = random_grid_config(0)
+        n = cfg.subframes_per_point
+        profile, pilots = resolve_profile(cfg), generate_pilots(cfg.master_seed, cfg.grid)
+        singles = [harness._sweep_block(cfg, profile, pilots, np.arange(t, t + 1)) for t in range(n)]
+        for record in sweep(cfg, workers=1):
+            key = cfg.snr_points_db.index(record.snr_db), record.estimator_id
+            values = [single[key] for single in singles]
+            label = f"{record.estimator_id}@{record.snr_db}"
+            assert record.bit_errors == sum(v[0] for v in values), label
+            assert record.mean_mse == math.fsum(float(v[1][0]) for v in values) / n, label
+            if values[0][2] is None:
+                assert record.mean_sigma2_hat is None, label
+            else:
+                expected = math.fsum(float(v[2][0]) for v in values) / n
+                assert record.mean_sigma2_hat == expected, label
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_sub_blocks_of_a_ragged_sweep(self, monkeypatch, workers):
-        """A 300-trial sweep (a full chunk and a ragged one of 44) gives the
-        same records with sub-blocks of 1 and 3 trials as at the default
-        size, serially and on two workers."""
+    def test_blocks_of_a_ragged_sweep(self, monkeypatch, workers):
+        """A 300-trial sweep gives the same records with blocks of 1, 3 and 7
+        trials as at the default size of 64, where its last block holds 44,
+        serially and on two workers."""
         cfg = tiny_config(subframes_per_point=300, snr_points_db=(5.0, 15.0), estimators=ESTIMATOR_IDS)
         records = self._sweeps_by_block(monkeypatch, cfg, workers)
-        assert records[1] == records["default"]
-        assert records[3] == records["default"]
+        for trials in (1, 3, 7):
+            assert records[trials] == records["default"], f"blocks of {trials}"
         if workers == 2:
             assert records["default"] == sweep(cfg, workers=1)
 
-    def test_chunk_memory_stays_below_one_chunk_grid(self):
-        """A 256-trial chunk of the 2048-subcarrier grid peaks below 16 MiB of
-        traced allocations, the size of one chunk-sized cell grid: the chunk
-        is drawn and received a cache-sized sub-block at a time."""
+    def test_sweep_memory_stays_below_one_256_trial_grid(self):
+        """A 256-trial sweep of the 2048-subcarrier grid peaks below 16 MiB of
+        traced allocations, the size of a cell grid of all 256 trials: the
+        trials are drawn and received a cache-sized block at a time."""
         grid = GridConfig(n_subcarriers=2048, n_pilots=256, n_symbols=2, cp_len=160)
         cfg = SimConfig(
             grid=grid, sample_rate_hz=30.72e6, snr_points_db=(10.0, 30.0),
             subframes_per_point=256, estimators=ESTIMATOR_IDS, th_perfect=155, th_inaccurate=77,
         )
-        chunk_grid = 256 * grid.n_symbols * grid.n_subcarriers * 16
-        task = (cfg, resolve_profile(cfg), generate_pilots(cfg.master_seed, grid), 0, 256)
+        all_trials_grid = 256 * grid.n_symbols * grid.n_subcarriers * 16
         tracemalloc.start()
         try:
-            harness._sweep_chunk(task)
+            sweep(cfg, workers=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < chunk_grid, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < all_trials_grid, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_memory_does_not_grow_with_the_trial_count(self):
+        """Each record keeps its running sums as a few floats, not its
+        per-trial values: 2048 trials peak within 32 KiB of 256, where
+        keeping each trial's MSE and σ̂² would add 16 bytes per trial and
+        record (160 KiB here)."""
+        peaks = {}
+        for n in (256, 256, 2048):
+            cfg = tiny_config(subframes_per_point=n, snr_points_db=(15.0,), estimators=ESTIMATOR_IDS)
+            tracemalloc.start()
+            try:
+                sweep(cfg, workers=1)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2048] - peaks[256] < 32 * 1024, peaks
+
+    def test_exact_terms_fold_to_fsum_of_everything(self):
+        """Folding groups of values through ``_exact_terms`` keeps their exact
+        sum: ``math.fsum`` of the terms is ``math.fsum`` of every value,
+        however they are grouped. Keeping one rounded term instead fails at
+        every group size here."""
+        rng = np.random.default_rng(5)
+        values = (rng.random(3000) * 10.0 ** rng.integers(-6, 1, 3000)).tolist()
+        values[1000:1000] = [1e16, 1.0, -1e16]
+        values += [1e300, 1.0, -1e300, 2.0**-1074]
+        expected = math.fsum(values)
+        for size in (1, 7, 500):
+            terms = []
+            for lo in range(0, len(values), size):
+                terms = harness._exact_terms(terms + values[lo:lo + size])
+            assert math.fsum(terms) == expected, f"groups of {size}"
+        for special in (math.inf, math.nan):
+            terms = harness._exact_terms(harness._exact_terms([1.0, special]) + [2.0])
+            assert math.fsum(terms) == special or math.isnan(special) and math.isnan(math.fsum(terms))
 
     def test_three_symbol_blocks(self):
         """A block length that is not a power of two runs the stacked estimator.
@@ -640,14 +670,14 @@ class TestSweep:
         assert all(r.total_bits == 4 * cfg.grid.data_bits_per_block for r in records)
 
     def test_worker_count_does_not_change_bytes(self):
-        """Chunked reduction makes the CSV independent of parallelism."""
+        """Exactly rounded sums make the CSV independent of parallelism."""
         cfg = tiny_config(subframes_per_point=300, snr_points_db=(12.0,))
         serial = sweep(cfg, workers=1)
         parallel = sweep(cfg, workers=2)
         assert serial == parallel, "records differ between worker counts"
 
-    def test_pool_never_exceeds_the_chunk_count(self, monkeypatch):
-        """``workers=512`` on a two-chunk sweep asks for a pool of two; a fake
+    def test_pool_never_exceeds_the_block_count(self, monkeypatch):
+        """``workers=512`` on a two-block sweep asks for a pool of two; a fake
         pool records the request and maps serially, so no process starts."""
         requested = []
 
@@ -664,11 +694,42 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "_CHUNK", 2)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         cfg = tiny_config(estimators=("ideal",))
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 2 * 16 * cfg.grid.n_symbols * cfg.grid.n_subcarriers)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         assert sweep(cfg, workers=512) == sweep(cfg, workers=1)
         assert requested == [2]
+
+    def test_tasks_are_runs_of_whole_blocks(self, monkeypatch):
+        """Two workers on a 300-trial sweep of 7-trial blocks get eight tasks,
+        contiguous runs of whole blocks covering every trial once, and the
+        records of one in-process run."""
+        bounds = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                bounds.extend(task[3:] for task in tasks)
+                return map(fn, tasks)
+
+        cfg = tiny_config(subframes_per_point=300, snr_points_db=(15.0,), estimators=("ideal", "proposed"))
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 7 * 16 * cfg.grid.n_symbols * cfg.grid.n_subcarriers)
+        serial = sweep(cfg, workers=1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        assert sweep(cfg, workers=2) == serial
+        assert len(bounds) == 8
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == 300
+        assert all(lo % 7 == 0 and lo < hi for lo, hi in bounds)
 
     def test_rejects_bad_worker_count(self):
         """Zero workers is a usage error."""
