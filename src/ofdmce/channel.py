@@ -25,9 +25,10 @@ __all__ = [
     "BUILTIN_PROFILES",
     "PowerDelayProfile",
     "ChannelRealization",
-    "NoiseSpec",
+    "noise_variance",
     "build_profile",
     "profile_from_taps",
+    "read_key_values",
     "load_profile",
     "tap_gains",
     "apply_channel",
@@ -118,38 +119,51 @@ def build_profile(name: str, sample_rate_hz: float) -> PowerDelayProfile:
     raise ValueError(f"unknown profile {name!r}; builtins are {', '.join(BUILTIN_PROFILES)}")
 
 
+def read_key_values(path: str | Path) -> list[tuple[str, str, str]]:
+    """The ``key = value`` lines of a text file, as ``(where, key, value)``.
+
+    ``#`` starts a comment and blank lines are skipped; ``where`` is the
+    ``path:line`` prefix of messages about the line. A line without a key,
+    an ``=`` or a value raises ValueError. Callers apply their own key rules.
+    """
+    path = Path(path)
+    entries = []
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        where = f"{path}:{lineno}"
+        if not (sep and key and value):
+            raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
+        entries.append((where, key, value))
+    return entries
+
+
 def load_profile(path: str | Path, sample_rate_hz: float) -> PowerDelayProfile:
     """Read a custom profile from a plain-text file.
 
     Format: optional ``name = <label>`` line plus one ``tap = <delay_ns>
-    <power_db>`` line per tap; ``#`` starts a comment. The quantized first
-    tap must land on delay 0.
+    <power_db>`` line per tap, in :func:`read_key_values`' format. The
+    quantized first tap must land on delay 0.
     """
     path = Path(path)
-    text = path.read_text()
     name = path.stem
     delays, powers = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = key.strip(), value.strip()
+    for where, key, value in read_key_values(path):
         if key == "name":
             name = value
         elif key == "tap":
             parts = re.split(r"[,\s]+", value)
             if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: tap needs '<delay_ns> <power_db>'")
+                raise ValueError(f"{where}: tap needs '<delay_ns> <power_db>'")
             try:
                 delays.append(float(parts[0]))
                 powers.append(float(parts[1]))
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad tap numbers {value!r}") from exc
+                raise ValueError(f"{where}: bad tap numbers {value!r}") from exc
         else:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{where}: unknown key {key!r}")
     if not delays:
         raise ValueError(f"{path}: profile defines no taps")
     return profile_from_taps(name, np.array(delays), np.array(powers), sample_rate_hz)
@@ -238,25 +252,18 @@ def apply_channel(samples: np.ndarray, realization: ChannelRealization, cp_len: 
     return out
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Per-sample complex noise variance tied to its SNR in dB."""
-
-    snr_db: float
-    sigma2: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
-        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
-            raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2} (snr_db = {self.snr_db})")
-
-    @classmethod
-    def from_snr_db(cls, snr_db: float) -> "NoiseSpec":
-        """Unit-power signal convention: sigma2 = 10^(-snr_db/10)."""
-        try:
-            sigma2 = 10.0 ** (-float(snr_db) / 10.0)
-        except OverflowError:
-            sigma2 = math.inf
-        return cls(float(snr_db), sigma2)
+def noise_variance(snr_db: float) -> float:
+    """Per-sample complex noise variance at an SNR in dB, for unit signal
+    power: sigma2 = 10^(-snr_db/10). Raises ValueError for a NaN SNR or a
+    variance that is not finite."""
+    snr_db = float(snr_db)
+    if math.isnan(snr_db):
+        raise ValueError("snr_db must not be NaN")
+    try:
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not math.isfinite(sigma2):
+        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2} (snr_db = {snr_db})")
+    return sigma2
 

@@ -14,13 +14,12 @@ import math
 import operator
 import os
 import sys
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .channel import BUILTIN_PROFILES, build_profile
+from .channel import BUILTIN_PROFILES, build_profile, read_key_values
 from .estimators import conventional_noise_var, multi_symbol_noise_var, stack_pilot_cir
 from .harness import (
     ESTIMATOR_IDS,
@@ -117,41 +116,29 @@ _CONFIG_KEYS = {
 }
 
 
-def _load_key_values(path: Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` file with ``#`` comments."""
-    text = path.read_text()
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key in values:
-            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        if key not in _CONFIG_KEYS:
-            raise ValueError(
-                f"{path}:{lineno}: unknown key {key!r}; known keys: {', '.join(_CONFIG_KEYS)}"
-            )
-        values[key] = value
-    return values
-
-
 def _build_config(args, estimators: tuple[str, ...] | None = None) -> SimConfig:
     """Merge config-file values and flag overrides into a SimConfig.
 
-    ``estimators``, if given, replaces the estimator list of file and flags.
+    A config file names each known key at most once. ``estimators``, if
+    given, replaces the estimator list of file and flags.
     """
-    raw = _load_key_values(Path(args.config)) if getattr(args, "config", None) else {}
+    raw: dict[str, str] = {}
+    for where, key, value in read_key_values(args.config) if getattr(args, "config", None) else ():
+        if key in raw:
+            raise ValueError(f"{where}: duplicate key {key!r}")
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{where}: unknown key {key!r}; known keys: {', '.join(_CONFIG_KEYS)}")
+        raw[key] = value
     # Keyword arguments of GridConfig ("grid") and of SimConfig ("").
     fields: dict[str, dict] = {"grid": {}, "": {}}
     for key, spec in _CONFIG_KEYS.items():
         owner, _, name = spec.field.rpartition(".")
         flag = getattr(args, spec.flag, None) if spec.flag else None
         if flag is not None:
-            fields[owner][name] = spec.parse(flag) if isinstance(flag, str) else flag
+            try:
+                fields[owner][name] = spec.parse(flag) if isinstance(flag, str) else flag
+            except ValueError as exc:
+                raise ValueError(f"flag --{spec.flag.replace('_', '-')}: {exc}") from None
         elif key in raw:
             try:
                 fields[owner][name] = spec.parse(raw[key])
@@ -211,7 +198,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gaps(args) -> int:
     records = read_csv(args.input)
-    targets = tuple(float(t) for t in args.targets.split(","))
+    try:
+        targets = tuple(float(t) for t in args.targets.split(","))
+    except ValueError as exc:
+        raise ValueError(f"flag --targets: {exc}") from None
     report = gap_report(records, targets)
     _print_gap_summary(report)
     if args.out:
@@ -244,7 +234,7 @@ def _cmd_inspect(args) -> int:
     ]
     for n in range(grid.n_pilots):
         cells = ",".join(
-            f"{fmt(pilot_ls[n, m].real)},{fmt(pilot_ls[n, m].imag)}"
+            f"{fmt(pilot_ls[m, n].real)},{fmt(pilot_ls[m, n].imag)}"
             for m in range(grid.n_symbols)
         )
         block.append(f"{n},{cells}")
@@ -278,7 +268,7 @@ def _cmd_inspect(args) -> int:
         *noise_rows,
     ]
     for th in (config.th_perfect, config.th_inaccurate):
-        for m, sigma2 in enumerate(conventional_noise_var(idft(pilot_ls.T), th)):
+        for m, sigma2 in enumerate(conventional_noise_var(idft(pilot_ls), th)):
             block.append(f"conventional-th{th},{m},{grid.n_pilots - th},{fmt(sigma2)}")
     blocks.append(block)
 

@@ -1,28 +1,28 @@
 """DFT-based channel estimation from comb-type pilot observations.
 
 Every estimator takes the same input, the pilot least-squares grid
-``(..., Np, M)`` of a block of ``M`` OFDM symbols, and returns one
-:class:`Estimate`: the estimate at every cell, the noise estimate
-``(..., M')`` and the denoised impulse response ``(..., M', Np)`` (None
-where the estimator has none). ``M' = 1`` when one response serves the
-whole block and ``M' = M`` for one per OFDM symbol. Leading axes are batch
-axes.
+``(..., M, Np)`` of a block of ``M`` OFDM symbols, one row per symbol, and
+returns one :class:`Estimate`: the estimate at every cell, the noise
+estimate ``(..., M')`` and the denoised impulse response ``(..., M', Np)``
+(None where the estimator has none). ``M' = 1`` when one response serves
+the whole block and ``M' = M`` for one per OFDM symbol. Leading axes are
+batch axes.
 
 * ``conventional_estimate`` works one OFDM symbol at a time: it transforms
-  each pilot column to a length-``Np`` impulse response, reads the noise
-  level off the samples beyond a caller-supplied delay-spread threshold,
-  zeroes that region, zeroes any remaining sample whose energy falls below
-  ``c`` times the noise estimate, and transforms back at the full grid
-  length. Its quality therefore hinges on how well the threshold matches
-  the actual delay spread.
-* ``multi_symbol_estimate`` stacks the pilot columns of all ``M`` symbols
-  into one vector before the inverse transform. For a channel that holds
-  still over the block the stacked spectrum is periodic, so the impulse
-  response interleaves: channel energy lands only on indices divisible by
-  ``M`` while the other ``Np (M - 1)`` samples are pure noise. That yields
-  a noise-variance estimate from far more samples than the conventional
-  tail, needs no prior delay-spread knowledge, and one estimate serves the
-  whole block.
+  each symbol's pilot row to a length-``Np`` impulse response, reads the
+  noise level off the samples beyond a caller-supplied delay-spread
+  threshold, zeroes that region, zeroes any remaining sample whose energy
+  falls below ``c`` times the noise estimate, and transforms back at the
+  full grid length. Its quality therefore hinges on how well the threshold
+  matches the actual delay spread.
+* ``multi_symbol_estimate`` stacks the pilot rows of all ``M`` symbols
+  into one vector, the flattened grid, before the inverse transform. For a
+  channel that holds still over the block the stacked spectrum is
+  periodic, so the impulse response interleaves: channel energy lands only
+  on indices divisible by ``M`` while the other ``Np (M - 1)`` samples are
+  pure noise. That yields a noise-variance estimate from far more samples
+  than the conventional tail, needs no prior delay-spread knowledge, and
+  one estimate serves the whole block.
 * ``ls_nearest_estimate`` copies each subcarrier's nearest pilot
   observation, a diagnostic baseline without denoising.
 
@@ -76,14 +76,14 @@ class Estimate(NamedTuple):
 
 def ls_nearest_estimate(pilots: np.ndarray, n_subcarriers: int) -> Estimate:
     """Diagnostic baseline: copy each subcarrier's nearest pilot observation."""
-    cols = np.swapaxes(pilots, -1, -2)
-    spacing = _pilot_spacing(n_subcarriers, cols.shape[-1])
-    cells = np.empty(cols.shape[:-1] + (spacing, cols.shape[-1]), dtype=np.complex128)
+    rows = np.asarray(pilots)
+    spacing = _pilot_spacing(n_subcarriers, rows.shape[-1])
+    cells = np.empty(rows.shape[:-1] + (spacing, rows.shape[-1]), dtype=np.complex128)
     # Residues r < S/2, pilot p's own residue 0 among them, copy pilot p; the
     # others, exact midpoints too, copy pilot p + 1 (cyclically).
     near = (spacing + 1) // 2
-    cells[..., :near, :] = cols[..., None, :]
-    cells[..., near:, :] = np.roll(cols, -1, axis=-1)[..., None, :]
+    cells[..., :near, :] = rows[..., None, :]
+    cells[..., near:, :] = np.roll(rows, -1, axis=-1)[..., None, :]
     return Estimate(cells)
 
 
@@ -106,12 +106,12 @@ def conventional_estimate(
 ) -> Estimate:
     """Per-symbol DFT estimate with threshold-based CIR denoising.
 
-    Pipeline, for each symbol's pilot column: inverse transform, noise
+    Pipeline, for each symbol's pilot row: inverse transform, noise
     read-off beyond ``threshold``, hard zeroing of that region, zeroing of
     below-threshold leading samples (strictly below ``c * sigma2_hat``),
     zero padding to ``n_subcarriers``, forward transform. ``M' = M``.
     """
-    cir = idft(np.swapaxes(pilots, -1, -2))
+    cir = idft(pilots)
     sigma2 = conventional_noise_var(cir, threshold)
     head = cir[..., :threshold]
     keep = np.abs(head) ** 2 >= c * sigma2[..., None]
@@ -151,7 +151,7 @@ def _grid_cells(cleaned: np.ndarray, n_subcarriers: int) -> np.ndarray:
 
 
 def stack_pilot_cir(pilots: np.ndarray) -> np.ndarray:
-    """Inverse transform of the pilot columns stacked into one vector.
+    """Inverse transform of the pilot rows ``(..., M, Np)`` stacked into one vector.
 
     Stacking order is symbol after symbol, so a block-constant channel
     makes the stacked spectrum periodic with period ``Np``. Returns the
@@ -162,11 +162,11 @@ def stack_pilot_cir(pilots: np.ndarray) -> np.ndarray:
     """
     grid = np.asarray(pilots, dtype=np.complex128)
     if grid.ndim < 2:
-        raise ValueError("pilots must have shape (..., n_pilots, n_symbols)")
-    if grid.shape[-1] < 2:
+        raise ValueError("pilots must have shape (..., n_symbols, n_pilots)")
+    if grid.shape[-2] < 2:
         raise ValueError("multi-symbol estimation needs at least 2 OFDM symbols per block")
-    stacked = np.swapaxes(grid, -1, -2).reshape(grid.shape[:-2] + (-1,))
-    return idft(stacked).reshape(grid.shape)
+    stacked = grid.reshape(grid.shape[:-2] + (-1,))
+    return idft(stacked).reshape(stacked.shape[:-1] + (-1, grid.shape[-2]))
 
 
 def multi_symbol_noise_var(cir: np.ndarray) -> np.ndarray:

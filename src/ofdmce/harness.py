@@ -26,8 +26,10 @@ block's ``H * X`` and ``W`` are drawn once and run through every SNR point,
 where each point only scales and adds them; a pool task is a run of whole
 blocks. The cells are in the layout of the truth and of every estimate: one
 residue grid ``(..., S, Np)`` per OFDM symbol (``phy.residue_major``) whose
-row 0 holds the pilot least-squares observations the estimators read, and
-rows ``1 .. S - 1`` the data cells ``equalize`` decides on.
+row 0 holds the pilot least-squares observations, and rows ``1 .. S - 1``
+the data cells ``equalize`` decides on. Across the symbols the pilot rows
+are ``(..., M, Np)``, symbol-major like every grid of the package, so the
+estimators read them as a view with no reorder.
 ``simulate_subframe`` draws and receives a one-trial block the same way and
 returns its pilot row and truth as they are, so ``inspect`` shows what the
 sweep scored. The time-domain functions stay in the library as the
@@ -47,11 +49,11 @@ import numpy as np
 
 from .channel import (
     ChannelRealization,
-    NoiseSpec,
     PowerDelayProfile,
     build_profile,
     complex_normal,
     load_profile,
+    noise_variance,
     tap_gains,
 )
 from .estimators import (
@@ -118,7 +120,7 @@ class Estimator(NamedTuple):
     reads_pilots: bool = True
 
 
-# Each run maps a config, a pilot least-squares grid ``ls`` (..., Np, M) and
+# Each run maps a config, a pilot least-squares grid ``ls`` (..., M, Np) and
 # the true response in residue order (..., S, Np) (``phy.residue_major``) to
 # an ``estimators.Estimate``.
 ESTIMATORS = {
@@ -163,7 +165,7 @@ class SimConfig:
         if bad:
             raise ValueError(f"snr_points_db must be finite, got {bad}")
         for snr_db in self.snr_points_db:
-            NoiseSpec.from_snr_db(snr_db)
+            noise_variance(snr_db)
         if any(b <= a for a, b in zip(self.snr_points_db, self.snr_points_db[1:])):
             raise ValueError("SNR points must be strictly increasing")
         if self.subframes_per_point < 1:
@@ -368,29 +370,27 @@ def _draw_block(
     truth = np.ascontiguousarray(residue_major(realization.freq_response, grid.n_pilots))
     true_head, tail_energy = realization.split_taps(grid.n_pilots)
     del realization
-    # Symbol-major pilots, (M, Np), in step with the grid's pilot row.
-    row = np.swapaxes(pilots, -1, -2)
     demodulated = ofdm_demodulate(unit_noise, grid)
     del unit_noise
-    noise = np.ascontiguousarray(residue_major(np.swapaxes(demodulated, -1, -2), grid.n_pilots))
+    noise = np.ascontiguousarray(residue_major(demodulated, grid.n_pilots))
     del demodulated
-    noise[..., 0, :] *= np.conj(row)
+    noise[..., 0, :] *= np.conj(pilots)
     # Drawn symbol-major, a symbol's bit pairs are (Np, S - 1) cells; transpose them.
     drawn = bits.reshape((n_trials, grid.n_symbols, grid.n_pilots, grid.pilot_spacing - 1, 2))
     bits = np.swapaxes(drawn, 2, 3).reshape(n_trials, -1)
     clean = np.empty_like(noise)
     data = clean[..., 1:, :]
     np.multiply(qpsk_modulate(bits).reshape(data.shape), truth[:, None, 1:, :], out=data)
-    clean[..., 0, :] = truth[:, None, 0, :] * row * np.conj(row)
+    clean[..., 0, :] = truth[:, None, 0, :] * pilots * np.conj(pilots)
     return _Block(bits, truth, true_head, tail_energy, clean, noise)
 
 
-def _receive(block: _Block, noise: NoiseSpec, rx: np.ndarray) -> np.ndarray:
-    """Write the received cells at one SNR into ``rx`` and return the pilot
-    least-squares grid, ``(trials, Np, M)``, a view of its pilot row."""
-    np.multiply(block.noise, math.sqrt(noise.sigma2), out=rx)
+def _receive(block: _Block, sigma2: float, rx: np.ndarray) -> np.ndarray:
+    """Write the received cells at noise variance ``sigma2`` into ``rx`` and
+    return the pilot least-squares grid, ``(trials, M, Np)``, its pilot row."""
+    np.multiply(block.noise, math.sqrt(sigma2), out=rx)
     rx += block.clean
-    return np.swapaxes(rx[..., 0, :], -1, -2)
+    return rx[..., 0, :]
 
 
 def _flat(cells: np.ndarray) -> np.ndarray:
@@ -434,7 +434,7 @@ def _sweep_block(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarr
     product = np.empty(rx_data.shape, dtype=np.complex128)
     partial = {}
     for snr_idx, snr_db in enumerate(config.snr_points_db):
-        pilot_ls = _receive(block, NoiseSpec.from_snr_db(snr_db), rx)
+        pilot_ls = _receive(block, noise_variance(snr_db), rx)
         for estimator_id in config.estimators:
             if estimator_id in fixed:
                 h_data, mse, sigma2 = fixed[estimator_id]
@@ -477,12 +477,12 @@ def _exact_terms(values: list[float]) -> list[float]:
 
 
 def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int):
-    """One trial as the sweep scores it: its pilot least-squares grid ``(Np,
-    M)`` and its true response in residue order ``(S, Np)``."""
+    """One trial as the sweep scores it: its pilot least-squares grid ``(M,
+    Np)`` and its true response in residue order ``(S, Np)``."""
     profile = resolve_profile(config)
     pilots = generate_pilots(config.master_seed, config.grid)
     block = _draw_block(config, profile, pilots, np.array([trial_index]))
-    pilot_ls = _receive(block, NoiseSpec.from_snr_db(snr_db), np.empty_like(block.clean))
+    pilot_ls = _receive(block, noise_variance(snr_db), np.empty_like(block.clean))
     return pilot_ls[0], block.truth[0]
 
 

@@ -2,8 +2,9 @@
 
 Conventions used throughout the package:
 
-* Resource grids are complex arrays of shape ``(..., N, M)``: subcarrier
-  index first, OFDM symbol index second, optional leading batch axes.
+* Resource grids are complex arrays of shape ``(..., M, N)``, and pilot
+  grids ``(..., M, Np)``: OFDM symbol index first, subcarrier or pilot
+  index last, optional leading batch axes.
 * Pilot cells occupy every ``pilot_spacing``-th subcarrier (including
   subcarrier 0) on every symbol; all remaining cells carry data.
 * OFDM modulation scales the inverse transform by ``sqrt(N)`` and
@@ -135,14 +136,15 @@ def qpsk_bit_errors(symbols: np.ndarray, bits: np.ndarray) -> int:
 
 
 def generate_pilots(seed: int, cfg: GridConfig) -> np.ndarray:
-    """Deterministic unit-modulus QPSK pilot grid of shape (n_pilots, n_symbols)."""
+    """Deterministic unit-modulus QPSK pilot grid of shape (n_symbols, n_pilots),
+    the transposed view of symbols drawn as (n_pilots, n_symbols)."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(cfg.n_pilots, 2 * cfg.n_symbols))
-    return qpsk_modulate(bits)
+    return qpsk_modulate(bits).T
 
 
 def build_grid(data_symbols: np.ndarray, pilots: np.ndarray, cfg: GridConfig) -> np.ndarray:
-    """Assemble a (..., N, M) resource grid from flat data symbols and pilots."""
+    """Assemble a (..., M, N) resource grid from flat data symbols and (M, Np) pilots."""
     data = np.asarray(data_symbols)
     expected = cfg.n_symbols * cfg.n_data
     if data.shape[-1] != expected:
@@ -150,9 +152,9 @@ def build_grid(data_symbols: np.ndarray, pilots: np.ndarray, cfg: GridConfig) ->
     # Symbol m as (Np, S): pilot p, then data cells p (S - 1) .. p (S - 1) + S - 2.
     shape = data.shape[:-1] + (cfg.n_symbols, cfg.n_pilots, cfg.pilot_spacing)
     cells = np.empty(shape, dtype=np.complex128)
-    cells[..., 0] = np.swapaxes(pilots, -1, -2)
+    cells[..., 0] = pilots
     cells[..., 1:] = data.reshape(cells[..., 1:].shape)
-    return np.swapaxes(cells.reshape(cells.shape[:-2] + (-1,)), -1, -2)
+    return cells.reshape(cells.shape[:-2] + (-1,))
 
 
 def ofdm_modulate(grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
@@ -161,19 +163,19 @@ def ofdm_modulate(grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
     Output shape is ``(..., n_symbols * (n_subcarriers + cp_len))``.
     """
     arr = np.asarray(grid)
-    if arr.shape[-2:] != (cfg.n_subcarriers, cfg.n_symbols):
+    if arr.shape[-2:] != (cfg.n_symbols, cfg.n_subcarriers):
         raise ValueError(
-            f"grid must end in shape ({cfg.n_subcarriers}, {cfg.n_symbols}), got {arr.shape[-2:]}"
+            f"grid must end in shape ({cfg.n_symbols}, {cfg.n_subcarriers}), got {arr.shape[-2:]}"
         )
-    freq = np.swapaxes(arr, -1, -2)
-    body = idft(freq) * np.sqrt(cfg.n_subcarriers)
+    body = idft(arr) * np.sqrt(cfg.n_subcarriers)
     if cfg.cp_len:
         body = np.concatenate([body[..., cfg.n_subcarriers - cfg.cp_len :], body], axis=-1)
     return body.reshape(body.shape[:-2] + (cfg.samples_per_block,))
 
 
 def ofdm_demodulate(samples: np.ndarray, cfg: GridConfig) -> np.ndarray:
-    """Strip cyclic prefixes and apply the scaled forward transform per symbol."""
+    """Strip cyclic prefixes and apply the scaled forward transform per
+    symbol; output shape is ``(..., n_symbols, n_subcarriers)``."""
     arr = np.asarray(samples)
     if arr.shape[-1] != cfg.samples_per_block:
         raise ValueError(
@@ -183,7 +185,7 @@ def ofdm_demodulate(samples: np.ndarray, cfg: GridConfig) -> np.ndarray:
     body = blocks[..., cfg.cp_len :]
     freq = dft(body)
     freq /= np.sqrt(cfg.n_subcarriers)
-    return np.swapaxes(freq, -1, -2)
+    return freq
 
 
 def residue_major(cells: np.ndarray, n_pilots: int) -> np.ndarray:
@@ -197,6 +199,6 @@ def extract_pilot_ls(rx_grid: np.ndarray, pilots: np.ndarray, cfg: GridConfig) -
     """Least-squares channel observation at the pilot cells.
 
     Pilots are unit modulus, so dividing by the pilot equals multiplying by
-    its conjugate; returns shape ``(..., n_pilots, n_symbols)``.
+    its conjugate; returns shape ``(..., n_symbols, n_pilots)``.
     """
-    return np.asarray(rx_grid)[..., cfg.pilot_indices, :] * np.conj(pilots)
+    return np.asarray(rx_grid)[..., cfg.pilot_indices] * np.conj(pilots)

@@ -92,9 +92,9 @@ class TestAcceptance:
         """Both denoising schemes recover 1000 noiseless in-range channels."""
         rng = np.random.default_rng(404)
         h_true = random_sparse_channels(rng, trials=1000, max_delay=38, n_subcarriers=512)
-        pilot_col = h_true[:, ::8]
-        conv = conventional_estimate(pilot_col[..., None], 512, threshold=39, c=2.0)
-        prop = multi_symbol_estimate(np.stack([pilot_col, pilot_col], axis=-1), 512)
+        pilot_row = h_true[:, ::8]
+        conv = conventional_estimate(pilot_row[:, None, :], 512, threshold=39, c=2.0)
+        prop = multi_symbol_estimate(np.stack([pilot_row, pilot_row], axis=-2), 512)
         scale = np.max(np.abs(h_true), axis=-1)
         worst_conv = np.max(np.max(np.abs(conv.freq_response[:, 0] - h_true), axis=-1) / scale)
         worst_prop = np.max(np.max(np.abs(prop.freq_response[:, 0] - h_true), axis=-1) / scale)
@@ -106,14 +106,16 @@ class TestAcceptance:
         """Interleave noise positions are channel-free and noise-independent."""
         rng = np.random.default_rng(505)
         clean = rng.normal(size=(1000, 64)) + 1j * rng.normal(size=(1000, 64))
-        stacked = stack_pilot_cir(np.stack([clean, clean], axis=-1))
+        stacked = stack_pilot_cir(np.stack([clean, clean], axis=-2))
         worst = np.max(np.abs(stacked[..., 1:]))
         print(f"criterion 5: worst noiseless noise-block entry {worst:.2e}")
         assert worst <= 1e-12, f"noise block should vanish without noise, worst {worst:.2e}"
 
         trials, sigma2 = 10_000, 0.1
         channel = rng.normal(size=(trials, 64)) + 1j * rng.normal(size=(trials, 64))
-        pilots = channel[..., None] + complex_normal(rng, (trials, 64, 2), sigma2)
+        # Drawn pilot by pilot, (trials, Np, M), and read symbol-major as a view.
+        noise = np.swapaxes(complex_normal(rng, (trials, 64, 2), sigma2), -1, -2)
+        pilots = channel[..., None, :] + noise
         noise_block = stack_pilot_cir(pilots)[..., 1]
         channel_cir = idft(channel)
         inner = np.sum(noise_block * np.conj(channel_cir))
@@ -127,9 +129,10 @@ class TestAcceptance:
         """Both read-offs are unbiased; the multi-symbol one is tighter."""
         for sigma2 in (0.01, 0.1, 1.0):
             rng = np.random.default_rng((606, int(sigma2 * 1000)))
-            pilots = 1.0 + complex_normal(rng, (10_000, 64, 2), sigma2)
+            # Drawn pilot by pilot, (trials, Np, M), and read symbol-major as a view.
+            pilots = 1.0 + np.swapaxes(complex_normal(rng, (10_000, 64, 2), sigma2), -1, -2)
             prop = multi_symbol_noise_var(stack_pilot_cir(pilots))
-            conv = conventional_noise_var(idft(pilots[..., 0]), 1)
+            conv = conventional_noise_var(idft(pilots[..., 0, :]), 1)
             prop_mean, conv_mean = float(np.mean(prop)), float(np.mean(conv))
             prop_target, conv_target = sigma2 / 128.0, sigma2 / 64.0
             print(

@@ -5,13 +5,14 @@ import pytest
 
 from ofdmce.channel import (
     ChannelRealization,
-    NoiseSpec,
     PowerDelayProfile,
     apply_channel,
     build_profile,
     complex_normal,
     load_profile,
+    noise_variance,
     profile_from_taps,
+    read_key_values,
     tap_gains,
 )
 from ofdmce.phy import GridConfig, build_grid, generate_pilots, ofdm_demodulate, ofdm_modulate, qpsk_modulate
@@ -163,6 +164,27 @@ class TestProfileFiles:
         with pytest.raises(OSError):
             load_profile(tmp_path / "absent.prof", FS)
 
+    @pytest.mark.parametrize("line", ["name =", "= 5", "tap", "tap =  # no value"])
+    def test_incomplete_lines_rejected_as_key_value(self, tmp_path, line):
+        """A line without key, ``=`` or value fails in the shared reader."""
+        path = tmp_path / "bad.prof"
+        path.write_text(f"tap = 0 0\n{line}\n")
+        with pytest.raises(ValueError, match=f"bad.prof:2: expected 'key = value', got '{line}'"):
+            load_profile(path, FS)
+
+
+class TestKeyValueReader:
+    def test_lines_comments_and_positions(self, tmp_path):
+        """Blank and comment-only lines are skipped; keys repeat as written;
+        ``where`` names the file and line."""
+        path = tmp_path / "kv.txt"
+        path.write_text("# header\n\n a = 1 # note\nb=x=y\n  \na = 2\n")
+        assert read_key_values(path) == [
+            (f"{path}:3", "a", "1"),
+            (f"{path}:4", "b", "x=y"),
+            (f"{path}:6", "a", "2"),
+        ]
+
 
 # ---------------------------------------------------------------------------
 # Realizations
@@ -284,7 +306,7 @@ class TestApplyChannel:
         )
         edge = ChannelRealization.from_taps([0, 12], [1.0 + 0j, 0.5 - 0.5j], 64)
         rx = ofdm_demodulate(apply_channel(ofdm_modulate(grid, cfg), edge, cfg.cp_len), cfg)
-        assert np.abs(rx - edge.freq_response[:, None] * grid).max() <= 1e-12
+        assert np.abs(rx - edge.freq_response * grid).max() <= 1e-12
 
     def test_one_sample_delay_rotates_subcarriers(self):
         """A pure one-sample delay multiplies subcarrier k by e^{-j2pik/N}."""
@@ -298,7 +320,7 @@ class TestApplyChannel:
         delay = ChannelRealization.from_taps([0, 1], [0.0 + 0j, 1.0 + 0j], 64)
         rx = ofdm_demodulate(apply_channel(ofdm_modulate(grid, cfg), delay, cfg.cp_len), cfg)
         k = np.arange(64)
-        expected = grid * np.exp(-2j * np.pi * k / 64)[:, None]
+        expected = grid * np.exp(-2j * np.pi * k / 64)
         assert np.abs(rx - expected).max() <= 1e-10
 
     def test_two_tap_frequency_response(self):
@@ -315,7 +337,7 @@ class TestApplyChannel:
         ratio = rx / grid
         k = np.arange(64)
         expected = 1 + 0.5 * np.exp(-2j * np.pi * k / 64)
-        assert np.abs(ratio - expected[:, None]).max() <= 1e-10
+        assert np.abs(ratio - expected).max() <= 1e-10
 
     def test_demodulated_grid_sees_freq_response(self):
         """With cp_len above the delay spread, each cell is scaled by H[k]."""
@@ -329,7 +351,7 @@ class TestApplyChannel:
             cfg,
         )
         rx = ofdm_demodulate(apply_channel(ofdm_modulate(grid, cfg), draw, cfg.cp_len), cfg)
-        expected = draw.freq_response[:, None] * grid
+        expected = draw.freq_response * grid
         assert np.abs(rx - expected).max() <= 1e-10
 
     def test_batched_gains_broadcast(self):
@@ -349,29 +371,38 @@ class TestApplyChannel:
 
 class TestNoise:
     def test_snr_to_sigma2(self):
-        assert NoiseSpec.from_snr_db(10.0).sigma2 == pytest.approx(0.1)
-        assert NoiseSpec.from_snr_db(0.0).sigma2 == 1.0
-        assert NoiseSpec.from_snr_db(np.inf).sigma2 == 0.0
+        assert noise_variance(10.0) == pytest.approx(0.1)
+        assert noise_variance(0.0) == 1.0
+        assert noise_variance(np.inf) == 0.0
+        assert type(noise_variance(np.float64(3.0))) is float
 
     def test_zero_sigma2_passthrough(self):
         """Unit noise scaled by sqrt(sigma2) of an infinite SNR adds nothing."""
         x = np.ones(50, dtype=complex)
         noise = complex_normal(np.random.default_rng(0), 50, 1.0)
-        out = x + np.sqrt(NoiseSpec.from_snr_db(np.inf).sigma2) * noise
+        out = x + np.sqrt(noise_variance(np.inf)) * noise
         assert np.array_equal(out, x)
 
     def test_noise_variance_calibration(self):
         """Unit noise scaled by sqrt(sigma2) has variance sigma2."""
         rng = np.random.default_rng(13)
-        out = np.sqrt(NoiseSpec(3.0, 0.5).sigma2) * complex_normal(rng, 200_000, 1.0)
+        out = np.sqrt(noise_variance(3.0)) * complex_normal(rng, 200_000, 1.0)
         measured = np.mean(np.abs(out) ** 2)
-        assert abs(measured - 0.5) <= 0.01, f"measured {measured:.4f}"
+        assert abs(measured - 10.0**-0.3) <= 0.01, f"measured {measured:.4f}"
 
-    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf, -4000.0])
-    def test_non_finite_noise_rejected(self, snr_db):
+    @pytest.mark.parametrize(
+        "snr_db, message",
+        [
+            (np.nan, "snr_db must not be NaN"),
+            (-np.inf, r"sigma2 must be finite and nonnegative, got inf \(snr_db = -inf\)"),
+            (-4000.0, r"sigma2 must be finite and nonnegative, got inf \(snr_db = -4000.0\)"),
+        ],
+        ids=["nan", "-inf", "-4000.0"],
+    )
+    def test_non_finite_noise_rejected(self, snr_db, message):
         """NaN, -inf and overflowing dB values give no usable noise variance."""
-        with pytest.raises(ValueError, match="snr_db|sigma2"):
-            NoiseSpec.from_snr_db(snr_db)
+        with pytest.raises(ValueError, match=message):
+            noise_variance(snr_db)
 
     def test_complex_normal_is_circular(self):
         rng = np.random.default_rng(14)

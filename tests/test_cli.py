@@ -286,6 +286,33 @@ class TestNonFiniteInput:
         assert "snr_db" in capsys.readouterr().err
 
 
+class TestFlagParseErrors:
+    """A flag value that does not parse exits 1 naming the flag, as a config
+    file's value names its key."""
+
+    @pytest.mark.parametrize("spec", ["abc", "5,,10", "0:x:10"])
+    def test_snr_flag(self, spec, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", f"--snr={spec}", "--estimators", "ideal", "--subframes", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: flag --snr: could not convert string to float"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("targets", ["1e-3,x", "abc", "1e-3,,1e-2"])
+    def test_targets_flag(self, targets, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--estimators", "ideal", "--snr", "0,10", "--subframes", "1",
+              "--out", str(out)])
+        capsys.readouterr()
+        assert main(["gaps", "--in", str(out), "--targets", targets]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: flag --targets: could not convert string to float")
+        assert captured.out == ""
+
+
 class TestOverflowingProfile:
     """Profile numbers beyond the sample or power range exit 1 naming the field."""
 

@@ -36,9 +36,9 @@ def random_cir_channel(rng: np.random.Generator, max_delay: int, n: int) -> Chan
 
 
 def pilot_observation(realization: ChannelRealization, cfg: GridConfig) -> np.ndarray:
-    """Noiseless block-constant pilot LS grid for a realization."""
-    col = realization.freq_response[..., cfg.pilot_indices]
-    return np.repeat(col[..., None], cfg.n_symbols, axis=-1)
+    """Noiseless block-constant pilot LS grid (..., M, Np) for a realization."""
+    row = realization.freq_response[..., cfg.pilot_indices]
+    return np.repeat(row[..., None, :], cfg.n_symbols, axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +79,8 @@ class TestConventionalEstimate:
     def test_energy_beyond_threshold_is_discarded(self):
         """A tap past the threshold is treated as noise and removed."""
         truth = ChannelRealization.from_taps([0, 45], [1.0, 0.7], 512)
-        col = truth.freq_response[::8, None]
-        est = conventional_estimate(col, 512, *PERFECT)
+        row = truth.freq_response[None, ::8]
+        est = conventional_estimate(row, 512, *PERFECT)
         assert np.abs(est.freq_response - 1.0).max() <= 1e-9
         # The removed tap dominates the tail, inflating the noise estimate.
         assert est.sigma2_hat == pytest.approx([0.49 / 25], rel=1e-9)
@@ -91,15 +91,15 @@ class TestConventionalEstimate:
         cir[0] = 1.0
         cir[5] = 0.05
         cir[40:] = 0.1
-        col = dft(cir)[:, None]
-        est = conventional_estimate(col, 512, *PERFECT)
+        row = dft(cir)[None, :]
+        est = conventional_estimate(row, 512, *PERFECT)
         # sigma2_hat = 24 * 0.01 / 25; c = 2 puts the cut at 0.0192 > 0.05^2.
         assert np.abs(est.freq_response - 1.0).max() <= 1e-9
 
     def test_batched_matches_single(self):
         cfg = GridConfig()
         rng = np.random.default_rng(22)
-        pilots = complex_normal(rng, (5, cfg.n_pilots, cfg.n_symbols), 1.0)
+        pilots = complex_normal(rng, (5, cfg.n_symbols, cfg.n_pilots), 1.0)
         batched = conventional_estimate(pilots, cfg.n_subcarriers, *PERFECT)
         for i in range(5):
             single = conventional_estimate(pilots[i], cfg.n_subcarriers, *PERFECT)
@@ -116,9 +116,9 @@ class TestConventionalEstimate:
 
 class TestStacking:
     def test_two_pilot_two_symbol_closed_form(self):
-        """Identical columns [a, b] stack to [a, b, a, b] and interleave."""
+        """Identical symbols [a, b] stack to [a, b, a, b] and interleave."""
         a, b = 1.1 - 0.2j, 0.4 + 0.9j
-        pilots = np.array([[a, a], [b, b]])
+        pilots = np.array([[a, b], [a, b]])
         cir = stack_pilot_cir(pilots)
         expected = np.array([(a + b) / 2, 0, (a - b) / 2, 0])
         assert np.allclose(cir.reshape(-1), expected, atol=1e-14)
@@ -138,7 +138,7 @@ class TestStacking:
         noise block untouched."""
         cfg = GridConfig()
         rng = np.random.default_rng(24)
-        noise = complex_normal(rng, (cfg.n_pilots, cfg.n_symbols), 0.1)
+        noise = complex_normal(rng, (cfg.n_symbols, cfg.n_pilots), 0.1)
         blocks = []
         for _ in range(2):
             truth = random_cir_channel(rng, 38, cfg.n_subcarriers)
@@ -148,13 +148,13 @@ class TestStacking:
 
     def test_single_symbol_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            stack_pilot_cir(np.ones((64, 1)))
+            stack_pilot_cir(np.ones((1, 64)))
 
     def test_matrix_view_indexing(self):
         """Stacked CIR sample n * M + v appears at matrix position (n, v)."""
         samples = np.arange(8.0)
-        # Pilot column v holds entries v * Np .. (v + 1) * Np - 1 of the stacked spectrum.
-        pilots = dft(samples).reshape(2, 4).T
+        # Symbol v's pilots are entries v * Np .. (v + 1) * Np - 1 of the stacked spectrum.
+        pilots = dft(samples).reshape(2, 4)
         cir = stack_pilot_cir(pilots)
         assert cir.shape == (4, 2)
         assert cir[3, 1] == pytest.approx(samples[7], abs=1e-14)
@@ -183,7 +183,7 @@ class TestMultiSymbolEstimate:
         non-strict comparison would zero the whole estimate.
         """
         stacked = dft(np.full(8, 0.3 + 0.0j))
-        pilots = np.stack([stacked[:4], stacked[4:]], axis=-1)
+        pilots = stacked.reshape(2, 4)
         est = multi_symbol_estimate(pilots, 8)
         assert est.freq_response[0, 0] == pytest.approx(4 * 0.3, abs=1e-12)
         assert est.sigma2_hat == pytest.approx([0.09], abs=1e-15)
@@ -197,7 +197,7 @@ class TestMultiSymbolEstimate:
         """On a constant channel, sigma2_hat averages sigma2 / (Np * M)."""
         rng = np.random.default_rng(26)
         sigma2 = 0.1
-        pilots = 1.0 + complex_normal(rng, (5000, 64, 2), sigma2)
+        pilots = 1.0 + complex_normal(rng, (5000, 2, 64), sigma2)
         est = multi_symbol_noise_var(stack_pilot_cir(pilots))
         assert est.shape == (5000,)
         mean = est.mean()
@@ -208,9 +208,9 @@ class TestMultiSymbolEstimate:
         """More noise samples mean lower estimator variance."""
         rng = np.random.default_rng(27)
         sigma2 = 0.1
-        pilots = 1.0 + complex_normal(rng, (5000, 64, 2), sigma2)
+        pilots = 1.0 + complex_normal(rng, (5000, 2, 64), sigma2)
         multi = multi_symbol_noise_var(stack_pilot_cir(pilots))
-        conv = conventional_noise_var(idft(pilots[:, :, 0]), threshold=1)
+        conv = conventional_noise_var(idft(pilots[:, 0]), threshold=1)
         # Rescale to a common target before comparing spreads.
         rel_multi = np.var(multi * 128 / sigma2)
         rel_conv = np.var(conv * 64 / sigma2)
@@ -218,7 +218,7 @@ class TestMultiSymbolEstimate:
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(28)
-        pilots = complex_normal(rng, (5, 64, 2), 1.0)
+        pilots = complex_normal(rng, (5, 2, 64), 1.0)
         batched = multi_symbol_estimate(pilots, 512)
         for i in range(5):
             single = multi_symbol_estimate(pilots[i], 512)
@@ -231,7 +231,7 @@ class TestRandomGrids:
 
     @staticmethod
     def draw_cases(seed: int, count: int):
-        """Noiseless pilot grids (3, Np, M) of sample-spaced channels whose taps
+        """Noiseless pilot grids (3, M, Np) of sample-spaced channels whose taps
         all lie below a drawn threshold, with their true responses (3, N)."""
         rng = np.random.default_rng(seed)
         for _ in range(count):
@@ -243,8 +243,8 @@ class TestRandomGrids:
             delays = np.sort(rng.choice(threshold, size=n_taps, replace=False))
             gains = complex_normal(rng, (3, n_taps), 1.0)
             truth = ChannelRealization.from_taps(delays, gains, n_subcarriers).freq_response
-            col = truth[:, :: n_subcarriers // n_pilots]
-            pilots = np.repeat(col[..., None], n_symbols, axis=-1)
+            row = truth[:, :: n_subcarriers // n_pilots]
+            pilots = np.repeat(row[..., None, :], n_symbols, axis=-2)
             yield pilots, truth, threshold
 
     def test_noiseless_channels_are_recovered(self):
@@ -278,11 +278,10 @@ def padded_dft(cir: np.ndarray, n_subcarriers: int) -> np.ndarray:
 
 def nearest_pilot_fill(pilots: np.ndarray, n_subcarriers: int) -> np.ndarray:
     """Reference: gather each subcarrier's cyclically nearest pilot, midpoints
-    rounding up, symbol-major (..., M, N)."""
-    cols = np.swapaxes(pilots, -1, -2)
-    spacing = n_subcarriers // cols.shape[-1]
+    rounding up, symbol-major (..., M, N) like the pilots."""
+    spacing = n_subcarriers // pilots.shape[-1]
     k = np.arange(n_subcarriers)
-    return cols[..., ((k + spacing // 2) // spacing) % cols.shape[-1]]
+    return pilots[..., ((k + spacing // 2) // spacing) % pilots.shape[-1]]
 
 
 class TestResidueOrder:
@@ -299,7 +298,7 @@ class TestResidueOrder:
 
     def test_data_cells_are_the_padded_transform_reordered(self):
         for rng, n, n_pilots, n_symbols in self.draw_grids(51, 60):
-            pilots = complex_normal(rng, (3, n_pilots, n_symbols), 1.0)
+            pilots = complex_normal(rng, (3, n_symbols, n_pilots), 1.0)
             threshold = int(rng.integers(0, n_pilots))
             estimates = [conventional_estimate(pilots, n, threshold, 2.0)]
             if n_symbols >= 2:
@@ -339,16 +338,16 @@ class TestResidueOrder:
 
     def test_ls_only_is_the_nearest_pilot_gather(self):
         for rng, n, n_pilots, n_symbols in self.draw_grids(54, 60):
-            pilots = complex_normal(rng, (3, n_pilots, n_symbols), 1.0)
+            pilots = complex_normal(rng, (3, n_symbols, n_pilots), 1.0)
             est = ls_nearest_estimate(pilots, n)
             assert est.cells.flags.c_contiguous
             assert np.array_equal(est.freq_response, nearest_pilot_fill(pilots, n)), f"N = {n}, Np = {n_pilots}"
 
     def test_grid_must_hold_whole_pilot_spacings(self):
         with pytest.raises(ValueError, match="multiple of the pilot count"):
-            conventional_estimate(np.ones((64, 1)), 100, 39, 2.0)
+            conventional_estimate(np.ones((1, 64)), 100, 39, 2.0)
         with pytest.raises(ValueError, match="multiple of the pilot count"):
-            ls_nearest_estimate(np.ones((64, 1)), 32)
+            ls_nearest_estimate(np.ones((1, 64)), 32)
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +375,13 @@ class TestBaselines:
         assert est.cells.base is block.truth
 
     def test_nearest_pilot_fill_on_flat_channel(self):
-        est = ls_nearest_estimate(np.ones((64, 2), dtype=complex), 512)
+        est = ls_nearest_estimate(np.ones((2, 64), dtype=complex), 512)
         assert np.array_equal(est.freq_response, np.ones((2, 512)))
         assert est.sigma2_hat is None and est.cleaned_cir is None
 
     def test_nearest_pilot_wraps_and_rounds_up(self):
         col = np.arange(64, dtype=complex)
-        est = ls_nearest_estimate(np.stack([col, col + 100], axis=-1), 512)
+        est = ls_nearest_estimate(np.stack([col, col + 100]), 512)
         for m, offset in enumerate((0, 100)):
             assert est.freq_response[m, 3] == col[0] + offset
             assert est.freq_response[m, 4] == col[1] + offset, "midpoint rounds to the next pilot"
@@ -395,8 +394,8 @@ class TestBaselines:
         profile = build_profile("etu", FS)
         gains = [tap_gains(profile, rng) for _ in range(100)]
         truth = ChannelRealization.from_taps(profile.tap_delays, gains, cfg.n_subcarriers)
-        noisy = pilot_observation(truth, cfg) + complex_normal(rng, (100, 64, 2), 0.1)
-        near = ls_nearest_estimate(noisy[..., :1], 512).freq_response
+        noisy = pilot_observation(truth, cfg) + complex_normal(rng, (100, 2, 64), 0.1)
+        near = ls_nearest_estimate(noisy[..., :1, :], 512).freq_response
         mse_near = estimator_mse(near, truth.freq_response).mean()
         multi = multi_symbol_estimate(noisy, 512).freq_response
         mse_multi = estimator_mse(multi, truth.freq_response).mean()

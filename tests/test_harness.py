@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ofdmce import harness
-from ofdmce.channel import ChannelRealization, NoiseSpec, apply_channel, complex_normal, tap_gains
+from ofdmce.channel import ChannelRealization, apply_channel, complex_normal, noise_variance, tap_gains
 from ofdmce.cli import main
 from ofdmce.estimators import estimator_mse
 from ofdmce.harness import (
@@ -150,14 +150,9 @@ def draw_block(config: SimConfig, trials):
 
 def receive(block, snr_db: float):
     """A block's received cells at one SNR, ``(trials, M, S, Np)``, and its
-    pilot LS grid, ``(trials, Np, M)``."""
+    pilot LS grid, ``(trials, M, Np)``."""
     rx = np.empty_like(block.clean)
-    return rx, harness._receive(block, NoiseSpec.from_snr_db(snr_db), rx)
-
-
-def residue_cells(cells: np.ndarray, grid: GridConfig) -> np.ndarray:
-    """A subcarrier-order grid ``(..., N, M)`` in the block's residue order ``(..., M, S, Np)``."""
-    return residue_major(np.swapaxes(cells, -1, -2), grid.n_pilots)
+    return rx, harness._receive(block, noise_variance(snr_db), rx)
 
 
 def residue_data(bits: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -165,7 +160,7 @@ def residue_data(bits: np.ndarray, config: SimConfig) -> np.ndarray:
     ``build_grid`` puts them, in residue order: ``(M, S - 1, Np)``."""
     grid = config.grid
     tx_grid = build_grid(qpsk_modulate(bits), generate_pilots(config.master_seed, grid), grid)
-    return residue_cells(tx_grid, grid)[..., 1:, :]
+    return residue_major(tx_grid, grid.n_pilots)[..., 1:, :]
 
 
 def reference_subframe(config: SimConfig, trial: int, snr_db: float):
@@ -183,7 +178,7 @@ def reference_subframe(config: SimConfig, trial: int, snr_db: float):
     realization = ChannelRealization.from_taps(profile.tap_delays, gains, grid.n_subcarriers)
     tx_grid = build_grid(qpsk_modulate(bits), generate_pilots(config.master_seed, grid), grid)
     rx_samples = apply_channel(ofdm_modulate(tx_grid, grid), realization, grid.cp_len)
-    rx_samples += math.sqrt(NoiseSpec.from_snr_db(snr_db).sigma2) * unit_noise
+    rx_samples += math.sqrt(noise_variance(snr_db)) * unit_noise
     return bits, realization, ofdm_demodulate(rx_samples, grid)
 
 
@@ -221,8 +216,19 @@ class TestSubframePairing:
         rx, pilot_ls = receive(block, 12.0)
         symbols = qpsk_modulate(block.bits).reshape(rx[:, :, 1:, :].shape)
         assert np.array_equal(block.clean[:, :, 1:, :], symbols * block.truth[:, None, 1:, :])
-        assert np.array_equal(pilot_ls, np.swapaxes(rx[:, :, 0, :], 1, 2))
+        assert np.array_equal(pilot_ls, rx[:, :, 0, :])
         assert np.allclose(block.clean[:, :, 0, :], block.truth[:, None, 0, :], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("n_symbols", [1, 2, 3])
+    def test_pilot_grid_is_a_view_of_the_receive_buffer(self, n_symbols):
+        """The estimators read the pilot row as received, ``(trials, M, Np)``,
+        in the buffer itself: no axis conversion copies it."""
+        cfg = tiny_config(grid=GridConfig(n_symbols=n_symbols), estimators=("ideal",))
+        grid = cfg.grid
+        rx, pilot_ls = receive(draw_block(cfg, [0, 1, 2]), 12.0)
+        assert pilot_ls.shape == (3, grid.n_symbols, grid.n_pilots)
+        assert np.shares_memory(pilot_ls, rx)
+        assert pilot_ls.base is rx
 
     @pytest.mark.parametrize("fading", [True, False])
     def test_block_channel_is_tap_gains_of_the_trial_stream(self, fading):
@@ -259,8 +265,8 @@ class TestSubframePairing:
         bits, realization, _ = reference_subframe(cfg, 0, math.inf)
         pilots = generate_pilots(cfg.master_seed, cfg.grid)
         tx_grid = build_grid(qpsk_modulate(bits), pilots, cfg.grid)
-        clean = residue_cells(realization.freq_response[:, None] * tx_grid, cfg.grid)
-        clean[:, 0, :] *= np.conj(pilots.T)
+        clean = residue_major(realization.freq_response * tx_grid, cfg.grid.n_pilots)
+        clean[:, 0, :] *= np.conj(pilots)
         assert np.allclose(rx[0], clean, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("snr_db", [12.0, math.inf])
@@ -273,7 +279,7 @@ class TestSubframePairing:
         block = draw_block(cfg, [trial - 1, trial, trial + 1])
         _, pilot_ls = receive(block, snr_db)
         single_ls, truth = simulate_subframe(cfg, snr_db, trial)
-        assert single_ls.shape == (grid.n_pilots, grid.n_symbols)
+        assert single_ls.shape == (grid.n_symbols, grid.n_pilots)
         assert truth.shape == (grid.pilot_spacing, grid.n_pilots)
         assert np.array_equal(single_ls, pilot_ls[1])
         assert np.array_equal(truth, block.truth[1])
@@ -333,7 +339,8 @@ class TestTrialStreams:
         _, realization, rx = reference_subframe(cfg, trial, snr_db)
         rows = block_lines(out, "pilot-ls")[1:]
         printed = np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
-        pilot_ls = printed[:, 0::2] + 1j * printed[:, 1::2]
+        # Printed one row per pilot n, one (re, im) pair per symbol m.
+        pilot_ls = (printed[:, 0::2] + 1j * printed[:, 1::2]).T
         reference = extract_pilot_ls(rx, generate_pilots(cfg.master_seed, cfg.grid), cfg.grid)
         assert np.abs(pilot_ls - reference).max() <= 1e-9 * np.abs(reference).max()
         rows = block_lines(out, "estimate-vs-truth")[1:]
@@ -354,7 +361,7 @@ class TestTrialStreams:
         errors = 0
         for trial in range(n_trials):
             bits, realization, rx = reference_subframe(cfg, trial, snr_db)
-            equalized = rx * np.conj(realization.freq_response)[:, None]
+            equalized = rx * np.conj(realization.freq_response)
             errors += qpsk_bit_errors(data_cells(equalized, cfg.grid), bits)
         assert errors > 0
         assert (record.bit_errors, record.total_bits) == (errors, n_trials * cfg.grid.data_bits_per_block)
@@ -411,7 +418,7 @@ class TestFrequencyDomainReceive:
         for j, trial in enumerate(trials):
             _, _, reference = reference_subframe(config, trial, snr_db)
             scale = np.abs(reference).max()
-            data_error = np.abs(rx[j, :, 1:, :] - residue_cells(reference, grid)[:, 1:, :])
+            data_error = np.abs(rx[j, :, 1:, :] - residue_major(reference, grid.n_pilots)[:, 1:, :])
             assert data_error.max(initial=0.0) <= 1e-12 * scale
             pilot_error = np.abs(pilot_ls[j] - extract_pilot_ls(reference, pilots, grid))
             assert pilot_error.max() <= 1e-12 * scale

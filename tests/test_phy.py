@@ -21,7 +21,7 @@ SMALL = GridConfig(n_subcarriers=64, n_pilots=8, n_symbols=2, cp_len=12)
 
 def data_cells(grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
     """Reference: a grid's non-pilot cells, flattened symbol-major."""
-    per_symbol = np.delete(np.swapaxes(grid, -1, -2), cfg.pilot_indices, axis=-1)
+    per_symbol = np.delete(grid, cfg.pilot_indices, axis=-1)
     return per_symbol.reshape(per_symbol.shape[:-2] + (-1,))
 
 
@@ -135,8 +135,15 @@ class TestQpsk:
 class TestPilots:
     def test_shape_and_modulus(self):
         pilots = generate_pilots(123, DEFAULT)
-        assert pilots.shape == (64, 2)
+        assert pilots.shape == (2, 64)
         assert np.abs(np.abs(pilots) ** 2 - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("seed, cfg", [(123, DEFAULT), (4, SMALL), (9, GridConfig(n_symbols=3))])
+    def test_values_are_the_pilot_by_pilot_draw(self, seed, cfg):
+        """The symbol-major grid transposes bits drawn as (Np, 2M), so every
+        pilot value is that of the draw, whatever the grid's axis order."""
+        bits = np.random.default_rng(seed).integers(0, 2, (cfg.n_pilots, 2 * cfg.n_symbols))
+        assert np.array_equal(generate_pilots(seed, cfg).T, qpsk_modulate(bits))
 
     def test_reproducible_from_seed(self):
         assert np.array_equal(generate_pilots(9, DEFAULT), generate_pilots(9, DEFAULT))
@@ -153,14 +160,14 @@ class TestGridAssembly:
         rng = np.random.default_rng(5)
         data = qpsk_modulate(rng.integers(0, 2, size=SMALL.data_bits_per_block))
         grid = build_grid(data, generate_pilots(1, SMALL), SMALL)
-        assert grid.shape == (64, 2)
+        assert grid.shape == (2, 64)
         assert np.array_equal(data_cells(grid, SMALL), data)
-        assert np.array_equal(grid[SMALL.pilot_indices], generate_pilots(1, SMALL))
+        assert np.array_equal(grid[:, SMALL.pilot_indices], generate_pilots(1, SMALL))
 
     def test_pilot_cells_hold_pilot_values(self):
         pilots = generate_pilots(2, SMALL)
         grid = build_grid(np.zeros(SMALL.n_symbols * SMALL.n_data), pilots, SMALL)
-        assert np.array_equal(grid[SMALL.pilot_indices, :], pilots)
+        assert np.array_equal(grid[:, SMALL.pilot_indices], pilots)
 
     def test_wrong_data_length_rejected(self):
         with pytest.raises(ValueError, match="data symbols"):
@@ -176,7 +183,7 @@ class TestOfdmModulate:
     def test_dc_only_cell_gives_constant_body(self):
         """One unit cell on subcarrier 0 spreads to a constant 1/sqrt(N)."""
         cfg = GridConfig(n_subcarriers=64, n_pilots=8, n_symbols=1, cp_len=0)
-        grid = np.zeros((64, 1), dtype=complex)
+        grid = np.zeros((1, 64), dtype=complex)
         grid[0, 0] = 1.0
         samples = ofdm_modulate(grid, cfg)
         assert np.allclose(samples, np.full(64, 1 / 8.0), atol=1e-14)
@@ -212,7 +219,7 @@ class TestOfdmModulate:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="grid"):
-            ofdm_modulate(np.zeros((8, 3)), SMALL)
+            ofdm_modulate(np.zeros((64, 2)), SMALL)
         with pytest.raises(ValueError, match="samples"):
             ofdm_demodulate(np.zeros(17), SMALL)
 
