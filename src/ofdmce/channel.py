@@ -12,25 +12,23 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .spectral import dft
 
 __all__ = [
     "ETU_DELAYS_NS",
     "ETU_POWERS_DB",
     "BUILTIN_PROFILES",
     "PowerDelayProfile",
-    "ChannelRealization",
     "noise_variance",
     "build_profile",
     "profile_from_taps",
     "read_key_values",
     "load_profile",
     "tap_gains",
+    "from_taps",
     "apply_channel",
     "complex_normal",
 ]
@@ -169,43 +167,16 @@ def load_profile(path: str | Path, sample_rate_hz: float) -> PowerDelayProfile:
     return profile_from_taps(name, np.array(delays), np.array(powers), sample_rate_hz)
 
 
-@dataclass(eq=False)
-class ChannelRealization:
-    """One block-fading draw: tap gains plus the implied frequency response."""
-
-    tap_delays: np.ndarray
-    gains: np.ndarray
-    freq_response: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_taps(
-        cls, tap_delays: np.ndarray, gains: np.ndarray, n_subcarriers: int
-    ) -> "ChannelRealization":
-        """Build from explicit sample-spaced taps; gains may be batched (..., T).
-
-        The frequency response is the DFT of the taps zero padded to
-        ``n_subcarriers``; taps sharing a delay add up.
-        """
-        delays = np.asarray(tap_delays, dtype=np.int64)
-        if np.any((delays < 0) | (delays >= n_subcarriers)):
-            raise ValueError(f"tap delays must lie in [0, {n_subcarriers}), got {delays.tolist()}")
-        gains = np.asarray(gains, dtype=np.complex128)
-        taps = np.zeros(gains.shape[:-1] + (n_subcarriers,), dtype=np.complex128)
-        np.add.at(taps, (..., delays), gains)
-        return cls(delays, gains, dft(taps))
-
-    @property
-    def delay_spread(self) -> int:
-        """Largest tap delay in samples, in whatever order the taps come."""
-        return int(self.tap_delays.max())
-
-    def split_taps(self, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """The impulse response at delays below ``length``, ``(..., length)``,
-        and the energy ``(...)`` of the rest; taps sharing a delay add up."""
-        width = max(length, self.delay_spread + 1)
-        taps = np.zeros(self.gains.shape[:-1] + (width,), dtype=np.complex128)
-        np.add.at(taps, (..., self.tap_delays), self.gains)
-        return taps[..., :length], np.sum(np.abs(taps[..., length:]) ** 2, axis=-1)
+def from_taps(tap_delays: np.ndarray, gains: np.ndarray, length: int) -> np.ndarray:
+    """The impulse response ``(..., length)`` of sample-spaced taps whose
+    gains may be batched ``(..., T)``; taps sharing a delay add up."""
+    delays = np.asarray(tap_delays, dtype=np.int64)
+    if np.any((delays < 0) | (delays >= length)):
+        raise ValueError(f"tap delays must lie in [0, {length}), got {delays.tolist()}")
+    gains = np.asarray(gains, dtype=np.complex128)
+    taps = np.zeros(gains.shape[:-1] + (length,), dtype=np.complex128)
+    np.add.at(taps, (..., delays), gains)
+    return taps
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
@@ -228,23 +199,28 @@ def tap_gains(profile: PowerDelayProfile, rng: np.random.Generator | None) -> np
     return amplitudes * complex_normal(rng, len(amplitudes), 1.0)
 
 
-def apply_channel(samples: np.ndarray, realization: ChannelRealization, cp_len: int) -> np.ndarray:
-    """Convolve a sample stream with the realization's sparse taps.
+def apply_channel(
+    samples: np.ndarray, tap_delays: np.ndarray, gains: np.ndarray, cp_len: int
+) -> np.ndarray:
+    """Convolve a sample stream with sample-spaced taps, gains ``(..., T)``.
 
     The stream starts from zero state and the output is truncated to the
-    input length. Requires the delay spread to fit inside the cyclic
-    prefix, which is what makes the demodulated grid exactly ``H * X``.
+    input length. Requires the delay spread, the largest delay, to fit
+    inside the cyclic prefix, which is what makes the demodulated grid
+    exactly ``H * X``.
     """
-    if realization.delay_spread > cp_len:
-        raise ValueError(
-            f"delay spread {realization.delay_spread} exceeds cp_len {cp_len}"
-        )
+    delays = np.asarray(tap_delays, dtype=np.int64)
+    if delays.max() > cp_len:
+        raise ValueError(f"delay spread {delays.max()} exceeds cp_len {cp_len}")
+    if delays.min() < 0:
+        raise ValueError(f"tap delays must be nonnegative, got {delays.tolist()}")
+    gains = np.asarray(gains, dtype=np.complex128)
     arr = np.asarray(samples, dtype=np.complex128)
     n_samples = arr.shape[-1]
-    batch = np.broadcast_shapes(arr.shape[:-1], realization.gains.shape[:-1])
+    batch = np.broadcast_shapes(arr.shape[:-1], gains.shape[:-1])
     out = np.zeros(batch + (n_samples,), dtype=np.complex128)
-    for t, delay in enumerate(realization.tap_delays.tolist()):
-        gain = realization.gains[..., t : t + 1]
+    for t, delay in enumerate(delays.tolist()):
+        gain = gains[..., t : t + 1]
         if delay:
             out[..., delay:] += gain * arr[..., : n_samples - delay]
         else:

@@ -33,7 +33,7 @@ flattened with no gather. Transforming back at the full grid length is the
 zero-padded length-``N`` DFT as ``S`` pilot-length transforms (a pruned
 FFT). The genie bound is the true response in residue order.
 ``estimator_mse`` scores a whole grid; ``cir_mse`` gives the same number
-for a cleaned impulse response from the true taps alone, by Parseval.
+for a cleaned impulse response from the true tap vector alone, by Parseval.
 """
 
 from __future__ import annotations
@@ -239,12 +239,14 @@ def estimator_mse(estimate: np.ndarray, truth: np.ndarray) -> float | np.ndarray
     return 2.0 * np.mean(np.mean(squares, axis=-1), axis=-1)
 
 
-def cir_mse(cleaned_cir: np.ndarray, true_head: np.ndarray, tail_energy: np.ndarray) -> np.ndarray:
+def cir_mse(cleaned_cir: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """:func:`estimator_mse` of the zero-padded ``(..., M', Np)`` impulse response.
 
     By Parseval (the forward transform is unnormalized) that is its energy
-    error against the true taps: the taps at delays below ``Np``, ``(..., Np)``,
-    and the energy of the rest, ``(...)`` (``ChannelRealization.split_taps``).
+    error against the true taps ``(..., L)``, ``L >= Np``, every tap of the
+    channel (``channel.from_taps``): the error at delays below ``Np`` plus
+    the energy of the taps beyond.
     """
-    head = np.sum(np.abs(cleaned_cir - true_head[..., None, :]) ** 2, axis=-1)
-    return np.mean(head, axis=-1) + tail_energy
+    n_pilots = cleaned_cir.shape[-1]
+    head = np.sum(np.abs(cleaned_cir - taps[..., None, :n_pilots]) ** 2, axis=-1)
+    return np.mean(head, axis=-1) + np.sum(np.abs(taps[..., n_pilots:]) ** 2, axis=-1)

@@ -48,10 +48,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import (
-    ChannelRealization,
+    BUILTIN_PROFILES,
     PowerDelayProfile,
     build_profile,
     complex_normal,
+    from_taps,
     load_profile,
     noise_variance,
     tap_gains,
@@ -73,6 +74,7 @@ from .phy import (
     qpsk_modulate,
     residue_major,
 )
+from .spectral import dft
 
 __all__ = [
     "Estimator",
@@ -110,23 +112,18 @@ _DEFAULT_SNRS = tuple(float(s) for s in np.linspace(0.0, 30.0, 13))
 
 
 class Estimator(NamedTuple):
-    """One table entry: the estimator function and what it needs."""
+    """One table entry: the estimator function and the fewest OFDM symbols
+    per block it works on."""
 
     run: Callable
-    # Fewest OFDM symbols per block it works on.
     min_symbols: int
-    # False if it never reads the pilots, so one evaluation per trial block serves
-    # every SNR point.
-    reads_pilots: bool = True
 
 
 # Each run maps a config, a pilot least-squares grid ``ls`` (..., M, Np) and
 # the true response in residue order (..., S, Np) (``phy.residue_major``) to
 # an ``estimators.Estimate``.
 ESTIMATORS = {
-    "ideal": Estimator(
-        lambda cfg, ls, h: Estimate(h[..., None, :, :]), 1, reads_pilots=False
-    ),
+    "ideal": Estimator(lambda cfg, ls, h: Estimate(h[..., None, :, :]), 1),
     "conv-perfect": Estimator(
         lambda cfg, ls, _: conventional_estimate(ls, cfg.grid.n_subcarriers, cfg.th_perfect, cfg.c),
         1,
@@ -200,8 +197,6 @@ def resolve_profile(config: SimConfig) -> PowerDelayProfile:
     Raises ValueError if the profile's delay spread exceeds the cyclic
     prefix, where the received grid would no longer be ``H * X`` plus noise.
     """
-    from .channel import BUILTIN_PROFILES
-
     if config.profile.lower() in BUILTIN_PROFILES:
         profile = build_profile(config.profile, config.sample_rate_hz)
     else:
@@ -321,15 +316,15 @@ def _bits_from_raw(raw: np.ndarray, n_bits: int) -> np.ndarray:
 class _Block:
     """A trial block's received cells in two parts, ``clean + sqrt(sigma2) *
     noise``, each ``(trials, M, S, Np)`` in residue order, and its true
-    channel: the response ``(trials, S, Np)`` and its taps split at ``Np``.
+    channel: the response ``(trials, S, Np)`` and the taps ``(trials,
+    max(Np, spread + 1))``, every tap of the trial.
     Row 0 holds the pilot least-squares parts, ``H p conj(p)`` and ``W
     conj(p)``, and rows ``1 .. S - 1`` the data cells, with ``bits`` in step.
     Drawn once, it serves every SNR point."""
 
     bits: np.ndarray
     truth: np.ndarray
-    true_head: np.ndarray
-    tail_energy: np.ndarray
+    taps: np.ndarray
     clean: np.ndarray
     noise: np.ndarray
 
@@ -364,12 +359,9 @@ def _draw_block(
         noise_gen.state = trial_states[_NOISE]
         gains[j] = tap_gains(profile, channel_rng)
         unit_noise[j] = complex_normal(noise_rng, grid.samples_per_block, 1.0)
-    realization = ChannelRealization.from_taps(
-        np.array(profile.tap_delays), gains, grid.n_subcarriers
-    )
-    truth = np.ascontiguousarray(residue_major(realization.freq_response, grid.n_pilots))
-    true_head, tail_energy = realization.split_taps(grid.n_pilots)
-    del realization
+    taps = from_taps(profile.tap_delays, gains, grid.n_subcarriers)
+    truth = np.ascontiguousarray(residue_major(dft(taps), grid.n_pilots))
+    taps = taps[:, : max(grid.n_pilots, profile.delay_spread + 1)].copy()
     demodulated = ofdm_demodulate(unit_noise, grid)
     del unit_noise
     noise = np.ascontiguousarray(residue_major(demodulated, grid.n_pilots))
@@ -382,7 +374,7 @@ def _draw_block(
     data = clean[..., 1:, :]
     np.multiply(qpsk_modulate(bits).reshape(data.shape), truth[:, None, 1:, :], out=data)
     clean[..., 0, :] = truth[:, None, 0, :] * pilots * np.conj(pilots)
-    return _Block(bits, truth, true_head, tail_energy, clean, noise)
+    return _Block(bits, truth, taps, clean, noise)
 
 
 def _receive(block: _Block, sigma2: float, rx: np.ndarray) -> np.ndarray:
@@ -408,7 +400,7 @@ def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, block: _Bloc
     if est.cleaned_cir is None:
         mse = estimator_mse(_flat(est.cells), _flat(block.truth))
     else:
-        mse = cir_mse(est.cleaned_cir, block.true_head, block.tail_energy)
+        mse = cir_mse(est.cleaned_cir, block.taps)
     sigma2 = None if est.sigma2_hat is None else np.mean(est.sigma2_hat, axis=-1)
     return _flat(est.cells[..., 1:, :]), mse, sigma2
 
@@ -423,11 +415,6 @@ def _sweep_block(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarr
     bit errors and its per-trial MSE and mean σ̂² (or None)."""
     block = _draw_block(config, profile, pilots, trials)
     bits = block.bits
-    fixed = {
-        estimator_id: _estimate_cells(config, estimator_id, None, block)
-        for estimator_id in config.estimators
-        if not ESTIMATORS[estimator_id].reads_pilots
-    }
     # One received grid (its data rows a flat view) and one product buffer serve every SNR point.
     rx = np.empty_like(block.clean)
     rx_data = _flat(rx[..., 1:, :])
@@ -436,10 +423,7 @@ def _sweep_block(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarr
     for snr_idx, snr_db in enumerate(config.snr_points_db):
         pilot_ls = _receive(block, noise_variance(snr_db), rx)
         for estimator_id in config.estimators:
-            if estimator_id in fixed:
-                h_data, mse, sigma2 = fixed[estimator_id]
-            else:
-                h_data, mse, sigma2 = _estimate_cells(config, estimator_id, pilot_ls, block)
+            h_data, mse, sigma2 = _estimate_cells(config, estimator_id, pilot_ls, block)
             decided = equalize(rx_data, h_data, out=product).reshape(bits.shape[:-1] + (-1,))
             partial[snr_idx, estimator_id] = (qpsk_bit_errors(decided, bits), mse, sigma2)
     return partial
@@ -668,21 +652,15 @@ def read_csv(path: str | Path) -> list[BerRecord]:
     if not body or body[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing expected header {CSV_HEADER!r}")
     for ln in body[1:]:
-        fields = ln.split(",")
-        if len(fields) != 7:
-            raise ValueError(f"{path}: malformed row {ln!r}")
-        sigma2 = float(fields[6])
-        records.append(
-            BerRecord(
-                estimator_id=fields[0],
-                snr_db=float(fields[1]),
-                total_bits=int(fields[2]),
-                bit_errors=int(fields[3]),
-                ber=float(fields[4]),
-                mean_mse=float(fields[5]),
-                mean_sigma2_hat=None if math.isnan(sigma2) else sigma2,
+        try:
+            estimator_id, snr_db, total_bits, bit_errors, ber, mse, sigma2 = ln.split(",")
+            record = BerRecord(
+                estimator_id, float(snr_db), int(total_bits), int(bit_errors), float(ber),
+                float(mse), None if math.isnan(float(sigma2)) else float(sigma2),
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed row {ln!r}") from exc
+        records.append(record)
     return records
 
 

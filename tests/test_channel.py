@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from ofdmce.channel import (
-    ChannelRealization,
     PowerDelayProfile,
     apply_channel,
     build_profile,
     complex_normal,
+    from_taps,
     load_profile,
     noise_variance,
     profile_from_taps,
@@ -16,6 +16,7 @@ from ofdmce.channel import (
     tap_gains,
 )
 from ofdmce.phy import GridConfig, build_grid, generate_pilots, ofdm_demodulate, ofdm_modulate, qpsk_modulate
+from ofdmce.spectral import dft
 
 FS = 7.68e6
 
@@ -191,26 +192,29 @@ class TestKeyValueReader:
 # ---------------------------------------------------------------------------
 
 
-def draw_realization(profile: PowerDelayProfile, n_subcarriers: int, rng, size: int | None = None):
-    """A realization of ``tap_gains`` draws: one block, or ``size`` blocks from one stream."""
+def draw_gains(profile: PowerDelayProfile, rng, size: int | None = None) -> np.ndarray:
+    """``tap_gains`` draws: one block, or ``size`` blocks from one stream."""
     if size is None:
-        gains = tap_gains(profile, rng)
-    else:
-        gains = np.array([tap_gains(profile, rng) for _ in range(size)])
-    return ChannelRealization.from_taps(profile.tap_delays, gains, n_subcarriers)
+        return tap_gains(profile, rng)
+    return np.array([tap_gains(profile, rng) for _ in range(size)])
+
+
+def response(tap_delays, gains, n_subcarriers: int) -> np.ndarray:
+    """The frequency response ``(..., N)`` of sample-spaced taps."""
+    return dft(from_taps(tap_delays, gains, n_subcarriers))
 
 
 class TestTapGains:
     def test_shapes(self):
         profile = build_profile("etu", FS)
         assert tap_gains(profile, np.random.default_rng(0)).shape == (7,)
-        single = draw_realization(profile, 512, np.random.default_rng(0))
-        assert single.gains.shape == (7,)
-        assert single.freq_response.shape == (512,)
-        batch = draw_realization(profile, 512, np.random.default_rng(0), size=10)
-        assert batch.gains.shape == (10, 7)
-        assert batch.freq_response.shape == (10, 512)
-        assert np.array_equal(batch.gains[0], single.gains), "a batch is successive draws"
+        single = draw_gains(profile, np.random.default_rng(0))
+        assert single.shape == (7,)
+        assert from_taps(profile.tap_delays, single, 512).shape == (512,)
+        batch = draw_gains(profile, np.random.default_rng(0), size=10)
+        assert batch.shape == (10, 7)
+        assert from_taps(profile.tap_delays, batch, 512).shape == (10, 512)
+        assert np.array_equal(batch[0], single), "a batch is successive draws"
 
     def test_draw_is_amplitudes_times_unit_normal(self):
         """The gains are sqrt(power) times a unit complex normal from the given stream."""
@@ -228,10 +232,10 @@ class TestTapGains:
 
     def test_static_single_tap_is_identity(self):
         profile = build_profile("single-tap", FS)
-        fixed = ChannelRealization.from_taps(profile.tap_delays, tap_gains(profile, None), 64)
-        assert np.array_equal(fixed.gains, [1.0 + 0.0j])
-        assert fixed.gains.dtype == np.complex128
-        assert np.allclose(fixed.freq_response, 1.0, atol=1e-15)
+        gains = tap_gains(profile, None)
+        assert np.array_equal(gains, [1.0 + 0.0j])
+        assert gains.dtype == np.complex128
+        assert np.allclose(response(profile.tap_delays, gains, 64), 1.0, atol=1e-15)
 
     def test_static_gains_are_root_powers(self):
         profile = build_profile("etu", FS)
@@ -239,15 +243,15 @@ class TestTapGains:
 
     def test_dc_response_is_gain_sum(self):
         profile = build_profile("etu", FS)
-        draw = draw_realization(profile, 512, np.random.default_rng(5))
-        assert abs(draw.freq_response[0] - draw.gains.sum()) <= 1e-12
+        gains = draw_gains(profile, np.random.default_rng(5))
+        assert abs(response(profile.tap_delays, gains, 512)[0] - gains.sum()) <= 1e-12
 
     def test_freq_response_matches_literal_sum(self):
-        """from_taps agrees with an explicit evaluation of the tap sum."""
+        """The transform of from_taps agrees with an explicit evaluation of the tap sum."""
         rng = np.random.default_rng(6)
         delays = np.array([0, 3, 9])
         gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        got = ChannelRealization.from_taps(delays, gains, 64).freq_response
+        got = response(delays, gains, 64)
         expected = np.zeros(64, dtype=complex)
         for k in range(64):
             for d, g in zip(delays, gains):
@@ -258,7 +262,14 @@ class TestTapGains:
     def test_from_taps_rejects_delays_off_the_grid(self, delays):
         """Tap delays must index one of the N DFT bins."""
         with pytest.raises(ValueError, match=r"\[0, 64\)"):
-            ChannelRealization.from_taps(delays, [1.0, 0.5], 64)
+            from_taps(delays, [1.0, 0.5], 64)
+
+    def test_from_taps_adds_shared_delays(self):
+        taps = from_taps([0, 3, 3, 20, 20], [1.0, 2.0, -0.5, 1.0j, 2.0j], 64)
+        assert taps.shape == (64,) and taps.dtype == np.complex128
+        expected = np.zeros(64, dtype=complex)
+        expected[[0, 3, 20]] = [1.0, 1.5, 3.0j]
+        assert np.array_equal(taps, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -270,30 +281,28 @@ class TestApplyChannel:
     def test_identity_tap_passes_through(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        ident = ChannelRealization.from_taps([0], [1.0], 64)
-        assert np.array_equal(apply_channel(x, ident, 40), x)
+        assert np.array_equal(apply_channel(x, [0], [1.0], 40), x)
 
     def test_pure_delay_shifts_with_zero_fill(self):
         x = np.arange(1.0, 9.0)
-        delayed = ChannelRealization.from_taps([0, 2], [0.0 + 0j, 1.0 + 0j], 64)
-        out = apply_channel(x, delayed, 40)
+        out = apply_channel(x, [0, 2], [0.0 + 0j, 1.0 + 0j], 40)
         assert np.allclose(out, [0, 0, 1, 2, 3, 4, 5, 6])
 
     def test_delay_spread_must_fit_cp(self):
         """A spread of cp_len samples still fits the prefix; one more does not."""
-        wide = ChannelRealization.from_taps([0, 41], [1.0, 0.5], 512)
         with pytest.raises(ValueError, match="cp_len"):
-            apply_channel(np.zeros(100), wide, 40)
-        fitting = ChannelRealization.from_taps([0, 40], [1.0, 0.5], 512)
-        assert apply_channel(np.zeros(100), fitting, 40).shape == (100,)
+            apply_channel(np.zeros(100), [0, 41], [1.0, 0.5], 40)
+        assert apply_channel(np.zeros(100), [0, 40], [1.0, 0.5], 40).shape == (100,)
+
+    def test_negative_delay_refused(self):
+        with pytest.raises(ValueError, match=r"nonnegative, got \[0, -1\]"):
+            apply_channel(np.ones(1), [0, -1], [1.0, 0.5], 40)
 
     def test_unsorted_delays_check_the_largest(self):
         """Taps may come in any order; the spread is the largest delay, so a
         5-sample echo listed first is refused without a prefix."""
-        unsorted = ChannelRealization.from_taps([5, 0], [1, 1], 16)
-        assert unsorted.delay_spread == 5
         with pytest.raises(ValueError, match="delay spread 5 exceeds cp_len 0"):
-            apply_channel(np.ones(16), unsorted, cp_len=0)
+            apply_channel(np.ones(16), [5, 0], [1, 1], cp_len=0)
 
     def test_spread_equal_to_cp_gives_the_frequency_response(self):
         """The tap at delay cp_len reads only the prefix of its own symbol."""
@@ -304,9 +313,9 @@ class TestApplyChannel:
             generate_pilots(4, cfg),
             cfg,
         )
-        edge = ChannelRealization.from_taps([0, 12], [1.0 + 0j, 0.5 - 0.5j], 64)
-        rx = ofdm_demodulate(apply_channel(ofdm_modulate(grid, cfg), edge, cfg.cp_len), cfg)
-        assert np.abs(rx - edge.freq_response * grid).max() <= 1e-12
+        delays, gains = [0, 12], [1.0 + 0j, 0.5 - 0.5j]
+        rx = ofdm_demodulate(apply_channel(ofdm_modulate(grid, cfg), delays, gains, cfg.cp_len), cfg)
+        assert np.abs(rx - response(delays, gains, 64) * grid).max() <= 1e-12
 
     def test_one_sample_delay_rotates_subcarriers(self):
         """A pure one-sample delay multiplies subcarrier k by e^{-j2pik/N}."""
@@ -317,8 +326,8 @@ class TestApplyChannel:
             generate_pilots(1, cfg),
             cfg,
         )
-        delay = ChannelRealization.from_taps([0, 1], [0.0 + 0j, 1.0 + 0j], 64)
-        rx = ofdm_demodulate(apply_channel(ofdm_modulate(grid, cfg), delay, cfg.cp_len), cfg)
+        delayed = apply_channel(ofdm_modulate(grid, cfg), [0, 1], [0.0 + 0j, 1.0 + 0j], cfg.cp_len)
+        rx = ofdm_demodulate(delayed, cfg)
         k = np.arange(64)
         expected = grid * np.exp(-2j * np.pi * k / 64)
         assert np.abs(rx - expected).max() <= 1e-10
@@ -332,8 +341,8 @@ class TestApplyChannel:
             generate_pilots(2, cfg),
             cfg,
         )
-        two_tap = ChannelRealization.from_taps([0, 1], [1.0 + 0j, 0.5 + 0j], 64)
-        rx = ofdm_demodulate(apply_channel(ofdm_modulate(grid, cfg), two_tap, cfg.cp_len), cfg)
+        filtered = apply_channel(ofdm_modulate(grid, cfg), [0, 1], [1.0 + 0j, 0.5 + 0j], cfg.cp_len)
+        rx = ofdm_demodulate(filtered, cfg)
         ratio = rx / grid
         k = np.arange(64)
         expected = 1 + 0.5 * np.exp(-2j * np.pi * k / 64)
@@ -343,25 +352,25 @@ class TestApplyChannel:
         """With cp_len above the delay spread, each cell is scaled by H[k]."""
         cfg = GridConfig()
         profile = build_profile("etu", FS)
-        draw = draw_realization(profile, cfg.n_subcarriers, np.random.default_rng(10))
+        gains = draw_gains(profile, np.random.default_rng(10))
         rng = np.random.default_rng(11)
         grid = build_grid(
             qpsk_modulate(rng.integers(0, 2, cfg.data_bits_per_block)),
             generate_pilots(3, cfg),
             cfg,
         )
-        rx = ofdm_demodulate(apply_channel(ofdm_modulate(grid, cfg), draw, cfg.cp_len), cfg)
-        expected = draw.freq_response * grid
+        faded = apply_channel(ofdm_modulate(grid, cfg), profile.tap_delays, gains, cfg.cp_len)
+        rx = ofdm_demodulate(faded, cfg)
+        expected = response(profile.tap_delays, gains, cfg.n_subcarriers) * grid
         assert np.abs(rx - expected).max() <= 1e-10
 
     def test_batched_gains_broadcast(self):
         profile = build_profile("etu", FS)
-        draws = draw_realization(profile, 512, np.random.default_rng(12), size=3)
+        gains = draw_gains(profile, np.random.default_rng(12), size=3)
         x = np.ones(80, dtype=complex)
-        out = apply_channel(x, draws, 40)
+        out = apply_channel(x, profile.tap_delays, gains, 40)
         assert out.shape == (3, 80)
-        single = ChannelRealization.from_taps(draws.tap_delays, draws.gains[1], 512)
-        assert np.array_equal(out[1], apply_channel(x, single, 40))
+        assert np.array_equal(out[1], apply_channel(x, profile.tap_delays, gains[1], 40))
 
 
 # ---------------------------------------------------------------------------

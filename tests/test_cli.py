@@ -417,6 +417,18 @@ class TestGapsCommand:
         bad.write_text("a,b\n1,2\n")
         assert main(["gaps", "--in", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "row", ["ideal,abc,10,1,0.1,0.1,nan", "ideal,10.0,1.5,1,0.1,0.1,nan", "ideal,10.0,10,1,0.1,0.1"]
+    )
+    def test_row_that_does_not_parse(self, row, tmp_path, capsys):
+        """A field that does not parse, or a missing one, exits 1 naming the file and the row."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{CSV_HEADER}\n{row}\n")
+        assert main(["gaps", "--in", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert f"{bad}: malformed row {row!r}" in captured.err
+        assert "crossings" not in captured.out
+
 
 class TestInspectCommand:
     def test_noiseless_noise_positions(self, capsys):

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from ofdmce.channel import ChannelRealization, build_profile, complex_normal, tap_gains
+from ofdmce.channel import build_profile, complex_normal, from_taps, tap_gains
 from ofdmce.estimators import (
     cir_mse,
     conventional_estimate,
@@ -27,17 +27,22 @@ FS = 7.68e6
 PERFECT = (39, 2.0)
 
 
-def random_cir_channel(rng: np.random.Generator, max_delay: int, n: int) -> ChannelRealization:
-    """Random sample-spaced channel with taps inside [0, max_delay]."""
+def response(tap_delays, gains, n: int) -> np.ndarray:
+    """The frequency response ``(..., n)`` of sample-spaced taps."""
+    return dft(from_taps(tap_delays, gains, n))
+
+
+def random_cir_channel(rng: np.random.Generator, max_delay: int, n: int) -> np.ndarray:
+    """Frequency response of a random sample-spaced channel with taps inside [0, max_delay]."""
     n_taps = int(rng.integers(1, 8))
     delays = np.sort(rng.choice(max_delay + 1, size=n_taps, replace=False))
     gains = complex_normal(rng, n_taps, 1.0)
-    return ChannelRealization.from_taps(delays, gains, n)
+    return response(delays, gains, n)
 
 
-def pilot_observation(realization: ChannelRealization, cfg: GridConfig) -> np.ndarray:
-    """Noiseless block-constant pilot LS grid (..., M, Np) for a realization."""
-    row = realization.freq_response[..., cfg.pilot_indices]
+def pilot_observation(truth: np.ndarray, cfg: GridConfig) -> np.ndarray:
+    """Noiseless block-constant pilot LS grid (..., M, Np) for a frequency response."""
+    row = truth[..., cfg.pilot_indices]
     return np.repeat(row[..., None, :], cfg.n_symbols, axis=-2)
 
 
@@ -72,14 +77,13 @@ class TestConventionalEstimate:
             pilots = pilot_observation(truth, cfg)
             est = conventional_estimate(pilots, cfg.n_subcarriers, *PERFECT)
             assert est.freq_response.shape == (cfg.n_symbols, cfg.n_subcarriers)
-            err = np.abs(est.freq_response - truth.freq_response).max()
-            scale = np.abs(truth.freq_response).max()
+            err = np.abs(est.freq_response - truth).max()
+            scale = np.abs(truth).max()
             assert err <= 1e-9 * scale, f"relative error {err / scale:.2e}"
 
     def test_energy_beyond_threshold_is_discarded(self):
         """A tap past the threshold is treated as noise and removed."""
-        truth = ChannelRealization.from_taps([0, 45], [1.0, 0.7], 512)
-        row = truth.freq_response[None, ::8]
+        row = response([0, 45], [1.0, 0.7], 512)[None, ::8]
         est = conventional_estimate(row, 512, *PERFECT)
         assert np.abs(est.freq_response - 1.0).max() <= 1e-9
         # The removed tap dominates the tail, inflating the noise estimate.
@@ -171,8 +175,8 @@ class TestMultiSymbolEstimate:
             truth = random_cir_channel(rng, 38, cfg.n_subcarriers)
             est = multi_symbol_estimate(pilot_observation(truth, cfg), cfg.n_subcarriers)
             assert est.freq_response.shape == (1, cfg.n_subcarriers)
-            err = np.abs(est.freq_response - truth.freq_response).max()
-            scale = np.abs(truth.freq_response).max()
+            err = np.abs(est.freq_response - truth).max()
+            scale = np.abs(truth).max()
             assert err <= 1e-9 * scale, f"relative error {err / scale:.2e}"
 
     def test_boundary_energy_is_retained(self):
@@ -242,7 +246,7 @@ class TestRandomGrids:
             n_taps = int(rng.integers(1, min(threshold, 8) + 1))
             delays = np.sort(rng.choice(threshold, size=n_taps, replace=False))
             gains = complex_normal(rng, (3, n_taps), 1.0)
-            truth = ChannelRealization.from_taps(delays, gains, n_subcarriers).freq_response
+            truth = response(delays, gains, n_subcarriers)
             row = truth[:, :: n_subcarriers // n_pilots]
             pilots = np.repeat(row[..., None, :], n_symbols, axis=-2)
             yield pilots, truth, threshold
@@ -322,19 +326,13 @@ class TestResidueOrder:
             cases.append((n_pilots, n, rng.integers(0, n, size=int(rng.integers(1, 12)))))
         rng = np.random.default_rng(53)
         for n_pilots, n, delays in cases:
-            truth = ChannelRealization.from_taps(delays, complex_normal(rng, (4, len(delays)), 1.0), n)
+            taps = from_taps(delays, complex_normal(rng, (4, len(delays)), 1.0), n)
             cleaned = complex_normal(rng, (4, 2, n_pilots), 0.1)
             cleaned[..., n_pilots // 2 :] = 0.0
-            mse = cir_mse(cleaned, *truth.split_taps(n_pilots))
-            grid = estimator_mse(padded_dft(cleaned, n), truth.freq_response)
+            mse = cir_mse(cleaned, taps)
+            grid = estimator_mse(padded_dft(cleaned, n), dft(taps))
             assert mse.shape == (4,)
             assert np.allclose(mse, grid, rtol=1e-12, atol=0), f"Np = {n_pilots}, delays {delays}"
-
-    def test_split_taps_adds_shared_delays(self):
-        truth = ChannelRealization.from_taps([0, 3, 3, 20, 20], [1.0, 2.0, -0.5, 1.0j, 2.0j], 64)
-        head, tail = truth.split_taps(16)
-        assert np.array_equal(head, np.eye(1, 16, 0)[0] + 1.5 * np.eye(1, 16, 3)[0])
-        assert tail == 9.0
 
     def test_ls_only_is_the_nearest_pilot_gather(self):
         for rng, n, n_pilots, n_symbols in self.draw_grids(54, 60):
@@ -359,12 +357,12 @@ class TestBaselines:
     def test_ideal_is_exact(self):
         profile = build_profile("etu", FS)
         gains = tap_gains(profile, np.random.default_rng(29))
-        truth = ChannelRealization.from_taps(profile.tap_delays, gains, 512)
-        est = ESTIMATORS["ideal"].run(None, None, residue_major(truth.freq_response, 64))
+        truth = response(profile.tap_delays, gains, 512)
+        est = ESTIMATORS["ideal"].run(None, None, residue_major(truth, 64))
         assert est.cells.shape == (1, 8, 64)
-        assert np.array_equal(est.freq_response, truth.freq_response[None, :])
+        assert np.array_equal(est.freq_response, truth[None, :])
         assert est.sigma2_hat is None and est.cleaned_cir is None
-        assert estimator_mse(est.freq_response, truth.freq_response) == 0.0
+        assert estimator_mse(est.freq_response, truth) == 0.0
 
     def test_ideal_is_a_view_of_the_chunk_truth(self):
         config = SimConfig(subframes_per_point=4)
@@ -393,12 +391,12 @@ class TestBaselines:
         rng = np.random.default_rng(30)
         profile = build_profile("etu", FS)
         gains = [tap_gains(profile, rng) for _ in range(100)]
-        truth = ChannelRealization.from_taps(profile.tap_delays, gains, cfg.n_subcarriers)
+        truth = response(profile.tap_delays, gains, cfg.n_subcarriers)
         noisy = pilot_observation(truth, cfg) + complex_normal(rng, (100, 2, 64), 0.1)
         near = ls_nearest_estimate(noisy[..., :1, :], 512).freq_response
-        mse_near = estimator_mse(near, truth.freq_response).mean()
+        mse_near = estimator_mse(near, truth).mean()
         multi = multi_symbol_estimate(noisy, 512).freq_response
-        mse_multi = estimator_mse(multi, truth.freq_response).mean()
+        mse_multi = estimator_mse(multi, truth).mean()
         assert mse_near >= mse_multi, f"{mse_near:.4f} < {mse_multi:.4f}"
 
 
@@ -496,14 +494,14 @@ class TestEqualize:
             assert np.array_equal(out, fresh)
 
     def test_mse_of_constant_offset(self):
-        truth = ChannelRealization.from_taps([0], [1.0], 8)
-        est = truth.freq_response[None, :] + 1.0
-        assert estimator_mse(est, truth.freq_response) == pytest.approx(1.0)
+        truth = response([0], [1.0], 8)
+        est = truth[None, :] + 1.0
+        assert estimator_mse(est, truth) == pytest.approx(1.0)
 
     def test_mse_averages_symbol_major_rows(self):
-        truth = ChannelRealization.from_taps([0], [1.0], 8)
-        est = truth.freq_response + np.array([[1.0], [3.0]])
-        assert estimator_mse(est, truth.freq_response) == pytest.approx(5.0)
+        truth = response([0], [1.0], 8)
+        est = truth + np.array([[1.0], [3.0]])
+        assert estimator_mse(est, truth) == pytest.approx(5.0)
 
     def test_mse_is_the_mean_squared_magnitude(self):
         rng = np.random.default_rng(57)
@@ -525,6 +523,6 @@ class TestEqualize:
     @pytest.mark.parametrize("shape", [(2, 1, 8), (2, 8), (3, 8), (3, 2, 2, 8)])
     def test_mse_rejects_mismatched_shapes(self, shape):
         """Estimates that are not symbol-major against the (3, N) truth raise, never broadcast."""
-        truth = ChannelRealization.from_taps([0], np.ones((3, 1)), 8)
+        truth = response([0], np.ones((3, 1)), 8)
         with pytest.raises(ValueError, match="does not match"):
-            estimator_mse(np.ones(shape), truth.freq_response)
+            estimator_mse(np.ones(shape), truth)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ofdmce import harness
-from ofdmce.channel import ChannelRealization, apply_channel, complex_normal, noise_variance, tap_gains
+from ofdmce.channel import apply_channel, complex_normal, from_taps, noise_variance, tap_gains
 from ofdmce.cli import main
 from ofdmce.estimators import estimator_mse
 from ofdmce.harness import (
@@ -37,6 +37,7 @@ from ofdmce.phy import (
     qpsk_modulate,
     residue_major,
 )
+from ofdmce.spectral import dft
 
 from test_cli import block_lines
 from test_phy import data_cells
@@ -165,8 +166,8 @@ def residue_data(bits: np.ndarray, config: SimConfig) -> np.ndarray:
 
 def reference_subframe(config: SimConfig, trial: int, snr_db: float):
     """One subframe drawn from its own ``default_rng((seed, trial, purpose))``
-    streams and sent through the time-domain chain: its bits, channel and
-    demodulated grid."""
+    streams and sent through the time-domain chain: its bits, frequency
+    response and demodulated grid."""
     grid = config.grid
     profile = resolve_profile(config)
     bits_rng, channel_rng, noise_rng = (
@@ -175,11 +176,11 @@ def reference_subframe(config: SimConfig, trial: int, snr_db: float):
     bits = bits_rng.integers(0, 2, grid.data_bits_per_block)
     gains = tap_gains(profile, channel_rng if config.fading else None)
     unit_noise = complex_normal(noise_rng, grid.samples_per_block, 1.0)
-    realization = ChannelRealization.from_taps(profile.tap_delays, gains, grid.n_subcarriers)
+    response = dft(from_taps(profile.tap_delays, gains, grid.n_subcarriers))
     tx_grid = build_grid(qpsk_modulate(bits), generate_pilots(config.master_seed, grid), grid)
-    rx_samples = apply_channel(ofdm_modulate(tx_grid, grid), realization, grid.cp_len)
+    rx_samples = apply_channel(ofdm_modulate(tx_grid, grid), profile.tap_delays, gains, grid.cp_len)
     rx_samples += math.sqrt(noise_variance(snr_db)) * unit_noise
-    return bits, realization, ofdm_demodulate(rx_samples, grid)
+    return bits, response, ofdm_demodulate(rx_samples, grid)
 
 
 class TestSubframePairing:
@@ -232,20 +233,23 @@ class TestSubframePairing:
 
     @pytest.mark.parametrize("fading", [True, False])
     def test_block_channel_is_tap_gains_of_the_trial_stream(self, fading):
-        """Each trial's channel is one ``tap_gains`` draw from its own channel stream."""
-        cfg = tiny_config(fading=fading)
-        grid = cfg.grid
-        profile = resolve_profile(cfg)
-        trials = [0, 3, 300]
-        block = draw_block(cfg, trials)
-        for j, trial in enumerate(trials):
-            stream = np.random.default_rng((cfg.master_seed, trial, harness._CHANNEL))
-            gains = tap_gains(profile, stream if fading else None)
-            expected = ChannelRealization.from_taps(profile.tap_delays, gains, grid.n_subcarriers)
-            assert np.array_equal(block.truth[j], residue_major(expected.freq_response, grid.n_pilots))
-            head, tail_energy = expected.split_taps(grid.n_pilots)
-            assert np.array_equal(block.true_head[j], head)
-            assert block.tail_energy[j] == tail_energy
+        """Each trial's channel is one ``tap_gains`` draw from its own channel
+        stream: its taps up to ``max(Np, spread + 1)`` and their response,
+        on the default grid and over 16 pilots, short of ETU's 38-sample spread."""
+        for n_pilots in (64, 16):
+            grid = GridConfig(n_pilots=n_pilots)
+            cfg = tiny_config(fading=fading, grid=grid, th_perfect=15, th_inaccurate=15)
+            profile = resolve_profile(cfg)
+            width = max(grid.n_pilots, profile.delay_spread + 1)
+            trials = [0, 3, 300]
+            block = draw_block(cfg, trials)
+            assert block.taps.shape == (len(trials), width)
+            for j, trial in enumerate(trials):
+                stream = np.random.default_rng((cfg.master_seed, trial, harness._CHANNEL))
+                gains = tap_gains(profile, stream if fading else None)
+                taps = from_taps(profile.tap_delays, gains, grid.n_subcarriers)
+                assert np.array_equal(block.truth[j], residue_major(dft(taps), grid.n_pilots))
+                assert np.array_equal(block.taps[j], taps[:width])
 
     def test_bits_are_the_trial_stream_in_grid_order(self):
         """A block's bits are each trial's bit stream as drawn, in step with
@@ -262,10 +266,10 @@ class TestSubframePairing:
         """snr = inf leaves H * X at every data cell and H at the pilot row."""
         cfg = tiny_config()
         rx, _ = receive(draw_block(cfg, [0]), math.inf)
-        bits, realization, _ = reference_subframe(cfg, 0, math.inf)
+        bits, response, _ = reference_subframe(cfg, 0, math.inf)
         pilots = generate_pilots(cfg.master_seed, cfg.grid)
         tx_grid = build_grid(qpsk_modulate(bits), pilots, cfg.grid)
-        clean = residue_major(realization.freq_response * tx_grid, cfg.grid.n_pilots)
+        clean = residue_major(response * tx_grid, cfg.grid.n_pilots)
         clean[:, 0, :] *= np.conj(pilots)
         assert np.allclose(rx[0], clean, rtol=1e-15, atol=0)
 
@@ -323,8 +327,8 @@ class TestTrialStreams:
         trials = [2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1]
         block = draw_block(cfg, trials)
         for j, trial in enumerate(trials):
-            bits, realization, _ = reference_subframe(cfg, trial, 10.0)
-            truth = residue_major(realization.freq_response, cfg.grid.n_pilots)
+            bits, response, _ = reference_subframe(cfg, trial, 10.0)
+            truth = residue_major(response, cfg.grid.n_pilots)
             assert np.array_equal(block.truth[j], truth)
             expected = residue_data(bits, cfg)
             assert np.array_equal(qpsk_modulate(block.bits[j]).reshape(expected.shape), expected)
@@ -336,7 +340,7 @@ class TestTrialStreams:
         assert main(["inspect", "--trial", str(trial), "--snr", "20", "--estimator", "ideal"]) == 0
         out = capsys.readouterr().out
         cfg = SimConfig()
-        _, realization, rx = reference_subframe(cfg, trial, snr_db)
+        _, truth, rx = reference_subframe(cfg, trial, snr_db)
         rows = block_lines(out, "pilot-ls")[1:]
         printed = np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
         # Printed one row per pilot n, one (re, im) pair per symbol m.
@@ -345,7 +349,6 @@ class TestTrialStreams:
         assert np.abs(pilot_ls - reference).max() <= 1e-9 * np.abs(reference).max()
         rows = block_lines(out, "estimate-vs-truth")[1:]
         printed = np.array([[float(x) for x in row.split(",")[3:]] for row in rows])
-        truth = realization.freq_response
         assert np.abs(printed[:, 0] + 1j * printed[:, 1] - truth).max() <= 1e-11 * np.abs(truth).max()
 
     def test_sweep_at_a_large_seed_matches_the_reference(self, tmp_path):
@@ -360,8 +363,8 @@ class TestTrialStreams:
         cfg = SimConfig(master_seed=seed)
         errors = 0
         for trial in range(n_trials):
-            bits, realization, rx = reference_subframe(cfg, trial, snr_db)
-            equalized = rx * np.conj(realization.freq_response)
+            bits, response, rx = reference_subframe(cfg, trial, snr_db)
+            equalized = rx * np.conj(response)
             errors += qpsk_bit_errors(data_cells(equalized, cfg.grid), bits)
         assert errors > 0
         assert (record.bit_errors, record.total_bits) == (errors, n_trials * cfg.grid.data_bits_per_block)
@@ -497,8 +500,8 @@ class TestRunTrial:
             for trial in range(3):
                 pilot_ls, truth = simulate_subframe(cfg, 15.0, trial)
                 est = ESTIMATORS[record.estimator_id].run(cfg, pilot_ls, truth)
-                _, realization, _ = reference_subframe(cfg, trial, 15.0)
-                errors.append(estimator_mse(est.freq_response, realization.freq_response))
+                _, response, _ = reference_subframe(cfg, trial, 15.0)
+                errors.append(estimator_mse(est.freq_response, response))
             assert record.mean_mse == pytest.approx(np.mean(errors), rel=1e-12), record.estimator_id
 
     def test_total_bits_bookkeeping(self):
