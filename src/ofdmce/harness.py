@@ -38,6 +38,8 @@ reference model the tests check this against.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -367,9 +369,10 @@ def _draw_block(
     noise = np.ascontiguousarray(residue_major(demodulated, grid.n_pilots))
     del demodulated
     noise[..., 0, :] *= np.conj(pilots)
-    # Drawn symbol-major, a symbol's bit pairs are (Np, S - 1) cells; transpose them.
-    drawn = bits.reshape((n_trials, grid.n_symbols, grid.n_pilots, grid.pilot_spacing - 1, 2))
-    bits = np.swapaxes(drawn, 2, 3).reshape(n_trials, -1)
+    # Drawn symbol-major, a symbol's bit pairs are (Np, S - 1) cells; transpose
+    # them, each pair moved as one uint16 word.
+    pairs = bits.view(np.uint16).reshape(n_trials, grid.n_symbols, grid.n_pilots, -1)
+    bits = np.swapaxes(pairs, -1, -2).reshape(n_trials, -1).view(bool)
     clean = np.empty_like(noise)
     data = clean[..., 1:, :]
     np.multiply(qpsk_modulate(bits).reshape(data.shape), truth[:, None, 1:, :], out=data)
@@ -394,10 +397,13 @@ def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, block: _Bloc
     per-trial mean σ̂² (or None) of the block.
 
     The MSE over all ``N`` cells is taken by Parseval where the estimate has
-    an impulse response, else over the whole grid.
+    an impulse response, else over the whole grid; ``ideal``'s cells are the
+    truth, so its MSE is exactly 0.
     """
     est = ESTIMATORS[estimator_id].run(config, pilot_ls, block.truth)
-    if est.cleaned_cir is None:
+    if estimator_id == "ideal":
+        mse = np.zeros(len(block.truth))
+    elif est.cleaned_cir is None:
         mse = estimator_mse(_flat(est.cells), _flat(block.truth))
     else:
         mse = cir_mse(est.cleaned_cir, block.taps)
@@ -429,9 +435,27 @@ def _sweep_block(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarr
     return partial
 
 
+@functools.cache
+def _keep_heap_mapped() -> None:
+    """Pin glibc's malloc thresholds once per process, so that each block
+    reuses the heap pages the block before it freed, where glibc would trim
+    them and the next block fault them in again. A no-op where the C library
+    has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD (-3) at its 64-bit cap of 32 MiB and M_TRIM_THRESHOLD (-1)
+    # at twice that: the values glibc's own dynamic rule moves toward.
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
+
+
 def _sweep_trials(args):
     """Worker body: trials ``lo .. hi - 1``, a block at a time, folded into
     totals as ``sweep`` keeps them."""
+    _keep_heap_mapped()
     config, profile, pilots, lo, hi = args
     step = _block_trials(config.grid)
     totals = {}

@@ -47,10 +47,6 @@ _SQRT2 = np.sqrt(2.0)
 _QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / _SQRT2
 
 
-def _is_pow2(value: int) -> bool:
-    return value > 0 and value & (value - 1) == 0
-
-
 @dataclass(frozen=True)
 class GridConfig:
     """Dimensions of one estimation block of the resource grid.
@@ -65,12 +61,12 @@ class GridConfig:
     cp_len: int = 40
 
     def __post_init__(self) -> None:
-        if not _is_pow2(self.n_subcarriers):
-            raise ValueError(f"n_subcarriers must be a power of two, got {self.n_subcarriers}")
-        if not _is_pow2(self.n_pilots):
-            raise ValueError(f"n_pilots must be a power of two, got {self.n_pilots}")
+        if self.n_pilots < 1:
+            raise ValueError(f"n_pilots must be at least 1, got {self.n_pilots}")
         if self.n_pilots > self.n_subcarriers:
             raise ValueError("n_pilots cannot exceed n_subcarriers")
+        if self.n_subcarriers % self.n_pilots:
+            raise ValueError(f"n_pilots {self.n_pilots} must divide n_subcarriers {self.n_subcarriers}")
         if self.n_symbols < 1:
             raise ValueError(f"n_symbols must be at least 1, got {self.n_symbols}")
         if not 0 <= self.cp_len <= self.n_subcarriers:

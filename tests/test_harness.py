@@ -1,9 +1,14 @@
 """Tests for the Monte Carlo harness: pairing, aggregation, CSV, gaps."""
 
+import ctypes
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,6 +390,11 @@ def reference_configs():
             sample_rate_hz=1.92e6, th_perfect=0, th_inaccurate=0, estimators=("ideal",),
             fading=False,
         ),
+        # No power of two: ETU at 5.76 MHz spreads over 29 samples.
+        SimConfig(
+            grid=GridConfig(n_subcarriers=384, n_pilots=48, n_symbols=3, cp_len=30),
+            sample_rate_hz=5.76e6, th_perfect=0, th_inaccurate=0, estimators=("ideal",),
+        ),
     ]
     for _ in range(6):
         n = int(2 ** rng.integers(4, 8))
@@ -504,6 +514,22 @@ class TestRunTrial:
                 errors.append(estimator_mse(est.freq_response, response))
             assert record.mean_mse == pytest.approx(np.mean(errors), rel=1e-12), record.estimator_id
 
+    @pytest.mark.parametrize("n_subcarriers, n_pilots", [(512, 64), (256, 16)])
+    def test_ideal_mse_is_exactly_zero_in_every_trial(self, n_subcarriers, n_pilots):
+        """``ideal``'s cells are the truth, so a block's per-trial MSE is
+        exactly 0.0 at every SNR point, also over 16 pilots, where ETU's
+        38-sample spread lies past Np."""
+        cfg = tiny_config(
+            grid=GridConfig(n_subcarriers=n_subcarriers, n_pilots=n_pilots),
+            th_perfect=0, th_inaccurate=0, estimators=("ideal",),
+        )
+        pilots = generate_pilots(cfg.master_seed, cfg.grid)
+        partial = harness._sweep_block(cfg, resolve_profile(cfg), pilots, np.arange(5))
+        for snr_idx in range(len(cfg.snr_points_db)):
+            _, mse, sigma2 = partial[snr_idx, "ideal"]
+            assert mse.shape == (5,) and sigma2 is None
+            assert np.all(mse == 0.0), mse
+
     def test_total_bits_bookkeeping(self):
         """Each subframe carries M * (N - Np) * 2 data bits."""
         record = one_trial("ideal", 10.0)
@@ -522,6 +548,14 @@ class TestRunTrial:
         assert one_trial("ls-only", 10.0).mean_sigma2_hat is None
         assert one_trial("proposed", 10.0).mean_sigma2_hat > 0
         assert one_trial("conv-perfect", 10.0).mean_sigma2_hat > 0
+
+
+def has_mallopt() -> bool:
+    """Whether the process's C library has glibc's ``mallopt``."""
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
 
 
 def random_grid_config(seed: int) -> SimConfig:
@@ -630,6 +664,30 @@ class TestSweep:
             finally:
                 tracemalloc.stop()
         assert peaks[2048] - peaks[256] < 32 * 1024, peaks
+
+    @pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
+    def test_a_second_sweep_reuses_the_heap(self):
+        """A sweep keeps its freed block arrays mapped, so a second 256-trial
+        sweep in the same process takes under 100 minor page faults. With
+        malloc's dynamic thresholds each block's freed arrays were trimmed and
+        faulted back in by the next, about 7500 faults here."""
+        child = (
+            "import resource\n"
+            "from ofdmce.harness import SimConfig, sweep\n"
+            "config = SimConfig(snr_points_db=(20.0, 30.0), subframes_per_point=256)\n"
+            "sweep(config, workers=1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "sweep(config, workers=1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        result = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 100, f"{result.stdout.strip()} minor faults"
 
     def test_exact_terms_fold_to_fsum_of_everything(self):
         """Folding groups of values through ``_exact_terms`` keeps their exact

@@ -43,6 +43,11 @@ class TestGridConfig:
         assert DEFAULT.samples_per_block == 2 * (512 + 40)
         assert DEFAULT.data_bits_per_block == 2 * 2 * 448
 
+    def test_pilots_need_only_divide_the_subcarriers(self):
+        """Grids of no power of two run when the pilot count divides N."""
+        assert GridConfig(n_subcarriers=384, n_pilots=48, n_symbols=3, cp_len=30).pilot_spacing == 8
+        assert GridConfig(n_subcarriers=600, n_pilots=100, cp_len=47).pilot_spacing == 6
+
     def test_pilot_indices_are_spacing_multiples(self):
         assert np.array_equal(DEFAULT.pilot_indices, np.arange(0, 512, 8))
         assert DEFAULT.pilot_indices[0] == 0, "subcarrier 0 carries a pilot"
@@ -63,6 +68,7 @@ class TestGridConfig:
             {"n_symbols": 0},
             {"cp_len": -1},
             {"cp_len": 513},
+            {"n_pilots": 0},
         ],
     )
     def test_bad_dimensions_rejected(self, kwargs):
