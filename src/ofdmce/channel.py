@@ -37,7 +37,9 @@ __all__ = [
 ETU_DELAYS_NS = (0.0, 50.0, 120.0, 200.0, 230.0, 500.0, 1600.0, 2300.0, 5000.0)
 ETU_POWERS_DB = (-1.0, -1.0, -1.0, 0.0, 0.0, 0.0, -3.0, -5.0, -7.0)
 
-BUILTIN_PROFILES = ("etu", "single-tap")
+# The builtin profiles, one row each: tap delays in ns and powers in dB.
+_BUILTIN_TAPS = {"etu": (ETU_DELAYS_NS, ETU_POWERS_DB), "single-tap": ((0.0,), (0.0,))}
+BUILTIN_PROFILES = tuple(_BUILTIN_TAPS)
 
 
 @dataclass(frozen=True)
@@ -108,13 +110,11 @@ def profile_from_taps(
 
 
 def build_profile(name: str, sample_rate_hz: float) -> PowerDelayProfile:
-    """Construct a builtin profile ("etu" or "single-tap") at a sample rate."""
+    """Construct a builtin profile, a row of the builtin table, at a sample rate."""
     key = name.lower()
-    if key == "etu":
-        return profile_from_taps("etu", ETU_DELAYS_NS, ETU_POWERS_DB, sample_rate_hz)
-    if key == "single-tap":
-        return PowerDelayProfile("single-tap", (0,), (1.0,), sample_rate_hz)
-    raise ValueError(f"unknown profile {name!r}; builtins are {', '.join(BUILTIN_PROFILES)}")
+    if key not in _BUILTIN_TAPS:
+        raise ValueError(f"unknown profile {name!r}; builtins are {', '.join(BUILTIN_PROFILES)}")
+    return profile_from_taps(key, *_BUILTIN_TAPS[key], sample_rate_hz)
 
 
 def read_key_values(path: str | Path) -> list[tuple[str, str, str]]:

@@ -16,11 +16,9 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .channel import BUILTIN_PROFILES, build_profile, read_key_values
-from .estimators import conventional_noise_var, multi_symbol_noise_var, stack_pilot_cir
+from .estimators import stack_pilot_cir
 from .harness import (
     ESTIMATOR_IDS,
     ESTIMATORS,
@@ -33,7 +31,6 @@ from .harness import (
     write_gaps,
 )
 from .phy import GridConfig
-from .spectral import idft
 
 
 # Most points an SNR range may hold; a longer one is refused before it is built.
@@ -210,6 +207,20 @@ def _cmd_gaps(args) -> int:
     return 0
 
 
+def _table(comment: str, header: str | None = None, rows=(), end: str = "\n\n") -> None:
+    """Print one labeled CSV block and then ``end``: the ``#`` comment, the
+    header and one line per row, whose complex cells print as ``re,im``,
+    floats with ``.12g`` and anything else with ``str``."""
+
+    def cell(value) -> str:
+        if isinstance(value, complex):
+            return f"{value.real:.12g},{value.imag:.12g}"
+        return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+    lines = [f"# {comment}", *([header] if header else [])]
+    print("\n".join(lines + [",".join(map(cell, row)) for row in rows]), end=end)
+
+
 def _cmd_inspect(args) -> int:
     # Validate the grid against the shown estimator only.
     config = _build_config(args, estimators=(args.estimator,))
@@ -219,98 +230,70 @@ def _cmd_inspect(args) -> int:
     if args.trial < 0:
         raise ValueError(f"trial must be nonnegative, got {args.trial}")
     pilot_ls, truth = simulate_subframe(config, args.trial_snr, args.trial)
-    fmt = "{:.12g}".format
-    blocks: list[list[str]] = []
-
-    header = [
-        f"# subframe: trial = {args.trial}, snr_db = {fmt(args.trial_snr)}, "
+    # Every estimator the grid allows, run as the sweep runs it.
+    est = {
+        name: e.run(config, pilot_ls, truth) for name, e in ESTIMATORS.items() if grid.n_symbols >= e.min_symbols
+    }
+    _table(
+        f"subframe: trial = {args.trial}, snr_db = {args.trial_snr:.12g}, "
         f"profile = {config.profile}, estimator = {args.estimator}"
-    ]
-    blocks.append(header)
-
-    block = [
-        "# pilot-ls: least-squares channel at pilot subcarriers (row n, re/im per symbol)",
+    )
+    _table(
+        "pilot-ls: least-squares channel at pilot subcarriers (row n, re/im per symbol)",
         "n," + ",".join(f"m{m}_re,m{m}_im" for m in range(grid.n_symbols)),
-    ]
-    for n in range(grid.n_pilots):
-        cells = ",".join(
-            f"{fmt(pilot_ls[m, n].real)},{fmt(pilot_ls[m, n].imag)}"
-            for m in range(grid.n_symbols)
-        )
-        block.append(f"{n},{cells}")
-    blocks.append(block)
-
+        [(n, *column) for n, column in enumerate(pilot_ls.T)],
+    )
     noise_rows = []
-    if grid.n_symbols < 2:
-        blocks.append(
-            [
-                "# stacked-cir and multi-symbol noise variance skipped: they need at least"
-                f" 2 symbols per block, the grid has {grid.n_symbols}"
-            ]
+    if "proposed" not in est:
+        _table(
+            "stacked-cir and multi-symbol noise variance skipped: they need at least"
+            f" 2 symbols per block, the grid has {grid.n_symbols}"
         )
     else:
-        cir = stack_pilot_cir(pilot_ls)
-        block = [
-            "# stacked-cir: inverse transform of all pilot columns stacked symbol after"
+        _table(
+            "stacked-cir: inverse transform of all pilot columns stacked symbol after"
             " symbol; i = n*M + v; columns v > 0 carry no channel energy",
             "i,n,v,re,im",
-        ]
-        for i, value in enumerate(cir.reshape(-1)):
-            n, v = divmod(i, grid.n_symbols)
-            block.append(f"{i},{n},{v},{fmt(value.real)},{fmt(value.imag)}")
-        blocks.append(block)
-        count = grid.n_pilots * (grid.n_symbols - 1)
-        noise_rows.append(f"multi-symbol,all,{count},{fmt(multi_symbol_noise_var(cir))}")
-
-    block = [
-        "# noise-variance: multi-symbol read-off vs per-symbol tail read-off",
-        "scheme,symbol,sample_count,sigma2_hat",
-        *noise_rows,
-    ]
-    for th in (config.th_perfect, config.th_inaccurate):
-        for m, sigma2 in enumerate(conventional_noise_var(idft(pilot_ls), th)):
-            block.append(f"conventional-th{th},{m},{grid.n_pilots - th},{fmt(sigma2)}")
-    blocks.append(block)
-
-    # Symbol-major (M', ...) outputs; M' = 1 serves every symbol of the block.
-    result = ESTIMATORS[args.estimator].run(config, pilot_ls, truth)
-    freq, cleaned = result.freq_response, result.cleaned_cir
-    origin = f"{args.estimator} on symbol {args.symbol}"
-    if cleaned is not None:
-        block = [
-            f"# post-threshold-cir: denoised impulse response before zero padding ({origin})",
-            "l,re,im",
-        ]
-        cir = np.broadcast_to(cleaned, (grid.n_symbols, grid.n_pilots))[args.symbol]
-        for l, value in enumerate(cir):
-            block.append(f"{l},{fmt(value.real)},{fmt(value.imag)}")
-        blocks.append(block)
-
-    estimate = np.broadcast_to(freq, (grid.n_symbols, grid.n_subcarriers))[args.symbol]
-    # Residue order (S, Np) back to subcarrier order.
-    truth = truth.T.reshape(-1)
-    block = [
-        f"# estimate-vs-truth: final frequency response next to the true channel ({origin})",
-        "k,est_re,est_im,true_re,true_im",
-    ]
-    for k in range(grid.n_subcarriers):
-        est = estimate[k]
-        block.append(
-            f"{k},{fmt(est.real)},{fmt(est.imag)},{fmt(truth[k].real)},{fmt(truth[k].imag)}"
+            [(i, *divmod(i, grid.n_symbols), v) for i, v in enumerate(stack_pilot_cir(pilot_ls).flat)],
         )
-    blocks.append(block)
-
-    print("\n\n".join("\n".join(block) for block in blocks))
+        count = grid.n_pilots * (grid.n_symbols - 1)
+        noise_rows.append(("multi-symbol", "all", count, *est["proposed"].sigma2_hat))
+    noise_rows += [
+        (f"conventional-th{th}", m, grid.n_pilots - th, sigma2)
+        for th, conv in ((config.th_perfect, "conv-perfect"), (config.th_inaccurate, "conv-inaccurate"))
+        for m, sigma2 in enumerate(est[conv].sigma2_hat)
+    ]
+    _table(
+        "noise-variance: multi-symbol read-off vs per-symbol tail read-off",
+        "scheme,symbol,sample_count,sigma2_hat",
+        noise_rows,
+    )
+    shown, origin = est[args.estimator], f"{args.estimator} on symbol {args.symbol}"
+    # Outputs are symbol-major (M', ...), and M' = 1 serves every symbol of the block.
+    row = args.symbol if len(shown.cells) > 1 else 0
+    if shown.cleaned_cir is not None:
+        _table(
+            f"post-threshold-cir: denoised impulse response before zero padding ({origin})",
+            "l,re,im",
+            enumerate(shown.cleaned_cir[row]),
+        )
+    _table(
+        f"estimate-vs-truth: final frequency response next to the true channel ({origin})",
+        "k,est_re,est_im,true_re,true_im",
+        zip(range(grid.n_subcarriers), shown.freq_response[row], est["ideal"].freq_response[0]),
+        end="\n",
+    )
     return 0
 
 
 def _cmd_profiles(args) -> int:
     profiles = [build_profile(name, args.sample_rate) for name in BUILTIN_PROFILES]
-    print(f"# built-in power delay profiles at sample_rate_hz = {args.sample_rate!r}")
-    print("profile,tap,delay_samples,power")
-    for name, profile in zip(BUILTIN_PROFILES, profiles):
-        for tap, (delay, power) in enumerate(zip(profile.tap_delays, profile.tap_powers)):
-            print(f"{name},{tap},{delay},{power:.12g}")
+    _table(
+        f"built-in power delay profiles at sample_rate_hz = {args.sample_rate!r}",
+        "profile,tap,delay_samples,power",
+        [(p.name, i, *tap) for p in profiles for i, tap in enumerate(zip(p.tap_delays, p.tap_powers))],
+        end="\n",
+    )
     return 0
 
 

@@ -113,10 +113,8 @@ def conventional_estimate(
     """
     cir = idft(pilots)
     sigma2 = conventional_noise_var(cir, threshold)
-    head = cir[..., :threshold]
-    keep = np.abs(head) ** 2 >= c * sigma2[..., None]
-    cleaned = np.zeros_like(cir)
-    cleaned[..., :threshold] = np.where(keep, head, 0.0)
+    cleaned = np.where(np.abs(cir) ** 2 >= c * sigma2[..., None], cir, 0.0)
+    cleaned[..., threshold:] = 0.0
     return Estimate(_grid_cells(cleaned, n_subcarriers), sigma2, cleaned)
 
 

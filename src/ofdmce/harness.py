@@ -612,10 +612,13 @@ def _crossing_snr(snrs, bers, bit_totals, target: float) -> float | None:
 
 def gap_report(records: list[BerRecord], target_bers=(1e-3,)) -> GapReport:
     """Locate BER target crossings for every estimator curve in ``records``;
-    a record that cannot sit on a curve raises ValueError naming it."""
-    for target in target_bers:
+    a record that cannot sit on a curve, or a target given twice, raises
+    ValueError naming it."""
+    for i, target in enumerate(target_bers):
         if not 0 < target < 1:
             raise ValueError(f"target BER must lie in (0, 1), got {target!r}")
+        if target in target_bers[:i]:
+            raise ValueError(f"target BER {target!r} is given twice")
     seen = set()
     for r in records:
         where = f"record {r.estimator_id} at snr_db {r.snr_db!r}"

@@ -164,8 +164,7 @@ def ofdm_modulate(grid: np.ndarray, cfg: GridConfig) -> np.ndarray:
             f"grid must end in shape ({cfg.n_symbols}, {cfg.n_subcarriers}), got {arr.shape[-2:]}"
         )
     body = idft(arr) * np.sqrt(cfg.n_subcarriers)
-    if cfg.cp_len:
-        body = np.concatenate([body[..., cfg.n_subcarriers - cfg.cp_len :], body], axis=-1)
+    body = np.concatenate([body[..., cfg.n_subcarriers - cfg.cp_len :], body], axis=-1)
     return body.reshape(body.shape[:-2] + (cfg.samples_per_block,))
 
 

@@ -7,8 +7,7 @@ from ofdmce.harness import SimConfig, gap_report, sweep
 # High-SNR region around the 1e-3 crossings of the three working curves,
 # including the two points the error-floor check reads. 1e5 subframes per
 # point keeps the crossing standard errors near 0.02 dB; the run is shared
-# by every test that needs it, and the whole acceptance file takes under a
-# minute on one core.
+# by every test that needs it and uses every core, which moves no record.
 HEADLINE_CONFIG = SimConfig(
     snr_points_db=(25.0, 27.5, 30.0),
     subframes_per_point=100_000,
@@ -18,7 +17,7 @@ HEADLINE_CONFIG = SimConfig(
 @pytest.fixture(scope="session")
 def headline_records():
     """Full four-estimator sweep of HEADLINE_CONFIG (slow, computed once)."""
-    return sweep(HEADLINE_CONFIG, workers=1)
+    return sweep(HEADLINE_CONFIG)
 
 
 @pytest.fixture(scope="session")

@@ -67,6 +67,11 @@ class TestProfiles:
         assert profile.tap_delays == (0,)
         assert profile.tap_powers == (1.0,)
 
+    @pytest.mark.parametrize("fs", [1.0, 3.84e6, FS, 30.72e6])
+    def test_single_tap_is_a_row_of_taps(self, fs):
+        """The flat builtin is the one-tap profile at 0 ns and 0 dB, at any rate."""
+        assert build_profile("single-tap", fs) == profile_from_taps("single-tap", [0.0], [0.0], fs)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown profile"):
             build_profile("eva", FS)

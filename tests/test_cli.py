@@ -394,6 +394,17 @@ class TestGapsCommand:
         assert f"got {targets.split(',')[-1]}" in captured.err
         assert "crossings" not in captured.out
 
+    def test_repeated_target(self, tmp_path, capsys):
+        """A target given twice exits 1 naming it, and prints and writes no crossing."""
+        out = tmp_path / "sweep.csv"
+        out.write_text(f"{CSV_HEADER}\nideal,10.0,1000,10,0.01,0.0,nan\nideal,20.0,1000,0,0.0,0.0,nan\n")
+        gaps_csv = tmp_path / "gaps.csv"
+        assert main(["gaps", "--in", str(out), "--targets", "1e-3,1e-3", "--out", str(gaps_csv)]) == 1
+        captured = capsys.readouterr()
+        assert "target BER 0.001 is given twice" in captured.err
+        assert "crossings" not in captured.out
+        assert not gaps_csv.exists()
+
     @pytest.mark.parametrize(
         "row, message",
         [

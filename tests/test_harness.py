@@ -900,6 +900,12 @@ class TestGapReport:
         with pytest.raises(ValueError, match=f"target BER .*got {target!r}"):
             gap_report(records, (1e-3, target))
 
+    def test_rejects_a_repeated_target(self):
+        """A target given twice would repeat its crossings and gaps under one key."""
+        records = synthetic_curve("ideal", [(10.0, 1e-2), (14.0, 1e-4)])
+        with pytest.raises(ValueError, match="target BER 0.001 is given twice"):
+            gap_report(records, (1e-3, 1e-2, 1e-3))
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

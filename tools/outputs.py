@@ -1,0 +1,73 @@
+"""Write the outputs that a change meant to keep behaviour must leave byte-identical.
+
+Run from a checkout root: ``python tools/outputs.py OUTDIR``. OUTDIR gets the
+sweep CSVs and logs of the benchmark workloads at seed 7, 300 subframes and
+1 or 2 workers; ``inspect`` of every estimator in eight cases; and
+``profiles`` at three sample rates, each with its exit code. Configs are
+passed by paths relative to OUTDIR, so two checkouts' directories compare
+with ``diff -r``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path[:0] = [str(Path.cwd() / "src"), str(Path.cwd())]
+
+from ofdmce.cli import main  # noqa: E402
+from ofdmce.harness import ESTIMATOR_IDS  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+CONFIGS = {
+    **{f"{name}.cfg": w.config_text() for name, w in WORKLOADS.items()},
+    "m3.cfg": "n_symbols = 3\n",
+    "m1.cfg": "n_symbols = 1\n",
+    "np512.cfg": "n_pilots = 512\n",
+    "two-ray.txt": "name = two-ray\ntap = 0 0\ntap = 1000 -3\n",
+}
+
+INSPECT_CASES = {
+    "noiseless": [],
+    "snr20-trial3": ["--snr", "20", "--trial", "3"],
+    "m3": ["--config", "m3.cfg", "--symbol", "2", "--snr", "15"],
+    "m1": ["--config", "m1.cfg"],
+    "np512": ["--config", "np512.cfg", "--snr", "20"],
+    "wideband": ["--config", "wideband.cfg", "--snr", "20", "--trial", "3", "--symbol", "1"],
+    "two-ray": ["--profile", "two-ray.txt", "--snr", "25", "--trial", "9", "--symbol", "1"],
+    "single-tap": ["--profile", "single-tap", "--trial", "4294967299"],
+}
+
+
+def run(log: str, argv: list[str]) -> None:
+    """Run ``ofdmce argv`` in process; write its exit code, stdout and stderr to ``log``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    Path(log).write_text(f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+
+
+def write_outputs(outdir: str) -> None:
+    os.makedirs(outdir, exist_ok=True)
+    os.chdir(outdir)
+    for name, text in CONFIGS.items():
+        Path(name).write_text(text)
+    for name in WORKLOADS:
+        for workers in ("1", "2"):
+            stem = f"sweep-{name}-w{workers}"
+            run(f"{stem}.log", ["sweep", "--config", f"{name}.cfg", "--seed", "7",
+                                "--subframes", "300", "--workers", workers, "--out", f"{stem}.csv"])
+    for case, argv in INSPECT_CASES.items():
+        for estimator in ESTIMATOR_IDS:
+            run(f"inspect-{case}-{estimator}.log", ["inspect", *argv, "--estimator", estimator])
+    for rate in ("3.84e6", "7.68e6", "30.72e6"):
+        run(f"profiles-{rate}.log", ["profiles", "--sample-rate", rate])
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tools/outputs.py OUTDIR")
+    write_outputs(sys.argv[1])
