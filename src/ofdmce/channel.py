@@ -185,18 +185,23 @@ def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarr
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def tap_gains(profile: PowerDelayProfile, rng: np.random.Generator | None) -> np.ndarray:
-    """Draw the tap gains of one block.
+def tap_gains(profile: PowerDelayProfile, rng: np.random.Generator | None, rows: int) -> np.ndarray:
+    """Draw the tap gains of ``rows`` blocks, ``(rows, T)``.
 
     With a generator each tap is an independent complex Gaussian whose
-    variance is the tap power (Rayleigh magnitudes). With ``rng=None`` the
-    gains are the deterministic square roots of the tap powers, which for
-    the single-tap profile degenerates to an identity (pure AWGN) link.
+    variance is the tap power (Rayleigh magnitudes), drawn row by row as
+    ``standard_normal((rows, T, 2))`` read as complex. With ``rng=None``
+    every row is the deterministic square roots of the tap powers and
+    nothing is drawn; for the single-tap profile that is an identity (pure
+    AWGN) link.
     """
-    amplitudes = np.sqrt(np.array(profile.tap_powers))
+    powers = np.array(profile.tap_powers)
     if rng is None:
-        return amplitudes.astype(np.complex128)
-    return amplitudes * complex_normal(rng, len(amplitudes), 1.0)
+        return np.broadcast_to(np.sqrt(powers).astype(np.complex128), (rows, len(powers)))
+    gains = np.empty((rows, len(powers)), dtype=np.complex128)
+    rng.standard_normal(out=gains.view(np.float64))
+    gains *= np.sqrt(powers / 2.0)
+    return gains
 
 
 def apply_channel(

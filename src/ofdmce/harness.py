@@ -1,17 +1,16 @@
 """Monte Carlo BER harness with paired random streams.
 
-Every trial (subframe) owns three random substreams, exactly numpy's
-``default_rng((master_seed, trial_index, purpose))`` with purposes bits /
-channel / noise. They are seeded a block of trials at a time: one
-vectorised pass of SeedSequence's hash gives the PCG64 state of every stream
-of the block, and three reused generators take those states trial by trial.
-The stream tests compare these states with ``default_rng``'s, so a numpy
-release that changed SeedSequence or PCG64 fails them.
+Trials (subframes) come in batches of 256: trial ``t`` is row ``t % 256``
+of batch ``t // 256``, which owns three random streams, exactly numpy's
+``default_rng((master_seed, t // 256, purpose))`` with purposes bits /
+channel / noise. Each stream is drawn row by row in trial order, so a
+trial's values depend only on the seed and its index, not on the block it
+is drawn in. A pool task is a run of whole batches.
 
 Estimator choice never touches the streams, so all estimators see identical
-channels and noise (paired comparison). The noise stream is drawn once per
-trial at unit variance and scaled per SNR point. Each record is an integer
-count and exactly rounded sums of per-trial values, kept as a few floats as
+channels and noise (paired comparison). The noise is drawn once per trial
+at unit variance and scaled per SNR point. Each record is an integer count
+and exactly rounded sums of per-trial values, kept as a few floats as
 blocks arrive (``_exact_terms``). These do not depend on order, so records
 do not depend on block size, task split or worker count, and reruns give
 byte-identical CSV files.
@@ -20,20 +19,23 @@ Trials are received in the frequency domain. While the delay spread fits
 the cyclic prefix (checked before anything is drawn), the demodulated grid
 of the time-domain chain ``ofdm_demodulate(apply_channel(ofdm_modulate(X))
 + sqrt(sigma2) * w)`` is exactly ``H * X + sqrt(sigma2) * W`` with
-``W = ofdm_demodulate(w)``, the same in every symbol. The sweep's unit of
-work is a cache-sized block of trials (``_BLOCK_BYTES`` of cell grid): each
-block's ``H * X`` and ``W`` are drawn once and run through every SNR point,
-where each point only scales and adds them; a pool task is a run of whole
-blocks. The cells are in the layout of the truth and of every estimate: one
-residue grid ``(..., S, Np)`` per OFDM symbol (``phy.residue_major``) whose
-row 0 holds the pilot least-squares observations, and rows ``1 .. S - 1``
-the data cells ``equalize`` decides on. Across the symbols the pilot rows
-are ``(..., M, Np)``, symbol-major like every grid of the package, so the
-estimators read them as a view with no reorder.
-``simulate_subframe`` draws and receives a one-trial block the same way and
-returns its pilot row and truth as they are, so ``inspect`` shows what the
-sweep scored. The time-domain functions stay in the library as the
-reference model the tests check this against.
+``W = ofdm_demodulate(w)``, the same in every symbol. A unitary DFT of
+i.i.d. CN(0, 1) samples is i.i.d. CN(0, 1), so the sweep draws ``W``
+straight at the cells, exact in distribution, and no time-domain noise. The
+sweep's unit of work is a cache-sized block of trials (``_BLOCK_BYTES`` of
+cell grid, clipped at batch edges): each block's ``H * X`` and ``W`` are
+drawn once and run through every SNR point, where each point only scales
+and adds them. The cells are in the layout of the truth and of every
+estimate: one residue grid ``(..., S, Np)`` per OFDM symbol
+(``phy.residue_major``) whose row 0 holds the pilot least-squares
+observations, and rows ``1 .. S - 1`` the data cells ``equalize`` decides
+on. Across the symbols the pilot rows are ``(..., M, Np)``, symbol-major
+like every grid of the package, so the estimators read them as a view with
+no reorder.
+``simulate_subframe`` draws and receives a trial's batch the same way, up
+to the trial, and returns its pilot row and truth as they are, so
+``inspect`` shows what the sweep scored. The time-domain functions stay in
+the library as the reference model the tests check this against.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .channel import (
     BUILTIN_PROFILES,
     PowerDelayProfile,
     build_profile,
-    complex_normal,
     from_taps,
     load_profile,
     noise_variance,
@@ -71,7 +72,6 @@ from .estimators import (
 from .phy import (
     GridConfig,
     generate_pilots,
-    ofdm_demodulate,
     qpsk_bit_errors,
     qpsk_modulate,
     residue_major,
@@ -96,13 +96,16 @@ __all__ = [
     "write_gaps",
 ]
 
-# Stream purposes; part of the reproducibility contract.
+# Trials per stream batch and the stream purposes; part of the
+# reproducibility contract. Trial t is row t % _BATCH of batch t // _BATCH,
+# whose streams are default_rng((master_seed, t // _BATCH, purpose)).
+_BATCH = 256
 _BITS, _CHANNEL, _NOISE = 0, 1, 2
 
 # Bytes of one cell grid per trial block, the sweep's unit of work. Every
-# SNR point re-reads grids of this size, which stay in cache. Every value a
-# block yields is per trial and every sum is exactly rounded, so its size
-# moves no result.
+# SNR point re-reads grids of this size, which stay in cache. Every stream
+# is drawn row by row, every value a block yields is per trial and every sum
+# is exactly rounded, so its size moves no result.
 _BLOCK_BYTES = 1 << 20
 
 _DEFAULT_SNRS = tuple(float(s) for s in np.linspace(0.0, 30.0, 13))
@@ -226,92 +229,29 @@ def awgn_qpsk_ber(snr_db: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-# numpy's SeedSequence hash over a pool of four 32-bit words, and PCG64's
-# seeding step; NEP 19 fixes both for every numpy release.
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _entropy_words(value: int) -> list[int]:
-    """SeedSequence's 32-bit words of a nonnegative int, least significant first."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's running hash of 32-bit words; each call moves the constant on."""
-
-    def step(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
-
-    return step
-
-
-def _mix(x, y):
-    """SeedSequence's mix of a pool word with a hashed word."""
-    value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return value ^ (value >> _XSHIFT)
-
-
-def _stream_states(seed: int, trials) -> list[tuple[dict, ...]]:
-    """The PCG64 states of ``np.random.default_rng((seed, trial, purpose))``
-    for every trial, one per purpose, hashed in one pass over the block.
-
-    Entropy shorter than the pool is hashed as if zero padded; every word
-    past the pool (seeds or trials of 2**32 and up) is mixed into each pool
-    word, but only in the rows that have it.
-    """
-    head = _entropy_words(int(seed))
-    rows = [head + _entropy_words(int(trial)) for trial in trials]
-    lengths = np.array([len(row) + 1 for row in rows])[:, None]
-    entropy = np.zeros((len(rows), 3, max(_POOL, int(lengths.max()))), dtype=np.uint32)
-    for j, row in enumerate(rows):
-        entropy[j, :, : len(row)] = row
-        entropy[j, :, len(row)] = (_BITS, _CHANNEL, _NOISE)
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[..., i]) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, entropy.shape[-1]):
-        has_word = lengths > src
-        for dst in range(_POOL):
-            pool[dst] = np.where(has_word, _mix(pool[dst], hashmix(entropy[..., src])), pool[dst])
-
-    # generate_state(4, uint64): eight words cycled from the pool, paired little-endian.
-    generate = _hasher(_INIT_B, _MULT_B)
-    state = np.stack([generate(pool[i % _POOL]) for i in range(8)], axis=-1).astype("<u4", copy=False)
-    words = state.view("<u8").reshape(len(rows), 3 * 4).tolist()
-
-    # PCG64's seeding step, in Python ints because its state takes them.
-    def pcg64(w0, w1, w2, w3):
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        pcg = {"state": ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
-        return {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-
-    return [(pcg64(*w[0:4]), pcg64(*w[4:8]), pcg64(*w[8:12])) for w in words]
-
-
 def _bits_from_raw(raw: np.ndarray, n_bits: int) -> np.ndarray:
-    """``integers(0, 2, n_bits)`` of each row's generator from its
-    ``random_raw((n_bits + 1) // 2)`` outputs: the top bit of every 32-bit
-    half, low half first."""
+    """``integers(0, 2, n_bits)`` from each row of ``random_raw`` outputs,
+    ``(..., (n_bits + 1) // 2)``: the top bit of every 32-bit half, low half
+    first. With ``n_bits`` even, rows drawn in one call give the rows of
+    ``integers(0, 2, (rows, n_bits))``."""
     return np.asarray(raw, dtype="<u8").view("<u4")[..., :n_bits] >= np.uint32(2**31)
+
+
+def _batch_streams(seed: int, batch: int) -> list[np.random.Generator]:
+    """The bits, channel and noise streams of one batch of trials."""
+    return [np.random.default_rng((seed, batch, purpose)) for purpose in (_BITS, _CHANNEL, _NOISE)]
+
+
+def _blocks(config: SimConfig, lo: int, hi: int):
+    """Each block of trials ``lo .. hi - 1`` (``lo`` a batch edge) as its
+    batch's streams and its row count. Blocks are clipped at batch edges; a
+    batch's streams are made at its first block and carried through the rest."""
+    step = _block_trials(config.grid)
+    for batch_lo in range(lo, hi, _BATCH):
+        streams = _batch_streams(config.master_seed, batch_lo // _BATCH)
+        batch_hi = min(batch_lo + _BATCH, hi)
+        for start in range(batch_lo, batch_hi, step):
+            yield streams, min(step, batch_hi - start)
 
 
 @dataclass(eq=False)
@@ -332,47 +272,29 @@ class _Block:
 
 
 def _draw_block(
-    config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, trials: np.ndarray
+    config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, streams, rows: int
 ) -> _Block:
-    """Draw bits, channel, and unit-variance noise for a block of trials.
-
-    Returns them as the two parts of the received cells; the noise is
-    demodulated here, once for every SNR point. Every draw is the trial's
-    own, so a trial's values do not depend on the block it is drawn in.
-    """
+    """Draw the next ``rows`` trials of a batch from its ``streams``, each
+    row by row: bits, channel, and unit CN(0, 1) noise cells in residue
+    order. Returns them as the two parts of the received cells."""
     grid = config.grid
-    n_trials = len(trials)
-    states = _stream_states(config.master_seed, trials)
-    # Three generators, reseated for every trial.
-    bits_gen, channel_gen, noise_gen = (np.random.PCG64(0) for _ in range(3))
-    channel_rng = np.random.Generator(channel_gen) if config.fading else None
-    noise_rng = np.random.Generator(noise_gen)
+    bits_rng, channel_rng, noise_rng = streams
     # Bits first, so that their raw outputs are freed before the noise is drawn.
-    raw = np.empty((n_trials, (grid.data_bits_per_block + 1) // 2), dtype="<u8")
-    for j, trial_states in enumerate(states):
-        bits_gen.state = trial_states[_BITS]
-        raw[j] = bits_gen.random_raw(raw.shape[1])
+    raw = bits_rng.bit_generator.random_raw((rows, (grid.data_bits_per_block + 1) // 2))
     bits = _bits_from_raw(raw, grid.data_bits_per_block)
     del raw
-    unit_noise = np.empty((n_trials, grid.samples_per_block), dtype=np.complex128)
-    gains = np.empty((n_trials, len(profile.tap_delays)), dtype=np.complex128)
-    for j, trial_states in enumerate(states):
-        channel_gen.state = trial_states[_CHANNEL]
-        noise_gen.state = trial_states[_NOISE]
-        gains[j] = tap_gains(profile, channel_rng)
-        unit_noise[j] = complex_normal(noise_rng, grid.samples_per_block, 1.0)
+    gains = tap_gains(profile, channel_rng if config.fading else None, rows)
     taps = from_taps(profile.tap_delays, gains, grid.n_subcarriers)
     truth = np.ascontiguousarray(residue_major(dft(taps), grid.n_pilots))
     taps = taps[:, : max(grid.n_pilots, profile.delay_spread + 1)].copy()
-    demodulated = ofdm_demodulate(unit_noise, grid)
-    del unit_noise
-    noise = np.ascontiguousarray(residue_major(demodulated, grid.n_pilots))
-    del demodulated
+    noise = np.empty((rows, grid.n_symbols, grid.pilot_spacing, grid.n_pilots), dtype=np.complex128)
+    noise_rng.standard_normal(out=noise.view(np.float64))
+    noise *= math.sqrt(0.5)
     noise[..., 0, :] *= np.conj(pilots)
     # Drawn symbol-major, a symbol's bit pairs are (Np, S - 1) cells; transpose
     # them, each pair moved as one uint16 word.
-    pairs = bits.view(np.uint16).reshape(n_trials, grid.n_symbols, grid.n_pilots, -1)
-    bits = np.swapaxes(pairs, -1, -2).reshape(n_trials, -1).view(bool)
+    pairs = bits.view(np.uint16).reshape(rows, grid.n_symbols, grid.n_pilots, -1)
+    bits = np.swapaxes(pairs, -1, -2).reshape(rows, -1).view(bool)
     clean = np.empty_like(noise)
     data = clean[..., 1:, :]
     np.multiply(qpsk_modulate(bits).reshape(data.shape), truth[:, None, 1:, :], out=data)
@@ -416,10 +338,11 @@ def _block_trials(grid: GridConfig) -> int:
     return max(1, _BLOCK_BYTES // (16 * grid.n_symbols * grid.n_subcarriers))
 
 
-def _sweep_block(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, trials):
-    """Evaluate one block at every SNR point: per (SNR index, estimator), its
-    bit errors and its per-trial MSE and mean σ̂² (or None)."""
-    block = _draw_block(config, profile, pilots, trials)
+def _sweep_block(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, streams, rows: int):
+    """Draw the next ``rows`` trials of a batch and evaluate them at every SNR
+    point: per (SNR index, estimator), the bit errors and the per-trial MSE and
+    mean σ̂² (or None)."""
+    block = _draw_block(config, profile, pilots, streams, rows)
     bits = block.bits
     # One received grid (its data rows a flat view) and one product buffer serve every SNR point.
     rx = np.empty_like(block.clean)
@@ -453,14 +376,13 @@ def _keep_heap_mapped() -> None:
 
 
 def _sweep_trials(args):
-    """Worker body: trials ``lo .. hi - 1``, a block at a time, folded into
-    totals as ``sweep`` keeps them."""
+    """Worker body: trials ``lo .. hi - 1``, whole batches, a block at a
+    time, folded into totals as ``sweep`` keeps them."""
     _keep_heap_mapped()
     config, profile, pilots, lo, hi = args
-    step = _block_trials(config.grid)
     totals = {}
-    for start in range(lo, hi, step):
-        _add(totals, _sweep_block(config, profile, pilots, np.arange(start, min(start + step, hi))))
+    for streams, rows in _blocks(config, lo, hi):
+        _add(totals, _sweep_block(config, profile, pilots, streams, rows))
     return totals
 
 
@@ -486,12 +408,14 @@ def _exact_terms(values: list[float]) -> list[float]:
 
 def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int):
     """One trial as the sweep scores it: its pilot least-squares grid ``(M,
-    Np)`` and its true response in residue order ``(S, Np)``."""
+    Np)`` and its true response in residue order ``(S, Np)``. Its batch is
+    drawn a block at a time up to the block that ends with the trial."""
     profile = resolve_profile(config)
     pilots = generate_pilots(config.master_seed, config.grid)
-    block = _draw_block(config, profile, pilots, np.array([trial_index]))
+    for streams, rows in _blocks(config, trial_index - trial_index % _BATCH, trial_index + 1):
+        block = _draw_block(config, profile, pilots, streams, rows)
     pilot_ls = _receive(block, noise_variance(snr_db), np.empty_like(block.clean))
-    return pilot_ls[0], block.truth[0]
+    return pilot_ls[-1], block.truth[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +456,12 @@ def sweep(config: SimConfig, *, workers: int | None = None) -> list[BerRecord]:
     profile = resolve_profile(config)
     pilots = generate_pilots(config.master_seed, config.grid)
     n_trials = config.subframes_per_point
-    step = _block_trials(config.grid)
-    n_blocks = -(-n_trials // step)
-    # At most one process per block (the fork start method launches the whole
-    # pool at the first submit), and a few runs of whole blocks per worker.
-    n_workers = min(workers or os.cpu_count() or 1, n_blocks)
-    n_tasks = 1 if n_workers == 1 else min(n_blocks, 4 * n_workers)
-    edges = [min(n_trials, step * (n_blocks * k // n_tasks)) for k in range(n_tasks + 1)]
+    n_batches = -(-n_trials // _BATCH)
+    # At most one process per batch (the fork start method launches the whole
+    # pool at the first submit), and a few runs of whole batches per worker.
+    n_workers = min(workers or os.cpu_count() or 1, n_batches)
+    n_tasks = 1 if n_workers == 1 else min(n_batches, 4 * n_workers)
+    edges = [min(n_trials, _BATCH * (n_batches * k // n_tasks)) for k in range(n_tasks + 1)]
     tasks = [(config, profile, pilots, lo, hi) for lo, hi in zip(edges, edges[1:])]
     # Per (SNR index, estimator), as ``_add`` keeps them; records go in this order.
     keys = [(i, e) for e in config.estimators for i in range(len(config.snr_points_db))]

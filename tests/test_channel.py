@@ -197,13 +197,6 @@ class TestKeyValueReader:
 # ---------------------------------------------------------------------------
 
 
-def draw_gains(profile: PowerDelayProfile, rng, size: int | None = None) -> np.ndarray:
-    """``tap_gains`` draws: one block, or ``size`` blocks from one stream."""
-    if size is None:
-        return tap_gains(profile, rng)
-    return np.array([tap_gains(profile, rng) for _ in range(size)])
-
-
 def response(tap_delays, gains, n_subcarriers: int) -> np.ndarray:
     """The frequency response ``(..., N)`` of sample-spaced taps."""
     return dft(from_taps(tap_delays, gains, n_subcarriers))
@@ -211,44 +204,47 @@ def response(tap_delays, gains, n_subcarriers: int) -> np.ndarray:
 
 class TestTapGains:
     def test_shapes(self):
+        """``rows`` blocks give ``(rows, T)`` gains, drawn row by row: a draw
+        of 10 rows is a draw of 4 and then of 6 from the same stream."""
         profile = build_profile("etu", FS)
-        assert tap_gains(profile, np.random.default_rng(0)).shape == (7,)
-        single = draw_gains(profile, np.random.default_rng(0))
-        assert single.shape == (7,)
-        assert from_taps(profile.tap_delays, single, 512).shape == (512,)
-        batch = draw_gains(profile, np.random.default_rng(0), size=10)
+        batch = tap_gains(profile, np.random.default_rng(0), 10)
         assert batch.shape == (10, 7)
         assert from_taps(profile.tap_delays, batch, 512).shape == (10, 512)
-        assert np.array_equal(batch[0], single), "a batch is successive draws"
+        rng = np.random.default_rng(0)
+        parts = tap_gains(profile, rng, 4), tap_gains(profile, rng, 6)
+        assert np.array_equal(np.concatenate(parts), batch), "rows are successive draws"
+        assert tap_gains(profile, np.random.default_rng(0), 1).shape == (1, 7)
 
     def test_draw_is_amplitudes_times_unit_normal(self):
-        """The gains are sqrt(power) times a unit complex normal from the given stream."""
+        """Each row is ``standard_normal((T, 2))`` from the given stream, read
+        as complex and scaled by sqrt(power / 2)."""
         profile = build_profile("etu", FS)
-        expected = np.sqrt(profile.tap_powers) * complex_normal(np.random.default_rng(3), 7, 1.0)
-        assert np.array_equal(tap_gains(profile, np.random.default_rng(3)), expected)
+        z = np.random.default_rng(3).standard_normal((5, 7, 2))
+        expected = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(np.array(profile.tap_powers) / 2.0)
+        assert np.array_equal(tap_gains(profile, np.random.default_rng(3), 5), expected)
 
     def test_mean_energy_is_calibrated(self):
         """Average total tap energy over many draws stays within 1%."""
         profile = build_profile("etu", FS)
-        rng = np.random.default_rng(42)
-        gains = np.array([tap_gains(profile, rng) for _ in range(100_000)])
+        gains = tap_gains(profile, np.random.default_rng(42), 100_000)
         mean_energy = np.mean(np.sum(np.abs(gains) ** 2, axis=-1))
         assert 0.99 <= mean_energy <= 1.01, f"mean energy {mean_energy:.4f}"
 
     def test_static_single_tap_is_identity(self):
         profile = build_profile("single-tap", FS)
-        gains = tap_gains(profile, None)
-        assert np.array_equal(gains, [1.0 + 0.0j])
+        gains = tap_gains(profile, None, 2)
+        assert np.array_equal(gains, [[1.0 + 0.0j]] * 2)
         assert gains.dtype == np.complex128
         assert np.allclose(response(profile.tap_delays, gains, 64), 1.0, atol=1e-15)
 
     def test_static_gains_are_root_powers(self):
+        """Without a stream every row is the square roots of the tap powers."""
         profile = build_profile("etu", FS)
-        assert np.array_equal(tap_gains(profile, None), np.sqrt(profile.tap_powers))
+        assert np.array_equal(tap_gains(profile, None, 3), np.tile(np.sqrt(profile.tap_powers), (3, 1)))
 
     def test_dc_response_is_gain_sum(self):
         profile = build_profile("etu", FS)
-        gains = draw_gains(profile, np.random.default_rng(5))
+        (gains,) = tap_gains(profile, np.random.default_rng(5), 1)
         assert abs(response(profile.tap_delays, gains, 512)[0] - gains.sum()) <= 1e-12
 
     def test_freq_response_matches_literal_sum(self):
@@ -357,7 +353,7 @@ class TestApplyChannel:
         """With cp_len above the delay spread, each cell is scaled by H[k]."""
         cfg = GridConfig()
         profile = build_profile("etu", FS)
-        gains = draw_gains(profile, np.random.default_rng(10))
+        (gains,) = tap_gains(profile, np.random.default_rng(10), 1)
         rng = np.random.default_rng(11)
         grid = build_grid(
             qpsk_modulate(rng.integers(0, 2, cfg.data_bits_per_block)),
@@ -371,7 +367,7 @@ class TestApplyChannel:
 
     def test_batched_gains_broadcast(self):
         profile = build_profile("etu", FS)
-        gains = draw_gains(profile, np.random.default_rng(12), size=3)
+        gains = tap_gains(profile, np.random.default_rng(12), 3)
         x = np.ones(80, dtype=complex)
         out = apply_channel(x, profile.tap_delays, gains, 40)
         assert out.shape == (3, 80)

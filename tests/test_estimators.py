@@ -356,7 +356,7 @@ class TestResidueOrder:
 class TestBaselines:
     def test_ideal_is_exact(self):
         profile = build_profile("etu", FS)
-        gains = tap_gains(profile, np.random.default_rng(29))
+        (gains,) = tap_gains(profile, np.random.default_rng(29), 1)
         truth = response(profile.tap_delays, gains, 512)
         est = ESTIMATORS["ideal"].run(None, None, residue_major(truth, 64))
         assert est.cells.shape == (1, 8, 64)
@@ -367,7 +367,8 @@ class TestBaselines:
     def test_ideal_is_a_view_of_the_chunk_truth(self):
         config = SimConfig(subframes_per_point=4)
         pilots = generate_pilots(config.master_seed, config.grid)
-        block = harness._draw_block(config, resolve_profile(config), pilots, np.arange(4))
+        streams = harness._batch_streams(config.master_seed, 0)
+        block = harness._draw_block(config, resolve_profile(config), pilots, streams, 4)
         est = ESTIMATORS["ideal"].run(config, None, block.truth)
         assert est.cells.shape == (4, 1, 8, 64)
         assert est.cells.base is block.truth
@@ -390,7 +391,7 @@ class TestBaselines:
         cfg = GridConfig()
         rng = np.random.default_rng(30)
         profile = build_profile("etu", FS)
-        gains = [tap_gains(profile, rng) for _ in range(100)]
+        gains = tap_gains(profile, rng, 100)
         truth = response(profile.tap_delays, gains, cfg.n_subcarriers)
         noisy = pilot_observation(truth, cfg) + complex_normal(rng, (100, 2, 64), 0.1)
         near = ls_nearest_estimate(noisy[..., :1, :], 512).freq_response

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ofdmce import harness
-from ofdmce.channel import apply_channel, complex_normal, from_taps, noise_variance, tap_gains
+from ofdmce.channel import apply_channel, from_taps, noise_variance, tap_gains
 from ofdmce.cli import main
 from ofdmce.estimators import estimator_mse
 from ofdmce.harness import (
@@ -148,10 +148,15 @@ class TestResolveProfile:
             resolve_profile(tiny_config(profile="no-such-profile"))
 
 
-def draw_block(config: SimConfig, trials):
-    """The sweep's block of ``trials``, drawn by ``_draw_block``."""
-    pilots = generate_pilots(config.master_seed, config.grid)
-    return harness._draw_block(config, resolve_profile(config), pilots, np.asarray(trials))
+def draw_block(config: SimConfig, lo: int, hi: int):
+    """Trials ``lo .. hi - 1`` of one batch as one block, drawn by
+    ``_draw_block`` from the batch's streams after its earlier rows."""
+    assert lo // harness._BATCH == (hi - 1) // harness._BATCH, "one batch"
+    profile, pilots = resolve_profile(config), generate_pilots(config.master_seed, config.grid)
+    streams = harness._batch_streams(config.master_seed, lo // harness._BATCH)
+    if lo % harness._BATCH:
+        harness._draw_block(config, profile, pilots, streams, lo % harness._BATCH)
+    return harness._draw_block(config, profile, pilots, streams, hi - lo)
 
 
 def receive(block, snr_db: float):
@@ -169,18 +174,37 @@ def residue_data(bits: np.ndarray, config: SimConfig) -> np.ndarray:
     return residue_major(tx_grid, grid.n_pilots)[..., 1:, :]
 
 
+def batch_row(config: SimConfig, trial: int, purpose: int, draw):
+    """Row ``trial % 256`` of ``draw(rng, rows)`` from a fresh
+    ``default_rng((seed, trial // 256, purpose))``, every row of the batch up
+    to the trial drawn in one call."""
+    rng = np.random.default_rng((config.master_seed, trial // 256, purpose))
+    return draw(rng, trial % 256 + 1)[-1]
+
+
+def unit_cells(rng, rows: int, grid: GridConfig) -> np.ndarray:
+    """``rows`` grids of unit CN(0, 1) cells in residue order, ``(rows, M, S,
+    Np)``: ``standard_normal`` pairs read as complex, scaled by sqrt(1/2)."""
+    z = rng.standard_normal((rows, grid.n_symbols, grid.pilot_spacing, grid.n_pilots, 2))
+    return (z[..., 0] + 1j * z[..., 1]) * math.sqrt(0.5)
+
+
 def reference_subframe(config: SimConfig, trial: int, snr_db: float):
-    """One subframe drawn from its own ``default_rng((seed, trial, purpose))``
-    streams and sent through the time-domain chain: its bits, frequency
-    response and demodulated grid."""
+    """One subframe drawn from row ``trial % 256`` of its batch's fresh
+    streams and sent through the time-domain chain, its noise the samples
+    ``ofdm_modulate`` makes of its drawn noise cells in subcarrier order: its
+    bits, frequency response and demodulated grid."""
     grid = config.grid
     profile = resolve_profile(config)
-    bits_rng, channel_rng, noise_rng = (
-        np.random.default_rng((config.master_seed, trial, purpose)) for purpose in range(3)
+    bits = batch_row(
+        config, trial, harness._BITS, lambda rng, rows: rng.integers(0, 2, (rows, grid.data_bits_per_block))
     )
-    bits = bits_rng.integers(0, 2, grid.data_bits_per_block)
-    gains = tap_gains(profile, channel_rng if config.fading else None)
-    unit_noise = complex_normal(noise_rng, grid.samples_per_block, 1.0)
+    gains = batch_row(
+        config, trial, harness._CHANNEL,
+        lambda rng, rows: tap_gains(profile, rng if config.fading else None, rows),
+    )
+    cells = batch_row(config, trial, harness._NOISE, lambda rng, rows: unit_cells(rng, rows, grid))
+    unit_noise = ofdm_modulate(np.swapaxes(cells, -1, -2).reshape(grid.n_symbols, -1), grid)
     response = dft(from_taps(profile.tap_delays, gains, grid.n_subcarriers))
     tx_grid = build_grid(qpsk_modulate(bits), generate_pilots(config.master_seed, grid), grid)
     rx_samples = apply_channel(ofdm_modulate(tx_grid, grid), profile.tap_delays, gains, grid.cp_len)
@@ -194,21 +218,21 @@ class TestSubframePairing:
     def test_subframe_reproducible(self):
         """The same (seed, trial) pair always produces the same subframe."""
         cfg = tiny_config()
-        a, b = draw_block(cfg, [3]), draw_block(cfg, [3])
+        a, b = draw_block(cfg, 3, 4), draw_block(cfg, 3, 4)
         assert np.array_equal(receive(a, 15.0)[0], receive(b, 15.0)[0])
         assert np.array_equal(a.bits, b.bits)
 
     def test_trials_differ(self):
         """Different trial indices draw different channels and noise."""
         cfg = tiny_config()
-        a, b = draw_block(cfg, [0]), draw_block(cfg, [1])
+        a, b = draw_block(cfg, 0, 1), draw_block(cfg, 1, 2)
         assert not np.array_equal(a.truth, b.truth)
         assert not np.array_equal(a.bits, b.bits)
 
     def test_noise_scales_not_redraws(self):
         """Changing SNR rescales the same noise realization."""
         cfg = tiny_config()
-        lo, hi, clean = (receive(draw_block(cfg, [2]), snr)[0] for snr in (10.0, 20.0, math.inf))
+        lo, hi, clean = (receive(draw_block(cfg, 2, 3), snr)[0] for snr in (10.0, 20.0, math.inf))
         ratio = (lo - clean) / (hi - clean)
         expected = math.sqrt(10.0)
         assert np.allclose(ratio, expected, rtol=1e-9), (
@@ -218,7 +242,7 @@ class TestSubframePairing:
     def test_internal_consistency(self):
         """The block's data cells carry its bits, and its pilot row is its pilot LS."""
         cfg = tiny_config()
-        block = draw_block(cfg, [1])
+        block = draw_block(cfg, 1, 2)
         rx, pilot_ls = receive(block, 12.0)
         symbols = qpsk_modulate(block.bits).reshape(rx[:, :, 1:, :].shape)
         assert np.array_equal(block.clean[:, :, 1:, :], symbols * block.truth[:, None, 1:, :])
@@ -231,46 +255,49 @@ class TestSubframePairing:
         in the buffer itself: no axis conversion copies it."""
         cfg = tiny_config(grid=GridConfig(n_symbols=n_symbols), estimators=("ideal",))
         grid = cfg.grid
-        rx, pilot_ls = receive(draw_block(cfg, [0, 1, 2]), 12.0)
+        rx, pilot_ls = receive(draw_block(cfg, 0, 3), 12.0)
         assert pilot_ls.shape == (3, grid.n_symbols, grid.n_pilots)
         assert np.shares_memory(pilot_ls, rx)
         assert pilot_ls.base is rx
 
     @pytest.mark.parametrize("fading", [True, False])
-    def test_block_channel_is_tap_gains_of_the_trial_stream(self, fading):
-        """Each trial's channel is one ``tap_gains`` draw from its own channel
-        stream: its taps up to ``max(Np, spread + 1)`` and their response,
-        on the default grid and over 16 pilots, short of ETU's 38-sample spread."""
+    def test_block_channel_is_tap_gains_of_the_batch_stream(self, fading):
+        """Each trial's channel is its row of one ``tap_gains`` draw from its
+        batch's channel stream: its taps up to ``max(Np, spread + 1)`` and
+        their response, on the default grid and over 16 pilots, short of
+        ETU's 38-sample spread."""
         for n_pilots in (64, 16):
             grid = GridConfig(n_pilots=n_pilots)
             cfg = tiny_config(fading=fading, grid=grid, th_perfect=15, th_inaccurate=15)
             profile = resolve_profile(cfg)
             width = max(grid.n_pilots, profile.delay_spread + 1)
-            trials = [0, 3, 300]
-            block = draw_block(cfg, trials)
-            assert block.taps.shape == (len(trials), width)
-            for j, trial in enumerate(trials):
-                stream = np.random.default_rng((cfg.master_seed, trial, harness._CHANNEL))
-                gains = tap_gains(profile, stream if fading else None)
+            lo, hi = 298, 302
+            block = draw_block(cfg, lo, hi)
+            assert block.taps.shape == (hi - lo, width)
+            for j, trial in enumerate(range(lo, hi)):
+                gains = batch_row(
+                    cfg, trial, harness._CHANNEL, lambda rng, rows: tap_gains(profile, rng if fading else None, rows)
+                )
                 taps = from_taps(profile.tap_delays, gains, grid.n_subcarriers)
                 assert np.array_equal(block.truth[j], residue_major(dft(taps), grid.n_pilots))
                 assert np.array_equal(block.taps[j], taps[:width])
 
-    def test_bits_are_the_trial_stream_in_grid_order(self):
-        """A block's bits are each trial's bit stream as drawn, in step with
-        the data cells phy puts them in, whatever order the sweep keeps them in."""
+    def test_bits_are_the_batch_stream_in_grid_order(self):
+        """A block's bits are each trial's row of its batch's bit stream as
+        drawn, in step with the data cells phy puts them in, whatever order
+        the sweep keeps them in."""
         cfg = tiny_config()
-        trials = [0, 7]
-        block = draw_block(cfg, trials)
-        for j, trial in enumerate(trials):
-            stream = np.random.default_rng((cfg.master_seed, trial, harness._BITS))
-            expected = residue_data(stream.integers(0, 2, cfg.grid.data_bits_per_block), cfg)
+        n_bits = cfg.grid.data_bits_per_block
+        block = draw_block(cfg, 0, 8)
+        for j in range(8):
+            bits = batch_row(cfg, j, harness._BITS, lambda rng, rows: rng.integers(0, 2, (rows, n_bits)))
+            expected = residue_data(bits, cfg)
             assert np.array_equal(qpsk_modulate(block.bits[j]).reshape(expected.shape), expected)
 
     def test_infinite_snr_is_noiseless(self):
         """snr = inf leaves H * X at every data cell and H at the pilot row."""
         cfg = tiny_config()
-        rx, _ = receive(draw_block(cfg, [0]), math.inf)
+        rx, _ = receive(draw_block(cfg, 0, 1), math.inf)
         bits, response, _ = reference_subframe(cfg, 0, math.inf)
         pilots = generate_pilots(cfg.master_seed, cfg.grid)
         tx_grid = build_grid(qpsk_modulate(bits), pilots, cfg.grid)
@@ -279,42 +306,54 @@ class TestSubframePairing:
         assert np.allclose(rx[0], clean, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("snr_db", [12.0, math.inf])
-    @pytest.mark.parametrize("trial", [1, 2**32])
+    @pytest.mark.parametrize("trial", [1, 100, 2**32 + 1])
     def test_inspect_shows_the_trial_the_sweep_scored(self, trial, snr_db):
-        """``simulate_subframe`` returns exactly the middle row of a three-trial
-        block drawn and received at the same SNR: its pilot LS grid and truth."""
+        """``simulate_subframe`` returns exactly the trial's row of the
+        64-trial block the sweep draws it in, received at the same SNR: its
+        pilot LS grid and truth."""
         cfg = tiny_config()
         grid = cfg.grid
-        block = draw_block(cfg, [trial - 1, trial, trial + 1])
+        assert harness._block_trials(grid) == 64
+        lo = trial - trial % 64
+        block = draw_block(cfg, lo, lo + 64)
         _, pilot_ls = receive(block, snr_db)
         single_ls, truth = simulate_subframe(cfg, snr_db, trial)
         assert single_ls.shape == (grid.n_symbols, grid.n_pilots)
         assert truth.shape == (grid.pilot_spacing, grid.n_pilots)
-        assert np.array_equal(single_ls, pilot_ls[1])
-        assert np.array_equal(truth, block.truth[1])
+        assert np.array_equal(single_ls, pilot_ls[trial - lo])
+        assert np.array_equal(truth, block.truth[trial - lo])
 
 
 class TestTrialStreams:
-    """Each block seeds its streams in one batch; every stream stays exactly
-    numpy's ``default_rng((seed, trial, purpose))``, so these tests also catch
-    a numpy release that changed SeedSequence or PCG64."""
+    """Trial t is row t % 256 of batch t // 256, whose streams are numpy's
+    ``default_rng((seed, t // 256, purpose))``. These tests redraw trials from
+    fresh streams with numpy alone, so they also catch a numpy release that
+    changed SeedSequence, PCG64 or ``standard_normal``."""
 
-    EDGES = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**100]
+    TRIALS = [0, 255, 256, 300, 2**32 + 3, 2**40 + 5]
 
-    def test_states_are_the_default_rng_states(self):
-        """Batched PCG64 states equal default_rng's for all three purposes,
-        over random and edge seeds and trials (one to four entropy words
-        each, so up to nine words, and rows of different lengths in a batch)."""
-        rng = np.random.default_rng(909)
-        seeds = self.EDGES + [int(rng.integers(2**32)), int(rng.integers(2**63)), 12345]
-        trials = self.EDGES + [int(t) for t in rng.integers(0, 2**40, 6)] + [2**32 - 2, 7]
-        for seed in seeds:
-            states = harness._stream_states(seed, trials)
-            assert len(states) == len(trials)
-            for trial, trial_states in zip(trials, states):
-                for purpose in (harness._BITS, harness._CHANNEL, harness._NOISE):
-                    expected = np.random.default_rng((seed, trial, purpose)).bit_generator.state
-                    assert trial_states[purpose] == expected, (seed, trial, purpose)
+    @pytest.mark.parametrize("seed", [12345, 2**32 + 1])
+    def test_trials_are_rows_of_their_batch_streams(self, seed):
+        """Each trial's bits, gains and noise cells are row t % 256 of its
+        batch's bits, channel and noise streams, drawn in one call, for trials
+        at and past batch edges, past 2**32, and past 2**40, where the batch
+        index takes two entropy words, under a one- and a two-word seed."""
+        cfg = tiny_config(master_seed=seed)
+        grid = cfg.grid
+        profile = resolve_profile(cfg)
+        amplitudes = np.sqrt(np.array(profile.tap_powers) / 2.0)
+        pilots = generate_pilots(seed, grid)
+        n_bits, n_taps = grid.data_bits_per_block, len(amplitudes)
+        for trial in self.TRIALS:
+            bits = batch_row(cfg, trial, harness._BITS, lambda rng, rows: rng.integers(0, 2, (rows, n_bits)))
+            z = batch_row(cfg, trial, harness._CHANNEL, lambda rng, rows: rng.standard_normal((rows, n_taps, 2)))
+            cells = batch_row(cfg, trial, harness._NOISE, lambda rng, rows: unit_cells(rng, rows, grid))
+            block = draw_block(cfg, trial, trial + 1)
+            expected = residue_data(bits, cfg)
+            assert np.array_equal(qpsk_modulate(block.bits[0]).reshape(expected.shape), expected), trial
+            assert np.array_equal(block.taps[0, list(profile.tap_delays)], (z[:, 0] + 1j * z[:, 1]) * amplitudes)
+            assert np.array_equal(block.noise[0, :, 1:, :], cells[:, 1:, :]), trial
+            assert np.array_equal(block.noise[0, :, 0, :], cells[:, 0, :] * np.conj(pilots)), trial
 
     @pytest.mark.parametrize("n_bits", [1, 2, 6, 7, 1792, 1794])
     def test_raw_bits_are_integers_0_2(self, n_bits):
@@ -325,22 +364,21 @@ class TestTrialStreams:
         expected = [np.random.Generator(np.random.PCG64(seed)).integers(0, 2, n_bits) for seed in range(3)]
         assert np.array_equal(harness._bits_from_raw(raw, n_bits), np.stack(expected))
 
-    def test_chunk_across_two_to_the_32(self):
-        """A block whose trials straddle 2**32, under a two-word seed, draws
-        each trial's bits and channel from its own default_rng streams."""
-        cfg = tiny_config(master_seed=2**32 + 1)
-        trials = [2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1]
-        block = draw_block(cfg, trials)
-        for j, trial in enumerate(trials):
-            bits, response, _ = reference_subframe(cfg, trial, 10.0)
-            truth = residue_major(response, cfg.grid.n_pilots)
-            assert np.array_equal(block.truth[j], truth)
-            expected = residue_data(bits, cfg)
-            assert np.array_equal(qpsk_modulate(block.bits[j]).reshape(expected.shape), expected)
+    def test_blocks_are_clipped_at_batch_edges(self):
+        """A 600-trial run of 56-trial blocks splits each batch into four
+        blocks and a 32-trial rest, and its last, 88-trial batch into 56 + 32;
+        each batch's three streams are made once and serve all its blocks."""
+        cfg = tiny_config(grid=GridConfig(n_subcarriers=384, n_pilots=48, n_symbols=3, cp_len=30))
+        assert harness._block_trials(cfg.grid) == 56
+        blocks = list(harness._blocks(cfg, 0, 600))
+        assert [rows for _, rows in blocks] == [56, 56, 56, 56, 32] * 2 + [56, 32]
+        streams = [s for s, _ in blocks]
+        assert [len({id(s) for s in streams[i:j]}) for i, j in ((0, 5), (5, 10), (10, 12))] == [1, 1, 1]
+        assert len({id(s) for s in streams}) == 3
 
     def test_inspect_of_a_large_trial_matches_the_reference(self, capsys):
         """``inspect --trial 4294967299`` prints the channel and pilot LS of
-        that trial's default_rng streams."""
+        row 3 of batch 16777216's default_rng streams."""
         trial, snr_db = 4294967299, 20.0
         assert main(["inspect", "--trial", str(trial), "--snr", "20", "--estimator", "ideal"]) == 0
         out = capsys.readouterr().out
@@ -357,8 +395,8 @@ class TestTrialStreams:
         assert np.abs(printed[:, 0] + 1j * printed[:, 1] - truth).max() <= 1e-11 * np.abs(truth).max()
 
     def test_sweep_at_a_large_seed_matches_the_reference(self, tmp_path):
-        """``sweep --seed 4294967301`` counts the errors of the default_rng
-        subframes equalized with the true channel."""
+        """``sweep --seed 4294967301`` counts the errors of the rows of batch
+        0's default_rng streams equalized with the true channel."""
         seed, snr_db, n_trials = 4294967301, 3.0, 3
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--seed", str(seed), "--estimators", "ideal", "--snr", "3",
@@ -373,6 +411,71 @@ class TestTrialStreams:
             errors += qpsk_bit_errors(data_cells(equalized, cfg.grid), bits)
         assert errors > 0
         assert (record.bit_errors, record.total_bits) == (errors, n_trials * cfg.grid.data_bits_per_block)
+
+
+class Moments:
+    """Running count, sum and sum of squares of real samples."""
+
+    def __init__(self):
+        self.n, self.total, self.squares = 0, 0.0, 0.0
+
+    def add(self, values):
+        values = np.ravel(values).astype(np.float64)
+        self.n += values.size
+        self.total += float(values.sum())
+        self.squares += float(values @ values)
+
+    def standard_errors_from(self, expected: float) -> float:
+        mean = self.total / self.n
+        return abs(mean - expected) / math.sqrt((self.squares / self.n - mean**2) / self.n)
+
+
+class TestDrawLaw:
+    """Over 4096 default-grid trials, drawn as the sweep draws them, every
+    moment below lies within 5 standard errors of its law."""
+
+    def test_moments_of_the_draws(self):
+        cfg = SimConfig(subframes_per_point=4096)
+        profile, pilots = resolve_profile(cfg), generate_pilots(cfg.master_seed, cfg.grid)
+        delays = list(profile.tap_delays)
+        moments = {}
+
+        def add(name, values):
+            moments.setdefault(name, Moments()).add(values)
+
+        def add_cells(name, w):
+            """Unit CN(0, 1) cells: mean 0, E|W|² = 1, E[W²] = 0."""
+            for part, values in (("re", w.real), ("im", w.imag)):
+                add(f"{name} mean {part}", values)
+            add(f"{name} |W|^2", np.abs(w) ** 2)
+            add(f"{name} W^2 re", (w * w).real)
+            add(f"{name} W^2 im", (w * w).imag)
+
+        def add_neighbours(name, a, b):
+            """Neighbouring cells are uncorrelated: E[a conj(b)] = 0."""
+            product = a * np.conj(b)
+            add(f"{name} re", product.real)
+            add(f"{name} im", product.imag)
+
+        for streams, rows in harness._blocks(cfg, 0, cfg.subframes_per_point):
+            block = harness._draw_block(cfg, profile, pilots, streams, rows)
+            data, pilot_row = block.noise[:, :, 1:, :], block.noise[:, :, 0, :]
+            add_cells("data", data)
+            add_cells("pilot", pilot_row)
+            add_neighbours("data, next pilot column", data[..., 1:], data[..., :-1])
+            add_neighbours("data, next residue row", data[..., 1:, :], data[..., :-1, :])
+            add_neighbours("data, next symbol", data[:, 1:], data[:, :-1])
+            add_neighbours("pilot, next column", pilot_row[..., 1:], pilot_row[..., :-1])
+            add_neighbours("pilot, next symbol", pilot_row[:, 1:], pilot_row[:, :-1])
+            for tap, delay in enumerate(delays):
+                add(f"tap {tap} |g|^2", np.abs(block.taps[:, delay]) ** 2)
+            add("bits", block.bits)
+        expected = {f"tap {tap} |g|^2": power for tap, power in enumerate(profile.tap_powers)}
+        expected.update({name: 1.0 for name in moments if name.endswith("|W|^2")}, bits=0.5)
+        assert moments["bits"].n == 4096 * cfg.grid.data_bits_per_block
+        assert moments["data |W|^2"].n == 4096 * cfg.grid.n_symbols * cfg.grid.n_data
+        errors = {name: m.standard_errors_from(expected.get(name, 0.0)) for name, m in moments.items()}
+        assert max(errors.values()) < 5.0, errors
 
 
 def reference_configs():
@@ -426,8 +529,8 @@ class TestFrequencyDomainReceive:
         """Data cells and pilot LS equal demodulate(channel(modulate(X)) + noise)."""
         grid = config.grid
         pilots = generate_pilots(config.master_seed, grid)
-        trials = (0, 5)
-        rx, pilot_ls = receive(draw_block(config, trials), snr_db)
+        trials = range(6)
+        rx, pilot_ls = receive(draw_block(config, 0, 6), snr_db)
         for j, trial in enumerate(trials):
             _, _, reference = reference_subframe(config, trial, snr_db)
             scale = np.abs(reference).max()
@@ -469,7 +572,7 @@ class TestFrequencyDomainReceive:
         def no_draws(*args):
             raise AssertionError("drew before checking the prefix")
 
-        monkeypatch.setattr(harness, "_stream_states", no_draws)
+        monkeypatch.setattr(harness, "_batch_streams", no_draws)
         monkeypatch.setattr(harness, "generate_pilots", no_draws)
         cfg = tiny_config(grid=GridConfig(cp_len=8))
         for run in (lambda: sweep(cfg, workers=1), lambda: simulate_subframe(cfg, 10.0, 0)):
@@ -524,7 +627,8 @@ class TestRunTrial:
             th_perfect=0, th_inaccurate=0, estimators=("ideal",),
         )
         pilots = generate_pilots(cfg.master_seed, cfg.grid)
-        partial = harness._sweep_block(cfg, resolve_profile(cfg), pilots, np.arange(5))
+        streams = harness._batch_streams(cfg.master_seed, 0)
+        partial = harness._sweep_block(cfg, resolve_profile(cfg), pilots, streams, 5)
         for snr_idx in range(len(cfg.snr_points_db)):
             _, mse, sigma2 = partial[snr_idx, "ideal"]
             assert mse.shape == (5,) and sigma2 is None
@@ -606,7 +710,8 @@ class TestSweep:
         cfg = random_grid_config(0)
         n = cfg.subframes_per_point
         profile, pilots = resolve_profile(cfg), generate_pilots(cfg.master_seed, cfg.grid)
-        singles = [harness._sweep_block(cfg, profile, pilots, np.arange(t, t + 1)) for t in range(n)]
+        streams = harness._batch_streams(cfg.master_seed, 0)
+        singles = [harness._sweep_block(cfg, profile, pilots, streams, 1) for _ in range(n)]
         for record in sweep(cfg, workers=1):
             key = cfg.snr_points_db.index(record.snr_db), record.estimator_id
             values = [single[key] for single in singles]
@@ -630,6 +735,32 @@ class TestSweep:
             assert records[trials] == records["default"], f"blocks of {trials}"
         if workers == 2:
             assert records["default"] == sweep(cfg, workers=1)
+
+    @pytest.mark.parametrize(
+        "grid, sample_rate_hz",
+        [(GridConfig(n_subcarriers=384, n_pilots=48, n_symbols=3, cp_len=30), 5.76e6), (GridConfig(), 7.68e6)],
+        ids=["384-48-3", "default"],
+    )
+    @pytest.mark.parametrize("n_trials", [300, 513])
+    def test_no_partition_moves_a_byte(self, monkeypatch, tmp_path, grid, sample_rate_hz, n_trials):
+        """Blocks of one trial, of the default size (56 trials on 384/48/3,
+        which do not divide a batch, and 64 on the default grid) and of 4 MiB,
+        each on one and two workers, write byte-identical CSVs for sweeps
+        that end mid-batch."""
+        cfg = SimConfig(
+            grid=grid, sample_rate_hz=sample_rate_hz, snr_points_db=(10.0,),
+            subframes_per_point=n_trials, estimators=ESTIMATOR_IDS,
+        )
+        one_trial = 16 * grid.n_symbols * grid.n_subcarriers
+        texts = set()
+        for block_bytes in (one_trial, harness._BLOCK_BYTES, 4 << 20):
+            for workers in (1, 2):
+                with monkeypatch.context() as patch:
+                    patch.setattr(harness, "_BLOCK_BYTES", block_bytes)
+                    path = tmp_path / f"{block_bytes}-{workers}.csv"
+                    write_csv(sweep(cfg, workers=workers), path)
+                texts.add(path.read_bytes())
+        assert len(texts) == 1
 
     def test_sweep_memory_stays_below_one_256_trial_grid(self):
         """A 256-trial sweep of the 2048-subcarrier grid peaks below 16 MiB of
@@ -744,8 +875,8 @@ class TestSweep:
         parallel = sweep(cfg, workers=2)
         assert serial == parallel, "records differ between worker counts"
 
-    def test_pool_never_exceeds_the_block_count(self, monkeypatch):
-        """``workers=512`` on a two-block sweep asks for a pool of two; a fake
+    def test_pool_never_exceeds_the_batch_count(self, monkeypatch):
+        """``workers=512`` on a two-batch sweep asks for a pool of two; a fake
         pool records the request and maps serially, so no process starts."""
         requested = []
 
@@ -762,16 +893,15 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        cfg = tiny_config(estimators=("ideal",))
-        monkeypatch.setattr(harness, "_BLOCK_BYTES", 2 * 16 * cfg.grid.n_symbols * cfg.grid.n_subcarriers)
+        cfg = tiny_config(subframes_per_point=300, snr_points_db=(10.0,), estimators=("ideal",))
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         assert sweep(cfg, workers=512) == sweep(cfg, workers=1)
         assert requested == [2]
 
-    def test_tasks_are_runs_of_whole_blocks(self, monkeypatch):
-        """Two workers on a 300-trial sweep of 7-trial blocks get eight tasks,
-        contiguous runs of whole blocks covering every trial once, and the
-        records of one in-process run."""
+    def test_tasks_are_runs_of_whole_batches(self, monkeypatch):
+        """Two workers on a 1300-trial sweep of 7-trial blocks get six tasks,
+        one per batch (the last 20 trials short), contiguous and covering
+        every trial once, and the records of one in-process run."""
         bounds = []
 
         class SerialPool:
@@ -789,15 +919,12 @@ class TestSweep:
                 bounds.extend(task[3:] for task in tasks)
                 return map(fn, tasks)
 
-        cfg = tiny_config(subframes_per_point=300, snr_points_db=(15.0,), estimators=("ideal", "proposed"))
+        cfg = tiny_config(subframes_per_point=1300, snr_points_db=(15.0,), estimators=("ideal", "proposed"))
         monkeypatch.setattr(harness, "_BLOCK_BYTES", 7 * 16 * cfg.grid.n_symbols * cfg.grid.n_subcarriers)
         serial = sweep(cfg, workers=1)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         assert sweep(cfg, workers=2) == serial
-        assert len(bounds) == 8
-        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
-        assert bounds[-1][1] == 300
-        assert all(lo % 7 == 0 and lo < hi for lo, hi in bounds)
+        assert bounds == [(lo, min(lo + 256, 1300)) for lo in range(0, 1300, 256)]
 
     def test_rejects_bad_worker_count(self):
         """Zero workers is a usage error."""
