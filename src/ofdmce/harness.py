@@ -1,11 +1,12 @@
 """Monte Carlo BER harness with paired random streams.
 
 Trials (subframes) come in batches of 256: trial ``t`` is row ``t % 256``
-of batch ``t // 256``, which owns three random streams, exactly numpy's
-``default_rng((master_seed, t // 256, purpose))`` with purposes bits /
-channel / noise. Each stream is drawn row by row in trial order, so a
-trial's values depend only on the seed and its index, not on the block it
-is drawn in. A pool task is a run of whole batches.
+of batch ``t // 256``, which owns two random streams, exactly numpy's
+``default_rng((master_seed, t // 256, purpose))`` with purposes 1 (channel)
+and 2 (noise); purpose 0, once the data bits, is retired. Each stream is
+drawn row by row in trial order, so a trial's values depend only on the
+seed and its index, not on the block it is drawn in. A pool task is a run
+of whole batches.
 
 Estimator choice never touches the streams, so all estimators see identical
 channels and noise (paired comparison). The noise is drawn once per trial
@@ -14,6 +15,14 @@ and exactly rounded sums of per-trial values, kept as a few floats as
 blocks arrive (``_exact_terms``). These do not depend on order, so records
 do not depend on block size, task split or worker count, and reruns give
 byte-identical CSV files.
+
+Every data cell carries ``X0 = (1 + j) / sqrt(2)``, phy's QPSK point for
+bits (0, 0), and its errors are the negative parts of its decision. This
+is exact in law: for ``X = X0 j^k`` the decision is ``j^k`` times that of
+``X0`` under the noise ``W j^-k``, which is again i.i.d. CN(0, 1), and a
+90° turn keeps the Hamming distance of Gray-labelled quadrants. The
+argument needs each cell to depend only on its own symbol: no
+intercarrier interference.
 
 Trials are received in the frequency domain. While the delay spread fits
 the cyclic prefix (checked before anything is drawn), the demodulated grid
@@ -69,13 +78,7 @@ from .estimators import (
     ls_nearest_estimate,
     multi_symbol_estimate,
 )
-from .phy import (
-    GridConfig,
-    generate_pilots,
-    qpsk_bit_errors,
-    qpsk_modulate,
-    residue_major,
-)
+from .phy import GridConfig, generate_pilots, residue_major
 from .spectral import dft
 
 __all__ = [
@@ -99,8 +102,12 @@ __all__ = [
 # Trials per stream batch and the stream purposes; part of the
 # reproducibility contract. Trial t is row t % _BATCH of batch t // _BATCH,
 # whose streams are default_rng((master_seed, t // _BATCH, purpose)).
+# Purpose 0, once the data bits, is retired.
 _BATCH = 256
-_BITS, _CHANNEL, _NOISE = 0, 1, 2
+_CHANNEL, _NOISE = 1, 2
+
+# The QPSK point of every data cell: phy's point for bits (0, 0).
+_X0 = (1 + 1j) / math.sqrt(2.0)
 
 # Bytes of one cell grid per trial block, the sweep's unit of work. Every
 # SNR point re-reads grids of this size, which stay in cache. Every stream
@@ -229,17 +236,9 @@ def awgn_qpsk_ber(snr_db: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bits_from_raw(raw: np.ndarray, n_bits: int) -> np.ndarray:
-    """``integers(0, 2, n_bits)`` from each row of ``random_raw`` outputs,
-    ``(..., (n_bits + 1) // 2)``: the top bit of every 32-bit half, low half
-    first. With ``n_bits`` even, rows drawn in one call give the rows of
-    ``integers(0, 2, (rows, n_bits))``."""
-    return np.asarray(raw, dtype="<u8").view("<u4")[..., :n_bits] >= np.uint32(2**31)
-
-
 def _batch_streams(seed: int, batch: int) -> list[np.random.Generator]:
-    """The bits, channel and noise streams of one batch of trials."""
-    return [np.random.default_rng((seed, batch, purpose)) for purpose in (_BITS, _CHANNEL, _NOISE)]
+    """The channel and noise streams of one batch of trials."""
+    return [np.random.default_rng((seed, batch, purpose)) for purpose in (_CHANNEL, _NOISE)]
 
 
 def _blocks(config: SimConfig, lo: int, hi: int):
@@ -261,10 +260,9 @@ class _Block:
     channel: the response ``(trials, S, Np)`` and the taps ``(trials,
     max(Np, spread + 1))``, every tap of the trial.
     Row 0 holds the pilot least-squares parts, ``H p conj(p)`` and ``W
-    conj(p)``, and rows ``1 .. S - 1`` the data cells, with ``bits`` in step.
+    conj(p)``, and rows ``1 .. S - 1`` the data cells, ``X0 H`` and ``W``.
     Drawn once, it serves every SNR point."""
 
-    bits: np.ndarray
     truth: np.ndarray
     taps: np.ndarray
     clean: np.ndarray
@@ -275,14 +273,11 @@ def _draw_block(
     config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, streams, rows: int
 ) -> _Block:
     """Draw the next ``rows`` trials of a batch from its ``streams``, each
-    row by row: bits, channel, and unit CN(0, 1) noise cells in residue
-    order. Returns them as the two parts of the received cells."""
+    row by row: channel, and unit CN(0, 1) noise cells in residue order.
+    Returns them as the two parts of the received cells, ``X0`` at every
+    data cell."""
     grid = config.grid
-    bits_rng, channel_rng, noise_rng = streams
-    # Bits first, so that their raw outputs are freed before the noise is drawn.
-    raw = bits_rng.bit_generator.random_raw((rows, (grid.data_bits_per_block + 1) // 2))
-    bits = _bits_from_raw(raw, grid.data_bits_per_block)
-    del raw
+    channel_rng, noise_rng = streams
     gains = tap_gains(profile, channel_rng if config.fading else None, rows)
     taps = from_taps(profile.tap_delays, gains, grid.n_subcarriers)
     truth = np.ascontiguousarray(residue_major(dft(taps), grid.n_pilots))
@@ -291,15 +286,10 @@ def _draw_block(
     noise_rng.standard_normal(out=noise.view(np.float64))
     noise *= math.sqrt(0.5)
     noise[..., 0, :] *= np.conj(pilots)
-    # Drawn symbol-major, a symbol's bit pairs are (Np, S - 1) cells; transpose
-    # them, each pair moved as one uint16 word.
-    pairs = bits.view(np.uint16).reshape(rows, grid.n_symbols, grid.n_pilots, -1)
-    bits = np.swapaxes(pairs, -1, -2).reshape(rows, -1).view(bool)
     clean = np.empty_like(noise)
-    data = clean[..., 1:, :]
-    np.multiply(qpsk_modulate(bits).reshape(data.shape), truth[:, None, 1:, :], out=data)
+    np.multiply(truth[:, None, 1:, :], _X0, out=clean[..., 1:, :])
     clean[..., 0, :] = truth[:, None, 0, :] * pilots * np.conj(pilots)
-    return _Block(bits, truth, taps, clean, noise)
+    return _Block(truth, taps, clean, noise)
 
 
 def _receive(block: _Block, sigma2: float, rx: np.ndarray) -> np.ndarray:
@@ -341,9 +331,9 @@ def _block_trials(grid: GridConfig) -> int:
 def _sweep_block(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, streams, rows: int):
     """Draw the next ``rows`` trials of a batch and evaluate them at every SNR
     point: per (SNR index, estimator), the bit errors and the per-trial MSE and
-    mean σ̂² (or None)."""
+    mean σ̂² (or None). Every data cell carries ``X0``, so a cell's bit errors
+    are the negative parts of its decision: ``qpsk_bit_errors(decided, 0)``."""
     block = _draw_block(config, profile, pilots, streams, rows)
-    bits = block.bits
     # One received grid (its data rows a flat view) and one product buffer serve every SNR point.
     rx = np.empty_like(block.clean)
     rx_data = _flat(rx[..., 1:, :])
@@ -353,8 +343,8 @@ def _sweep_block(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarr
         pilot_ls = _receive(block, noise_variance(snr_db), rx)
         for estimator_id in config.estimators:
             h_data, mse, sigma2 = _estimate_cells(config, estimator_id, pilot_ls, block)
-            decided = equalize(rx_data, h_data, out=product).reshape(bits.shape[:-1] + (-1,))
-            partial[snr_idx, estimator_id] = (qpsk_bit_errors(decided, bits), mse, sigma2)
+            decided = equalize(rx_data, h_data, out=product).view(np.float64)
+            partial[snr_idx, estimator_id] = (np.count_nonzero(np.less(decided, 0.0)), mse, sigma2)
     return partial
 
 

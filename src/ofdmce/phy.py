@@ -18,7 +18,8 @@ Conventions used throughout the package:
 * Inside the sweep every cell is in residue order instead, that of the
   channel estimates: a symbol's cells are one ``(S, Np)`` grid, entry
   ``[r, p]`` subcarrier ``p S + r`` (:func:`residue_major`), row 0 the
-  pilots; data cells and bits follow rows ``1 .. S - 1``.
+  pilots, rows ``1 .. S - 1`` the data cells. These carry no drawn bits:
+  each holds the point for bits (0, 0).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import pytest
 from ofdmce import harness
 from ofdmce.channel import apply_channel, from_taps, noise_variance, tap_gains
 from ofdmce.cli import main
-from ofdmce.estimators import estimator_mse
+from ofdmce.estimators import equalize, estimator_mse
 from ofdmce.harness import (
     ESTIMATOR_IDS,
     ESTIMATORS,
@@ -166,12 +166,12 @@ def receive(block, snr_db: float):
     return rx, harness._receive(block, noise_variance(snr_db), rx)
 
 
-def residue_data(bits: np.ndarray, config: SimConfig) -> np.ndarray:
-    """The QPSK symbols of a subframe's bits at its data cells, where phy's
-    ``build_grid`` puts them, in residue order: ``(M, S - 1, Np)``."""
+def tx_grid(config: SimConfig) -> np.ndarray:
+    """A subframe's transmit grid, ``(M, N)``, as phy's ``build_grid`` makes
+    it: its pilots, and the QPSK point of bits (0, 0) at every data cell."""
     grid = config.grid
-    tx_grid = build_grid(qpsk_modulate(bits), generate_pilots(config.master_seed, grid), grid)
-    return residue_major(tx_grid, grid.n_pilots)[..., 1:, :]
+    data = qpsk_modulate(np.zeros(grid.data_bits_per_block, dtype=bool))
+    return build_grid(data, generate_pilots(config.master_seed, grid), grid)
 
 
 def batch_row(config: SimConfig, trial: int, purpose: int, draw):
@@ -193,12 +193,9 @@ def reference_subframe(config: SimConfig, trial: int, snr_db: float):
     """One subframe drawn from row ``trial % 256`` of its batch's fresh
     streams and sent through the time-domain chain, its noise the samples
     ``ofdm_modulate`` makes of its drawn noise cells in subcarrier order: its
-    bits, frequency response and demodulated grid."""
+    frequency response and demodulated grid."""
     grid = config.grid
     profile = resolve_profile(config)
-    bits = batch_row(
-        config, trial, harness._BITS, lambda rng, rows: rng.integers(0, 2, (rows, grid.data_bits_per_block))
-    )
     gains = batch_row(
         config, trial, harness._CHANNEL,
         lambda rng, rows: tap_gains(profile, rng if config.fading else None, rows),
@@ -206,10 +203,9 @@ def reference_subframe(config: SimConfig, trial: int, snr_db: float):
     cells = batch_row(config, trial, harness._NOISE, lambda rng, rows: unit_cells(rng, rows, grid))
     unit_noise = ofdm_modulate(np.swapaxes(cells, -1, -2).reshape(grid.n_symbols, -1), grid)
     response = dft(from_taps(profile.tap_delays, gains, grid.n_subcarriers))
-    tx_grid = build_grid(qpsk_modulate(bits), generate_pilots(config.master_seed, grid), grid)
-    rx_samples = apply_channel(ofdm_modulate(tx_grid, grid), profile.tap_delays, gains, grid.cp_len)
+    rx_samples = apply_channel(ofdm_modulate(tx_grid(config), grid), profile.tap_delays, gains, grid.cp_len)
     rx_samples += math.sqrt(noise_variance(snr_db)) * unit_noise
-    return bits, response, ofdm_demodulate(rx_samples, grid)
+    return response, ofdm_demodulate(rx_samples, grid)
 
 
 class TestSubframePairing:
@@ -220,14 +216,14 @@ class TestSubframePairing:
         cfg = tiny_config()
         a, b = draw_block(cfg, 3, 4), draw_block(cfg, 3, 4)
         assert np.array_equal(receive(a, 15.0)[0], receive(b, 15.0)[0])
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a.taps, b.taps)
 
     def test_trials_differ(self):
         """Different trial indices draw different channels and noise."""
         cfg = tiny_config()
         a, b = draw_block(cfg, 0, 1), draw_block(cfg, 1, 2)
         assert not np.array_equal(a.truth, b.truth)
-        assert not np.array_equal(a.bits, b.bits)
+        assert not np.array_equal(a.noise, b.noise)
 
     def test_noise_scales_not_redraws(self):
         """Changing SNR rescales the same noise realization."""
@@ -240,12 +236,14 @@ class TestSubframePairing:
         )
 
     def test_internal_consistency(self):
-        """The block's data cells carry its bits, and its pilot row is its pilot LS."""
+        """The block's data cells carry the point of bits (0, 0) in every
+        symbol, and its pilot row is its pilot LS."""
         cfg = tiny_config()
         block = draw_block(cfg, 1, 2)
         rx, pilot_ls = receive(block, 12.0)
-        symbols = qpsk_modulate(block.bits).reshape(rx[:, :, 1:, :].shape)
-        assert np.array_equal(block.clean[:, :, 1:, :], symbols * block.truth[:, None, 1:, :])
+        x0 = qpsk_modulate(np.zeros(2, dtype=bool))[0]
+        expected = np.broadcast_to(block.truth[:, None, 1:, :] * x0, rx[:, :, 1:, :].shape)
+        assert np.array_equal(block.clean[:, :, 1:, :], expected)
         assert np.array_equal(pilot_ls, rx[:, :, 0, :])
         assert np.allclose(block.clean[:, :, 0, :], block.truth[:, None, 0, :], rtol=1e-15, atol=0)
 
@@ -282,27 +280,13 @@ class TestSubframePairing:
                 assert np.array_equal(block.truth[j], residue_major(dft(taps), grid.n_pilots))
                 assert np.array_equal(block.taps[j], taps[:width])
 
-    def test_bits_are_the_batch_stream_in_grid_order(self):
-        """A block's bits are each trial's row of its batch's bit stream as
-        drawn, in step with the data cells phy puts them in, whatever order
-        the sweep keeps them in."""
-        cfg = tiny_config()
-        n_bits = cfg.grid.data_bits_per_block
-        block = draw_block(cfg, 0, 8)
-        for j in range(8):
-            bits = batch_row(cfg, j, harness._BITS, lambda rng, rows: rng.integers(0, 2, (rows, n_bits)))
-            expected = residue_data(bits, cfg)
-            assert np.array_equal(qpsk_modulate(block.bits[j]).reshape(expected.shape), expected)
-
     def test_infinite_snr_is_noiseless(self):
         """snr = inf leaves H * X at every data cell and H at the pilot row."""
         cfg = tiny_config()
         rx, _ = receive(draw_block(cfg, 0, 1), math.inf)
-        bits, response, _ = reference_subframe(cfg, 0, math.inf)
-        pilots = generate_pilots(cfg.master_seed, cfg.grid)
-        tx_grid = build_grid(qpsk_modulate(bits), pilots, cfg.grid)
-        clean = residue_major(response * tx_grid, cfg.grid.n_pilots)
-        clean[:, 0, :] *= np.conj(pilots)
+        response, _ = reference_subframe(cfg, 0, math.inf)
+        clean = residue_major(response * tx_grid(cfg), cfg.grid.n_pilots)
+        clean[:, 0, :] *= np.conj(generate_pilots(cfg.master_seed, cfg.grid))
         assert np.allclose(rx[0], clean, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("snr_db", [12.0, math.inf])
@@ -334,40 +318,30 @@ class TestTrialStreams:
 
     @pytest.mark.parametrize("seed", [12345, 2**32 + 1])
     def test_trials_are_rows_of_their_batch_streams(self, seed):
-        """Each trial's bits, gains and noise cells are row t % 256 of its
-        batch's bits, channel and noise streams, drawn in one call, for trials
-        at and past batch edges, past 2**32, and past 2**40, where the batch
-        index takes two entropy words, under a one- and a two-word seed."""
+        """Each trial's gains and noise cells are row t % 256 of its batch's
+        channel and noise streams, purposes 1 and 2 (purpose 0 is retired),
+        drawn in one call, for trials at and past batch edges, past 2**32, and
+        past 2**40, where the batch index takes two entropy words, under a
+        one- and a two-word seed."""
+        assert (harness._CHANNEL, harness._NOISE) == (1, 2)
         cfg = tiny_config(master_seed=seed)
         grid = cfg.grid
         profile = resolve_profile(cfg)
         amplitudes = np.sqrt(np.array(profile.tap_powers) / 2.0)
         pilots = generate_pilots(seed, grid)
-        n_bits, n_taps = grid.data_bits_per_block, len(amplitudes)
+        n_taps = len(amplitudes)
         for trial in self.TRIALS:
-            bits = batch_row(cfg, trial, harness._BITS, lambda rng, rows: rng.integers(0, 2, (rows, n_bits)))
             z = batch_row(cfg, trial, harness._CHANNEL, lambda rng, rows: rng.standard_normal((rows, n_taps, 2)))
             cells = batch_row(cfg, trial, harness._NOISE, lambda rng, rows: unit_cells(rng, rows, grid))
             block = draw_block(cfg, trial, trial + 1)
-            expected = residue_data(bits, cfg)
-            assert np.array_equal(qpsk_modulate(block.bits[0]).reshape(expected.shape), expected), trial
             assert np.array_equal(block.taps[0, list(profile.tap_delays)], (z[:, 0] + 1j * z[:, 1]) * amplitudes)
             assert np.array_equal(block.noise[0, :, 1:, :], cells[:, 1:, :]), trial
             assert np.array_equal(block.noise[0, :, 0, :], cells[:, 0, :] * np.conj(pilots)), trial
 
-    @pytest.mark.parametrize("n_bits", [1, 2, 6, 7, 1792, 1794])
-    def test_raw_bits_are_integers_0_2(self, n_bits):
-        """The top bit of each 32-bit half, low half first, is ``integers(0, 2, n)``,
-        for an odd count of raw outputs too; rows are independent streams."""
-        n_raw = (n_bits + 1) // 2
-        raw = np.stack([np.random.PCG64(seed).random_raw(n_raw) for seed in range(3)])
-        expected = [np.random.Generator(np.random.PCG64(seed)).integers(0, 2, n_bits) for seed in range(3)]
-        assert np.array_equal(harness._bits_from_raw(raw, n_bits), np.stack(expected))
-
     def test_blocks_are_clipped_at_batch_edges(self):
         """A 600-trial run of 56-trial blocks splits each batch into four
         blocks and a 32-trial rest, and its last, 88-trial batch into 56 + 32;
-        each batch's three streams are made once and serve all its blocks."""
+        each batch's two streams are made once and serve all its blocks."""
         cfg = tiny_config(grid=GridConfig(n_subcarriers=384, n_pilots=48, n_symbols=3, cp_len=30))
         assert harness._block_trials(cfg.grid) == 56
         blocks = list(harness._blocks(cfg, 0, 600))
@@ -383,7 +357,7 @@ class TestTrialStreams:
         assert main(["inspect", "--trial", str(trial), "--snr", "20", "--estimator", "ideal"]) == 0
         out = capsys.readouterr().out
         cfg = SimConfig()
-        _, truth, rx = reference_subframe(cfg, trial, snr_db)
+        truth, rx = reference_subframe(cfg, trial, snr_db)
         rows = block_lines(out, "pilot-ls")[1:]
         printed = np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
         # Printed one row per pilot n, one (re, im) pair per symbol m.
@@ -396,7 +370,8 @@ class TestTrialStreams:
 
     def test_sweep_at_a_large_seed_matches_the_reference(self, tmp_path):
         """``sweep --seed 4294967301`` counts the errors of the rows of batch
-        0's default_rng streams equalized with the true channel."""
+        0's default_rng streams equalized with the true channel, every data
+        cell carrying bits (0, 0)."""
         seed, snr_db, n_trials = 4294967301, 3.0, 3
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--seed", str(seed), "--estimators", "ideal", "--snr", "3",
@@ -405,10 +380,11 @@ class TestTrialStreams:
         (record,) = read_csv(out)
         cfg = SimConfig(master_seed=seed)
         errors = 0
+        zeros = np.zeros(cfg.grid.data_bits_per_block, dtype=bool)
         for trial in range(n_trials):
-            bits, response, rx = reference_subframe(cfg, trial, snr_db)
+            response, rx = reference_subframe(cfg, trial, snr_db)
             equalized = rx * np.conj(response)
-            errors += qpsk_bit_errors(data_cells(equalized, cfg.grid), bits)
+            errors += qpsk_bit_errors(data_cells(equalized, cfg.grid), zeros)
         assert errors > 0
         assert (record.bit_errors, record.total_bits) == (errors, n_trials * cfg.grid.data_bits_per_block)
 
@@ -469,13 +445,70 @@ class TestDrawLaw:
             add_neighbours("pilot, next symbol", pilot_row[:, 1:], pilot_row[:, :-1])
             for tap, delay in enumerate(delays):
                 add(f"tap {tap} |g|^2", np.abs(block.taps[:, delay]) ** 2)
-            add("bits", block.bits)
         expected = {f"tap {tap} |g|^2": power for tap, power in enumerate(profile.tap_powers)}
-        expected.update({name: 1.0 for name in moments if name.endswith("|W|^2")}, bits=0.5)
-        assert moments["bits"].n == 4096 * cfg.grid.data_bits_per_block
+        expected.update({name: 1.0 for name in moments if name.endswith("|W|^2")})
         assert moments["data |W|^2"].n == 4096 * cfg.grid.n_symbols * cfg.grid.n_data
         errors = {name: m.standard_errors_from(expected.get(name, 0.0)) for name, m in moments.items()}
         assert max(errors.values()) < 5.0, errors
+
+
+class TestFixedDataPoint:
+    """Every data cell carries X0, phy's point for bits (0, 0): with Gray
+    mapping and circularly symmetric noise, a cell's error count has the
+    same law whatever point it carries."""
+
+    def test_turned_points_count_the_same_errors(self):
+        """The points ``X0 j^k`` are phy's for bits 00, 10, 11 and 01, and
+        ``X0 j^k z`` decided against its bits makes exactly the errors of
+        ``X0 z`` against zeros, for any ``z`` off the decision boundaries."""
+        bits = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=bool)
+        points = qpsk_modulate(bits)[:, 0]
+        x0 = points[0]
+        assert np.array_equal(points, x0 * np.array([1, 1j, -1, -1j]))
+        rng = np.random.default_rng(20)
+        z = rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)
+        assert np.all((x0 * z).view(np.float64) != 0.0)
+        expected = qpsk_bit_errors(x0 * z, np.zeros(2 * z.size, dtype=bool))
+        assert 0 < expected < 2 * z.size
+        for point, pair in zip(points, bits):
+            assert qpsk_bit_errors(point * z, np.tile(pair, z.size)) == expected
+
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
+    def test_random_data_counts_the_same_errors_in_law(self, snr_db):
+        """On the same channels and noise, random data bits from a side
+        stream make, per trial, errors whose mean differs from the sweep's
+        fixed-point count by less than 4 standard errors of the paired
+        differences, for the genie and the multi-symbol estimate."""
+        estimators = ("ideal", "proposed")
+        cfg = SimConfig(subframes_per_point=4096, snr_points_db=(snr_db,), estimators=estimators)
+        profile, pilots = resolve_profile(cfg), generate_pilots(cfg.master_seed, cfg.grid)
+        sigma2 = noise_variance(snr_db)
+        side = np.random.default_rng(2001)
+        fixed = {e: [] for e in estimators}
+        differences = {e: [] for e in estimators}
+        for streams, rows in harness._blocks(cfg, 0, cfg.subframes_per_point):
+            block = harness._draw_block(cfg, profile, pilots, streams, rows)
+            rx = np.empty_like(block.clean)
+            pilot_ls = harness._receive(block, sigma2, rx)
+            bits = side.integers(0, 2, rx[:, :, 1:, :].shape[:-1] + (2 * cfg.grid.n_pilots,)).astype(bool)
+            random_rx = qpsk_modulate(bits) * block.truth[:, None, 1:, :]
+            random_rx += math.sqrt(sigma2) * block.noise[:, :, 1:, :]
+            flat_bits = bits.reshape(rows, cfg.grid.n_symbols, -1)
+            zeros = np.zeros_like(flat_bits[0])
+            for e in estimators:
+                h_data, _, _ = harness._estimate_cells(cfg, e, pilot_ls, block)
+                decided = equalize(harness._flat(rx[:, :, 1:, :]), h_data)
+                random_decided = equalize(harness._flat(random_rx), h_data)
+                for j in range(rows):
+                    count = qpsk_bit_errors(decided[j], zeros)
+                    fixed[e].append(count)
+                    differences[e].append(qpsk_bit_errors(random_decided[j], flat_bits[j]) - count)
+        for record in sweep(cfg, workers=1):
+            assert record.bit_errors == sum(fixed[record.estimator_id]), record.estimator_id
+        for e, d in differences.items():
+            d = np.array(d, dtype=np.float64)
+            t = d.mean() / (d.std(ddof=1) / math.sqrt(d.size))
+            assert abs(t) < 4.0, (e, t, sum(fixed[e]))
 
 
 def reference_configs():
@@ -532,7 +565,7 @@ class TestFrequencyDomainReceive:
         trials = range(6)
         rx, pilot_ls = receive(draw_block(config, 0, 6), snr_db)
         for j, trial in enumerate(trials):
-            _, _, reference = reference_subframe(config, trial, snr_db)
+            _, reference = reference_subframe(config, trial, snr_db)
             scale = np.abs(reference).max()
             data_error = np.abs(rx[j, :, 1:, :] - residue_major(reference, grid.n_pilots)[:, 1:, :])
             assert data_error.max(initial=0.0) <= 1e-12 * scale
@@ -613,7 +646,7 @@ class TestRunTrial:
             for trial in range(3):
                 pilot_ls, truth = simulate_subframe(cfg, 15.0, trial)
                 est = ESTIMATORS[record.estimator_id].run(cfg, pilot_ls, truth)
-                _, response, _ = reference_subframe(cfg, trial, 15.0)
+                response, _ = reference_subframe(cfg, trial, 15.0)
                 errors.append(estimator_mse(est.freq_response, response))
             assert record.mean_mse == pytest.approx(np.mean(errors), rel=1e-12), record.estimator_id
 
