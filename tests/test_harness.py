@@ -473,42 +473,63 @@ class TestFixedDataPoint:
         for point, pair in zip(points, bits):
             assert qpsk_bit_errors(point * z, np.tile(pair, z.size)) == expected
 
+    def test_x0_is_phys_point_for_bits_00(self):
+        """The sweep's data point is exactly phy's QPSK point for bits (0, 0),
+        which makes no error when received as sent."""
+        zeros = np.zeros(2, dtype=bool)
+        assert harness._X0 == qpsk_modulate(zeros)[0]
+        assert qpsk_bit_errors(np.array([harness._X0]), zeros) == 0
+
     @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
     def test_random_data_counts_the_same_errors_in_law(self, snr_db):
         """On the same channels and noise, random data bits from a side
         stream make, per trial, errors whose mean differs from the sweep's
         fixed-point count by less than 4 standard errors of the paired
         differences, for the genie and the multi-symbol estimate."""
-        estimators = ("ideal", "proposed")
-        cfg = SimConfig(subframes_per_point=4096, snr_points_db=(snr_db,), estimators=estimators)
-        profile, pilots = resolve_profile(cfg), generate_pilots(cfg.master_seed, cfg.grid)
-        sigma2 = noise_variance(snr_db)
-        side = np.random.default_rng(2001)
-        fixed = {e: [] for e in estimators}
-        differences = {e: [] for e in estimators}
-        for streams, rows in harness._blocks(cfg, 0, cfg.subframes_per_point):
-            block = harness._draw_block(cfg, profile, pilots, streams, rows)
-            rx = np.empty_like(block.clean)
-            pilot_ls = harness._receive(block, sigma2, rx)
-            bits = side.integers(0, 2, rx[:, :, 1:, :].shape[:-1] + (2 * cfg.grid.n_pilots,)).astype(bool)
-            random_rx = qpsk_modulate(bits) * block.truth[:, None, 1:, :]
-            random_rx += math.sqrt(sigma2) * block.noise[:, :, 1:, :]
-            flat_bits = bits.reshape(rows, cfg.grid.n_symbols, -1)
-            zeros = np.zeros_like(flat_bits[0])
-            for e in estimators:
-                h_data, _, _ = harness._estimate_cells(cfg, e, pilot_ls, block)
-                decided = equalize(harness._flat(rx[:, :, 1:, :]), h_data)
-                random_decided = equalize(harness._flat(random_rx), h_data)
-                for j in range(rows):
-                    count = qpsk_bit_errors(decided[j], zeros)
-                    fixed[e].append(count)
-                    differences[e].append(qpsk_bit_errors(random_decided[j], flat_bits[j]) - count)
-        for record in sweep(cfg, workers=1):
-            assert record.bit_errors == sum(fixed[record.estimator_id]), record.estimator_id
-        for e, d in differences.items():
-            d = np.array(d, dtype=np.float64)
-            t = d.mean() / (d.std(ddof=1) / math.sqrt(d.size))
-            assert abs(t) < 4.0, (e, t, sum(fixed[e]))
+        assert_fixed_point_law(snr_db, ("ideal", "proposed"))
+
+    @pytest.mark.parametrize("estimator_id", ["conv-perfect", "conv-inaccurate", "ls-only"])
+    def test_per_symbol_estimates_count_the_same_errors_in_law(self, estimator_id):
+        """The same holds at 20 dB for the per-symbol estimates, thresholded
+        or not: they see only the pilots, so the data point cannot move them."""
+        assert_fixed_point_law(20.0, (estimator_id,))
+
+
+def assert_fixed_point_law(snr_db: float, estimators: tuple[str, ...]):
+    """Over 4096 trials at ``snr_db``, ``sweep`` counts the errors of the
+    fixed point equalized with each estimate, and random data bits from a
+    side stream, on the same channels and noise, make per-trial errors whose
+    mean differs from that count by less than 4 standard errors of the paired
+    differences."""
+    cfg = SimConfig(subframes_per_point=4096, snr_points_db=(snr_db,), estimators=estimators)
+    profile, pilots = resolve_profile(cfg), generate_pilots(cfg.master_seed, cfg.grid)
+    sigma2 = noise_variance(snr_db)
+    side = np.random.default_rng(2001)
+    fixed = {e: [] for e in estimators}
+    differences = {e: [] for e in estimators}
+    for streams, rows in harness._blocks(cfg, 0, cfg.subframes_per_point):
+        block = harness._draw_block(cfg, profile, pilots, streams, rows)
+        rx = np.empty_like(block.clean)
+        pilot_ls = harness._receive(block, sigma2, rx)
+        bits = side.integers(0, 2, rx[:, :, 1:, :].shape[:-1] + (2 * cfg.grid.n_pilots,)).astype(bool)
+        random_rx = qpsk_modulate(bits) * block.truth[:, None, 1:, :]
+        random_rx += math.sqrt(sigma2) * block.noise[:, :, 1:, :]
+        flat_bits = bits.reshape(rows, cfg.grid.n_symbols, -1)
+        zeros = np.zeros_like(flat_bits[0])
+        for e in estimators:
+            h_data, _, _ = harness._estimate_cells(cfg, e, pilot_ls, block)
+            decided = equalize(harness._flat(rx[:, :, 1:, :]), h_data)
+            random_decided = equalize(harness._flat(random_rx), h_data)
+            for j in range(rows):
+                count = qpsk_bit_errors(decided[j], zeros)
+                fixed[e].append(count)
+                differences[e].append(qpsk_bit_errors(random_decided[j], flat_bits[j]) - count)
+    for record in sweep(cfg, workers=1):
+        assert record.bit_errors == sum(fixed[record.estimator_id]), record.estimator_id
+    for e, d in differences.items():
+        d = np.array(d, dtype=np.float64)
+        t = d.mean() / (d.std(ddof=1) / math.sqrt(d.size))
+        assert abs(t) < 4.0, (e, t, sum(fixed[e]))
 
 
 def reference_configs():
