@@ -5,8 +5,8 @@ of batch ``t // 256``, which owns two random streams, exactly numpy's
 ``default_rng((master_seed, t // 256, purpose))`` with purposes 1 (channel)
 and 2 (noise); purpose 0, once the data bits, is retired. Each stream is
 drawn row by row in trial order, so a trial's values depend only on the
-seed and its index, not on the block it is drawn in. A pool task is a run
-of whole batches.
+seed and its index, not on the block it is drawn in. A pool task is one
+batch, and its totals reach ``sweep`` as they are.
 
 Estimator choice never touches the streams, so all estimators see identical
 channels and noise (paired comparison). The noise is drawn once per trial
@@ -241,16 +241,16 @@ def _batch_streams(seed: int, batch: int) -> list[np.random.Generator]:
     return [np.random.default_rng((seed, batch, purpose)) for purpose in (_CHANNEL, _NOISE)]
 
 
-def _blocks(config: SimConfig, lo: int, hi: int):
-    """Each block of trials ``lo .. hi - 1`` (``lo`` a batch edge) as its
-    batch's streams and its row count. Blocks are clipped at batch edges; a
-    batch's streams are made at its first block and carried through the rest."""
+def _blocks(config: SimConfig, batch: int, stop: int):
+    """Each block of batch ``batch``'s trials before trial ``stop``, as the
+    batch's streams and its row count. The streams are made once and carried
+    through every block."""
     step = _block_trials(config.grid)
-    for batch_lo in range(lo, hi, _BATCH):
-        streams = _batch_streams(config.master_seed, batch_lo // _BATCH)
-        batch_hi = min(batch_lo + _BATCH, hi)
-        for start in range(batch_lo, batch_hi, step):
-            yield streams, min(step, batch_hi - start)
+    streams = _batch_streams(config.master_seed, batch)
+    lo = batch * _BATCH
+    hi = min(lo + _BATCH, stop)
+    for start in range(lo, hi, step):
+        yield streams, min(step, hi - start)
 
 
 @dataclass(eq=False)
@@ -365,13 +365,12 @@ def _keep_heap_mapped() -> None:
     mallopt(-1, 64 << 20)
 
 
-def _sweep_trials(args):
-    """Worker body: trials ``lo .. hi - 1``, whole batches, a block at a
-    time, folded into totals as ``sweep`` keeps them."""
+def _sweep_batch(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, batch: int):
+    """Worker body: batch ``batch``'s trials, a block at a time, folded into
+    totals as ``sweep`` keeps them."""
     _keep_heap_mapped()
-    config, profile, pilots, lo, hi = args
     totals = {}
-    for streams, rows in _blocks(config, lo, hi):
+    for streams, rows in _blocks(config, batch, config.subframes_per_point):
         _add(totals, _sweep_block(config, profile, pilots, streams, rows))
     return totals
 
@@ -402,7 +401,7 @@ def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int):
     drawn a block at a time up to the block that ends with the trial."""
     profile = resolve_profile(config)
     pilots = generate_pilots(config.master_seed, config.grid)
-    for streams, rows in _blocks(config, trial_index - trial_index % _BATCH, trial_index + 1):
+    for streams, rows in _blocks(config, trial_index // _BATCH, trial_index + 1):
         block = _draw_block(config, profile, pilots, streams, rows)
     pilot_ls = _receive(block, noise_variance(snr_db), np.empty_like(block.clean))
     return pilot_ls[-1], block.truth[-1]
@@ -448,19 +447,18 @@ def sweep(config: SimConfig, *, workers: int | None = None) -> list[BerRecord]:
     n_trials = config.subframes_per_point
     n_batches = -(-n_trials // _BATCH)
     # At most one process per batch (the fork start method launches the whole
-    # pool at the first submit), and a few runs of whole batches per worker.
+    # pool at the first submit), and a few chunks of whole batches per worker.
     n_workers = min(workers or os.cpu_count() or 1, n_batches)
-    n_tasks = 1 if n_workers == 1 else min(n_batches, 4 * n_workers)
-    edges = [min(n_trials, _BATCH * (n_batches * k // n_tasks)) for k in range(n_tasks + 1)]
-    tasks = [(config, profile, pilots, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    task = functools.partial(_sweep_batch, config, profile, pilots)
     # Per (SNR index, estimator), as ``_add`` keeps them; records go in this order.
     keys = [(i, e) for e in config.estimators for i in range(len(config.snr_points_db))]
     totals = dict.fromkeys(keys, (0, [], []))
     if n_workers == 1:
-        partials = [_sweep_trials(task) for task in tasks]
+        partials = map(task, range(n_batches))
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(_sweep_trials, tasks))
+            chunksize = -(-n_batches // (4 * n_workers))
+            partials = list(pool.map(task, range(n_batches), chunksize=chunksize))
     for partial in partials:
         _add(totals, partial)
 

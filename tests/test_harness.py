@@ -159,6 +159,12 @@ def draw_block(config: SimConfig, lo: int, hi: int):
     return harness._draw_block(config, profile, pilots, streams, hi - lo)
 
 
+def sweep_blocks(config: SimConfig):
+    """Every block of a sweep of ``config``, batch after batch, as ``_blocks`` yields them."""
+    for batch in range(-(-config.subframes_per_point // harness._BATCH)):
+        yield from harness._blocks(config, batch, config.subframes_per_point)
+
+
 def receive(block, snr_db: float):
     """A block's received cells at one SNR, ``(trials, M, S, Np)``, and its
     pilot LS grid, ``(trials, M, Np)``."""
@@ -342,9 +348,10 @@ class TestTrialStreams:
         """A 600-trial run of 56-trial blocks splits each batch into four
         blocks and a 32-trial rest, and its last, 88-trial batch into 56 + 32;
         each batch's two streams are made once and serve all its blocks."""
-        cfg = tiny_config(grid=GridConfig(n_subcarriers=384, n_pilots=48, n_symbols=3, cp_len=30))
+        grid = GridConfig(n_subcarriers=384, n_pilots=48, n_symbols=3, cp_len=30)
+        cfg = tiny_config(grid=grid, subframes_per_point=600)
         assert harness._block_trials(cfg.grid) == 56
-        blocks = list(harness._blocks(cfg, 0, 600))
+        blocks = list(sweep_blocks(cfg))
         assert [rows for _, rows in blocks] == [56, 56, 56, 56, 32] * 2 + [56, 32]
         streams = [s for s, _ in blocks]
         assert [len({id(s) for s in streams[i:j]}) for i, j in ((0, 5), (5, 10), (10, 12))] == [1, 1, 1]
@@ -433,7 +440,7 @@ class TestDrawLaw:
             add(f"{name} re", product.real)
             add(f"{name} im", product.imag)
 
-        for streams, rows in harness._blocks(cfg, 0, cfg.subframes_per_point):
+        for streams, rows in sweep_blocks(cfg):
             block = harness._draw_block(cfg, profile, pilots, streams, rows)
             data, pilot_row = block.noise[:, :, 1:, :], block.noise[:, :, 0, :]
             add_cells("data", data)
@@ -507,7 +514,7 @@ def assert_fixed_point_law(snr_db: float, estimators: tuple[str, ...]):
     side = np.random.default_rng(2001)
     fixed = {e: [] for e in estimators}
     differences = {e: [] for e in estimators}
-    for streams, rows in harness._blocks(cfg, 0, cfg.subframes_per_point):
+    for streams, rows in sweep_blocks(cfg):
         block = harness._draw_block(cfg, profile, pilots, streams, rows)
         rx = np.empty_like(block.clean)
         pilot_ls = harness._receive(block, sigma2, rx)
@@ -791,28 +798,34 @@ class TestSweep:
             assert records["default"] == sweep(cfg, workers=1)
 
     @pytest.mark.parametrize(
-        "grid, sample_rate_hz",
-        [(GridConfig(n_subcarriers=384, n_pilots=48, n_symbols=3, cp_len=30), 5.76e6), (GridConfig(), 7.68e6)],
-        ids=["384-48-3", "default"],
+        "grid, sample_rate_hz, n_trials, block_trials, workers",
+        [
+            (GridConfig(n_subcarriers=384, n_pilots=48, n_symbols=3, cp_len=30), 5.76e6, n, (1, None, 227), (1, 2))
+            for n in (300, 513)
+        ]
+        + [(GridConfig(), 7.68e6, n, (1, None, 256), (1, 2)) for n in (300, 513)]
+        + [(GridConfig(n_subcarriers=64, n_pilots=16, n_symbols=2, cp_len=10), 1.92e6, 9 * 256 + 7, (7, None), (1, 2, 3))],
+        ids=["300-384-48-3", "513-384-48-3", "300-default", "513-default", "2311-64-16"],
     )
-    @pytest.mark.parametrize("n_trials", [300, 513])
-    def test_no_partition_moves_a_byte(self, monkeypatch, tmp_path, grid, sample_rate_hz, n_trials):
-        """Blocks of one trial, of the default size (56 trials on 384/48/3,
-        which do not divide a batch, and 64 on the default grid) and of 4 MiB,
-        each on one and two workers, write byte-identical CSVs for sweeps
-        that end mid-batch."""
+    def test_no_partition_moves_a_byte(self, monkeypatch, tmp_path, grid, sample_rate_hz, n_trials, block_trials, workers):
+        """Each block size (in trials; None is the default, 56 trials on
+        384/48/3, which do not divide a batch, 64 on the default grid and a
+        whole batch on 64/16) on each worker count writes byte-identical CSVs
+        for sweeps that end mid-batch. Ten batches on two workers go in chunks
+        of two, on three in chunks of one."""
         cfg = SimConfig(
-            grid=grid, sample_rate_hz=sample_rate_hz, snr_points_db=(10.0,),
-            subframes_per_point=n_trials, estimators=ESTIMATOR_IDS,
+            grid=grid, sample_rate_hz=sample_rate_hz, snr_points_db=(10.0,), subframes_per_point=n_trials,
+            estimators=ESTIMATOR_IDS, th_perfect=min(39, grid.n_pilots - 1), th_inaccurate=min(19, grid.n_pilots // 2),
         )
         one_trial = 16 * grid.n_symbols * grid.n_subcarriers
         texts = set()
-        for block_bytes in (one_trial, harness._BLOCK_BYTES, 4 << 20):
-            for workers in (1, 2):
+        for trials in block_trials:
+            for n_workers in workers:
                 with monkeypatch.context() as patch:
-                    patch.setattr(harness, "_BLOCK_BYTES", block_bytes)
-                    path = tmp_path / f"{block_bytes}-{workers}.csv"
-                    write_csv(sweep(cfg, workers=workers), path)
+                    if trials is not None:
+                        patch.setattr(harness, "_BLOCK_BYTES", trials * one_trial)
+                    path = tmp_path / f"{trials}-{n_workers}.csv"
+                    write_csv(sweep(cfg, workers=n_workers), path)
                 texts.add(path.read_bytes())
         assert len(texts) == 1
 
@@ -944,19 +957,19 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, batches, chunksize):
+                return map(fn, batches)
 
         cfg = tiny_config(subframes_per_point=300, snr_points_db=(10.0,), estimators=("ideal",))
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         assert sweep(cfg, workers=512) == sweep(cfg, workers=1)
         assert requested == [2]
 
-    def test_tasks_are_runs_of_whole_batches(self, monkeypatch):
-        """Two workers on a 1300-trial sweep of 7-trial blocks get six tasks,
-        one per batch (the last 20 trials short), contiguous and covering
-        every trial once, and the records of one in-process run."""
-        bounds = []
+    def test_tasks_are_batches_in_chunks(self, monkeypatch):
+        """Two workers on a 2311-trial sweep map over its ten batches (the
+        last 7 trials long) in chunks of two, a quarter of the batches per
+        worker rounded up, and give the records of one in-process run."""
+        maps = []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -968,17 +981,19 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                tasks = list(tasks)
-                bounds.extend(task[3:] for task in tasks)
-                return map(fn, tasks)
+            def map(self, fn, batches, chunksize):
+                maps.append((list(batches), chunksize))
+                return map(fn, batches)
 
-        cfg = tiny_config(subframes_per_point=1300, snr_points_db=(15.0,), estimators=("ideal", "proposed"))
-        monkeypatch.setattr(harness, "_BLOCK_BYTES", 7 * 16 * cfg.grid.n_symbols * cfg.grid.n_subcarriers)
+        cfg = tiny_config(
+            grid=GridConfig(n_subcarriers=64, n_pilots=16, n_symbols=2, cp_len=10), sample_rate_hz=1.92e6,
+            subframes_per_point=9 * 256 + 7, snr_points_db=(15.0,), estimators=("ideal", "proposed"),
+            th_perfect=15, th_inaccurate=7,
+        )
         serial = sweep(cfg, workers=1)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         assert sweep(cfg, workers=2) == serial
-        assert bounds == [(lo, min(lo + 256, 1300)) for lo in range(0, 1300, 256)]
+        assert maps == [(list(range(10)), 2)]
 
     def test_rejects_bad_worker_count(self):
         """Zero workers is a usage error."""
