@@ -22,7 +22,11 @@ is exact in law: for ``X = X0 j^k`` the decision is ``j^k`` times that of
 ``X0`` under the noise ``W j^-k``, which is again i.i.d. CN(0, 1), and a
 90° turn keeps the Hamming distance of Gray-labelled quadrants. The
 argument needs each cell to depend only on its own symbol: no
-intercarrier interference.
+intercarrier interference. Nor does the sweep use a pilot sequence: at a
+unit-modulus pilot ``p`` the least-squares observation ``(H p + sqrt(sigma2)
+W) conj(p)`` is ``H + sqrt(sigma2) W conj(p)``, and ``W conj(p)`` is again
+i.i.d. CN(0, 1), so the pilot row is received as ``H + sqrt(sigma2) W``,
+exact in law, and every draw comes from the batch streams.
 
 Trials are received in the frequency domain. While the delay spread fits
 the cyclic prefix (checked before anything is drawn), the demodulated grid
@@ -32,9 +36,9 @@ of the time-domain chain ``ofdm_demodulate(apply_channel(ofdm_modulate(X))
 i.i.d. CN(0, 1) samples is i.i.d. CN(0, 1), so the sweep draws ``W``
 straight at the cells, exact in distribution, and no time-domain noise. The
 sweep's unit of work is a cache-sized block of trials (``_BLOCK_BYTES`` of
-cell grid, clipped at batch edges): each block's ``H * X`` and ``W`` are
-drawn once and run through every SNR point, where each point only scales
-and adds them. The cells are in the layout of the truth and of every
+cell grid, clipped at batch edges): each block's clean cells (one grid
+for all symbols) and ``W`` are drawn once and run through every SNR point,
+where each point only scales and adds them. The cells are in the layout of the truth and of every
 estimate: one residue grid ``(..., S, Np)`` per OFDM symbol
 (``phy.residue_major``) whose row 0 holds the pilot least-squares
 observations, and rows ``1 .. S - 1`` the data cells ``equalize`` decides
@@ -43,8 +47,9 @@ like every grid of the package, so the estimators read them as a view with
 no reorder.
 ``simulate_subframe`` draws and receives a trial's batch the same way, up
 to the trial, and returns its pilot row and truth as they are, so
-``inspect`` shows what the sweep scored. The time-domain functions stay in
-the library as the reference model the tests check this against.
+``inspect`` shows what the sweep scored. The time-domain functions and
+phy's pilot sequence stay in the library as the reference model the tests
+check this against.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ from .estimators import (
     ls_nearest_estimate,
     multi_symbol_estimate,
 )
-from .phy import GridConfig, generate_pilots, residue_major
+from .phy import GridConfig, residue_major
 from .spectral import dft
 
 __all__ = [
@@ -116,6 +121,10 @@ _X0 = (1 + 1j) / math.sqrt(2.0)
 _BLOCK_BYTES = 1 << 20
 
 _DEFAULT_SNRS = tuple(float(s) for s in np.linspace(0.0, 30.0, 13))
+
+# The lowest SNR point, sigma2 = 1e30: every product and sum of a sweep then
+# stays over 1e250 below float64's overflow.
+_SNR_FLOOR_DB = -300.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +182,12 @@ class SimConfig:
         bad = [s for s in self.snr_points_db if not math.isfinite(s)]
         if bad:
             raise ValueError(f"snr_points_db must be finite, got {bad}")
-        for snr_db in self.snr_points_db:
-            noise_variance(snr_db)
+        lowest = min(self.snr_points_db)
+        if lowest < _SNR_FLOOR_DB:
+            raise ValueError(
+                f"SNR point {lowest!r} dB lies below {_SNR_FLOOR_DB} dB (sigma2 above 1e30), "
+                "where the sweep's products and sums could overflow"
+            )
         if any(b <= a for a, b in zip(self.snr_points_db, self.snr_points_db[1:])):
             raise ValueError("SNR points must be strictly increasing")
         if self.subframes_per_point < 1:
@@ -256,12 +269,12 @@ def _blocks(config: SimConfig, batch: int, stop: int):
 @dataclass(eq=False)
 class _Block:
     """A trial block's received cells in two parts, ``clean + sqrt(sigma2) *
-    noise``, each ``(trials, M, S, Np)`` in residue order, and its true
-    channel: the response ``(trials, S, Np)`` and the taps ``(trials,
-    max(Np, spread + 1))``, every tap of the trial.
-    Row 0 holds the pilot least-squares parts, ``H p conj(p)`` and ``W
-    conj(p)``, and rows ``1 .. S - 1`` the data cells, ``X0 H`` and ``W``.
-    Drawn once, it serves every SNR point."""
+    noise`` in residue order, and its true channel: the response ``(trials,
+    S, Np)`` and the taps ``(trials, max(Np, spread + 1))``, every tap of the
+    trial. ``noise`` is the unit cells, ``(trials, M, S, Np)``; ``clean`` is
+    the same in every symbol, ``(trials, 1, S, Np)``: row 0 the pilot
+    least-squares part, ``H`` itself, and rows ``1 .. S - 1`` the data cells,
+    ``X0 H``. Drawn once, it serves every SNR point."""
 
     truth: np.ndarray
     taps: np.ndarray
@@ -269,9 +282,7 @@ class _Block:
     noise: np.ndarray
 
 
-def _draw_block(
-    config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, streams, rows: int
-) -> _Block:
+def _draw_block(config: SimConfig, profile: PowerDelayProfile, streams, rows: int) -> _Block:
     """Draw the next ``rows`` trials of a batch from its ``streams``, each
     row by row: channel, and unit CN(0, 1) noise cells in residue order.
     Returns them as the two parts of the received cells, ``X0`` at every
@@ -285,10 +296,8 @@ def _draw_block(
     noise = np.empty((rows, grid.n_symbols, grid.pilot_spacing, grid.n_pilots), dtype=np.complex128)
     noise_rng.standard_normal(out=noise.view(np.float64))
     noise *= math.sqrt(0.5)
-    noise[..., 0, :] *= np.conj(pilots)
-    clean = np.empty_like(noise)
-    np.multiply(truth[:, None, 1:, :], _X0, out=clean[..., 1:, :])
-    clean[..., 0, :] = truth[:, None, 0, :] * pilots * np.conj(pilots)
+    clean = truth[:, None].copy()
+    clean[..., 1:, :] *= _X0
     return _Block(truth, taps, clean, noise)
 
 
@@ -328,14 +337,14 @@ def _block_trials(grid: GridConfig) -> int:
     return max(1, _BLOCK_BYTES // (16 * grid.n_symbols * grid.n_subcarriers))
 
 
-def _sweep_block(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, streams, rows: int):
+def _sweep_block(config: SimConfig, profile: PowerDelayProfile, streams, rows: int):
     """Draw the next ``rows`` trials of a batch and evaluate them at every SNR
     point: per (SNR index, estimator), the bit errors and the per-trial MSE and
     mean σ̂² (or None). Every data cell carries ``X0``, so a cell's bit errors
     are the negative parts of its decision: ``qpsk_bit_errors(decided, 0)``."""
-    block = _draw_block(config, profile, pilots, streams, rows)
+    block = _draw_block(config, profile, streams, rows)
     # One received grid (its data rows a flat view) and one product buffer serve every SNR point.
-    rx = np.empty_like(block.clean)
+    rx = np.empty_like(block.noise)
     rx_data = _flat(rx[..., 1:, :])
     product = np.empty(rx_data.shape, dtype=np.complex128)
     partial = {}
@@ -365,13 +374,13 @@ def _keep_heap_mapped() -> None:
     mallopt(-1, 64 << 20)
 
 
-def _sweep_batch(config: SimConfig, profile: PowerDelayProfile, pilots: np.ndarray, batch: int):
+def _sweep_batch(config: SimConfig, profile: PowerDelayProfile, batch: int):
     """Worker body: batch ``batch``'s trials, a block at a time, folded into
     totals as ``sweep`` keeps them."""
     _keep_heap_mapped()
     totals = {}
     for streams, rows in _blocks(config, batch, config.subframes_per_point):
-        _add(totals, _sweep_block(config, profile, pilots, streams, rows))
+        _add(totals, _sweep_block(config, profile, streams, rows))
     return totals
 
 
@@ -400,10 +409,9 @@ def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int):
     Np)`` and its true response in residue order ``(S, Np)``. Its batch is
     drawn a block at a time up to the block that ends with the trial."""
     profile = resolve_profile(config)
-    pilots = generate_pilots(config.master_seed, config.grid)
     for streams, rows in _blocks(config, trial_index // _BATCH, trial_index + 1):
-        block = _draw_block(config, profile, pilots, streams, rows)
-    pilot_ls = _receive(block, noise_variance(snr_db), np.empty_like(block.clean))
+        block = _draw_block(config, profile, streams, rows)
+    pilot_ls = _receive(block, noise_variance(snr_db), np.empty_like(block.noise))
     return pilot_ls[-1], block.truth[-1]
 
 
@@ -443,13 +451,12 @@ def sweep(config: SimConfig, *, workers: int | None = None) -> list[BerRecord]:
             "the grid has no data subcarriers (n_pilots = n_subcarriers), so no bits to count"
         )
     profile = resolve_profile(config)
-    pilots = generate_pilots(config.master_seed, config.grid)
     n_trials = config.subframes_per_point
     n_batches = -(-n_trials // _BATCH)
     # At most one process per batch (the fork start method launches the whole
     # pool at the first submit), and a few chunks of whole batches per worker.
     n_workers = min(workers or os.cpu_count() or 1, n_batches)
-    task = functools.partial(_sweep_batch, config, profile, pilots)
+    task = functools.partial(_sweep_batch, config, profile)
     # Per (SNR index, estimator), as ``_add`` keeps them; records go in this order.
     keys = [(i, e) for e in config.estimators for i in range(len(config.snr_points_db))]
     totals = dict.fromkeys(keys, (0, [], []))

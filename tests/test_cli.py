@@ -281,6 +281,17 @@ class TestNonFiniteInput:
         assert code == 1
         assert "delays_ns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["-300.5", "-3080"])
+    def test_snr_below_the_floor(self, spec, tmp_path, capsys):
+        """A point below -300 dB, where the sweep's sums could overflow, exits
+        1 naming the point; at -3080 dB ``equalize`` used to overflow and
+        count NaN decisions as correct."""
+        out = tmp_path / "x.csv"
+        code = main(["sweep", f"--snr={spec}", "--subframes", "1", "--out", str(out)])
+        assert code == 1
+        assert f"SNR point {float(spec)!r} dB lies below" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inspect_snr(self, capsys):
         assert main(["inspect", "--snr", "nan"]) == 1
         assert "snr_db" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from ofdmce.estimators import (
 )
 from ofdmce import harness
 from ofdmce.harness import ESTIMATORS, SimConfig, resolve_profile
-from ofdmce.phy import GridConfig, generate_pilots, qpsk_bit_errors, residue_major
+from ofdmce.phy import GridConfig, qpsk_bit_errors, residue_major
 from ofdmce.spectral import dft, idft
 
 FS = 7.68e6
@@ -366,9 +366,8 @@ class TestBaselines:
 
     def test_ideal_is_a_view_of_the_chunk_truth(self):
         config = SimConfig(subframes_per_point=4)
-        pilots = generate_pilots(config.master_seed, config.grid)
         streams = harness._batch_streams(config.master_seed, 0)
-        block = harness._draw_block(config, resolve_profile(config), pilots, streams, 4)
+        block = harness._draw_block(config, resolve_profile(config), streams, 4)
         est = ESTIMATORS["ideal"].run(config, None, block.truth)
         assert est.cells.shape == (4, 1, 8, 64)
         assert est.cells.base is block.truth

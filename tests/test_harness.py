@@ -16,7 +16,7 @@ import pytest
 from ofdmce import harness
 from ofdmce.channel import apply_channel, from_taps, noise_variance, tap_gains
 from ofdmce.cli import main
-from ofdmce.estimators import equalize, estimator_mse
+from ofdmce.estimators import equalize, estimator_mse, stack_pilot_cir
 from ofdmce.harness import (
     ESTIMATOR_IDS,
     ESTIMATORS,
@@ -103,6 +103,16 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=field):
             tiny_config(**overrides)
 
+    def test_snr_floor_gives_finite_records(self):
+        """At the -300 dB floor every estimator's record is finite, and a
+        point just below it is refused by name."""
+        cfg = tiny_config(subframes_per_point=3, snr_points_db=(-300.0, 0.0), estimators=ESTIMATOR_IDS)
+        for record in sweep(cfg, workers=1):
+            values = (record.ber, record.mean_mse, record.mean_sigma2_hat or 0.0)
+            assert all(math.isfinite(v) for v in values), record
+        with pytest.raises(ValueError, match=r"SNR point -300.5 dB lies below -300.0 dB"):
+            tiny_config(snr_points_db=(-300.5, 10.0))
+
     def test_rejects_bad_counts(self):
         """Zero subframes, empty SNR grid, and empty estimator list all fail."""
         with pytest.raises(ValueError):
@@ -152,11 +162,11 @@ def draw_block(config: SimConfig, lo: int, hi: int):
     """Trials ``lo .. hi - 1`` of one batch as one block, drawn by
     ``_draw_block`` from the batch's streams after its earlier rows."""
     assert lo // harness._BATCH == (hi - 1) // harness._BATCH, "one batch"
-    profile, pilots = resolve_profile(config), generate_pilots(config.master_seed, config.grid)
+    profile = resolve_profile(config)
     streams = harness._batch_streams(config.master_seed, lo // harness._BATCH)
     if lo % harness._BATCH:
-        harness._draw_block(config, profile, pilots, streams, lo % harness._BATCH)
-    return harness._draw_block(config, profile, pilots, streams, hi - lo)
+        harness._draw_block(config, profile, streams, lo % harness._BATCH)
+    return harness._draw_block(config, profile, streams, hi - lo)
 
 
 def sweep_blocks(config: SimConfig):
@@ -168,7 +178,7 @@ def sweep_blocks(config: SimConfig):
 def receive(block, snr_db: float):
     """A block's received cells at one SNR, ``(trials, M, S, Np)``, and its
     pilot LS grid, ``(trials, M, Np)``."""
-    rx = np.empty_like(block.clean)
+    rx = np.empty_like(block.noise)
     return rx, harness._receive(block, noise_variance(snr_db), rx)
 
 
@@ -198,8 +208,10 @@ def unit_cells(rng, rows: int, grid: GridConfig) -> np.ndarray:
 def reference_subframe(config: SimConfig, trial: int, snr_db: float):
     """One subframe drawn from row ``trial % 256`` of its batch's fresh
     streams and sent through the time-domain chain, its noise the samples
-    ``ofdm_modulate`` makes of its drawn noise cells in subcarrier order: its
-    frequency response and demodulated grid."""
+    ``ofdm_modulate`` makes of its drawn noise cells in subcarrier order,
+    each pilot cell's times its pilot: its frequency response and
+    demodulated grid. The pilot least-squares noise is then the drawn cell,
+    as the sweep receives it."""
     grid = config.grid
     profile = resolve_profile(config)
     gains = batch_row(
@@ -207,6 +219,7 @@ def reference_subframe(config: SimConfig, trial: int, snr_db: float):
         lambda rng, rows: tap_gains(profile, rng if config.fading else None, rows),
     )
     cells = batch_row(config, trial, harness._NOISE, lambda rng, rows: unit_cells(rng, rows, grid))
+    cells[:, 0, :] *= generate_pilots(config.master_seed, grid)
     unit_noise = ofdm_modulate(np.swapaxes(cells, -1, -2).reshape(grid.n_symbols, -1), grid)
     response = dft(from_taps(profile.tap_delays, gains, grid.n_subcarriers))
     rx_samples = apply_channel(ofdm_modulate(tx_grid(config), grid), profile.tap_delays, gains, grid.cp_len)
@@ -242,16 +255,17 @@ class TestSubframePairing:
         )
 
     def test_internal_consistency(self):
-        """The block's data cells carry the point of bits (0, 0) in every
-        symbol, and its pilot row is its pilot LS."""
+        """The block's clean part is one grid for every symbol: the point of
+        bits (0, 0) times the response at the data cells and the response
+        itself at the pilot row, which is its pilot LS."""
         cfg = tiny_config()
-        block = draw_block(cfg, 1, 2)
+        block = draw_block(cfg, 1, 3)
         rx, pilot_ls = receive(block, 12.0)
         x0 = qpsk_modulate(np.zeros(2, dtype=bool))[0]
-        expected = np.broadcast_to(block.truth[:, None, 1:, :] * x0, rx[:, :, 1:, :].shape)
-        assert np.array_equal(block.clean[:, :, 1:, :], expected)
+        assert block.clean.shape == (2, 1, cfg.grid.pilot_spacing, cfg.grid.n_pilots)
+        assert np.array_equal(block.clean[:, 0, 1:, :], block.truth[:, 1:, :] * x0)
+        assert np.array_equal(block.clean[:, 0, 0, :], block.truth[:, 0, :])
         assert np.array_equal(pilot_ls, rx[:, :, 0, :])
-        assert np.allclose(block.clean[:, :, 0, :], block.truth[:, None, 0, :], rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("n_symbols", [1, 2, 3])
     def test_pilot_grid_is_a_view_of_the_receive_buffer(self, n_symbols):
@@ -295,6 +309,16 @@ class TestSubframePairing:
         clean[:, 0, :] *= np.conj(generate_pilots(cfg.master_seed, cfg.grid))
         assert np.allclose(rx[0], clean, rtol=1e-15, atol=0)
 
+    def test_infinite_snr_pilot_ls_is_the_truth(self):
+        """At snr = inf, ``simulate_subframe``'s pilot LS is exactly the true
+        response at the pilots in every symbol, so the noise-only columns
+        of the stacked CIR are exactly 0."""
+        cfg = tiny_config()
+        for trial in (0, 3, 300):
+            pilot_ls, truth = simulate_subframe(cfg, math.inf, trial)
+            assert np.array_equal(pilot_ls, np.broadcast_to(truth[0], pilot_ls.shape)), trial
+            assert np.all(stack_pilot_cir(pilot_ls)[:, 1:] == 0.0), trial
+
     @pytest.mark.parametrize("snr_db", [12.0, math.inf])
     @pytest.mark.parametrize("trial", [1, 100, 2**32 + 1])
     def test_inspect_shows_the_trial_the_sweep_scored(self, trial, snr_db):
@@ -334,15 +358,13 @@ class TestTrialStreams:
         grid = cfg.grid
         profile = resolve_profile(cfg)
         amplitudes = np.sqrt(np.array(profile.tap_powers) / 2.0)
-        pilots = generate_pilots(seed, grid)
         n_taps = len(amplitudes)
         for trial in self.TRIALS:
             z = batch_row(cfg, trial, harness._CHANNEL, lambda rng, rows: rng.standard_normal((rows, n_taps, 2)))
             cells = batch_row(cfg, trial, harness._NOISE, lambda rng, rows: unit_cells(rng, rows, grid))
             block = draw_block(cfg, trial, trial + 1)
             assert np.array_equal(block.taps[0, list(profile.tap_delays)], (z[:, 0] + 1j * z[:, 1]) * amplitudes)
-            assert np.array_equal(block.noise[0, :, 1:, :], cells[:, 1:, :]), trial
-            assert np.array_equal(block.noise[0, :, 0, :], cells[:, 0, :] * np.conj(pilots)), trial
+            assert np.array_equal(block.noise[0], cells), trial
 
     def test_blocks_are_clipped_at_batch_edges(self):
         """A 600-trial run of 56-trial blocks splits each batch into four
@@ -419,7 +441,7 @@ class TestDrawLaw:
 
     def test_moments_of_the_draws(self):
         cfg = SimConfig(subframes_per_point=4096)
-        profile, pilots = resolve_profile(cfg), generate_pilots(cfg.master_seed, cfg.grid)
+        profile = resolve_profile(cfg)
         delays = list(profile.tap_delays)
         moments = {}
 
@@ -441,7 +463,7 @@ class TestDrawLaw:
             add(f"{name} im", product.imag)
 
         for streams, rows in sweep_blocks(cfg):
-            block = harness._draw_block(cfg, profile, pilots, streams, rows)
+            block = harness._draw_block(cfg, profile, streams, rows)
             data, pilot_row = block.noise[:, :, 1:, :], block.noise[:, :, 0, :]
             add_cells("data", data)
             add_cells("pilot", pilot_row)
@@ -462,7 +484,9 @@ class TestDrawLaw:
 class TestFixedDataPoint:
     """Every data cell carries X0, phy's point for bits (0, 0): with Gray
     mapping and circularly symmetric noise, a cell's error count has the
-    same law whatever point it carries."""
+    same law whatever point it carries. Every pilot LS cell is ``H + σW``:
+    the noise ``W conj(p)`` of a unit-modulus pilot ``p`` divided out has
+    the law of ``W``."""
 
     def test_turned_points_count_the_same_errors(self):
         """The points ``X0 j^k`` are phy's for bits 00, 10, 11 and 01, and
@@ -501,42 +525,61 @@ class TestFixedDataPoint:
         or not: they see only the pilots, so the data point cannot move them."""
         assert_fixed_point_law(20.0, (estimator_id,))
 
+    @pytest.mark.parametrize("snr_db", [5.0, 25.0])
+    def test_pilot_sequence_moves_nothing_in_law(self, snr_db):
+        """The pilot LS noise of phy's pilots divided out, ``W conj(p)``,
+        against the sweep's ``W``, on the same channels and data noise: the
+        thresholding estimates' per-trial errors, MSE and σ̂² differ in mean
+        by less than 4 standard errors of the paired differences."""
+        assert_fixed_point_law(snr_db, ("conv-perfect", "conv-inaccurate", "proposed"), turn="pilots")
 
-def assert_fixed_point_law(snr_db: float, estimators: tuple[str, ...]):
+
+def assert_fixed_point_law(snr_db: float, estimators: tuple[str, ...], turn: str = "data"):
     """Over 4096 trials at ``snr_db``, ``sweep`` counts the errors of the
-    fixed point equalized with each estimate, and random data bits from a
-    side stream, on the same channels and noise, make per-trial errors whose
-    mean differs from that count by less than 4 standard errors of the paired
-    differences."""
+    fixed point equalized with each estimate. A second receive of the same
+    channels and noise makes per-trial errors, MSE and σ̂² whose means differ
+    from the sweep's by less than 4 standard errors of the paired
+    differences. With ``turn="data"`` its data cells carry random bits from
+    a side stream; with ``turn="pilots"`` its pilot LS noise is ``W
+    conj(p)``, the noise of phy's pilots ``p`` divided out."""
     cfg = SimConfig(subframes_per_point=4096, snr_points_db=(snr_db,), estimators=estimators)
-    profile, pilots = resolve_profile(cfg), generate_pilots(cfg.master_seed, cfg.grid)
-    sigma2 = noise_variance(snr_db)
+    profile, sigma2 = resolve_profile(cfg), noise_variance(snr_db)
+    conj_pilots = np.conj(generate_pilots(cfg.master_seed, cfg.grid))
     side = np.random.default_rng(2001)
     fixed = {e: [] for e in estimators}
     differences = {e: [] for e in estimators}
     for streams, rows in sweep_blocks(cfg):
-        block = harness._draw_block(cfg, profile, pilots, streams, rows)
-        rx = np.empty_like(block.clean)
+        block = harness._draw_block(cfg, profile, streams, rows)
+        rx = np.empty_like(block.noise)
         pilot_ls = harness._receive(block, sigma2, rx)
-        bits = side.integers(0, 2, rx[:, :, 1:, :].shape[:-1] + (2 * cfg.grid.n_pilots,)).astype(bool)
-        random_rx = qpsk_modulate(bits) * block.truth[:, None, 1:, :]
-        random_rx += math.sqrt(sigma2) * block.noise[:, :, 1:, :]
+        other = rx.copy()
+        bits = np.zeros(rx[:, :, 1:, :].shape[:-1] + (2 * cfg.grid.n_pilots,), dtype=bool)
+        if turn == "data":
+            bits = side.integers(0, 2, bits.shape).astype(bool)
+            other[:, :, 1:, :] = qpsk_modulate(bits) * block.truth[:, None, 1:, :]
+            other[:, :, 1:, :] += math.sqrt(sigma2) * block.noise[:, :, 1:, :]
+        else:
+            other[:, :, 0, :] = block.truth[:, None, 0, :] + math.sqrt(sigma2) * block.noise[:, :, 0, :] * conj_pilots
         flat_bits = bits.reshape(rows, cfg.grid.n_symbols, -1)
         zeros = np.zeros_like(flat_bits[0])
         for e in estimators:
-            h_data, _, _ = harness._estimate_cells(cfg, e, pilot_ls, block)
+            h_data, mse, sigma2_hat = harness._estimate_cells(cfg, e, pilot_ls, block)
+            other_h, other_mse, other_sigma2 = harness._estimate_cells(cfg, e, other[:, :, 0, :], block)
             decided = equalize(harness._flat(rx[:, :, 1:, :]), h_data)
-            random_decided = equalize(harness._flat(random_rx), h_data)
+            other_decided = equalize(harness._flat(other[:, :, 1:, :]), other_h)
             for j in range(rows):
                 count = qpsk_bit_errors(decided[j], zeros)
                 fixed[e].append(count)
-                differences[e].append(qpsk_bit_errors(random_decided[j], flat_bits[j]) - count)
+                paired = [qpsk_bit_errors(other_decided[j], flat_bits[j]) - count, other_mse[j] - mse[j]]
+                if sigma2_hat is not None:
+                    paired.append(other_sigma2[j] - sigma2_hat[j])
+                differences[e].append(paired)
     for record in sweep(cfg, workers=1):
         assert record.bit_errors == sum(fixed[record.estimator_id]), record.estimator_id
     for e, d in differences.items():
         d = np.array(d, dtype=np.float64)
-        t = d.mean() / (d.std(ddof=1) / math.sqrt(d.size))
-        assert abs(t) < 4.0, (e, t, sum(fixed[e]))
+        stderr = d.std(axis=0, ddof=1) / math.sqrt(len(d))
+        assert np.all(np.abs(d.mean(axis=0)) <= 4.0 * stderr), (e, d.mean(axis=0) / stderr, sum(fixed[e]))
 
 
 def reference_configs():
@@ -634,7 +677,6 @@ class TestFrequencyDomainReceive:
             raise AssertionError("drew before checking the prefix")
 
         monkeypatch.setattr(harness, "_batch_streams", no_draws)
-        monkeypatch.setattr(harness, "generate_pilots", no_draws)
         cfg = tiny_config(grid=GridConfig(cp_len=8))
         for run in (lambda: sweep(cfg, workers=1), lambda: simulate_subframe(cfg, 10.0, 0)):
             with pytest.raises(ValueError, match=r"38 samples.*cp_len = 8"):
@@ -687,9 +729,8 @@ class TestRunTrial:
             grid=GridConfig(n_subcarriers=n_subcarriers, n_pilots=n_pilots),
             th_perfect=0, th_inaccurate=0, estimators=("ideal",),
         )
-        pilots = generate_pilots(cfg.master_seed, cfg.grid)
         streams = harness._batch_streams(cfg.master_seed, 0)
-        partial = harness._sweep_block(cfg, resolve_profile(cfg), pilots, streams, 5)
+        partial = harness._sweep_block(cfg, resolve_profile(cfg), streams, 5)
         for snr_idx in range(len(cfg.snr_points_db)):
             _, mse, sigma2 = partial[snr_idx, "ideal"]
             assert mse.shape == (5,) and sigma2 is None
@@ -770,9 +811,9 @@ class TestSweep:
         of the one-trial blocks' values divided by the trial count, exactly."""
         cfg = random_grid_config(0)
         n = cfg.subframes_per_point
-        profile, pilots = resolve_profile(cfg), generate_pilots(cfg.master_seed, cfg.grid)
+        profile = resolve_profile(cfg)
         streams = harness._batch_streams(cfg.master_seed, 0)
-        singles = [harness._sweep_block(cfg, profile, pilots, streams, 1) for _ in range(n)]
+        singles = [harness._sweep_block(cfg, profile, streams, 1) for _ in range(n)]
         for record in sweep(cfg, workers=1):
             key = cfg.snr_points_db.index(record.snr_db), record.estimator_id
             values = [single[key] for single in singles]
