@@ -17,30 +17,28 @@ do not depend on block size, task split or worker count, and reruns give
 byte-identical CSV files.
 
 Every data cell carries ``X0 = (1 + j) / sqrt(2)``, phy's QPSK point for
-bits (0, 0), and its errors are the negative parts of its decision. This
-is exact in law: for ``X = X0 j^k`` the decision is ``j^k`` times that of
+bits (0, 0), and its errors are the negative parts of its decision. This is
+exact in law: for ``X = X0 j^k`` the decision is ``j^k`` times that of
 ``X0`` under the noise ``W j^-k``, which is again i.i.d. CN(0, 1), and a
 90° turn keeps the Hamming distance of Gray-labelled quadrants. The
-argument needs each cell to depend only on its own symbol: no
-intercarrier interference. Nor does the sweep use a pilot sequence: at a
-unit-modulus pilot ``p`` the least-squares observation ``(H p + sqrt(sigma2)
-W) conj(p)`` is ``H + sqrt(sigma2) W conj(p)``, and ``W conj(p)`` is again
-i.i.d. CN(0, 1), so the pilot row is received as ``H + sqrt(sigma2) W``,
-exact in law, and every draw comes from the batch streams.
+argument needs each cell to depend only on its own symbol: no intercarrier
+interference. Nor is there a pilot sequence: ``W conj(p)`` at a
+unit-modulus pilot ``p`` is again i.i.d. CN(0, 1), so the pilot
+least-squares row is ``H + sqrt(sigma2) W``, exact in law.
 
 Trials are received in the frequency domain. While the delay spread fits
 the cyclic prefix (checked before anything is drawn), the demodulated grid
 of the time-domain chain ``ofdm_demodulate(apply_channel(ofdm_modulate(X))
 + sqrt(sigma2) * w)`` is exactly ``H * X + sqrt(sigma2) * W`` with
-``W = ofdm_demodulate(w)``, the same in every symbol. A unitary DFT of
-i.i.d. CN(0, 1) samples is i.i.d. CN(0, 1), so the sweep draws ``W``
-straight at the cells, exact in distribution, and no time-domain noise. The
-sweep's unit of work is a cache-sized block of trials (``_BLOCK_BYTES`` of
-cell grid, clipped at batch edges): each block's clean cells (one grid
-for all symbols) and ``W`` are drawn once and run through every SNR point,
-where each point only scales and adds them. The cells are in the layout of the truth and of every
-estimate: one residue grid ``(..., S, Np)`` per OFDM symbol
-(``phy.residue_major``) whose row 0 holds the pilot least-squares
+``W = ofdm_demodulate(w)``, the same in every symbol. A unitary DFT of i.i.d.
+CN(0, 1) samples is i.i.d. CN(0, 1), so the sweep draws ``W`` straight at
+the cells, exact in distribution, and no time-domain noise. The sweep's
+unit of work is a cache-sized block of trials (``_BLOCK_BYTES`` of cell
+grid, clipped at batch edges): each block's clean cells (one grid for all
+symbols) and ``W`` are drawn once and run through every SNR point, where
+each point only scales and adds them. The cells are in the layout of the
+truth and of every estimate: one residue grid ``(..., S, Np)`` per OFDM
+symbol (``phy.residue_major``) whose row 0 holds the pilot least-squares
 observations, and rows ``1 .. S - 1`` the data cells ``equalize`` decides
 on. Across the symbols the pilot rows are ``(..., M, Np)``, symbol-major
 like every grid of the package, so the estimators read them as a view with
@@ -48,8 +46,7 @@ no reorder.
 ``simulate_subframe`` draws and receives a trial's batch the same way, up
 to the trial, and returns its pilot row and truth as they are, so
 ``inspect`` shows what the sweep scored. The time-domain functions and
-phy's pilot sequence stay in the library as the reference model the tests
-check this against.
+pilots stay in the library as the reference model the tests check.
 """
 
 from __future__ import annotations
@@ -122,8 +119,7 @@ _BLOCK_BYTES = 1 << 20
 
 _DEFAULT_SNRS = tuple(float(s) for s in np.linspace(0.0, 30.0, 13))
 
-# The lowest SNR point, sigma2 = 1e30: every product and sum of a sweep then
-# stays over 1e250 below float64's overflow.
+# The lowest SNR point: at sigma2 = 1e30 every sweep product and sum stays over 1e250 below overflow.
 _SNR_FLOOR_DB = -300.0
 
 
@@ -184,10 +180,7 @@ class SimConfig:
             raise ValueError(f"snr_points_db must be finite, got {bad}")
         lowest = min(self.snr_points_db)
         if lowest < _SNR_FLOOR_DB:
-            raise ValueError(
-                f"SNR point {lowest!r} dB lies below {_SNR_FLOOR_DB} dB (sigma2 above 1e30), "
-                "where the sweep's products and sums could overflow"
-            )
+            raise ValueError(f"SNR point {lowest!r} dB lies below {_SNR_FLOOR_DB} dB: sigma2 above 1e30 could overflow")
         if any(b <= a for a, b in zip(self.snr_points_db, self.snr_points_db[1:])):
             raise ValueError("SNR points must be strictly increasing")
         if self.subframes_per_point < 1:

@@ -19,10 +19,8 @@ Conventions used throughout the package:
   channel estimates: a symbol's cells are one ``(S, Np)`` grid, entry
   ``[r, p]`` subcarrier ``p S + r`` (:func:`residue_major`), row 0 the
   pilots, rows ``1 .. S - 1`` the data cells. These carry no drawn bits:
-  each holds the point for bits (0, 0). Nor does the sweep use
-  :func:`generate_pilots`: its pilot row holds the least-squares values
-  with the pilots divided out. The pilot sequence serves the time-domain
-  reference model.
+  each holds the point for bits (0, 0), and row 0 holds least-squares
+  values with no pilot sequence (:func:`generate_pilots` is not called).
 """
 
 from __future__ import annotations

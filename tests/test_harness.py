@@ -849,11 +849,11 @@ class TestSweep:
         ids=["300-384-48-3", "513-384-48-3", "300-default", "513-default", "2311-64-16"],
     )
     def test_no_partition_moves_a_byte(self, monkeypatch, tmp_path, grid, sample_rate_hz, n_trials, block_trials, workers):
-        """Each block size (in trials; None is the default, 56 trials on
-        384/48/3, which do not divide a batch, 64 on the default grid and a
-        whole batch on 64/16) on each worker count writes byte-identical CSVs
-        for sweeps that end mid-batch. Ten batches on two workers go in chunks
-        of two, on three in chunks of one."""
+        """Each block size (in trials: one, about 4 MiB, 7, and None for the
+        default, 56 trials on 384/48/3, which do not divide a batch, 64 on the
+        default grid and a whole batch on 64/16) on each worker count writes
+        byte-identical CSVs for sweeps that end mid-batch. Ten batches on two
+        workers go in chunks of two, on three in chunks of one."""
         cfg = SimConfig(
             grid=grid, sample_rate_hz=sample_rate_hz, snr_points_db=(10.0,), subframes_per_point=n_trials,
             estimators=ESTIMATOR_IDS, th_perfect=min(39, grid.n_pilots - 1), th_inaccurate=min(19, grid.n_pilots // 2),
