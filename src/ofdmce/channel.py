@@ -6,6 +6,9 @@ merge by summing their linear powers, and the merged power set is
 renormalized to unit total so channel realizations have unit average
 energy. Fading is block constant: one tap-gain draw covers every OFDM
 symbol of a block, and successive blocks draw independently.
+
+The noise model is here too: ``complex_normal`` is the one Gaussian draw,
+and ``noise_variance`` refuses any SNR below ``SNR_FLOOR_DB``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
     "ETU_DELAYS_NS",
     "ETU_POWERS_DB",
     "BUILTIN_PROFILES",
+    "SNR_FLOOR_DB",
     "PowerDelayProfile",
     "noise_variance",
     "build_profile",
@@ -32,6 +36,9 @@ __all__ = [
     "apply_channel",
     "complex_normal",
 ]
+
+# The lowest SNR: at sigma2 = 1e30 every sweep product and sum stays over 1e250 below overflow.
+SNR_FLOOR_DB = -300.0
 
 # Extended Typical Urban tapped delay line, 3GPP TS 36.101 Annex B.2.
 ETU_DELAYS_NS = (0.0, 50.0, 120.0, 200.0, 230.0, 500.0, 1600.0, 2300.0, 5000.0)
@@ -179,29 +186,29 @@ def from_taps(tap_delays: np.ndarray, gains: np.ndarray, length: int) -> np.ndar
     return taps
 
 
-def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
-    """Circularly symmetric complex Gaussian draws with the given variance."""
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def complex_normal(rng: np.random.Generator, shape, variance: float | np.ndarray) -> np.ndarray:
+    """Circularly symmetric complex Gaussian draws of ``shape``:
+    ``standard_normal(shape + (2,))`` read as complex and scaled by
+    sqrt(variance / 2), ``variance`` broadcast over the last axes."""
+    draws = np.empty(shape, dtype=np.complex128)
+    rng.standard_normal(out=draws.view(np.float64))
+    draws *= np.sqrt(variance / 2.0)
+    return draws
 
 
 def tap_gains(profile: PowerDelayProfile, rng: np.random.Generator | None, rows: int) -> np.ndarray:
     """Draw the tap gains of ``rows`` blocks, ``(rows, T)``.
 
     With a generator each tap is an independent complex Gaussian whose
-    variance is the tap power (Rayleigh magnitudes), drawn row by row as
-    ``standard_normal((rows, T, 2))`` read as complex. With ``rng=None``
-    every row is the deterministic square roots of the tap powers and
-    nothing is drawn; for the single-tap profile that is an identity (pure
-    AWGN) link.
+    variance is the tap power (Rayleigh magnitudes), drawn row by row by
+    :func:`complex_normal`. With ``rng=None`` every row is the deterministic
+    square roots of the tap powers and nothing is drawn; for the single-tap
+    profile that is an identity (pure AWGN) link.
     """
     powers = np.array(profile.tap_powers)
     if rng is None:
         return np.broadcast_to(np.sqrt(powers).astype(np.complex128), (rows, len(powers)))
-    gains = np.empty((rows, len(powers)), dtype=np.complex128)
-    rng.standard_normal(out=gains.view(np.float64))
-    gains *= np.sqrt(powers / 2.0)
-    return gains
+    return complex_normal(rng, (rows, len(powers)), powers)
 
 
 def apply_channel(
@@ -235,16 +242,11 @@ def apply_channel(
 
 def noise_variance(snr_db: float) -> float:
     """Per-sample complex noise variance at an SNR in dB, for unit signal
-    power: sigma2 = 10^(-snr_db/10). Raises ValueError for a NaN SNR or a
-    variance that is not finite."""
+    power: sigma2 = 10^(-snr_db/10). Raises ValueError for a NaN SNR or one
+    below ``SNR_FLOOR_DB``."""
     snr_db = float(snr_db)
     if math.isnan(snr_db):
         raise ValueError("snr_db must not be NaN")
-    try:
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-    except OverflowError:
-        sigma2 = math.inf
-    if not math.isfinite(sigma2):
-        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2} (snr_db = {snr_db})")
-    return sigma2
-
+    if snr_db < SNR_FLOOR_DB:
+        raise ValueError(f"SNR point {snr_db!r} dB lies below {SNR_FLOOR_DB} dB: sigma2 above 1e30 could overflow")
+    return 10.0 ** (-snr_db / 10.0)

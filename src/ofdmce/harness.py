@@ -4,9 +4,9 @@ Trials (subframes) come in batches of 256: trial ``t`` is row ``t % 256``
 of batch ``t // 256``, which owns two random streams, exactly numpy's
 ``default_rng((master_seed, t // 256, purpose))`` with purposes 1 (channel)
 and 2 (noise); purpose 0, once the data bits, is retired. Each stream is
-drawn row by row in trial order, so a trial's values depend only on the
-seed and its index, not on the block it is drawn in. A pool task is one
-batch, and its totals reach ``sweep`` as they are.
+drawn row by row in trial order (``channel.complex_normal``), so a trial's
+values depend only on the seed and its index, not on the block it is drawn
+in. A pool task is one batch, and its totals reach ``sweep`` as they are.
 
 Estimator choice never touches the streams, so all estimators see identical
 channels and noise (paired comparison). The noise is drawn once per trial
@@ -45,8 +45,9 @@ like every grid of the package, so the estimators read them as a view with
 no reorder.
 ``simulate_subframe`` draws and receives a trial's batch the same way, up
 to the trial, and returns its pilot row and truth as they are, so
-``inspect`` shows what the sweep scored. The time-domain functions and
-pilots stay in the library as the reference model the tests check.
+``inspect`` shows what the sweep scored. Both refuse an SNR below
+``channel.SNR_FLOOR_DB``. The time-domain functions and pilots stay in the
+library as the reference model the tests check.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from .channel import (
     BUILTIN_PROFILES,
     PowerDelayProfile,
     build_profile,
+    complex_normal,
     from_taps,
     load_profile,
     noise_variance,
@@ -118,9 +120,6 @@ _X0 = (1 + 1j) / math.sqrt(2.0)
 _BLOCK_BYTES = 1 << 20
 
 _DEFAULT_SNRS = tuple(float(s) for s in np.linspace(0.0, 30.0, 13))
-
-# The lowest SNR point: at sigma2 = 1e30 every sweep product and sum stays over 1e250 below overflow.
-_SNR_FLOOR_DB = -300.0
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +177,7 @@ class SimConfig:
         bad = [s for s in self.snr_points_db if not math.isfinite(s)]
         if bad:
             raise ValueError(f"snr_points_db must be finite, got {bad}")
-        lowest = min(self.snr_points_db)
-        if lowest < _SNR_FLOOR_DB:
-            raise ValueError(f"SNR point {lowest!r} dB lies below {_SNR_FLOOR_DB} dB: sigma2 above 1e30 could overflow")
+        noise_variance(min(self.snr_points_db))  # refuses a point below the SNR floor
         if any(b <= a for a, b in zip(self.snr_points_db, self.snr_points_db[1:])):
             raise ValueError("SNR points must be strictly increasing")
         if self.subframes_per_point < 1:
@@ -286,9 +283,7 @@ def _draw_block(config: SimConfig, profile: PowerDelayProfile, streams, rows: in
     taps = from_taps(profile.tap_delays, gains, grid.n_subcarriers)
     truth = np.ascontiguousarray(residue_major(dft(taps), grid.n_pilots))
     taps = taps[:, : max(grid.n_pilots, profile.delay_spread + 1)].copy()
-    noise = np.empty((rows, grid.n_symbols, grid.pilot_spacing, grid.n_pilots), dtype=np.complex128)
-    noise_rng.standard_normal(out=noise.view(np.float64))
-    noise *= math.sqrt(0.5)
+    noise = complex_normal(noise_rng, (rows, grid.n_symbols, grid.pilot_spacing, grid.n_pilots), 1.0)
     clean = truth[:, None].copy()
     clean[..., 1:, :] *= _X0
     return _Block(truth, taps, clean, noise)
@@ -401,10 +396,10 @@ def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int):
     """One trial as the sweep scores it: its pilot least-squares grid ``(M,
     Np)`` and its true response in residue order ``(S, Np)``. Its batch is
     drawn a block at a time up to the block that ends with the trial."""
-    profile = resolve_profile(config)
+    profile, sigma2 = resolve_profile(config), noise_variance(snr_db)
     for streams, rows in _blocks(config, trial_index // _BATCH, trial_index + 1):
         block = _draw_block(config, profile, streams, rows)
-    pilot_ls = _receive(block, noise_variance(snr_db), np.empty_like(block.noise))
+    pilot_ls = _receive(block, sigma2, np.empty_like(block.noise))
     return pilot_ls[-1], block.truth[-1]
 
 

@@ -223,6 +223,11 @@ class TestTapGains:
         expected = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(np.array(profile.tap_powers) / 2.0)
         assert np.array_equal(tap_gains(profile, np.random.default_rng(3), 5), expected)
 
+    def test_draw_is_complex_normal_at_the_tap_powers(self):
+        profile = build_profile("etu", FS)
+        expected = complex_normal(np.random.default_rng(4), (6, 7), np.array(profile.tap_powers))
+        assert np.array_equal(tap_gains(profile, np.random.default_rng(4), 6), expected)
+
     def test_mean_energy_is_calibrated(self):
         """Average total tap energy over many draws stays within 1%."""
         profile = build_profile("etu", FS)
@@ -384,6 +389,7 @@ class TestNoise:
         assert noise_variance(10.0) == pytest.approx(0.1)
         assert noise_variance(0.0) == 1.0
         assert noise_variance(np.inf) == 0.0
+        assert noise_variance(-300.0) == 1e30
         assert type(noise_variance(np.float64(3.0))) is float
 
     def test_zero_sigma2_passthrough(self):
@@ -404,15 +410,25 @@ class TestNoise:
         "snr_db, message",
         [
             (np.nan, "snr_db must not be NaN"),
-            (-np.inf, r"sigma2 must be finite and nonnegative, got inf \(snr_db = -inf\)"),
-            (-4000.0, r"sigma2 must be finite and nonnegative, got inf \(snr_db = -4000.0\)"),
+            (-np.inf, r"SNR point -inf dB lies below -300.0 dB"),
+            (-4000.0, r"SNR point -4000.0 dB lies below -300.0 dB"),
         ],
         ids=["nan", "-inf", "-4000.0"],
     )
     def test_non_finite_noise_rejected(self, snr_db, message):
-        """NaN, -inf and overflowing dB values give no usable noise variance."""
+        """NaN, and -inf and every SNR below the floor (where sigma2 could
+        overflow), give no usable noise variance."""
         with pytest.raises(ValueError, match=message):
             noise_variance(snr_db)
+
+    @pytest.mark.parametrize("variance", [0.3, np.array([0.5, 0.25, 2.0])], ids=["scalar", "per-tap"])
+    def test_complex_normal_is_interleaved_standard_normal(self, variance):
+        """``standard_normal(shape + (2,))`` from the same stream, read as
+        complex and scaled by sqrt(variance / 2), exactly; the variance
+        broadcasts over the last axis."""
+        z = np.random.default_rng(16).standard_normal((4, 3, 2))
+        expected = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(variance / 2.0)
+        assert np.array_equal(complex_normal(np.random.default_rng(16), (4, 3), variance), expected)
 
     def test_complex_normal_is_circular(self):
         rng = np.random.default_rng(14)

@@ -284,13 +284,22 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("spec", ["-300.5", "-3080"])
     def test_snr_below_the_floor(self, spec, tmp_path, capsys):
         """A point below -300 dB, where the sweep's sums could overflow, exits
-        1 naming the point; at -3080 dB ``equalize`` used to overflow and
-        count NaN decisions as correct."""
+        1 naming the point, in ``sweep`` and in ``inspect``; at -3080 dB
+        ``equalize`` used to overflow and count NaN decisions as correct, and
+        ``inspect`` printed pilot values near 7e153."""
         out = tmp_path / "x.csv"
         code = main(["sweep", f"--snr={spec}", "--subframes", "1", "--out", str(out)])
         assert code == 1
         assert f"SNR point {float(spec)!r} dB lies below" in capsys.readouterr().err
         assert not out.exists()
+        assert main(["inspect", f"--snr={spec}", "--estimator", "proposed"]) == 1
+        captured = capsys.readouterr()
+        assert f"SNR point {float(spec)!r} dB lies below -300.0 dB" in captured.err
+        assert captured.out == ""
+
+    def test_inspect_at_the_floor(self, capsys):
+        assert main(["inspect", "--snr", "-300", "--estimator", "proposed"]) == 0
+        assert "snr_db = -300," in capsys.readouterr().out
 
     def test_inspect_snr(self, capsys):
         assert main(["inspect", "--snr", "nan"]) == 1

@@ -2,7 +2,7 @@
 
 Run from a checkout root: ``python tools/outputs.py OUTDIR``. OUTDIR gets the
 sweep CSVs and logs of the benchmark workloads at seed 7, 300 subframes and
-1 or 2 workers; ``inspect`` of every estimator in eight cases; and
+1 or 2 workers; ``inspect`` of every estimator in ten cases; and
 ``profiles`` at three sample rates, each with its exit code. Configs are
 passed by paths relative to OUTDIR, so two checkouts' directories compare
 with ``diff -r``.
@@ -39,6 +39,8 @@ INSPECT_CASES = {
     "wideband": ["--config", "wideband.cfg", "--snr", "20", "--trial", "3", "--symbol", "1"],
     "two-ray": ["--profile", "two-ray.txt", "--snr", "25", "--trial", "9", "--symbol", "1"],
     "single-tap": ["--profile", "single-tap", "--trial", "4294967299"],
+    "floor": ["--snr", "-300"],
+    "below-floor": ["--snr=-300.5"],
 }
 
 
