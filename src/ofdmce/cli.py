@@ -88,8 +88,9 @@ class _Key(NamedTuple):
     field: str
     parse: Callable[[str], object]
     show: Callable[[object], str] = str
-    # Attribute of the parsed flags that overrides the file, if any.
+    # Name of the flag that overrides the file, if any, and its help text.
     flag: str | None = None
+    help: str | None = None
 
 
 # Every config key, in the order the sweep CSV header lists them.
@@ -98,17 +99,24 @@ _CONFIG_KEYS = {
     "n_pilots": _Key("grid.n_pilots", int),
     "n_symbols": _Key("grid.n_symbols", int),
     "cp_len": _Key("grid.cp_len", int),
-    "profile": _Key("profile", str, flag="profile"),
+    "profile": _Key("profile", str, flag="profile", help="builtin profile name or profile file path"),
     "sample_rate_hz": _Key("sample_rate_hz", float, repr),
     "snr_db": _Key(
-        "snr_points_db", _parse_snr_spec, lambda v: ",".join(map(repr, v)), flag="snr"
+        "snr_points_db", _parse_snr_spec, lambda v: ",".join(map(repr, v)), flag="snr",
+        help="SNR points: comma list or start:step:stop (dB); write one that starts "
+        "with a negative value as --snr=-5,10",
     ),
-    "subframes": _Key("subframes_per_point", int, flag="subframes"),
-    "estimators": _Key("estimators", _parse_estimators, ",".join, flag="estimators"),
-    "seed": _Key("master_seed", int, flag="seed"),
-    "c": _Key("c", float, repr, flag="c"),
-    "th_perfect": _Key("th_perfect", int, flag="th_perfect"),
-    "th_inaccurate": _Key("th_inaccurate", int, flag="th_inaccurate"),
+    "subframes": _Key("subframes_per_point", int, flag="subframes", help="trials per SNR point"),
+    "estimators": _Key(
+        "estimators", _parse_estimators, ",".join, flag="estimators",
+        help="comma list of estimator ids to run",
+    ),
+    "seed": _Key("master_seed", int, flag="seed", help="master random seed"),
+    "c": _Key("c", float, repr, flag="c", help="denoising constant for the threshold schemes"),
+    "th_perfect": _Key("th_perfect", int, flag="th-perfect", help="delay-spread threshold, accurate case"),
+    "th_inaccurate": _Key(
+        "th_inaccurate", int, flag="th-inaccurate", help="delay-spread threshold, understated case"
+    ),
     "fading": _Key("fading", _parse_bool, lambda v: "true" if v else "false"),
 }
 
@@ -130,17 +138,13 @@ def _build_config(args, estimators: tuple[str, ...] | None = None) -> SimConfig:
     fields: dict[str, dict] = {"grid": {}, "": {}}
     for key, spec in _CONFIG_KEYS.items():
         owner, _, name = spec.field.rpartition(".")
-        flag = getattr(args, spec.flag, None) if spec.flag else None
-        if flag is not None:
+        flag = getattr(args, spec.flag.replace("-", "_"), None) if spec.flag else None
+        text, where = (flag, f"flag --{spec.flag}") if flag is not None else (raw.get(key), f"config key {key!r}")
+        if text is not None:
             try:
-                fields[owner][name] = spec.parse(flag) if isinstance(flag, str) else flag
+                fields[owner][name] = spec.parse(text)
             except ValueError as exc:
-                raise ValueError(f"flag --{spec.flag.replace('_', '-')}: {exc}") from None
-        elif key in raw:
-            try:
-                fields[owner][name] = spec.parse(raw[key])
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
+                raise ValueError(f"{where}: {exc}") from None
     if estimators is not None:
         fields[""]["estimators"] = estimators
     return SimConfig(grid=GridConfig(**fields["grid"]), **fields[""])
@@ -297,16 +301,12 @@ def _cmd_profiles(args) -> int:
     return 0
 
 
-def _add_config_flags(parser, *, estimator_list: bool) -> None:
+def _add_config_flags(parser, *omit: str) -> None:
+    """Add --config and the flag of every config key that has one, except ``omit``."""
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--profile", help="builtin profile name or profile file path")
-    parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--subframes", type=int, help="trials per SNR point")
-    parser.add_argument("--c", type=float, help="denoising constant for the threshold schemes")
-    parser.add_argument("--th-perfect", dest="th_perfect", type=int, help="delay-spread threshold, accurate case")
-    parser.add_argument("--th-inaccurate", dest="th_inaccurate", type=int, help="delay-spread threshold, understated case")
-    if estimator_list:
-        parser.add_argument("--estimators", help="comma list of estimator ids to run")
+    for spec in _CONFIG_KEYS.values():
+        if spec.flag and spec.flag not in omit:
+            parser.add_argument(f"--{spec.flag}", help=spec.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,12 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="{sweep,gaps,inspect,profiles}")
 
     sweep_p = sub.add_parser("sweep", help="run a BER sweep and write a CSV of records")
-    _add_config_flags(sweep_p, estimator_list=True)
-    sweep_p.add_argument(
-        "--snr",
-        help="SNR points: comma list or start:step:stop (dB); write one that starts "
-        "with a negative value as --snr=-5,10",
-    )
+    _add_config_flags(sweep_p)
     sweep_p.add_argument("--out", default="sweep.csv", help="output CSV path (default sweep.csv)")
     sweep_p.add_argument("--workers", type=int, help="process count (default: machine parallelism)")
     sweep_p.set_defaults(func=_cmd_sweep)
@@ -335,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     gaps_p.set_defaults(func=_cmd_gaps)
 
     inspect_p = sub.add_parser("inspect", help="dump one trial's intermediate arrays as labeled CSV blocks")
-    _add_config_flags(inspect_p, estimator_list=False)
+    # inspect has its own --snr, and shows one --estimator.
+    _add_config_flags(inspect_p, "snr", "estimators")
     inspect_p.add_argument(
         "--snr",
         dest="trial_snr",
