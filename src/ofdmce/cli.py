@@ -199,6 +199,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gaps(args) -> int:
     records = read_csv(args.input)
+    if not records:
+        raise ValueError(f"{args.input}: no records below the header")
     try:
         targets = tuple(float(t) for t in args.targets.split(","))
     except ValueError as exc:

@@ -204,6 +204,8 @@ class SimConfig:
             raise ValueError(f"c must be finite and positive, got {self.c}")
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise ValueError(f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}")
+        if not self.profile:
+            raise ValueError("profile must name a builtin profile or a profile file, got ''")
 
 
 def resolve_profile(config: SimConfig) -> PowerDelayProfile:
@@ -537,6 +539,11 @@ def gap_report(records: list[BerRecord], target_bers=(1e-3,)) -> GapReport:
         if (r.estimator_id, r.snr_db) in seen:
             raise ValueError(f"{where}: a second record for the same point")
         seen.add((r.estimator_id, r.snr_db))
+        if not 0 <= r.bit_errors <= r.total_bits:
+            raise ValueError(f"{where}: bit_errors must lie in [0, {r.total_bits}], got {r.bit_errors}")
+        share = r.bit_errors / r.total_bits
+        if not math.isclose(r.ber, share, rel_tol=1e-12, abs_tol=0.0):
+            raise ValueError(f"{where}: BER {r.ber!r} is not bit_errors / total_bits = {share!r}")
     order = list(dict.fromkeys(r.estimator_id for r in records))
     crossings: dict[tuple[float, str], float | None] = {}
     for estimator_id in order:

@@ -217,6 +217,24 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert out.read_text() == "old contents\n"
 
+    @pytest.mark.parametrize("command", ["sweep", "inspect"])
+    def test_empty_profile_name(self, command, monkeypatch, tmp_path, capsys):
+        """An empty --profile exits 1 naming profile before any trial is drawn,
+        instead of being read as the directory '.'."""
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a trial was drawn before the profile was checked")
+
+        monkeypatch.setattr(ofdmce.cli, "sweep", no_draw)
+        monkeypatch.setattr(ofdmce.cli, "simulate_subframe", no_draw)
+        out = tmp_path / "x.csv"
+        tail = ["--out", str(out)] if command == "sweep" else []
+        assert main([command, "--profile=", *tail]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: profile must name a builtin profile or a profile file, got ''\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unknown_estimator_id(self, capsys):
         """A bogus estimator id is a configuration error."""
         assert main(["sweep", "--estimators", "wizard", "--snr", "5", "--subframes", "1"]) == 1
@@ -319,6 +337,34 @@ class TestFlagParseErrors:
         assert capsys.readouterr().err.startswith(
             "error: flag --snr: could not convert string to float"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "inspect"])
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [
+            ("--seed", "seed", "abc"),
+            ("--subframes", "subframes", "1.5"),
+            ("--c", "c", "x"),
+            ("--th-perfect", "th_perfect", "3.0"),
+            ("--th-inaccurate", "th_inaccurate", "y"),
+        ],
+    )
+    def test_numeric_flag(self, command, flag, key, value, tmp_path, capsys):
+        """A numeric flag that does not parse exits 1 with the message its
+        value gives in a config file, under the flag's name instead of the key's."""
+        out = tmp_path / "x.csv"
+        tail = ["--out", str(out)] if command == "sweep" else []
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main([command, "--config", str(cfg), *tail]) == 1
+        in_file = capsys.readouterr().err
+        key_prefix = f"error: config key {key!r}: "
+        assert in_file.startswith(key_prefix) and repr(value) in in_file, in_file
+        assert main([command, flag, value, *tail]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: flag {flag}: {in_file[len(key_prefix):]}"
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("targets", ["1e-3,x", "abc", "1e-3,,1e-2"])
@@ -431,6 +477,9 @@ class TestGapsCommand:
             ("ideal,15.0,0,0,0.0,0.0,nan", "total_bits must be positive"),
             ("ideal,10.0,1000,10,0.01,0.0,nan", "a second record"),
             ("ideal,nan,1000,10,0.01,0.0,nan", "SNR must be finite"),
+            ("ideal,15.0,100,50,0.9,0.0,nan", "BER 0.9 is not bit_errors / total_bits = 0.5"),
+            ("ideal,15.0,100,150,1.0,0.0,nan", "bit_errors must lie in [0, 100], got 150"),
+            ("ideal,15.0,100,-1,0.0,0.0,nan", "bit_errors must lie in [0, 100], got -1"),
         ],
     )
     def test_record_off_any_curve(self, row, message, tmp_path, capsys):
@@ -441,6 +490,17 @@ class TestGapsCommand:
         captured = capsys.readouterr()
         assert f"record ideal at snr_db {row.split(',')[1]}: {message}" in captured.err
         assert "crossings" not in captured.out
+
+    def test_header_only_input(self, tmp_path, capsys):
+        """A CSV with a header and no rows reads as no records, and gaps on it
+        exits 1 naming the file, with no crossing block printed."""
+        empty = tmp_path / "empty.csv"
+        empty.write_text(f"# ofdmce {ofdmce.__version__}\n{CSV_HEADER}\n")
+        assert read_csv(empty) == []
+        assert main(["gaps", "--in", str(empty)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {empty}: no records below the header\n"
+        assert captured.out == ""
 
     def test_malformed_input(self, tmp_path):
         """A CSV with the wrong schema is a data error, exit 1."""

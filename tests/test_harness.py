@@ -113,6 +113,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=r"SNR point -300.5 dB lies below -300.0 dB"):
             tiny_config(snr_points_db=(-300.5, 10.0))
 
+    def test_rejects_an_empty_profile_name(self):
+        """An empty profile names neither a builtin nor a file; read as a path
+        it would be the directory '.'."""
+        with pytest.raises(ValueError, match="profile must name a builtin profile or a profile file"):
+            tiny_config(profile="")
+
     def test_rejects_bad_counts(self):
         """Zero subframes, empty SNR grid, and empty estimator list all fail."""
         with pytest.raises(ValueError):
@@ -1152,6 +1158,11 @@ class TestGapReport:
             ("ber", math.nan, "BER must lie in"),
             ("ber", -1e-3, "BER must lie in"),
             ("ber", 1.5, "BER must lie in"),
+            ("bit_errors", -1, r"bit_errors must lie in \[0, 1000000\], got -1"),
+            ("bit_errors", 10**6 + 1, r"bit_errors must lie in \[0, 1000000\], got 1000001"),
+            ("ber", 0.9, r"BER 0.9 is not bit_errors / total_bits = 0.0001"),
+            ("ber", 1e-4 * (1 + 1e-11), "BER .* is not bit_errors / total_bits"),
+            ("ber", 0.0, r"BER 0.0 is not bit_errors / total_bits = 0.0001"),
         ],
     )
     def test_rejects_a_record_off_any_curve(self, field, value, message):
@@ -1161,6 +1172,12 @@ class TestGapReport:
         snr = records[1].snr_db
         with pytest.raises(ValueError, match=f"record ideal at snr_db {re.escape(repr(snr))}: {message}"):
             gap_report(records, (1e-3,))
+
+    def test_accepts_a_ber_within_rounding_of_its_counts(self):
+        """A BER within 1e-12 relative of bit_errors / total_bits sits on its curve."""
+        records = synthetic_curve("ideal", [(10.0, 1e-2), (14.0, 1e-4)])
+        records[1] = replace(records[1], ber=1e-4 * (1 + 1e-13))
+        assert gap_report(records, (1e-3,)).crossings[1e-3, "ideal"] == pytest.approx(12.0, abs=1e-9)
 
     def test_rejects_a_repeated_point(self):
         """A second record at the same (estimator, SNR) would fold two curves into one."""
