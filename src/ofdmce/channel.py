@@ -8,7 +8,8 @@ energy. Fading is block constant: one tap-gain draw covers every OFDM
 symbol of a block, and successive blocks draw independently.
 
 The noise model is here too: ``complex_normal`` is the one Gaussian draw,
-and ``noise_variance`` refuses any SNR below ``SNR_FLOOR_DB``.
+a Box–Muller transform of ``random()`` pairs, and ``noise_variance``
+refuses any SNR below ``SNR_FLOOR_DB``.
 """
 
 from __future__ import annotations
@@ -187,12 +188,22 @@ def from_taps(tap_delays: np.ndarray, gains: np.ndarray, length: int) -> np.ndar
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float | np.ndarray) -> np.ndarray:
-    """Circularly symmetric complex Gaussian draws of ``shape``:
-    ``standard_normal(shape + (2,))`` read as complex and scaled by
-    sqrt(variance / 2), ``variance`` broadcast over the last axes."""
+    """Circularly symmetric complex Gaussian draws of ``shape``, ``variance``
+    broadcast over the last axes, by the Box–Muller transform of uniform
+    pairs: ``u = random(shape + (2,))``, modulus ``sqrt(-variance *
+    log1p(-u[..., 0]))`` in float64 and phase ``2π u[..., 1]`` rounded to
+    float32, whose float32 ``cos`` and ``sin`` give the real and imaginary
+    parts. ``|W|² / variance`` is Exp(1) and the phase uniform, so W is
+    CN(0, variance); each draw takes exactly two uniforms, with no rejection."""
     draws = np.empty(shape, dtype=np.complex128)
-    rng.standard_normal(out=draws.view(np.float64))
-    draws *= np.sqrt(variance / 2.0)
+    pairs = draws.view(np.float64).reshape(draws.shape + (2,))
+    rng.random(out=pairs)
+    modulus = np.log1p(-pairs[..., 0])
+    modulus *= -variance
+    np.sqrt(modulus, out=modulus)
+    phase = np.multiply(pairs[..., 1], 2.0 * math.pi, out=np.empty(draws.shape, dtype=np.float32))
+    np.multiply(modulus, np.cos(phase), out=pairs[..., 0])
+    np.multiply(modulus, np.sin(phase), out=pairs[..., 1])
     return draws
 
 

@@ -81,6 +81,15 @@ def _parse_estimators(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _parse_value(where: str, parse: Callable[[str], object], text: str):
+    """``parse(text)``, a ValueError re-raised under ``where``, the name of the
+    value's source: ``flag --<name>`` or ``config key '<name>'``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 class _Key(NamedTuple):
     """How one config key reads into a config and prints back out."""
 
@@ -141,10 +150,7 @@ def _build_config(args, estimators: tuple[str, ...] | None = None) -> SimConfig:
         flag = getattr(args, spec.flag.replace("-", "_"), None) if spec.flag else None
         text, where = (flag, f"flag --{spec.flag}") if flag is not None else (raw.get(key), f"config key {key!r}")
         if text is not None:
-            try:
-                fields[owner][name] = spec.parse(text)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+            fields[owner][name] = _parse_value(where, spec.parse, text)
     if estimators is not None:
         fields[""]["estimators"] = estimators
     return SimConfig(grid=GridConfig(**fields["grid"]), **fields[""])
@@ -181,9 +187,10 @@ def _check_writable(path: str) -> None:
 
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
+    workers = None if args.workers is None else _parse_value("flag --workers", int, args.workers)
     # Refuse an unwritable output before the sweep, not after it.
     _check_writable(args.out)
-    records = sweep(config, workers=args.workers)
+    records = sweep(config, workers=workers)
     write_csv(records, args.out, header_comments=_effective_config_lines(config))
     for r in records:
         sigma2 = "-" if r.mean_sigma2_hat is None else f"{r.mean_sigma2_hat:.3e}"
@@ -201,10 +208,7 @@ def _cmd_gaps(args) -> int:
     records = read_csv(args.input)
     if not records:
         raise ValueError(f"{args.input}: no records below the header")
-    try:
-        targets = tuple(float(t) for t in args.targets.split(","))
-    except ValueError as exc:
-        raise ValueError(f"flag --targets: {exc}") from None
+    targets = _parse_value("flag --targets", lambda text: tuple(float(t) for t in text.split(",")), args.targets)
     report = gap_report(records, targets)
     _print_gap_summary(report)
     if args.out:
@@ -231,17 +235,20 @@ def _cmd_inspect(args) -> int:
     # Validate the grid against the shown estimator only.
     config = _build_config(args, estimators=(args.estimator,))
     grid = config.grid
-    if not 0 <= args.symbol < grid.n_symbols:
-        raise ValueError(f"symbol must lie in [0, {grid.n_symbols - 1}], got {args.symbol}")
-    if args.trial < 0:
-        raise ValueError(f"trial must be nonnegative, got {args.trial}")
-    pilot_ls, truth = simulate_subframe(config, args.trial_snr, args.trial)
+    snr_db = _parse_value("flag --snr", float, args.trial_snr)
+    trial = _parse_value("flag --trial", int, args.trial)
+    symbol = _parse_value("flag --symbol", int, args.symbol)
+    if not 0 <= symbol < grid.n_symbols:
+        raise ValueError(f"symbol must lie in [0, {grid.n_symbols - 1}], got {symbol}")
+    if trial < 0:
+        raise ValueError(f"trial must be nonnegative, got {trial}")
+    pilot_ls, truth = simulate_subframe(config, snr_db, trial)
     # Every estimator the grid allows, run as the sweep runs it.
     est = {
         name: e.run(config, pilot_ls, truth) for name, e in ESTIMATORS.items() if grid.n_symbols >= e.min_symbols
     }
     _table(
-        f"subframe: trial = {args.trial}, snr_db = {args.trial_snr:.12g}, "
+        f"subframe: trial = {trial}, snr_db = {snr_db:.12g}, "
         f"profile = {config.profile}, estimator = {args.estimator}"
     )
     _table(
@@ -274,9 +281,9 @@ def _cmd_inspect(args) -> int:
         "scheme,symbol,sample_count,sigma2_hat",
         noise_rows,
     )
-    shown, origin = est[args.estimator], f"{args.estimator} on symbol {args.symbol}"
+    shown, origin = est[args.estimator], f"{args.estimator} on symbol {symbol}"
     # Outputs are symbol-major (M', ...), and M' = 1 serves every symbol of the block.
-    row = args.symbol if len(shown.cells) > 1 else 0
+    row = symbol if len(shown.cells) > 1 else 0
     if shown.cleaned_cir is not None:
         _table(
             f"post-threshold-cir: denoised impulse response before zero padding ({origin})",
@@ -293,9 +300,10 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_profiles(args) -> int:
-    profiles = [build_profile(name, args.sample_rate) for name in BUILTIN_PROFILES]
+    sample_rate = _parse_value("flag --sample-rate", float, args.sample_rate)
+    profiles = [build_profile(name, sample_rate) for name in BUILTIN_PROFILES]
     _table(
-        f"built-in power delay profiles at sample_rate_hz = {args.sample_rate!r}",
+        f"built-in power delay profiles at sample_rate_hz = {sample_rate!r}",
         "profile,tap,delay_samples,power",
         [(p.name, i, *tap) for p in profiles for i, tap in enumerate(zip(p.tap_delays, p.tap_powers))],
         end="\n",
@@ -322,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run a BER sweep and write a CSV of records")
     _add_config_flags(sweep_p)
     sweep_p.add_argument("--out", default="sweep.csv", help="output CSV path (default sweep.csv)")
-    sweep_p.add_argument("--workers", type=int, help="process count (default: machine parallelism)")
+    sweep_p.add_argument("--workers", help="process count (default: machine parallelism)")
     sweep_p.set_defaults(func=_cmd_sweep)
 
     gaps_p = sub.add_parser("gaps", help="locate BER target crossings in an existing sweep CSV")
@@ -337,22 +345,21 @@ def build_parser() -> argparse.ArgumentParser:
     inspect_p.add_argument(
         "--snr",
         dest="trial_snr",
-        type=float,
-        default=math.inf,
+        default="inf",
         help="SNR in dB for this trial (default inf = noiseless)",
     )
-    inspect_p.add_argument("--trial", type=int, default=0, help="trial index to reproduce")
+    inspect_p.add_argument("--trial", default="0", help="trial index to reproduce")
     inspect_p.add_argument(
         "--estimator",
         choices=ESTIMATOR_IDS,
         default="proposed",
         help="which estimator to show in detail",
     )
-    inspect_p.add_argument("--symbol", type=int, default=0, help="OFDM symbol whose estimate is shown")
+    inspect_p.add_argument("--symbol", default="0", help="OFDM symbol whose estimate is shown")
     inspect_p.set_defaults(func=_cmd_inspect)
 
     profiles_p = sub.add_parser("profiles", help="list built-in power delay profiles")
-    profiles_p.add_argument("--sample-rate", dest="sample_rate", type=float, default=7.68e6, help="sample rate in Hz")
+    profiles_p.add_argument("--sample-rate", dest="sample_rate", default="7.68e6", help="sample rate in Hz")
     profiles_p.set_defaults(func=_cmd_profiles)
     return parser
 

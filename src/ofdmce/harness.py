@@ -4,9 +4,10 @@ Trials (subframes) come in batches of 256: trial ``t`` is row ``t % 256``
 of batch ``t // 256``, which owns two random streams, exactly numpy's
 ``default_rng((master_seed, t // 256, purpose))`` with purposes 1 (channel)
 and 2 (noise); purpose 0, once the data bits, is retired. Each stream is
-drawn row by row in trial order (``channel.complex_normal``), so a trial's
-values depend only on the seed and its index, not on the block it is drawn
-in. A pool task is one batch, and its totals reach ``sweep`` as they are.
+drawn row by row in trial order by ``channel.complex_normal``, two
+``random()`` uniforms per complex value, so a trial's values depend only on
+the seed and its index, not on the block it is drawn in. A pool task is
+one batch, and its totals reach ``sweep`` as they are.
 
 Estimator choice never touches the streams, so all estimators see identical
 channels and noise (paired comparison). The noise is drawn once per trial

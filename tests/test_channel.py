@@ -1,5 +1,8 @@
 """Power delay profiles, fading realizations, and noise injection."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,17 @@ def expected_etu_taps() -> tuple[dict[int, float], float]:
         merged[idx] = merged.get(idx, 0.0) + 10.0 ** (p_db / 10.0)
     total = sum(merged.values())
     return {d: p / total for d, p in merged.items()}, total
+
+
+def box_muller(rng: np.random.Generator, shape: tuple[int, ...], variance) -> np.ndarray:
+    """``shape`` CN(0, variance) values redrawn from ``rng`` with numpy alone:
+    ``u = random(shape + (2,))``, modulus ``sqrt(-variance * log1p(-u0))``
+    and phase ``2π u1`` rounded to float32, the value ``modulus * cos(phase)
+    + 1j * modulus * sin(phase)``."""
+    u = rng.random(shape + (2,))
+    modulus = np.sqrt(-variance * np.log1p(-u[..., 0]))
+    phase = (2.0 * np.pi * u[..., 1]).astype(np.float32)
+    return modulus * np.cos(phase) + 1j * (modulus * np.sin(phase))
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +229,11 @@ class TestTapGains:
         assert np.array_equal(np.concatenate(parts), batch), "rows are successive draws"
         assert tap_gains(profile, np.random.default_rng(0), 1).shape == (1, 7)
 
-    def test_draw_is_amplitudes_times_unit_normal(self):
-        """Each row is ``standard_normal((T, 2))`` from the given stream, read
-        as complex and scaled by sqrt(power / 2)."""
+    def test_draw_is_uniform_pairs_at_the_tap_powers(self):
+        """Each row is ``T`` uniform pairs from the given stream, ``random((T,
+        2))``, through the Box–Muller transform at each tap's power."""
         profile = build_profile("etu", FS)
-        z = np.random.default_rng(3).standard_normal((5, 7, 2))
-        expected = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(np.array(profile.tap_powers) / 2.0)
+        expected = box_muller(np.random.default_rng(3), (5, 7), np.array(profile.tap_powers))
         assert np.array_equal(tap_gains(profile, np.random.default_rng(3), 5), expected)
 
     def test_draw_is_complex_normal_at_the_tap_powers(self):
@@ -422,12 +435,11 @@ class TestNoise:
             noise_variance(snr_db)
 
     @pytest.mark.parametrize("variance", [0.3, np.array([0.5, 0.25, 2.0])], ids=["scalar", "per-tap"])
-    def test_complex_normal_is_interleaved_standard_normal(self, variance):
-        """``standard_normal(shape + (2,))`` from the same stream, read as
-        complex and scaled by sqrt(variance / 2), exactly; the variance
-        broadcasts over the last axis."""
-        z = np.random.default_rng(16).standard_normal((4, 3, 2))
-        expected = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(variance / 2.0)
+    def test_complex_normal_is_box_muller_of_uniform_pairs(self, variance):
+        """``random(shape + (2,))`` from the same stream through the
+        Box–Muller transform, exactly; the variance broadcasts over the last
+        axis."""
+        expected = box_muller(np.random.default_rng(16), (4, 3), variance)
         assert np.array_equal(complex_normal(np.random.default_rng(16), (4, 3), variance), expected)
 
     def test_complex_normal_is_circular(self):
@@ -447,3 +459,63 @@ class TestNoise:
             cells.append(ofdm_demodulate(noisy, cfg))
         var = np.mean(np.abs(np.stack(cells)) ** 2)
         assert abs(var - sigma2) <= 0.01, f"frequency-domain variance {var:.4f}"
+
+
+class TestComplexNormalLaw:
+    """``complex_normal`` against the CN(0, v) law at a million seeded draws,
+    each check within 5 binomial or sampling standard errors."""
+
+    N = 1_000_000
+    VARIANCE = 2.0
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return complex_normal(np.random.default_rng(27), self.N, self.VARIANCE)
+
+    @pytest.mark.parametrize("q", [0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999])
+    def test_squared_modulus_is_exponential(self, draws, q):
+        """``|W|² / v`` falls below Exp(1)'s q-quantile ``-ln(1 - q)`` in a
+        share q of the draws."""
+        share = np.mean(np.abs(draws) ** 2 / self.VARIANCE <= -np.log1p(-q))
+        assert abs(share - q) <= 5 * np.sqrt(q * (1 - q) / self.N), share
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0, 3.0])
+    def test_parts_have_the_gaussian_tail(self, draws, part, x):
+        """``P(Re W < -x) = P(Im W < -x) = erfc(x / sqrt(v)) / 2``."""
+        p = 0.5 * math.erfc(x / math.sqrt(self.VARIANCE))
+        share = np.mean(getattr(draws, part) < -x)
+        assert abs(share - p) <= 5 * np.sqrt(p * (1 - p) / self.N), (share, p)
+
+    def test_parts_are_uncorrelated_and_the_phase_uniform(self, draws):
+        """``E[Re W Im W] = 0``, whose terms have standard deviation v / 2,
+        and ``E[exp(iθ)] = 0``, whose parts have variance 1/2."""
+        assert abs(np.mean(draws.real * draws.imag)) <= 5 * (self.VARIANCE / 2) / np.sqrt(self.N)
+        mean_phasor = np.mean(np.exp(1j * np.angle(draws)))
+        assert abs(mean_phasor.real) <= 5 * np.sqrt(0.5 / self.N)
+        assert abs(mean_phasor.imag) <= 5 * np.sqrt(0.5 / self.N)
+
+    def test_per_tap_variances(self):
+        """Each column's mean ``|W|²`` is its variance; an Exp(1) multiple
+        has standard deviation v."""
+        variance = np.array([0.5, 0.25, 2.0, 1e-3])
+        rows = self.N // len(variance)
+        draws = complex_normal(np.random.default_rng(28), (rows, len(variance)), variance)
+        measured = np.mean(np.abs(draws) ** 2, axis=0)
+        assert np.all(np.abs(measured - variance) <= 5 * variance / np.sqrt(rows)), measured
+
+    def test_extreme_uniforms_give_finite_draws(self):
+        """The smallest and largest values of ``random()``, 0 and ``1 - 2**-53``,
+        give a zero draw and one of ``|W|² = 53 ln(2) v``, with no warning."""
+
+        class EdgeUniforms:
+            def random(self, out):
+                out[...] = [[0.0, 0.0], [0.0, 1 - 2**-53], [1 - 2**-53, 0.0], [1 - 2**-53, 1 - 2**-53]]
+
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            draws = complex_normal(EdgeUniforms(), 4, self.VARIANCE)
+        assert np.all(np.isfinite(draws))
+        assert np.array_equal(draws[:2], [0, 0])
+        assert np.allclose(np.abs(draws[2:]) ** 2, 53 * math.log(2) * self.VARIANCE, rtol=1e-12)
+        assert np.allclose(draws[2:].real, np.abs(draws[2:]), rtol=1e-12)

@@ -367,6 +367,29 @@ class TestFlagParseErrors:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag, value, parse",
+        [
+            (["inspect"], "--snr", "abc", float),
+            (["inspect"], "--trial", "1.5", int),
+            (["inspect"], "--symbol", "x", int),
+            (["sweep", "--estimators", "ideal", "--subframes", "1"], "--workers", "x", int),
+            (["profiles"], "--sample-rate", "x", float),
+        ],
+    )
+    def test_command_flag(self, argv, flag, value, parse, tmp_path, capsys):
+        """A command's own flag that does not parse exits 1 with its parse's
+        message under the flag's name, printing nothing and writing nothing."""
+        out = tmp_path / "x.csv"
+        tail = ["--out", str(out)] if argv[0] == "sweep" else []
+        assert main([*argv, flag, value, *tail]) == 1
+        with pytest.raises(ValueError) as exc:
+            parse(value)
+        captured = capsys.readouterr()
+        assert captured.err == f"error: flag {flag}: {exc.value}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("targets", ["1e-3,x", "abc", "1e-3,,1e-2"])
     def test_targets_flag(self, targets, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -44,6 +44,7 @@ from ofdmce.phy import (
 )
 from ofdmce.spectral import dft
 
+from test_channel import box_muller
 from test_cli import block_lines
 from test_phy import data_cells
 
@@ -206,9 +207,8 @@ def batch_row(config: SimConfig, trial: int, purpose: int, draw):
 
 def unit_cells(rng, rows: int, grid: GridConfig) -> np.ndarray:
     """``rows`` grids of unit CN(0, 1) cells in residue order, ``(rows, M, S,
-    Np)``: ``standard_normal`` pairs read as complex, scaled by sqrt(1/2)."""
-    z = rng.standard_normal((rows, grid.n_symbols, grid.pilot_spacing, grid.n_pilots, 2))
-    return (z[..., 0] + 1j * z[..., 1]) * math.sqrt(0.5)
+    Np)``: uniform pairs through the Box–Muller transform at variance 1."""
+    return box_muller(rng, (rows, grid.n_symbols, grid.pilot_spacing, grid.n_pilots), 1.0)
 
 
 def reference_subframe(config: SimConfig, trial: int, snr_db: float):
@@ -348,7 +348,7 @@ class TestTrialStreams:
     """Trial t is row t % 256 of batch t // 256, whose streams are numpy's
     ``default_rng((seed, t // 256, purpose))``. These tests redraw trials from
     fresh streams with numpy alone, so they also catch a numpy release that
-    changed SeedSequence, PCG64 or ``standard_normal``."""
+    changed SeedSequence, PCG64 or ``random``."""
 
     TRIALS = [0, 255, 256, 300, 2**32 + 3, 2**40 + 5]
 
@@ -363,13 +363,14 @@ class TestTrialStreams:
         cfg = tiny_config(master_seed=seed)
         grid = cfg.grid
         profile = resolve_profile(cfg)
-        amplitudes = np.sqrt(np.array(profile.tap_powers) / 2.0)
-        n_taps = len(amplitudes)
+        powers = np.array(profile.tap_powers)
         for trial in self.TRIALS:
-            z = batch_row(cfg, trial, harness._CHANNEL, lambda rng, rows: rng.standard_normal((rows, n_taps, 2)))
+            gains = batch_row(
+                cfg, trial, harness._CHANNEL, lambda rng, rows: box_muller(rng, (rows, len(powers)), powers)
+            )
             cells = batch_row(cfg, trial, harness._NOISE, lambda rng, rows: unit_cells(rng, rows, grid))
             block = draw_block(cfg, trial, trial + 1)
-            assert np.array_equal(block.taps[0, list(profile.tap_delays)], (z[:, 0] + 1j * z[:, 1]) * amplitudes)
+            assert np.array_equal(block.taps[0, list(profile.tap_delays)], gains)
             assert np.array_equal(block.noise[0], cells), trial
 
     def test_blocks_are_clipped_at_batch_edges(self):

@@ -5,7 +5,8 @@ sweep CSVs and logs of the benchmark workloads at seed 7, 300 subframes and
 1 or 2 workers; ``gaps`` at two targets on each workload's one-worker CSV,
 and on a header-only and an inconsistent CSV; ``inspect`` of every
 estimator in ten cases; ``profiles`` at three sample rates; and ``sweep``
-and ``inspect`` refusing malformed config flags and an empty profile. Each
+and ``inspect`` refusing malformed config flags and an empty profile, and
+each command refusing a malformed flag of its own. Each
 log holds its exit code. Inputs are passed by paths relative to OUTDIR, so
 two checkouts' directories compare with ``diff -r``.
 """
@@ -58,6 +59,15 @@ BAD_FLAGS = {
     "profile": ["--profile="],
 }
 
+# A command's own flags whose value does not parse.
+BAD_COMMAND_FLAGS = {
+    "inspect-bad-snr": ["inspect", "--snr", "abc"],
+    "inspect-bad-trial": ["inspect", "--trial", "1.5"],
+    "inspect-bad-symbol": ["inspect", "--symbol", "x"],
+    "sweep-bad-workers": ["sweep", "--subframes", "1", "--workers", "x", "--out", "bad-workers.csv"],
+    "profiles-bad-sample-rate": ["profiles", "--sample-rate", "x"],
+}
+
 
 def run(log: str, argv: list[str]) -> None:
     """Run ``ofdmce argv`` in process; write its exit code, stdout and stderr to ``log``."""
@@ -89,6 +99,8 @@ def write_outputs(outdir: str) -> None:
     for name, argv in BAD_FLAGS.items():
         for command in ("sweep", "inspect"):
             run(f"{command}-bad-{name}.log", [command, *argv])
+    for name, argv in BAD_COMMAND_FLAGS.items():
+        run(f"{name}.log", argv)
 
 
 if __name__ == "__main__":
