@@ -7,7 +7,8 @@ and 2 (noise); purpose 0, once the data bits, is retired. Each stream is
 drawn row by row in trial order by ``channel.complex_normal``, two
 ``random()`` uniforms per complex value, so a trial's values depend only on
 the seed and its index, not on the block it is drawn in. A pool task is
-one batch, and its totals reach ``sweep`` as they are.
+one batch, and its totals reach ``sweep`` as they are; a sweep that starts
+no pool does not import one.
 
 Estimator choice never touches the streams, so all estimators see identical
 channels and noise (paired comparison). The noise is drawn once per trial
@@ -57,7 +58,6 @@ import ctypes
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -344,6 +344,8 @@ def _sweep_block(config: SimConfig, profile: PowerDelayProfile, streams, rows: i
         for estimator_id in config.estimators:
             h_data, mse, sigma2 = _estimate_cells(config, estimator_id, pilot_ls, block)
             decided = equalize(rx_data, h_data, out=product).view(np.float64)
+            # Free the estimate before the next is built: a block holds one at a time.
+            del h_data
             partial[snr_idx, estimator_id] = (np.count_nonzero(np.less(decided, 0.0)), mse, sigma2)
     return partial
 
@@ -454,6 +456,9 @@ def sweep(config: SimConfig, *, workers: int | None = None) -> list[BerRecord]:
     if n_workers == 1:
         partials = map(task, range(n_batches))
     else:
+        # Imported here: a sweep that starts no pool never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             chunksize = -(-n_batches // (4 * n_workers))
             partials = list(pool.map(task, range(n_batches), chunksize=chunksize))

@@ -911,6 +911,27 @@ class TestSweep:
                 tracemalloc.stop()
         assert peaks[2048] - peaks[256] < 32 * 1024, peaks
 
+    def test_a_block_holds_one_estimate_at_a_time(self):
+        """One block of the headline grid and estimators peaks below 6 cell
+        grids of traced allocations. A block holds the unit noise cells and
+        the received cells ``rx`` (a grid each), the clean cells and the truth
+        (one symbol each, half a grid here), the equalized ``product`` of the
+        data rows, and one estimate, freed before the next is built. Keeping
+        the last estimate while building the next read 6.45 grids."""
+        cfg = tiny_config(snr_points_db=(25.0, 27.5, 30.0))
+        profile, rows = resolve_profile(cfg), harness._block_trials(cfg.grid)
+        grid_bytes = rows * 16 * cfg.grid.n_symbols * cfg.grid.n_subcarriers
+        # The first block also fills the estimators' cached tables.
+        harness._sweep_block(cfg, profile, harness._batch_streams(cfg.master_seed, 0), rows)
+        streams = harness._batch_streams(cfg.master_seed, 0)
+        tracemalloc.start()
+        try:
+            harness._sweep_block(cfg, profile, streams, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * grid_bytes, f"peak {peak / grid_bytes:.2f} cell grids"
+
     @pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
     def test_a_second_sweep_reuses_the_heap(self):
         """A sweep keeps its freed block arrays mapped, so a second 256-trial
@@ -1009,9 +1030,45 @@ class TestSweep:
                 return map(fn, batches)
 
         cfg = tiny_config(subframes_per_point=300, snr_points_db=(10.0,), estimators=("ideal",))
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         assert sweep(cfg, workers=512) == sweep(cfg, workers=1)
         assert requested == [2]
+
+    def test_only_a_pool_run_loads_the_pool(self, tmp_path):
+        """A one-worker sweep and a one-batch sweep on two workers run in
+        process: they import neither ``concurrent.futures.process`` nor
+        ``multiprocessing`` and start no child process. A two-batch sweep on
+        two workers then still starts its pool, forked so that its workers'
+        page faults show in ``RUSAGE_CHILDREN``. Runs in a fresh interpreter,
+        since this one has loaded the pool already."""
+        child = (
+            "import resource, sys\n"
+            "from ofdmce.cli import main\n"
+            "def run(subframes, workers):\n"
+            "    assert main(['sweep', '--subframes', str(subframes), '--snr', '10', '--estimators', 'ideal',\n"
+            "                 '--workers', str(workers), '--out', sys.argv[1]]) == 0\n"
+            "    loaded = sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules)\n"
+            "    print('run', subframes, workers, loaded, resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt > 0)\n"
+            "run(300, 1)\n"
+            "run(256, 2)\n"
+            "import multiprocessing\n"
+            "multiprocessing.set_start_method('fork')  # workers as this process's children, counted on exit\n"
+            "run(300, 2)\n"
+        )
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        result = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path / "out.csv")], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        runs = [ln for ln in result.stdout.splitlines() if ln.startswith("run ")]
+        assert runs == [
+            "run 300 1 [] False",
+            "run 256 2 [] False",
+            "run 300 2 ['concurrent.futures.process', 'multiprocessing'] True",
+        ]
 
     def test_tasks_are_batches_in_chunks(self, monkeypatch):
         """Two workers on a 2311-trial sweep map over its ten batches (the
@@ -1039,7 +1096,7 @@ class TestSweep:
             th_perfect=15, th_inaccurate=7,
         )
         serial = sweep(cfg, workers=1)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         assert sweep(cfg, workers=2) == serial
         assert maps == [(list(range(10)), 2)]
 
