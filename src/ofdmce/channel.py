@@ -1,11 +1,13 @@
 """Tapped-delay-line Rayleigh channels, sample-grid quantization, and AWGN.
 
-Profile tap delays are specified in nanoseconds, rounded to the nearest
-sample at the configured sample rate; taps that collide on one sample index
-merge by summing their linear powers, and the merged power set is
-renormalized to unit total so channel realizations have unit average
-energy. Fading is block constant: one tap-gain draw covers every OFDM
-symbol of a block, and successive blocks draw independently.
+A channel is its sample-spaced taps: the sweep takes their response at the
+cells (``from_taps``, then a DFT) and filters no sample stream. Profile tap
+delays are specified in nanoseconds, rounded to the nearest sample at the
+configured sample rate; taps that collide on one sample index merge by
+summing their linear powers, and the merged power set is renormalized to
+unit total so channel realizations have unit average energy. Fading is
+block constant: one tap-gain draw covers every OFDM symbol of a block, and
+successive blocks draw independently.
 
 The noise model is here too: ``complex_normal`` is the one Gaussian draw,
 a Box–Muller transform of ``random()`` pairs, and ``noise_variance``
@@ -34,7 +36,6 @@ __all__ = [
     "load_profile",
     "tap_gains",
     "from_taps",
-    "apply_channel",
     "complex_normal",
 ]
 
@@ -220,35 +221,6 @@ def tap_gains(profile: PowerDelayProfile, rng: np.random.Generator | None, rows:
     if rng is None:
         return np.broadcast_to(np.sqrt(powers).astype(np.complex128), (rows, len(powers)))
     return complex_normal(rng, (rows, len(powers)), powers)
-
-
-def apply_channel(
-    samples: np.ndarray, tap_delays: np.ndarray, gains: np.ndarray, cp_len: int
-) -> np.ndarray:
-    """Convolve a sample stream with sample-spaced taps, gains ``(..., T)``.
-
-    The stream starts from zero state and the output is truncated to the
-    input length. Requires the delay spread, the largest delay, to fit
-    inside the cyclic prefix, which is what makes the demodulated grid
-    exactly ``H * X``.
-    """
-    delays = np.asarray(tap_delays, dtype=np.int64)
-    if delays.max() > cp_len:
-        raise ValueError(f"delay spread {delays.max()} exceeds cp_len {cp_len}")
-    if delays.min() < 0:
-        raise ValueError(f"tap delays must be nonnegative, got {delays.tolist()}")
-    gains = np.asarray(gains, dtype=np.complex128)
-    arr = np.asarray(samples, dtype=np.complex128)
-    n_samples = arr.shape[-1]
-    batch = np.broadcast_shapes(arr.shape[:-1], gains.shape[:-1])
-    out = np.zeros(batch + (n_samples,), dtype=np.complex128)
-    for t, delay in enumerate(delays.tolist()):
-        gain = gains[..., t : t + 1]
-        if delay:
-            out[..., delay:] += gain * arr[..., : n_samples - delay]
-        else:
-            out += gain * arr
-    return out
 
 
 def noise_variance(snr_db: float) -> float:

@@ -78,7 +78,10 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_estimators(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    ids = tuple(part.strip() for part in text.split(","))
+    if "" in ids:
+        raise ValueError(f"empty estimator id in {text!r}")
+    return ids
 
 
 def _parse_value(where: str, parse: Callable[[str], object], text: str):

@@ -18,28 +18,29 @@ blocks arrive (``_exact_terms``). These do not depend on order, so records
 do not depend on block size, task split or worker count, and reruns give
 byte-identical CSV files.
 
-Every data cell carries ``X0 = (1 + j) / sqrt(2)``, phy's QPSK point for
-bits (0, 0), and its errors are the negative parts of its decision. This is
-exact in law: for ``X = X0 j^k`` the decision is ``j^k`` times that of
-``X0`` under the noise ``W j^-k``, which is again i.i.d. CN(0, 1), and a
-90° turn keeps the Hamming distance of Gray-labelled quadrants. The
-argument needs each cell to depend only on its own symbol: no intercarrier
-interference. Nor is there a pilot sequence: ``W conj(p)`` at a
-unit-modulus pilot ``p`` is again i.i.d. CN(0, 1), so the pilot
-least-squares row is ``H + sqrt(sigma2) W``, exact in law.
+Every data cell carries ``X0 = (1 + j) / sqrt(2)``, the Gray-mapped QPSK
+point for bits (0, 0), and its errors are the negative parts of its
+decision. This is exact in law: for ``X = X0 j^k`` the decision is
+``j^k`` times that of ``X0`` under the noise ``W j^-k``, which is again
+i.i.d. CN(0, 1), and a 90° turn keeps the Hamming distance of
+Gray-labelled quadrants. The argument needs each cell to depend only on
+its own symbol: no intercarrier interference. Nor is there a pilot
+sequence: ``W conj(p)`` at a unit-modulus pilot ``p`` is again i.i.d.
+CN(0, 1), so the pilot least-squares row is ``H + sqrt(sigma2) W``, exact
+in law.
 
 Trials are received in the frequency domain. While the delay spread fits
-the cyclic prefix (checked before anything is drawn), the demodulated grid
-of the time-domain chain ``ofdm_demodulate(apply_channel(ofdm_modulate(X))
-+ sqrt(sigma2) * w)`` is exactly ``H * X + sqrt(sigma2) * W`` with
-``W = ofdm_demodulate(w)``, the same in every symbol. A unitary DFT of i.i.d.
-CN(0, 1) samples is i.i.d. CN(0, 1), so the sweep draws ``W`` straight at
-the cells, exact in distribution, and no time-domain noise. The sweep's
-unit of work is a cache-sized block of trials (``_BLOCK_BYTES`` of cell
-grid, clipped at batch edges): each block's clean cells (one grid for all
-symbols) and ``W`` are drawn once and run through every SNR point, where
-each point only scales and adds them. The cells are in the layout of the
-truth and of every estimate: one residue grid ``(..., S, Np)`` per OFDM
+the cyclic prefix (checked before anything is drawn), the time-domain chain
+(OFDM modulation of ``X``, the taps' filter, noise samples ``sqrt(sigma2) *
+w`` and demodulation) gives exactly ``H * X + sqrt(sigma2) * W``, with
+``W`` the demodulated ``w``, the same in every symbol. A unitary DFT of
+i.i.d. CN(0, 1) samples is i.i.d. CN(0, 1), so the sweep draws ``W``
+straight at the cells, exact in distribution, and no time-domain noise.
+The sweep's unit of work is a cache-sized block of trials (``_BLOCK_BYTES``
+of cell grid, clipped at batch edges): each block's clean cells (one grid
+for all symbols) and ``W`` are drawn once and run through every SNR point,
+where each point only scales and adds them. The cells are in the layout of
+the truth and of every estimate: one residue grid ``(..., S, Np)`` per OFDM
 symbol (``phy.residue_major``) whose row 0 holds the pilot least-squares
 observations, and rows ``1 .. S - 1`` the data cells ``equalize`` decides
 on. Across the symbols the pilot rows are ``(..., M, Np)``, symbol-major
@@ -48,8 +49,10 @@ no reorder.
 ``simulate_subframe`` draws and receives a trial's batch the same way, up
 to the trial, and returns its pilot row and truth as they are, so
 ``inspect`` shows what the sweep scored. Both refuse an SNR below
-``channel.SNR_FLOOR_DB``. The time-domain functions and pilots stay in the
-library as the reference model the tests check.
+``channel.SNR_FLOOR_DB``, and both draw through ``_blocks``, which pins
+glibc's malloc thresholds once per process. The time-domain chain and its
+pilots are the tests' reference model, kept in ``tests/reference.py``; no
+command runs it.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ __all__ = [
 _BATCH = 256
 _CHANNEL, _NOISE = 1, 2
 
-# The QPSK point of every data cell: phy's point for bits (0, 0).
+# The QPSK point of every data cell: the Gray-mapped point for bits (0, 0).
 _X0 = (1 + 1j) / math.sqrt(2.0)
 
 # Bytes of one cell grid per trial block, the sweep's unit of work. Every
@@ -250,7 +253,8 @@ def _batch_streams(seed: int, batch: int) -> list[np.random.Generator]:
 def _blocks(config: SimConfig, batch: int, stop: int):
     """Each block of batch ``batch``'s trials before trial ``stop``, as the
     batch's streams and its row count. The streams are made once and carried
-    through every block."""
+    through every block, and the heap is pinned before the first is drawn."""
+    _keep_heap_mapped()
     step = _block_trials(config.grid)
     streams = _batch_streams(config.master_seed, batch)
     lo = batch * _BATCH
@@ -332,7 +336,7 @@ def _sweep_block(config: SimConfig, profile: PowerDelayProfile, streams, rows: i
     """Draw the next ``rows`` trials of a batch and evaluate them at every SNR
     point: per (SNR index, estimator), the bit errors and the per-trial MSE and
     mean σ̂² (or None). Every data cell carries ``X0``, so a cell's bit errors
-    are the negative parts of its decision: ``qpsk_bit_errors(decided, 0)``."""
+    are the negative parts of its decision, those that decide a bit 1."""
     block = _draw_block(config, profile, streams, rows)
     # One received grid (its data rows a flat view) and one product buffer serve every SNR point.
     rx = np.empty_like(block.noise)
@@ -370,7 +374,6 @@ def _keep_heap_mapped() -> None:
 def _sweep_batch(config: SimConfig, profile: PowerDelayProfile, batch: int):
     """Worker body: batch ``batch``'s trials, a block at a time, folded into
     totals as ``sweep`` keeps them."""
-    _keep_heap_mapped()
     totals = {}
     for streams, rows in _blocks(config, batch, config.subframes_per_point):
         _add(totals, _sweep_block(config, profile, streams, rows))

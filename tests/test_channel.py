@@ -8,7 +8,6 @@ import pytest
 
 from ofdmce.channel import (
     PowerDelayProfile,
-    apply_channel,
     build_profile,
     complex_normal,
     from_taps,
@@ -18,8 +17,18 @@ from ofdmce.channel import (
     read_key_values,
     tap_gains,
 )
-from ofdmce.phy import GridConfig, build_grid, generate_pilots, ofdm_demodulate, ofdm_modulate, qpsk_modulate
+from ofdmce.phy import GridConfig
 from ofdmce.spectral import dft
+
+from reference import (
+    apply_channel,
+    build_grid,
+    generate_pilots,
+    ofdm_demodulate,
+    ofdm_modulate,
+    qpsk_modulate,
+    samples_per_block,
+)
 
 FS = 7.68e6
 
@@ -455,7 +464,7 @@ class TestNoise:
         sigma2 = 0.25
         cells = []
         for _ in range(200):
-            noisy = complex_normal(rng, cfg.samples_per_block, sigma2)
+            noisy = complex_normal(rng, samples_per_block(cfg), sigma2)
             cells.append(ofdm_demodulate(noisy, cfg))
         var = np.mean(np.abs(np.stack(cells)) ** 2)
         assert abs(var - sigma2) <= 0.01, f"frequency-domain variance {var:.4f}"

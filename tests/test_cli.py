@@ -339,6 +339,31 @@ class TestFlagParseErrors:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "source, where, text",
+        [
+            ("flag", "flag --estimators", "ideal,,proposed"),
+            ("flag=", "flag --estimators", "ideal,"),
+            ("file", "config key 'estimators'", "ideal,"),
+            ("file", "config key 'estimators'", ",proposed"),
+        ],
+    )
+    def test_empty_estimator_id(self, source, where, text, tmp_path, capsys):
+        """An empty entry in an estimator list exits 1, as an empty SNR entry
+        does, where it was once dropped and the rest run."""
+        out = tmp_path / "x.csv"
+        if source == "file":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"estimators = {text}\n")
+            given = ["--config", str(cfg)]
+        else:
+            given = [f"--estimators={text}"] if source == "flag=" else ["--estimators", text]
+        assert main(["sweep", *given, "--snr", "5", "--subframes", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {where}: empty estimator id in {text!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["sweep", "inspect"])
     @pytest.mark.parametrize(
         "flag, key, value",

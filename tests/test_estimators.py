@@ -19,8 +19,10 @@ from ofdmce.estimators import (
 )
 from ofdmce import harness
 from ofdmce.harness import ESTIMATORS, SimConfig, resolve_profile
-from ofdmce.phy import GridConfig, qpsk_bit_errors, residue_major
+from ofdmce.phy import GridConfig, residue_major
 from ofdmce.spectral import dft, idft
+
+from reference import pilot_indices, qpsk_bit_errors
 
 FS = 7.68e6
 # Perfect delay-spread threshold and denoising constant of the default grid.
@@ -42,7 +44,7 @@ def random_cir_channel(rng: np.random.Generator, max_delay: int, n: int) -> np.n
 
 def pilot_observation(truth: np.ndarray, cfg: GridConfig) -> np.ndarray:
     """Noiseless block-constant pilot LS grid (..., M, Np) for a frequency response."""
-    row = truth[..., cfg.pilot_indices]
+    row = truth[..., pilot_indices(cfg)]
     return np.repeat(row[..., None, :], cfg.n_symbols, axis=-2)
 
 

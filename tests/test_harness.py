@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ofdmce import harness
-from ofdmce.channel import apply_channel, from_taps, noise_variance, tap_gains
+from ofdmce.channel import from_taps, noise_variance, tap_gains
 from ofdmce.cli import main
 from ofdmce.estimators import equalize, estimator_mse, stack_pilot_cir
 from ofdmce.harness import (
@@ -31,8 +31,11 @@ from ofdmce.harness import (
     write_csv,
     write_gaps,
 )
-from ofdmce.phy import (
-    GridConfig,
+from ofdmce.phy import GridConfig, residue_major
+from ofdmce.spectral import dft
+
+from reference import (
+    apply_channel,
     build_grid,
     extract_pilot_ls,
     generate_pilots,
@@ -40,10 +43,7 @@ from ofdmce.phy import (
     ofdm_modulate,
     qpsk_bit_errors,
     qpsk_modulate,
-    residue_major,
 )
-from ofdmce.spectral import dft
-
 from test_channel import box_muller
 from test_cli import block_lines
 from test_phy import data_cells
@@ -190,8 +190,8 @@ def receive(block, snr_db: float):
 
 
 def tx_grid(config: SimConfig) -> np.ndarray:
-    """A subframe's transmit grid, ``(M, N)``, as phy's ``build_grid`` makes
-    it: its pilots, and the QPSK point of bits (0, 0) at every data cell."""
+    """A subframe's transmit grid, ``(M, N)``, as the reference ``build_grid``
+    makes it: its pilots, and the QPSK point of bits (0, 0) at every data cell."""
     grid = config.grid
     data = qpsk_modulate(np.zeros(grid.data_bits_per_block, dtype=bool))
     return build_grid(data, generate_pilots(config.master_seed, grid), grid)
@@ -489,16 +489,17 @@ class TestDrawLaw:
 
 
 class TestFixedDataPoint:
-    """Every data cell carries X0, phy's point for bits (0, 0): with Gray
+    """Every data cell carries X0, the QPSK point for bits (0, 0): with Gray
     mapping and circularly symmetric noise, a cell's error count has the
     same law whatever point it carries. Every pilot LS cell is ``H + σW``:
     the noise ``W conj(p)`` of a unit-modulus pilot ``p`` divided out has
     the law of ``W``."""
 
     def test_turned_points_count_the_same_errors(self):
-        """The points ``X0 j^k`` are phy's for bits 00, 10, 11 and 01, and
-        ``X0 j^k z`` decided against its bits makes exactly the errors of
-        ``X0 z`` against zeros, for any ``z`` off the decision boundaries."""
+        """The points ``X0 j^k`` are the reference mapping's for bits 00, 10,
+        11 and 01, and ``X0 j^k z`` decided against its bits makes exactly the
+        errors of ``X0 z`` against zeros, for any ``z`` off the decision
+        boundaries."""
         bits = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=bool)
         points = qpsk_modulate(bits)[:, 0]
         x0 = points[0]
@@ -512,7 +513,7 @@ class TestFixedDataPoint:
             assert qpsk_bit_errors(point * z, np.tile(pair, z.size)) == expected
 
     def test_x0_is_phys_point_for_bits_00(self):
-        """The sweep's data point is exactly phy's QPSK point for bits (0, 0),
+        """The sweep's data point is exactly the reference QPSK point for bits (0, 0),
         which makes no error when received as sent."""
         zeros = np.zeros(2, dtype=bool)
         assert harness._X0 == qpsk_modulate(zeros)[0]
@@ -534,7 +535,7 @@ class TestFixedDataPoint:
 
     @pytest.mark.parametrize("snr_db", [5.0, 25.0])
     def test_pilot_sequence_moves_nothing_in_law(self, snr_db):
-        """The pilot LS noise of phy's pilots divided out, ``W conj(p)``,
+        """The pilot LS noise of the reference pilots divided out, ``W conj(p)``,
         against the sweep's ``W``, on the same channels and data noise: the
         thresholding estimates' per-trial errors, MSE and σ̂² differ in mean
         by less than 4 standard errors of the paired differences."""
@@ -548,7 +549,7 @@ def assert_fixed_point_law(snr_db: float, estimators: tuple[str, ...], turn: str
     from the sweep's by less than 4 standard errors of the paired
     differences. With ``turn="data"`` its data cells carry random bits from
     a side stream; with ``turn="pilots"`` its pilot LS noise is ``W
-    conj(p)``, the noise of phy's pilots ``p`` divided out."""
+    conj(p)``, the noise of the reference pilots ``p`` divided out."""
     cfg = SimConfig(subframes_per_point=4096, snr_points_db=(snr_db,), estimators=estimators)
     profile, sigma2 = resolve_profile(cfg), noise_variance(snr_db)
     conj_pilots = np.conj(generate_pilots(cfg.master_seed, cfg.grid))
@@ -771,6 +772,19 @@ def has_mallopt() -> bool:
         return False
 
 
+def run_fresh(child: str, *args: str) -> str:
+    """The stdout of ``python -c child *args`` run in a fresh interpreter on
+    this checkout's package, which must exit 0."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", child, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def random_grid_config(seed: int) -> SimConfig:
     """A seeded random grid and trial count, all five estimators, two SNR points."""
     rng = np.random.default_rng(seed)
@@ -947,14 +961,19 @@ class TestSweep:
             "sweep(config, workers=1)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
-        src = str(Path(harness.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-        result = subprocess.run(
-            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
+        faults = run_fresh(child)
+        assert int(faults) < 100, f"{faults.strip()} minor faults"
+
+    def test_one_trial_pins_the_heap(self):
+        """``simulate_subframe``, which ``inspect`` runs, draws through the
+        same block path as the sweep and so pins malloc's thresholds in a
+        process that has swept nothing."""
+        child = (
+            "from ofdmce import harness\n"
+            "harness.simulate_subframe(harness.SimConfig(), 20.0, 70)\n"
+            "print(harness._keep_heap_mapped.cache_info().misses)\n"
         )
-        assert result.returncode == 0, result.stderr
-        assert int(result.stdout) < 100, f"{result.stdout.strip()} minor faults"
+        assert int(run_fresh(child)) == 1
 
     def test_exact_terms_fold_to_fsum_of_everything(self):
         """Folding groups of values through ``_exact_terms`` keeps their exact
@@ -1055,15 +1074,8 @@ class TestSweep:
             "multiprocessing.set_start_method('fork')  # workers as this process's children, counted on exit\n"
             "run(300, 2)\n"
         )
-        src = str(Path(harness.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-        result = subprocess.run(
-            [sys.executable, "-c", child, str(tmp_path / "out.csv")], env=env, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        runs = [ln for ln in result.stdout.splitlines() if ln.startswith("run ")]
+        stdout = run_fresh(child, str(tmp_path / "out.csv"))
+        runs = [ln for ln in stdout.splitlines() if ln.startswith("run ")]
         assert runs == [
             "run 300 1 [] False",
             "run 256 2 [] False",

@@ -4,11 +4,12 @@ Run from a checkout root: ``python tools/outputs.py OUTDIR``. OUTDIR gets the
 sweep CSVs and logs of the benchmark workloads at seed 7, 300 subframes and
 1 or 2 workers; ``gaps`` at two targets on each workload's one-worker CSV,
 and on a header-only and an inconsistent CSV; ``inspect`` of every
-estimator in ten cases; ``profiles`` at three sample rates; and ``sweep``
-and ``inspect`` refusing malformed config flags and an empty profile, and
-each command refusing a malformed flag of its own. Each
-log holds its exit code. Inputs are passed by paths relative to OUTDIR, so
-two checkouts' directories compare with ``diff -r``.
+estimator in twelve cases, two of them past the first block of their batch;
+``profiles`` at three sample rates; and ``sweep`` and ``inspect`` refusing
+malformed config flags and an empty profile, and each command refusing a
+malformed flag of its own. Each log holds its exit code. Inputs are passed
+by paths relative to OUTDIR, so two checkouts' directories compare with
+``diff -r``.
 """
 
 from __future__ import annotations
@@ -39,10 +40,14 @@ INPUTS = {
 INSPECT_CASES = {
     "noiseless": [],
     "snr20-trial3": ["--snr", "20", "--trial", "3"],
+    # Past the first block of its batch: the 64-trial blocks of the default grid.
+    "snr20-trial70": ["--snr", "20", "--trial", "70"],
     "m3": ["--config", "m3.cfg", "--symbol", "2", "--snr", "15"],
     "m1": ["--config", "m1.cfg"],
     "np512": ["--config", "np512.cfg", "--snr", "20"],
     "wideband": ["--config", "wideband.cfg", "--snr", "20", "--trial", "3", "--symbol", "1"],
+    # In the third 16-trial block.
+    "wideband-trial40": ["--config", "wideband.cfg", "--snr", "20", "--trial", "40"],
     "two-ray": ["--profile", "two-ray.txt", "--snr", "25", "--trial", "9", "--symbol", "1"],
     "single-tap": ["--profile", "single-tap", "--trial", "4294967299"],
     "floor": ["--snr", "-300"],
