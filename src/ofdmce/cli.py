@@ -23,6 +23,7 @@ from .harness import (
     ESTIMATOR_IDS,
     ESTIMATORS,
     SimConfig,
+    check_estimator_ids,
     gap_report,
     read_csv,
     simulate_subframe,
@@ -137,7 +138,8 @@ def _build_config(args, estimators: tuple[str, ...] | None = None) -> SimConfig:
     """Merge config-file values and flag overrides into a SimConfig.
 
     A config file names each known key at most once. ``estimators``, if
-    given, replaces the estimator list of file and flags.
+    given, replaces the estimator list of file and flags, whose ids are
+    checked all the same.
     """
     raw: dict[str, str] = {}
     for where, key, value in read_key_values(args.config) if getattr(args, "config", None) else ():
@@ -154,6 +156,8 @@ def _build_config(args, estimators: tuple[str, ...] | None = None) -> SimConfig:
         text, where = (flag, f"flag --{spec.flag}") if flag is not None else (raw.get(key), f"config key {key!r}")
         if text is not None:
             fields[owner][name] = _parse_value(where, spec.parse, text)
+            if name == "estimators" and estimators is not None:
+                _parse_value(where, check_estimator_ids, fields[owner][name])
     if estimators is not None:
         fields[""]["estimators"] = estimators
     return SimConfig(grid=GridConfig(**fields["grid"]), **fields[""])
@@ -286,7 +290,7 @@ def _cmd_inspect(args) -> int:
     )
     shown, origin = est[args.estimator], f"{args.estimator} on symbol {symbol}"
     # Outputs are symbol-major (M', ...), and M' = 1 serves every symbol of the block.
-    row = symbol if len(shown.cells) > 1 else 0
+    row = symbol if len(shown.rows) > 1 else 0
     if shown.cleaned_cir is not None:
         _table(
             f"post-threshold-cir: denoised impulse response before zero padding ({origin})",

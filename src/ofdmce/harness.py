@@ -38,14 +38,17 @@ i.i.d. CN(0, 1) samples is i.i.d. CN(0, 1), so the sweep draws ``W``
 straight at the cells, exact in distribution, and no time-domain noise.
 The sweep's unit of work is a cache-sized block of trials (``_BLOCK_BYTES``
 of cell grid, clipped at batch edges): each block's clean cells (one grid
-for all symbols) and ``W`` are drawn once and run through every SNR point,
-where each point only scales and adds them. The cells are in the layout of
-the truth and of every estimate: one residue grid ``(..., S, Np)`` per OFDM
-symbol (``phy.residue_major``) whose row 0 holds the pilot least-squares
-observations, and rows ``1 .. S - 1`` the data cells ``equalize`` decides
-on. Across the symbols the pilot rows are ``(..., M, Np)``, symbol-major
-like every grid of the package, so the estimators read them as a view with
-no reorder.
+for all symbols) and ``W`` are drawn once and run through every SNR point.
+The cells are in the layout of the truth and of every estimate: one residue
+grid ``(..., S, Np)`` per OFDM symbol (``phy.residue_major``) whose row 0
+holds the pilot least-squares observations, and rows ``1 .. S - 1`` the
+data cells. Across the symbols the pilot rows are ``(..., M, Np)``,
+symbol-major like every grid of the package, so the estimators read them
+with no reorder. What no SNR point changes is done once: each estimator's
+impulse-response stage runs over the pilot rows of a run of SNR points at
+once, ``(points, trials, M, Np)``, and ``ideal``'s weights once per block.
+Each point then only scales and adds the data rows, forms each estimate's
+conjugated cells there and decides with one multiply per cell.
 ``simulate_subframe`` draws and receives a trial's batch the same way, up
 to the trial, and returns its pilot row and truth as they are, so
 ``inspect`` shows what the sweep scored. Both refuse an SNR below
@@ -80,11 +83,13 @@ from .channel import (
 from .estimators import (
     Estimate,
     cir_mse,
+    conj_cells,
     conventional_estimate,
     equalize,
-    estimator_mse,
+    guard_zeros,
     ls_nearest_estimate,
     multi_symbol_estimate,
+    nearest_error_terms,
 )
 from .phy import GridConfig, residue_major
 from .spectral import dft
@@ -93,6 +98,7 @@ __all__ = [
     "Estimator",
     "ESTIMATORS",
     "ESTIMATOR_IDS",
+    "check_estimator_ids",
     "SimConfig",
     "BerRecord",
     "GapReport",
@@ -141,9 +147,11 @@ class Estimator(NamedTuple):
 
 # Each run maps a config, a pilot least-squares grid ``ls`` (..., M, Np) and
 # the true response in residue order (..., S, Np) (``phy.residue_major``) to
-# an ``estimators.Estimate``.
+# an ``estimators.Estimate``; ``ideal``'s reads neither the config nor ``ls``.
 ESTIMATORS = {
-    "ideal": Estimator(lambda cfg, ls, h: Estimate(h[..., None, :, :]), 1),
+    "ideal": Estimator(
+        lambda cfg, ls, h: Estimate("cells", h[..., None, :, :], h.shape[-2] * h.shape[-1]), 1
+    ),
     "conv-perfect": Estimator(
         lambda cfg, ls, _: conventional_estimate(ls, cfg.grid.n_subcarriers, cfg.th_perfect, cfg.c),
         1,
@@ -157,6 +165,15 @@ ESTIMATORS = {
 }
 
 ESTIMATOR_IDS = tuple(ESTIMATORS)
+
+
+def check_estimator_ids(ids: tuple[str, ...]) -> None:
+    """Raise ValueError for an unknown or repeated estimator id."""
+    unknown = [e for e in ids if e not in ESTIMATORS]
+    if unknown:
+        raise ValueError(f"unknown estimators {unknown}; known ids are {ESTIMATOR_IDS}")
+    if len(set(ids)) != len(ids):
+        raise ValueError("estimator list contains duplicates")
 
 
 @dataclass(frozen=True)
@@ -188,11 +205,7 @@ class SimConfig:
             raise ValueError("subframes_per_point must be positive")
         if not self.estimators:
             raise ValueError("need at least one estimator")
-        unknown = [e for e in self.estimators if e not in ESTIMATORS]
-        if unknown:
-            raise ValueError(f"unknown estimators {unknown}; known ids are {ESTIMATOR_IDS}")
-        if len(set(self.estimators)) != len(self.estimators):
-            raise ValueError("estimator list contains duplicates")
+        check_estimator_ids(self.estimators)
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
         for estimator_id in self.estimators:
@@ -296,35 +309,78 @@ def _draw_block(config: SimConfig, profile: PowerDelayProfile, streams, rows: in
     return _Block(truth, taps, clean, noise)
 
 
-def _receive(block: _Block, sigma2: float, rx: np.ndarray) -> np.ndarray:
-    """Write the received cells at noise variance ``sigma2`` into ``rx`` and
-    return the pilot least-squares grid, ``(trials, M, Np)``, its pilot row."""
-    np.multiply(block.noise, math.sqrt(sigma2), out=rx)
-    rx += block.clean
+def _receive(block: _Block, sigma2: float, rx: np.ndarray, first: int = 0) -> np.ndarray:
+    """Write the received cells of residues ``first .. S - 1`` at noise
+    variance ``sigma2`` into ``rx``, ``(trials, M, S - first, Np)``, and
+    return its first row: at ``first = 0`` the pilot least-squares grid,
+    ``(trials, M, Np)``."""
+    np.multiply(block.noise[..., first:, :], math.sqrt(sigma2), out=rx)
+    rx += block.clean[..., first:, :]
     return rx[..., 0, :]
+
+
+def _pilot_rows(block: _Block, sigma2s) -> np.ndarray:
+    """The pilot least-squares grids of a block at each noise variance,
+    ``(points, trials, M, Np)``, each formed as ``_receive`` forms it."""
+    noise, clean = block.noise[..., 0, :], block.clean[..., 0, :]
+    rows = np.empty((len(sigma2s),) + noise.shape, dtype=np.complex128)
+    for row, sigma2 in zip(rows, sigma2s):
+        np.multiply(noise, math.sqrt(sigma2), out=row)
+        row += clean
+    return rows
 
 
 def _flat(cells: np.ndarray) -> np.ndarray:
     return cells.reshape(cells.shape[:-2] + (-1,))
 
 
-def _estimate_cells(config: SimConfig, estimator_id: str, pilot_ls, block: _Block):
-    """An estimate at the data cells, with the per-trial MSE and the
-    per-trial mean σ̂² (or None) of the block.
+def _stages(config: SimConfig, block: _Block, sigma2s) -> dict:
+    """Each estimator's work at a run of SNR points that no point repeats,
+    done over all of them at once: its estimate, and its per-trial MSE and
+    mean σ̂² (or None), ``(points, trials)``. A denoised response is kept per
+    point on its rows' leading axis, without its all-zero tail; ``ls-only``'s
+    estimate keeps no rows, and ``ideal``'s are the truth.
 
     The MSE over all ``N`` cells is taken by Parseval where the estimate has
-    an impulse response, else over the whole grid; ``ideal``'s cells are the
-    truth, so its MSE is exactly 0.
+    an impulse response, from three per-trial sums for ``ls-only`` and is
+    exactly 0 for ``ideal``, whose cells are the truth.
     """
-    est = ESTIMATORS[estimator_id].run(config, pilot_ls, block.truth)
-    if estimator_id == "ideal":
-        mse = np.zeros(len(block.truth))
-    elif est.cleaned_cir is None:
-        mse = estimator_mse(_flat(est.cells), _flat(block.truth))
-    else:
-        mse = cir_mse(est.cleaned_cir, block.taps)
-    sigma2 = None if est.sigma2_hat is None else np.mean(est.sigma2_hat, axis=-1)
-    return _flat(est.cells[..., 1:, :]), mse, sigma2
+    # A sweep of ideal alone forms no pilot rows.
+    pilots = _pilot_rows(block, sigma2s) if set(config.estimators) != {"ideal"} else None
+    stages = {}
+    for estimator_id in config.estimators:
+        est = ESTIMATORS[estimator_id].run(config, pilots, block.truth)
+        if est.form == "cells":
+            mse = np.zeros((len(sigma2s), len(block.truth)))
+        elif est.form == "nearest":
+            a, b, c = nearest_error_terms(block.truth, block.noise[..., 0, :])
+            s = np.sqrt(sigma2s)[:, None]
+            mse = (a + 2.0 * s * b + s * s * c) / (block.noise.shape[1] * config.grid.n_subcarriers)
+            est = est._replace(rows=None)
+        else:
+            mse = cir_mse(est.cleaned_cir, block.taps)
+            nonzero = np.flatnonzero(est.rows.reshape(-1, est.rows.shape[-1]).any(axis=0))
+            est = est._replace(rows=est.rows[..., : nonzero[-1] + 1 if nonzero.size else 0].copy())
+        sigma2 = None if est.sigma2_hat is None else np.mean(est.sigma2_hat, axis=-1)
+        stages[estimator_id] = est, mse, sigma2
+    return stages
+
+
+def _weights(est: Estimate, block: _Block, sigma2: float, point: int) -> np.ndarray:
+    """Fresh zero-forcing weights of a stage's estimate at the data rows,
+    flat ``(trials, M', K)``: its conjugated cells at ``point``, exact zeros
+    replaced by 1. Given cells are the same at every point. A nearest
+    fill's pilot rows are formed again here, and its zeros are theirs, so
+    the weights are scanned only if those have one; a denoised response gets
+    its zero tail back."""
+    if est.form == "cells":
+        return guard_zeros(_flat(conj_cells(est, 1)))
+    if est.form == "nearest":
+        rows = _pilot_rows(block, [sigma2])[0]
+        return guard_zeros(_flat(conj_cells(est._replace(rows=rows), 1)), rows)
+    rows = np.zeros(est.rows.shape[1:-1] + block.noise.shape[-1:], dtype=np.complex128)
+    rows[..., : est.rows.shape[-1]] = est.rows[point]
+    return guard_zeros(_flat(conj_cells(est._replace(rows=rows), 1)))
 
 
 def _block_trials(grid: GridConfig) -> int:
@@ -332,26 +388,63 @@ def _block_trials(grid: GridConfig) -> int:
     return max(1, _BLOCK_BYTES // (16 * grid.n_symbols * grid.n_subcarriers))
 
 
+def _snr_groups(config: SimConfig) -> list[range]:
+    """The SNR indices in runs of at most ``S // 2``, so that the pilot rows
+    of a run's points, ``(points, trials, M, Np)``, fill at most half a cell
+    grid, and so does each stack of impulse responses made from them."""
+    step = max(1, config.grid.pilot_spacing // 2)
+    points = range(len(config.snr_points_db))
+    return [points[i : i + step] for i in range(0, len(points), step)]
+
+
 def _sweep_block(config: SimConfig, profile: PowerDelayProfile, streams, rows: int):
     """Draw the next ``rows`` trials of a batch and evaluate them at every SNR
     point: per (SNR index, estimator), the bit errors and the per-trial MSE and
-    mean σ̂² (or None). Every data cell carries ``X0``, so a cell's bit errors
-    are the negative parts of its decision, those that decide a bit 1."""
+    mean σ̂² (or None).
+
+    Each estimator's per-block work runs once per run of SNR points
+    (``_stages``), over all of them at once. Each point then only receives
+    the data rows, forms each estimate's weights there and decides: every
+    data cell carries ``X0``, so a cell's bit errors are the negative parts
+    of ``rx`` times the weights, those that decide a bit 1. Weights no point
+    moves, ``ideal``'s, are formed once per block; fresh weights take the
+    product in place, and a point's last decision takes its received cells.
+    """
     block = _draw_block(config, profile, streams, rows)
-    # One received grid (its data rows a flat view) and one product buffer serve every SNR point.
-    rx = np.empty_like(block.noise)
-    rx_data = _flat(rx[..., 1:, :])
-    product = np.empty(rx_data.shape, dtype=np.complex128)
-    partial = {}
-    for snr_idx, snr_db in enumerate(config.snr_points_db):
-        pilot_ls = _receive(block, noise_variance(snr_db), rx)
-        for estimator_id in config.estimators:
-            h_data, mse, sigma2 = _estimate_cells(config, estimator_id, pilot_ls, block)
-            decided = equalize(rx_data, h_data, out=product).view(np.float64)
-            # Free the estimate before the next is built: a block holds one at a time.
-            del h_data
-            partial[snr_idx, estimator_id] = (np.count_nonzero(np.less(decided, 0.0)), mse, sigma2)
+    # One data-row receive buffer, flat, serves every SNR point.
+    rx = np.empty(block.noise[..., 1:, :].shape, dtype=np.complex128)
+    rx_data = _flat(rx)
+    fixed, partial = {}, {}
+    for group in _snr_groups(config):
+        sigma2s = [noise_variance(config.snr_points_db[i]) for i in group]
+        stages = _stages(config, block, sigma2s)
+        for j, snr_idx in enumerate(group):
+            _receive(block, sigma2s[j], rx, first=1)
+            for estimator_id, (est, mse, sigma2) in stages.items():
+                if est.form == "cells":
+                    if estimator_id not in fixed:
+                        fixed[estimator_id] = _weights(est, block, sigma2s[j], j)
+                    weights, fresh = fixed[estimator_id], False
+                else:
+                    weights, fresh = _weights(est, block, sigma2s[j], j), True
+                errors = _bit_errors(rx_data, weights, fresh, last=estimator_id == config.estimators[-1])
+                # Free fresh weights before the next are formed.
+                del weights
+                partial[snr_idx, estimator_id] = errors, mse[j], None if sigma2 is None else sigma2[j]
+        del stages
     return partial
+
+
+def _bit_errors(rx_data: np.ndarray, weights: np.ndarray, fresh: bool, last: bool) -> int:
+    """The bit errors of deciding ``rx_data * weights``, its negative parts.
+    A point's ``last`` decision writes the product over the received cells,
+    others into ``fresh`` weights of their shape, else into a new array."""
+    if last:
+        out = rx_data
+    else:
+        out = weights if fresh and weights.shape == rx_data.shape else None
+    decided = equalize(rx_data, weights, out=out).view(np.float64)
+    return np.count_nonzero(np.less(decided, 0.0))
 
 
 @functools.cache
@@ -361,10 +454,14 @@ def _keep_heap_mapped() -> None:
     them and the next block fault them in again. A no-op where the C library
     has no ``mallopt``."""
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
     except (OSError, TypeError, AttributeError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    malloc_trim.argtypes, malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    # First hand back the free pages that imports left inside the heap.
+    malloc_trim(0)
     # M_MMAP_THRESHOLD (-3) at its 64-bit cap of 32 MiB and M_TRIM_THRESHOLD (-1)
     # at twice that: the values glibc's own dynamic rule moves toward.
     mallopt(-3, 32 << 20)
@@ -373,11 +470,22 @@ def _keep_heap_mapped() -> None:
 
 def _sweep_batch(config: SimConfig, profile: PowerDelayProfile, batch: int):
     """Worker body: batch ``batch``'s trials, a block at a time, folded into
-    totals as ``sweep`` keeps them."""
-    totals = {}
+    totals as ``sweep`` keeps them, once per key for the whole batch."""
+    merged = {}
     for streams, rows in _blocks(config, batch, config.subframes_per_point):
-        _add(totals, _sweep_block(config, profile, streams, rows))
+        for key, values in _sweep_block(config, profile, streams, rows).items():
+            merged[key] = _join(merged[key], values) if key in merged else values
+    totals = {}
+    _add(totals, merged)
     return totals
+
+
+def _join(old: tuple, new: tuple) -> tuple:
+    """Two blocks' ``(bit errors, MSE values, σ̂² values or None)`` of one key as one."""
+    return (
+        old[0] + new[0], np.concatenate((old[1], new[1])),
+        None if new[2] is None else np.concatenate((old[2], new[2])),
+    )
 
 
 def _add(totals: dict, partial: dict) -> None:

@@ -617,6 +617,32 @@ class TestInspectCommand:
         counts = {r.split(",")[0]: r.split(",")[2] for r in rows}
         assert counts == {"multi-symbol": "64", "conventional-th39": "25", "conventional-th19": "45"}
 
+    @pytest.mark.parametrize(
+        "listed, message",
+        [
+            ("wizard", "unknown estimators ['wizard']; known ids are"),
+            ("ideal,proposed,ideal", "estimator list contains duplicates"),
+        ],
+    )
+    def test_config_estimator_ids_are_checked(self, listed, message, tmp_path, capsys):
+        """inspect shows its one --estimator, but an unknown or repeated id in
+        the config file's estimator list exits 1 naming the key, where it was
+        once replaced unchecked."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"estimators = {listed}\n")
+        assert main(["inspect", "--config", str(cfg), "--estimator", "ideal", "--snr", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config key 'estimators': {message}")
+        assert captured.out == ""
+
+    def test_config_estimators_need_not_fit_the_grid(self, tmp_path, capsys):
+        """Only the shown estimator must fit the grid: a listed ``proposed``
+        on one symbol per block leaves ``inspect --estimator ideal`` running."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("estimators = proposed\nn_symbols = 1\n")
+        assert main(["inspect", "--config", str(cfg), "--estimator", "ideal", "--snr", "20"]) == 0
+        assert "estimate-vs-truth" in capsys.readouterr().out
+
     @pytest.mark.parametrize("estimator", ESTIMATOR_IDS)
     def test_every_subcarrier_a_pilot(self, estimator, tmp_path, capsys):
         """With pilot spacing 1 there are no data cells; each estimator still

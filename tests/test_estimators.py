@@ -7,14 +7,18 @@ import pytest
 
 from ofdmce.channel import build_profile, complex_normal, from_taps, tap_gains
 from ofdmce.estimators import (
+    Estimate,
     cir_mse,
+    conj_cells,
     conventional_estimate,
     conventional_noise_var,
     equalize,
     estimator_mse,
+    guard_zeros,
     ls_nearest_estimate,
     multi_symbol_estimate,
     multi_symbol_noise_var,
+    nearest_error_terms,
     stack_pilot_cir,
 )
 from ofdmce import harness
@@ -282,6 +286,15 @@ def padded_dft(cir: np.ndarray, n_subcarriers: int) -> np.ndarray:
     return dft(padded)
 
 
+def grid_cells(cleaned: np.ndarray, n_subcarriers: int) -> np.ndarray:
+    """Reference: the zero-padded length-``N`` transform of ``cleaned``
+    ``(..., Np)`` in residue order, ``(..., S, Np)``, as the length-``Np``
+    transforms of ``cleaned[l] * exp(-2j pi r l / N)``, one per residue ``r``."""
+    n_pilots = cleaned.shape[-1]
+    r = np.arange(n_subcarriers // n_pilots)[:, None]
+    return dft(cleaned[..., None, :] * np.exp(-2j * np.pi * r * np.arange(n_pilots) / n_subcarriers))
+
+
 def nearest_pilot_fill(pilots: np.ndarray, n_subcarriers: int) -> np.ndarray:
     """Reference: gather each subcarrier's cyclically nearest pilot, midpoints
     rounding up, symbol-major (..., M, N) like the pilots."""
@@ -319,6 +332,45 @@ class TestResidueOrder:
                 assert err.max(initial=0.0) <= 1e-12 * scale, f"N = {n}, Np = {n_pilots}"
                 err = np.abs(est.freq_response - reference).max()
                 assert err <= 1e-12 * scale, f"N = {n}, Np = {n_pilots}: {err / scale:.2e}"
+
+    def test_conjugated_cells_are_the_conjugated_transform(self):
+        """``conj_cells`` of a cleaned response, the unscaled inverse transform
+        of the conjugated twiddled response, is bitwise ``conj`` of the
+        forward transforms at every first residue, on pilot lengths 8 to 69,
+        powers of two to 2048, 12, 48 and 96; ``cells`` conjugates it back."""
+        rng = np.random.default_rng(55)
+        lengths = [*range(8, 70), 96, 128, 256, 512, 1024, 2048, 12, 48]
+        for n_pilots in lengths:
+            spacing = int(rng.integers(1, 9))
+            n = n_pilots * spacing
+            cleaned = complex_normal(rng, (2, int(rng.integers(1, 4)), n_pilots), 1.0)
+            cleaned[..., int(rng.integers(0, n_pilots)) :] = 0.0
+            est = Estimate("cir", cleaned, n)
+            reference = grid_cells(cleaned, n)
+            for first in range(spacing):
+                conj = conj_cells(est, first)
+                assert conj.flags.c_contiguous
+                assert np.array_equal(conj, np.conjugate(reference[..., first:, :])), f"Np = {n_pilots}, S = {spacing}"
+            assert np.array_equal(est.cells, reference), f"Np = {n_pilots}, S = {spacing}"
+
+    def test_nearest_error_terms_give_the_grid_mse(self):
+        """``a + 2 s b + s**2 c`` over ``M N`` cells is ``estimator_mse`` of
+        the nearest fill of ``truth[..., 0, :] + s * noise``, within 1e-13
+        relative, at scales from 1e-15 to 1e15, on grids with data cells (with
+        none, the error is ``s * noise`` alone and the whole-grid reference
+        loses it to rounding at small scales)."""
+        for rng, n, n_pilots, n_symbols in self.draw_grids(56, 40):
+            if n == n_pilots:
+                continue
+            truth = complex_normal(rng, (3, n // n_pilots, n_pilots), 1.0)
+            noise = complex_normal(rng, (3, n_symbols, n_pilots), 1.0)
+            a, b, c = nearest_error_terms(truth, noise)
+            flat_truth = np.swapaxes(truth, -1, -2).reshape(3, n)
+            for s in (1e-15, 1e-3, 0.5, 1.0, 30.0, 1e15):
+                pilots = truth[:, None, 0, :] + s * noise
+                grid = estimator_mse(nearest_pilot_fill(pilots, n), flat_truth)
+                terms = (a + 2 * s * b + s * s * c) / (n_symbols * n)
+                assert np.allclose(terms, grid, rtol=1e-13, atol=0), f"N = {n}, Np = {n_pilots}, s = {s}"
 
     def test_parseval_mse_is_the_grid_mse(self):
         """Against taps beyond Np and taps sharing a delay, as well as ETU's
@@ -415,18 +467,32 @@ def decided_bits(symbols: np.ndarray) -> np.ndarray:
     return bits
 
 
+def weights_of(h: np.ndarray) -> np.ndarray:
+    """Zero-forcing weights of an estimate ``h``: ``conj(h)``, exact zeros made 1."""
+    return guard_zeros(np.conjugate(h))
+
+
 class TestEqualize:
-    """Decisions come from ``qpsk_bit_errors(equalize(rx, h), bits)``."""
+    """Decisions come from ``qpsk_bit_errors(equalize(rx, weights_of(h)), bits)``."""
 
     def test_zero_estimate_decides_on_rx(self):
         """Where the estimate is exactly 0 the decisions follow the received signs."""
         rng = np.random.default_rng(40)
         rx = complex_normal(rng, (1, 6), 1.0)
         h = np.array([[0, 1j, 0, -1, 0j, complex(-0.0, -0.0)]])
-        out = equalize(rx, h)
+        out = equalize(rx, weights_of(h))
         zero = h == 0
         assert np.array_equal(out[zero], rx[zero])
         assert qpsk_bit_errors(out[zero], decided_bits(rx[zero])) == 0
+
+    def test_guard_scans_only_if_its_source_has_a_zero(self):
+        """With a source, the weights are scanned only if the source has a
+        zero; weights copied from a zero-free source have none to replace."""
+        weights = np.array([[0.0, 1.0 + 1.0j, 0.0]])
+        assert np.array_equal(guard_zeros(weights.copy(), np.ones(2)), weights)
+        assert np.array_equal(guard_zeros(weights.copy(), np.array([1.0, 0.0])), [[1.0, 1.0 + 1.0j, 1.0]])
+        guarded = weights.copy()
+        assert guard_zeros(guarded) is guarded and np.array_equal(guarded, [[1.0, 1.0 + 1.0j, 1.0]])
 
     def test_tiny_estimate_decides_as_division(self):
         """A deep fade keeps its phase: decisions equal those of dividing by it."""
@@ -434,7 +500,7 @@ class TestEqualize:
         theta = rng.uniform(-np.pi, np.pi, size=(3, 64))
         h = 1e-15 * np.exp(1j * theta)
         rx = complex_normal(rng, (3, 64), 1.0)
-        out = equalize(rx, h)
+        out = equalize(rx, weights_of(h))
         assert np.all(np.isfinite(out))
         assert qpsk_bit_errors(out, decided_bits(rx / h)) == 0
 
@@ -442,7 +508,7 @@ class TestEqualize:
         """A component that lands exactly on 0 decides bit 0."""
         rx = np.array([[1.0 + 0.0j, 0.0 + 0.0j, 0.0 - 2.0j]])
         h = np.array([[1.0 + 0.0j, 0.7 - 0.1j, 0.0 + 0.0j]])
-        out = equalize(rx, h)
+        out = equalize(rx, weights_of(h))
         assert out[0, 0].imag == 0 and out[0, 1] == 0 and out[0, 2].real == 0
         assert qpsk_bit_errors(out, np.array([[0, 0, 0, 0, 0, 1]], dtype=bool)) == 0
         assert qpsk_bit_errors(out, np.array([[0, 1, 1, 1, 1, 1]], dtype=bool)) == 4
@@ -451,9 +517,10 @@ class TestEqualize:
         """Row m of an (M, K) estimate serves symbol m; a (1, K) row serves all."""
         rx = np.array([[1.0 + 1.0j, -2.0 + 0.5j], [0.5 - 1.0j, 1.0 + 1.0j]])
         h = np.array([[1.0 - 1.0j, 2.0 + 0.0j], [-1.0 + 0.0j, 0.0 + 4.0j]])
-        out = equalize(rx, h)
+        out = equalize(rx, weights_of(h))
         assert np.allclose(out, rx / h * np.abs(h) ** 2, rtol=1e-15)
-        shared = equalize(rx, h[:1])
+        shared = equalize(rx, weights_of(h[:1]))
+        assert shared.shape == rx.shape
         assert np.allclose(shared, rx / h[:1] * np.abs(h[:1]) ** 2, rtol=1e-15)
         assert qpsk_bit_errors(shared, decided_bits(rx / h[:1])) == 0
 
@@ -465,35 +532,40 @@ class TestEqualize:
         with pytest.raises(ValueError, match="symbol-major"):
             equalize(rx, np.ones((2, 3, 4), dtype=complex))
 
-    def test_strided_estimate_gives_c_ordered_products(self):
-        """Strided estimates, such as ideal's rows of the true response or a
+    def test_strided_weights_give_c_ordered_products(self):
+        """Strided weights, such as the data rows of conjugated cells or a
         Fortran-ordered block, equalize into a fresh C-ordered array with the
         decisions of a contiguous copy."""
         rng = np.random.default_rng(42)
         rx = complex_normal(rng, (5, 2, 56), 1.0)
         truth = complex_normal(rng, (5, 8, 8), 1.0)
-        for h in (
-            truth[:, None, 1:, :].reshape(5, 1, 56),
-            np.asfortranarray(complex_normal(rng, (5, 2, 56), 1.0)),
+        block = complex_normal(rng, (5, 2, 56), 1.0)
+        for h, weights in (
+            (truth[:, None, 1:, :].reshape(5, 1, 56), np.conjugate(truth)[:, None, 1:, :].reshape(5, 1, 56)),
+            (block, np.asfortranarray(np.conjugate(block))),
         ):
-            assert not h.flags.c_contiguous
-            out = equalize(rx, h)
+            assert not weights.flags.c_contiguous
+            out = equalize(rx, weights)
             assert out.flags.c_contiguous
-            assert np.array_equal(out, equalize(rx, np.ascontiguousarray(h)))
+            assert np.array_equal(out, equalize(rx, np.ascontiguousarray(weights)))
             assert qpsk_bit_errors(out, decided_bits(rx / h)) == 0
 
     def test_writes_the_product_into_out(self):
         """With ``out`` the product lands in that buffer, reused call after
-        call, equal to a fresh product, zero-estimate cells included."""
+        call, or in the weights themselves, equal to a fresh product,
+        zero-estimate cells included."""
         rng = np.random.default_rng(43)
         rx = complex_normal(rng, (4, 2, 24), 1.0)
         out = np.full(rx.shape, np.nan, dtype=np.complex128)
         for rows in (1, 2):
             h = complex_normal(rng, (4, rows, 24), 1.0)
             h[:, :, ::5] = 0
-            fresh = equalize(rx, h)
-            assert equalize(rx, h, out=out) is out
+            fresh = equalize(rx, weights_of(h))
+            assert equalize(rx, weights_of(h), out=out) is out
             assert np.array_equal(out, fresh)
+        weights = weights_of(h)
+        assert equalize(rx, weights, out=weights) is weights
+        assert np.array_equal(weights, fresh)
 
     def test_mse_of_constant_offset(self):
         truth = response([0], [1.0], 8)

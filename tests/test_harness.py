@@ -14,9 +14,15 @@ import numpy as np
 import pytest
 
 from ofdmce import harness
-from ofdmce.channel import from_taps, noise_variance, tap_gains
+from ofdmce.channel import SNR_FLOOR_DB, from_taps, noise_variance, tap_gains
 from ofdmce.cli import main
-from ofdmce.estimators import equalize, estimator_mse, stack_pilot_cir
+from ofdmce.estimators import (
+    cir_mse,
+    conventional_estimate,
+    estimator_mse,
+    multi_symbol_estimate,
+    stack_pilot_cir,
+)
 from ofdmce.harness import (
     ESTIMATOR_IDS,
     ESTIMATORS,
@@ -46,6 +52,7 @@ from reference import (
 )
 from test_channel import box_muller
 from test_cli import block_lines
+from test_estimators import grid_cells, nearest_pilot_fill
 from test_phy import data_cells
 
 
@@ -187,6 +194,51 @@ def receive(block, snr_db: float):
     pilot LS grid, ``(trials, M, Np)``."""
     rx = np.empty_like(block.noise)
     return rx, harness._receive(block, noise_variance(snr_db), rx)
+
+
+def reference_estimate(config: SimConfig, estimator_id: str, pilot_ls, block):
+    """One estimator at one SNR point, as a loop over the points runs it: its
+    cells ``(trials, M', S, Np)``, transformed or gathered outside the
+    package, its per-trial MSE, by Parseval where it has an impulse response,
+    else over the whole grid (exactly 0 for ``ideal``), and its per-trial
+    mean σ̂² or None."""
+    est = ESTIMATORS[estimator_id].run(config, pilot_ls, block.truth)
+    n_pilots = config.grid.n_pilots
+    if est.cleaned_cir is not None:
+        cells = grid_cells(est.cleaned_cir, config.grid.n_subcarriers)
+        mse = cir_mse(est.cleaned_cir, block.taps)
+    elif estimator_id == "ideal":
+        cells, mse = block.truth[:, None], np.zeros(len(block.truth))
+    else:
+        cells = residue_major(nearest_pilot_fill(pilot_ls, config.grid.n_subcarriers), n_pilots)
+        mse = estimator_mse(harness._flat(cells), harness._flat(block.truth))
+    sigma2 = None if est.sigma2_hat is None else np.mean(est.sigma2_hat, axis=-1)
+    return cells, mse, sigma2
+
+
+def reference_decisions(rx: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """``rx * conj(h)`` at the data rows, ``(trials, M, K)``, and ``rx`` where
+    ``h`` is exactly 0: ``rx`` is the whole received grid."""
+    h = harness._flat(cells[..., 1:, :])
+    weights = np.conjugate(h)
+    weights[h == 0] = 1.0
+    return harness._flat(rx[..., 1:, :]) * weights
+
+
+def reference_block(config: SimConfig, profile, streams, rows: int) -> dict:
+    """``harness._sweep_block`` as a loop over the SNR points: each receives
+    the whole grid, runs every estimator on its pilot rows alone and decides
+    on ``reference_decisions``."""
+    block = harness._draw_block(config, profile, streams, rows)
+    rx = np.empty_like(block.noise)
+    partial = {}
+    for snr_idx, snr_db in enumerate(config.snr_points_db):
+        pilot_ls = harness._receive(block, noise_variance(snr_db), rx)
+        for e in config.estimators:
+            cells, mse, sigma2 = reference_estimate(config, e, pilot_ls, block)
+            decided = reference_decisions(rx, cells).view(np.float64)
+            partial[snr_idx, e] = (np.count_nonzero(decided < 0.0), mse, sigma2)
+    return partial
 
 
 def tx_grid(config: SimConfig) -> np.ndarray:
@@ -571,10 +623,10 @@ def assert_fixed_point_law(snr_db: float, estimators: tuple[str, ...], turn: str
         flat_bits = bits.reshape(rows, cfg.grid.n_symbols, -1)
         zeros = np.zeros_like(flat_bits[0])
         for e in estimators:
-            h_data, mse, sigma2_hat = harness._estimate_cells(cfg, e, pilot_ls, block)
-            other_h, other_mse, other_sigma2 = harness._estimate_cells(cfg, e, other[:, :, 0, :], block)
-            decided = equalize(harness._flat(rx[:, :, 1:, :]), h_data)
-            other_decided = equalize(harness._flat(other[:, :, 1:, :]), other_h)
+            cells, mse, sigma2_hat = reference_estimate(cfg, e, pilot_ls, block)
+            other_cells, other_mse, other_sigma2 = reference_estimate(cfg, e, other[:, :, 0, :], block)
+            decided = reference_decisions(rx, cells)
+            other_decided = reference_decisions(other, other_cells)
             for j in range(rows):
                 count = qpsk_bit_errors(decided[j], zeros)
                 fixed[e].append(count)
@@ -800,6 +852,155 @@ def random_grid_config(seed: int) -> SimConfig:
         subframes_per_point=int(rng.integers(8, 20)), estimators=ESTIMATOR_IDS,
         master_seed=seed, th_perfect=n_pilots - 1, th_inaccurate=n_pilots // 2,
     )
+
+
+def stage_configs():
+    """Seeded random grids with every estimator that fits: one, two and three
+    symbols per block, pilot spacings 2 to 8, among them a grid whose true
+    response is exactly 0 at 10 data cells of every trial."""
+    rng = np.random.default_rng(3030)
+    configs = []
+    for n_symbols, spacing in ((1, 2), (2, 2), (3, 4), (2, 8), (1, 8), (3, 2)):
+        n_pilots = 2 ** int(rng.integers(3, 7))
+        estimators = tuple(e for e in ESTIMATOR_IDS if ESTIMATORS[e].min_symbols <= n_symbols)
+        configs.append(
+            SimConfig(
+                grid=GridConfig(n_pilots * spacing, n_pilots, n_symbols, 10), sample_rate_hz=1.92e6,
+                snr_points_db=(SNR_FLOOR_DB, 0.0, 12.5, 40.0, 300.0), subframes_per_point=int(rng.integers(3, 12)),
+                estimators=estimators, th_perfect=n_pilots - 1, th_inaccurate=n_pilots // 3,
+                master_seed=int(rng.integers(1000)),
+            )
+        )
+    return configs + [zero_cells_config()]
+
+
+def zero_cells_config(**overrides) -> SimConfig:
+    """Two equal unfaded taps 20 samples apart on 480 subcarriers: the true
+    response is exactly 0 at 10 data cells of every trial."""
+    profile = Path(__file__).with_name("two-equal-taps.txt")
+    fields = dict(
+        grid=GridConfig(480, 60), profile=str(profile), fading=False, estimators=ESTIMATOR_IDS,
+        snr_points_db=(0.0, 10.0, 20.0, 30.0), subframes_per_point=20,
+    )
+    return SimConfig(**{**fields, **overrides})
+
+
+def stage_at_every_point(config: SimConfig):
+    """One block of ``config`` and its estimators' stages over all its SNR points at once."""
+    block = draw_block(config, 0, config.subframes_per_point)
+    sigma2s = [noise_variance(s) for s in config.snr_points_db]
+    return block, sigma2s, harness._stages(config, block, sigma2s)
+
+
+class TestSnrStage:
+    """The work each estimator does once per run of SNR points against the
+    same work done at each point on its own."""
+
+    @pytest.mark.parametrize("config", stage_configs(), ids=lambda c: f"{c.grid}")
+    def test_pilot_rows_are_the_received_rows(self, config):
+        block = draw_block(config, 0, config.subframes_per_point)
+        rows = harness._pilot_rows(block, [noise_variance(s) for s in config.snr_points_db])
+        for point, snr_db in enumerate(config.snr_points_db):
+            _, pilot_ls = receive(block, snr_db)
+            assert np.array_equal(rows[point].view(np.float64), pilot_ls.view(np.float64)), snr_db
+
+    @pytest.mark.parametrize("config", stage_configs(), ids=lambda c: f"{c.grid}")
+    def test_stage_is_the_per_point_estimate(self, config):
+        """σ̂², the cleaned response and its Parseval MSE over the SNR axis are
+        bitwise those of ``conventional_estimate`` and ``multi_symbol_estimate``
+        run on each point's pilot rows; the stage keeps the response without
+        its all-zero tail."""
+        grid = config.grid
+        block, _, stages = stage_at_every_point(config)
+        runs = {
+            "conv-perfect": lambda ls: conventional_estimate(ls, grid.n_subcarriers, config.th_perfect, config.c),
+            "conv-inaccurate": lambda ls: conventional_estimate(ls, grid.n_subcarriers, config.th_inaccurate, config.c),
+            "proposed": lambda ls: multi_symbol_estimate(ls, grid.n_subcarriers),
+        }
+        for estimator_id, run in runs.items():
+            if estimator_id not in stages:
+                continue
+            est, mse, sigma2 = stages[estimator_id]
+            kept = est.rows.shape[-1]
+            for point, snr_db in enumerate(config.snr_points_db):
+                alone = run(receive(block, snr_db)[1])
+                label = f"{estimator_id} at {snr_db} dB"
+                assert np.array_equal(est.rows[point], alone.cleaned_cir[..., :kept]), label
+                assert not alone.cleaned_cir[..., kept:].any(), label
+                assert np.array_equal(sigma2[point], np.mean(alone.sigma2_hat, axis=-1)), label
+                assert np.array_equal(mse[point], cir_mse(alone.cleaned_cir, block.taps)), label
+
+    @pytest.mark.parametrize("config", stage_configs(), ids=lambda c: f"{c.grid}")
+    def test_weights_are_the_conjugated_data_cells(self, config):
+        """Every estimator's weights at the data rows are bitwise ``conj`` of
+        its per-point ``Estimate.cells[..., 1:, :]`` and of cells formed
+        outside the package, exact zeros replaced by 1."""
+        block, sigma2s, stages = stage_at_every_point(config)
+        for estimator_id, (est, _, _) in stages.items():
+            for point, snr_db in enumerate(config.snr_points_db):
+                rx, pilot_ls = receive(block, snr_db)
+                if estimator_id == "ideal":
+                    weights = harness.guard_zeros(harness._flat(harness.conj_cells(est, 1)))
+                else:
+                    weights = harness._weights(est, block, sigma2s[point], point)
+                cells = ESTIMATORS[estimator_id].run(config, pilot_ls, block.truth).cells
+                reference, _, _ = reference_estimate(config, estimator_id, pilot_ls, block)
+                for h in (cells, reference):
+                    expected = np.conjugate(harness._flat(h[..., 1:, :]))
+                    expected[expected == 0] = 1.0
+                    assert np.array_equal(weights, expected), f"{estimator_id} at {snr_db} dB"
+
+    def test_zero_cells_reach_the_guard(self):
+        """The exact-zero grid has 10 zero data cells per trial in the truth,
+        which ``ideal``'s weights replace by 1."""
+        config = zero_cells_config()
+        block, _, stages = stage_at_every_point(config)
+        assert np.all(np.count_nonzero(block.truth[:, 1:, :] == 0, axis=(1, 2)) == 10)
+        weights = harness.guard_zeros(harness._flat(harness.conj_cells(stages["ideal"][0], 1)))
+        assert np.count_nonzero(weights == 1.0) >= 10 * config.subframes_per_point
+
+    @pytest.mark.parametrize("config", stage_configs(), ids=lambda c: f"{c.grid}")
+    def test_ls_only_mse_from_block_sums_is_the_grid_mse(self, config):
+        """``ls-only``'s MSE, a quadratic in sqrt(σ²) over three per-trial
+        sums, is within 1e-13 relative of ``estimator_mse`` over the whole
+        grid, from the SNR floor to 300 dB."""
+        block, _, stages = stage_at_every_point(config)
+        _, mse, sigma2 = stages["ls-only"]
+        assert sigma2 is None
+        for point, snr_db in enumerate(config.snr_points_db):
+            _, grid_mse, _ = reference_estimate(config, "ls-only", receive(block, snr_db)[1], block)
+            assert np.allclose(mse[point], grid_mse, rtol=1e-13, atol=0), snr_db
+
+    @pytest.mark.parametrize(
+        "config",
+        [random_grid_config(seed) for seed in range(3)]
+        + [zero_cells_config(), zero_cells_config(grid=GridConfig(480, 60, n_symbols=1), estimators=("ideal", "ls-only"))]
+        + [tiny_config(subframes_per_point=300, snr_points_db=tuple(np.arange(-5.0, 36.0, 5.0)), estimators=ESTIMATOR_IDS)],
+        ids=["random-0", "random-1", "random-2", "zero-cells", "zero-cells-m1", "nine-points"],
+    )
+    def test_sweep_is_the_per_point_loop(self, config):
+        """Sweep records equal those of ``reference_block``, a loop over the
+        SNR points, byte for byte, but ``ls-only``'s ``mean_mse``, which is
+        within 4 ulps."""
+        profile = resolve_profile(config)
+        errors, mse, sigma2 = {}, {}, {}
+        for streams, rows in sweep_blocks(config):
+            for key, (e, m, s) in reference_block(config, profile, streams, rows).items():
+                errors[key] = errors.get(key, 0) + e
+                mse.setdefault(key, []).extend(m.tolist())
+                sigma2.setdefault(key, []).extend([] if s is None else s.tolist())
+        n = config.subframes_per_point
+        for record in sweep(config, workers=1):
+            key = config.snr_points_db.index(record.snr_db), record.estimator_id
+            label = f"{record.estimator_id} at {record.snr_db} dB"
+            assert record.bit_errors == errors[key], label
+            expected = math.fsum(mse[key]) / n
+            if record.estimator_id == "ls-only":
+                assert abs(record.mean_mse - expected) <= 4 * math.ulp(expected), label
+            else:
+                assert record.mean_mse == expected, label
+            expected = math.fsum(sigma2[key]) / n if sigma2[key] else None
+            assert record.mean_sigma2_hat == expected, label
 
 
 class TestSweep:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ofdmce.spectral import dft, idft
+from ofdmce.spectral import dft, idft, idft_unscaled
 
 
 def direct_dft(x: np.ndarray) -> np.ndarray:
@@ -107,6 +107,18 @@ class TestProperties:
         x = random_complex(rng, length)
         assert np.abs(idft(dft(x)) - x).max() <= 1e-12
         assert np.abs(dft(idft(x)) - x).max() <= 1e-12
+
+    @pytest.mark.parametrize("length", [1, 8, 12, 48, 96, 2048])
+    def test_unscaled_inverse_conjugates_the_forward(self, length):
+        """idft_unscaled(conj(x)) is bitwise conj(dft(x)), in place too, and
+        L times idft(x) up to rounding."""
+        rng = np.random.default_rng(4500 + length)
+        x = random_complex(rng, 3, length)
+        assert np.array_equal(idft_unscaled(np.conjugate(x)), np.conjugate(dft(x)))
+        buffer = np.conjugate(x)
+        assert idft_unscaled(buffer, out=buffer) is buffer
+        assert np.array_equal(buffer, np.conjugate(dft(x)))
+        assert np.abs(idft_unscaled(x) - length * idft(x)).max() <= 1e-12 * length
 
     @pytest.mark.parametrize("length", [8, 128, 512])
     def test_parseval(self, length):

@@ -1,10 +1,11 @@
 """Write the outputs that a change meant to keep behaviour must leave byte-identical.
 
 Run from a checkout root: ``python tools/outputs.py OUTDIR``. OUTDIR gets the
-sweep CSVs and logs of the benchmark workloads at seed 7, 300 subframes and
-1 or 2 workers; ``gaps`` at two targets on each workload's one-worker CSV,
-and on a header-only and an inconsistent CSV; ``inspect`` of every
-estimator in twelve cases, two of them past the first block of their batch;
+sweep CSVs and logs of the benchmark workloads and of an exact-zero case at
+seed 7, 300 subframes and 1 or 2 workers; ``gaps`` at two targets on each
+sweep's one-worker CSV, and on a header-only and an inconsistent CSV;
+``inspect`` of every estimator in thirteen cases, two of them past the first
+block of their batch;
 ``profiles`` at three sample rates; and ``sweep`` and ``inspect`` refusing
 malformed config flags and an empty profile, and each command refusing a
 malformed flag of its own. Each log holds its exit code. Inputs are passed
@@ -32,6 +33,14 @@ INPUTS = {
     "m1.cfg": "n_symbols = 1\n",
     "np512.cfg": "n_pilots = 512\n",
     "two-ray.txt": "name = two-ray\ntap = 0 0\ntap = 1000 -3\n",
+    # Two equal taps 20 samples apart at 7.68 MHz, unfaded: the true response
+    # is exactly 0 at 10 data cells of every trial, so ideal's zero guard
+    # decides them.
+    "two-equal.txt": "name = two-equal\ntap = 0 0\ntap = 2604.1666667 0\n",
+    "zero-cells.cfg": (
+        "n_subcarriers = 480\nn_pilots = 60\nfading = false\nprofile = two-equal.txt\n"
+        f"estimators = {','.join(ESTIMATOR_IDS)}\n"
+    ),
     "header-only.csv": f"{CSV_HEADER}\n",
     # 50 errors in 100 bits, but a BER of 0.9.
     "inconsistent.csv": f"{CSV_HEADER}\nideal,10.0,100,50,0.9,0.0,nan\n",
@@ -52,7 +61,11 @@ INSPECT_CASES = {
     "single-tap": ["--profile", "single-tap", "--trial", "4294967299"],
     "floor": ["--snr", "-300"],
     "below-floor": ["--snr=-300.5"],
+    "zero-cells": ["--config", "zero-cells.cfg", "--snr", "20", "--trial", "5"],
 }
+
+# Sweep configs: every benchmark workload and the exact-zero case.
+SWEEPS = (*WORKLOADS, "zero-cells")
 
 # Config flags whose value does not parse, and one that names no profile.
 BAD_FLAGS = {
@@ -87,7 +100,7 @@ def write_outputs(outdir: str) -> None:
     os.chdir(outdir)
     for name, text in INPUTS.items():
         Path(name).write_text(text)
-    for name in WORKLOADS:
+    for name in SWEEPS:
         for workers in ("1", "2"):
             stem = f"sweep-{name}-w{workers}"
             run(f"{stem}.log", ["sweep", "--config", f"{name}.cfg", "--seed", "7",
