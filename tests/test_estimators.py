@@ -532,7 +532,7 @@ class TestEqualize:
         with pytest.raises(ValueError, match="symbol-major"):
             equalize(rx, np.ones((2, 3, 4), dtype=complex))
 
-    def test_strided_weights_give_c_ordered_products(self):
+    def test_strided_estimate_gives_c_ordered_products(self):
         """Strided weights, such as the data rows of conjugated cells or a
         Fortran-ordered block, equalize into a fresh C-ordered array with the
         decisions of a contiguous copy."""
