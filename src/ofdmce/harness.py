@@ -451,8 +451,9 @@ def _bit_errors(rx_data: np.ndarray, weights: np.ndarray, fresh: bool, last: boo
 def _keep_heap_mapped() -> None:
     """Pin glibc's malloc thresholds once per process, so that each block
     reuses the heap pages the block before it freed, where glibc would trim
-    them and the next block fault them in again. A no-op where the C library
-    has no ``mallopt``."""
+    them and the next block fault them in again; first hand back the free
+    pages that imports left inside the heap. A no-op where the C library
+    has no ``mallopt`` or ``malloc_trim``."""
     try:
         libc = ctypes.CDLL(None)
         mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
@@ -460,7 +461,6 @@ def _keep_heap_mapped() -> None:
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     malloc_trim.argtypes, malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
-    # First hand back the free pages that imports left inside the heap.
     malloc_trim(0)
     # M_MMAP_THRESHOLD (-3) at its 64-bit cap of 32 MiB and M_TRIM_THRESHOLD (-1)
     # at twice that: the values glibc's own dynamic rule moves toward.
