@@ -244,12 +244,10 @@ def multi_symbol_estimate(pilots: np.ndarray, n_subcarriers: int) -> Estimate:
     return Estimate("cir", cleaned, n_subcarriers, sigma2)
 
 
-def guard_zeros(weights: np.ndarray, source: np.ndarray | None = None) -> np.ndarray:
+def guard_zeros(weights: np.ndarray) -> np.ndarray:
     """Zero-forcing weights from a conjugated estimate, in place: exact zeros
-    become 1, so those cells decide on the received signs. ``source``, if
-    given, holds every value the weights copy (the pilot rows of a nearest
-    fill), and the weights are scanned only if it has a zero."""
-    if not (weights if source is None else source).all():
+    become 1, so those cells decide on the received signs."""
+    if not weights.all():
         weights[weights == 0] = 1.0
     return weights
 
@@ -265,8 +263,8 @@ def equalize(rx_data: np.ndarray, weights: np.ndarray, out: np.ndarray | None = 
     so QPSK decisions are those of dividing, a deep fade keeps its phase,
     and no division can overflow. Cells where ``h`` is exactly 0 have weight
     1 and return ``rx`` itself. The product is written into ``out`` if
-    given, a C-ordered complex128 array of ``rx``'s shape that is the
-    weights or does not overlap either input.
+    given, a C-ordered complex128 array of ``rx``'s shape that is ``rx``,
+    the weights, or overlaps neither.
     """
     rx = np.asarray(rx_data)
     w = np.asarray(weights)

@@ -46,9 +46,9 @@ data cells. Across the symbols the pilot rows are ``(..., M, Np)``,
 symbol-major like every grid of the package, so the estimators read them
 with no reorder. What no SNR point changes is done once: each estimator's
 impulse-response stage runs over the pilot rows of a run of SNR points at
-once, ``(points, trials, M, Np)``, and ``ideal``'s weights once per block.
-Each point then only scales and adds the data rows, forms each estimate's
-conjugated cells there and decides with one multiply per cell.
+once, ``(points, trials, M, Np)``, and keeps its estimate's rows per point.
+Each point then only scales and adds the data rows, forms every estimate's
+conjugated cells there the same way and decides with one multiply per cell.
 ``simulate_subframe`` draws and receives a trial's batch the same way, up
 to the trial, and returns its pilot row and truth as they are, so
 ``inspect`` shows what the sweep scored. Both refuse an SNR below
@@ -291,6 +291,12 @@ class _Block:
     clean: np.ndarray
     noise: np.ndarray
 
+    @functools.cached_property
+    def nearest_terms(self) -> tuple[np.ndarray, ...]:
+        """``estimators.nearest_error_terms`` of the truth and the pilot rows'
+        noise, which no SNR point moves."""
+        return nearest_error_terms(self.truth, self.noise[..., 0, :])
+
 
 def _draw_block(config: SimConfig, profile: PowerDelayProfile, streams, rows: int) -> _Block:
     """Draw the next ``rows`` trials of a batch from its ``streams``, each
@@ -336,14 +342,13 @@ def _flat(cells: np.ndarray) -> np.ndarray:
 
 def _stages(config: SimConfig, block: _Block, sigma2s) -> dict:
     """Each estimator's work at a run of SNR points that no point repeats,
-    done over all of them at once: its estimate, and its per-trial MSE and
-    mean σ̂² (or None), ``(points, trials)``. A denoised response is kept per
-    point on its rows' leading axis, without its all-zero tail; ``ls-only``'s
-    estimate keeps no rows, and ``ideal``'s are the truth.
+    done over all of them at once: its estimate, with its rows on a leading
+    axis of points, and its per-trial MSE and mean σ̂² (or None), ``(points,
+    trials)``. ``ls-only``'s rows are the pilot rows, ``ideal``'s the truth.
 
     The MSE over all ``N`` cells is taken by Parseval where the estimate has
-    an impulse response, from three per-trial sums for ``ls-only`` and is
-    exactly 0 for ``ideal``, whose cells are the truth.
+    an impulse response, from the block's three sums (``_Block.nearest_terms``)
+    for ``ls-only`` and is exactly 0 for ``ideal``, whose cells are the truth.
     """
     # A sweep of ideal alone forms no pilot rows.
     pilots = _pilot_rows(block, sigma2s) if set(config.estimators) != {"ideal"} else None
@@ -352,35 +357,16 @@ def _stages(config: SimConfig, block: _Block, sigma2s) -> dict:
         est = ESTIMATORS[estimator_id].run(config, pilots, block.truth)
         if est.form == "cells":
             mse = np.zeros((len(sigma2s), len(block.truth)))
+            est = est._replace(rows=np.broadcast_to(est.rows, (len(sigma2s),) + est.rows.shape))
         elif est.form == "nearest":
-            a, b, c = nearest_error_terms(block.truth, block.noise[..., 0, :])
+            a, b, c = block.nearest_terms
             s = np.sqrt(sigma2s)[:, None]
             mse = (a + 2.0 * s * b + s * s * c) / (block.noise.shape[1] * config.grid.n_subcarriers)
-            est = est._replace(rows=None)
         else:
             mse = cir_mse(est.cleaned_cir, block.taps)
-            nonzero = np.flatnonzero(est.rows.reshape(-1, est.rows.shape[-1]).any(axis=0))
-            est = est._replace(rows=est.rows[..., : nonzero[-1] + 1 if nonzero.size else 0].copy())
         sigma2 = None if est.sigma2_hat is None else np.mean(est.sigma2_hat, axis=-1)
         stages[estimator_id] = est, mse, sigma2
     return stages
-
-
-def _weights(est: Estimate, block: _Block, sigma2: float, point: int) -> np.ndarray:
-    """Fresh zero-forcing weights of a stage's estimate at the data rows,
-    flat ``(trials, M', K)``: its conjugated cells at ``point``, exact zeros
-    replaced by 1. Given cells are the same at every point. A nearest
-    fill's pilot rows are formed again here, and its zeros are theirs, so
-    the weights are scanned only if those have one; a denoised response gets
-    its zero tail back."""
-    if est.form == "cells":
-        return guard_zeros(_flat(conj_cells(est, 1)))
-    if est.form == "nearest":
-        rows = _pilot_rows(block, [sigma2])[0]
-        return guard_zeros(_flat(conj_cells(est._replace(rows=rows), 1)), rows)
-    rows = np.zeros(est.rows.shape[1:-1] + block.noise.shape[-1:], dtype=np.complex128)
-    rows[..., : est.rows.shape[-1]] = est.rows[point]
-    return guard_zeros(_flat(conj_cells(est._replace(rows=rows), 1)))
 
 
 def _block_trials(grid: GridConfig) -> int:
@@ -404,45 +390,40 @@ def _sweep_block(config: SimConfig, profile: PowerDelayProfile, streams, rows: i
 
     Each estimator's per-block work runs once per run of SNR points
     (``_stages``), over all of them at once. Each point then only receives
-    the data rows, forms each estimate's weights there and decides: every
-    data cell carries ``X0``, so a cell's bit errors are the negative parts
-    of ``rx`` times the weights, those that decide a bit 1. Weights no point
-    moves, ``ideal``'s, are formed once per block; fresh weights take the
-    product in place, and a point's last decision takes its received cells.
+    the data rows and, for every estimate alike, forms its zero-forcing
+    weights there from its rows at the point (``conj_cells`` of the data
+    rows, exact zeros made 1) and decides: every data cell carries ``X0``,
+    so a cell's bit errors are the negative parts of ``rx`` times the
+    weights, those that decide a bit 1.
     """
     block = _draw_block(config, profile, streams, rows)
     # One data-row receive buffer, flat, serves every SNR point.
     rx = np.empty(block.noise[..., 1:, :].shape, dtype=np.complex128)
     rx_data = _flat(rx)
-    fixed, partial = {}, {}
+    partial = {}
     for group in _snr_groups(config):
         sigma2s = [noise_variance(config.snr_points_db[i]) for i in group]
         stages = _stages(config, block, sigma2s)
         for j, snr_idx in enumerate(group):
             _receive(block, sigma2s[j], rx, first=1)
             for estimator_id, (est, mse, sigma2) in stages.items():
-                if est.form == "cells":
-                    if estimator_id not in fixed:
-                        fixed[estimator_id] = _weights(est, block, sigma2s[j], j)
-                    weights, fresh = fixed[estimator_id], False
-                else:
-                    weights, fresh = _weights(est, block, sigma2s[j], j), True
-                errors = _bit_errors(rx_data, weights, fresh, last=estimator_id == config.estimators[-1])
-                # Free fresh weights before the next are formed.
+                weights = guard_zeros(_flat(conj_cells(est._replace(rows=est.rows[j]), 1)))
+                errors = _bit_errors(rx_data, weights, last=estimator_id == config.estimators[-1])
+                # Free the weights before the next are formed.
                 del weights
                 partial[snr_idx, estimator_id] = errors, mse[j], None if sigma2 is None else sigma2[j]
         del stages
     return partial
 
 
-def _bit_errors(rx_data: np.ndarray, weights: np.ndarray, fresh: bool, last: bool) -> int:
+def _bit_errors(rx_data: np.ndarray, weights: np.ndarray, last: bool) -> int:
     """The bit errors of deciding ``rx_data * weights``, its negative parts.
     A point's ``last`` decision writes the product over the received cells,
-    others into ``fresh`` weights of their shape, else into a new array."""
+    others into the weights if they have its shape, else into a new array."""
     if last:
         out = rx_data
     else:
-        out = weights if fresh and weights.shape == rx_data.shape else None
+        out = weights if weights.shape == rx_data.shape else None
     decided = equalize(rx_data, weights, out=out).view(np.float64)
     return np.count_nonzero(np.less(decided, 0.0))
 

@@ -892,6 +892,11 @@ def stage_at_every_point(config: SimConfig):
     return block, sigma2s, harness._stages(config, block, sigma2s)
 
 
+def point_weights(est, point: int) -> np.ndarray:
+    """A stage estimate's zero-forcing weights at one SNR point, as ``_sweep_block`` forms them."""
+    return harness.guard_zeros(harness._flat(harness.conj_cells(est._replace(rows=est.rows[point]), 1)))
+
+
 class TestSnrStage:
     """The work each estimator does once per run of SNR points against the
     same work done at each point on its own."""
@@ -908,8 +913,8 @@ class TestSnrStage:
     def test_stage_is_the_per_point_estimate(self, config):
         """σ̂², the cleaned response and its Parseval MSE over the SNR axis are
         bitwise those of ``conventional_estimate`` and ``multi_symbol_estimate``
-        run on each point's pilot rows; the stage keeps the response without
-        its all-zero tail."""
+        run on each point's pilot rows; the stage keeps the response as the
+        estimator returned it, all ``Np`` taps."""
         grid = config.grid
         block, _, stages = stage_at_every_point(config)
         runs = {
@@ -921,28 +926,24 @@ class TestSnrStage:
             if estimator_id not in stages:
                 continue
             est, mse, sigma2 = stages[estimator_id]
-            kept = est.rows.shape[-1]
             for point, snr_db in enumerate(config.snr_points_db):
                 alone = run(receive(block, snr_db)[1])
                 label = f"{estimator_id} at {snr_db} dB"
-                assert np.array_equal(est.rows[point], alone.cleaned_cir[..., :kept]), label
-                assert not alone.cleaned_cir[..., kept:].any(), label
+                assert np.array_equal(est.rows[point], alone.cleaned_cir), label
                 assert np.array_equal(sigma2[point], np.mean(alone.sigma2_hat, axis=-1)), label
                 assert np.array_equal(mse[point], cir_mse(alone.cleaned_cir, block.taps)), label
 
     @pytest.mark.parametrize("config", stage_configs(), ids=lambda c: f"{c.grid}")
     def test_weights_are_the_conjugated_data_cells(self, config):
-        """Every estimator's weights at the data rows are bitwise ``conj`` of
-        its per-point ``Estimate.cells[..., 1:, :]`` and of cells formed
-        outside the package, exact zeros replaced by 1."""
-        block, sigma2s, stages = stage_at_every_point(config)
+        """Every estimator's weights at the data rows, formed from its stage
+        rows at a point as the sweep forms them, are bitwise ``conj`` of its
+        per-point ``Estimate.cells[..., 1:, :]`` and of cells formed outside
+        the package, exact zeros replaced by 1."""
+        block, _, stages = stage_at_every_point(config)
         for estimator_id, (est, _, _) in stages.items():
             for point, snr_db in enumerate(config.snr_points_db):
-                rx, pilot_ls = receive(block, snr_db)
-                if estimator_id == "ideal":
-                    weights = harness.guard_zeros(harness._flat(harness.conj_cells(est, 1)))
-                else:
-                    weights = harness._weights(est, block, sigma2s[point], point)
+                _, pilot_ls = receive(block, snr_db)
+                weights = point_weights(est, point)
                 cells = ESTIMATORS[estimator_id].run(config, pilot_ls, block.truth).cells
                 reference, _, _ = reference_estimate(config, estimator_id, pilot_ls, block)
                 for h in (cells, reference):
@@ -956,7 +957,7 @@ class TestSnrStage:
         config = zero_cells_config()
         block, _, stages = stage_at_every_point(config)
         assert np.all(np.count_nonzero(block.truth[:, 1:, :] == 0, axis=(1, 2)) == 10)
-        weights = harness.guard_zeros(harness._flat(harness.conj_cells(stages["ideal"][0], 1)))
+        weights = point_weights(stages["ideal"][0], 0)
         assert np.count_nonzero(weights == 1.0) >= 10 * config.subframes_per_point
 
     @pytest.mark.parametrize("config", stage_configs(), ids=lambda c: f"{c.grid}")
@@ -975,13 +976,15 @@ class TestSnrStage:
         "config",
         [random_grid_config(seed) for seed in range(3)]
         + [zero_cells_config(), zero_cells_config(grid=GridConfig(480, 60, n_symbols=1), estimators=("ideal", "ls-only"))]
-        + [tiny_config(subframes_per_point=300, snr_points_db=tuple(np.arange(-5.0, 36.0, 5.0)), estimators=ESTIMATOR_IDS)],
-        ids=["random-0", "random-1", "random-2", "zero-cells", "zero-cells-m1", "nine-points"],
+        + [tiny_config(subframes_per_point=300, snr_points_db=tuple(np.arange(-5.0, 36.0, 5.0)), estimators=ESTIMATOR_IDS)]
+        + [zero_cells_config(estimators=ESTIMATOR_IDS[::-1])],
+        ids=["random-0", "random-1", "random-2", "zero-cells", "zero-cells-m1", "nine-points", "reversed"],
     )
     def test_sweep_is_the_per_point_loop(self, config):
         """Sweep records equal those of ``reference_block``, a loop over the
         SNR points, byte for byte, but ``ls-only``'s ``mean_mse``, which is
-        within 4 ulps."""
+        within 4 ulps. In the reversed list ``ideal``, one response for the
+        block, makes each point's last decision, over the received cells."""
         profile = resolve_profile(config)
         errors, mse, sigma2 = {}, {}, {}
         for streams, rows in sweep_blocks(config):
@@ -1128,11 +1131,14 @@ class TestSweep:
 
     def test_a_block_holds_one_estimate_at_a_time(self):
         """One block of the headline grid and estimators peaks below 6 cell
-        grids of traced allocations. A block holds the unit noise cells and
-        the received cells ``rx`` (a grid each), the clean cells and the truth
-        (one symbol each, half a grid here), the equalized ``product`` of the
-        data rows, and one estimate, freed before the next is built. Keeping
-        the last estimate while building the next read 6.45 grids."""
+        grids of traced allocations, at 5.34. A block holds the unit noise
+        cells (a grid), the received data rows ``rx`` (7/8 of one), the clean
+        cells and the truth (one symbol each, half a grid here), the stage of
+        its three SNR points (their pilot rows and each estimator's untrimmed
+        responses, at most 3/8 of a grid each) and one estimate's weights at
+        one point, which hold the product where they have its shape, freed
+        before the next are formed. Keeping the last weights while forming
+        the next read 6.02 grids."""
         cfg = tiny_config(snr_points_db=(25.0, 27.5, 30.0))
         profile, rows = resolve_profile(cfg), harness._block_trials(cfg.grid)
         grid_bytes = rows * 16 * cfg.grid.n_symbols * cfg.grid.n_subcarriers

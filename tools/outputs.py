@@ -1,9 +1,10 @@
 """Write the outputs that a change meant to keep behaviour must leave byte-identical.
 
 Run from a checkout root: ``python tools/outputs.py OUTDIR``. OUTDIR gets the
-sweep CSVs and logs of the benchmark workloads and of an exact-zero case at
-seed 7, 300 subframes and 1 or 2 workers; ``gaps`` at two targets on each
-sweep's one-worker CSV, and on a header-only and an inconsistent CSV;
+sweep CSVs and logs of the benchmark workloads and of an exact-zero case,
+its estimators in table and in reversed order, at seed 7, 300 subframes and
+1 or 2 workers; ``gaps`` at two targets on each sweep's one-worker CSV, and
+on a header-only and an inconsistent CSV;
 ``inspect`` of every estimator in thirteen cases, two of them past the first
 block of their batch;
 ``profiles`` at three sample rates; and ``sweep`` and ``inspect`` refusing
@@ -27,20 +28,22 @@ from ofdmce.cli import main  # noqa: E402
 from ofdmce.harness import CSV_HEADER, ESTIMATOR_IDS  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
+# Two equal taps 20 samples apart at 7.68 MHz, unfaded (``two-equal.txt``):
+# the true response is exactly 0 at 10 data cells of every trial, so ideal's
+# zero guard decides them.
+ZERO_CELLS = "n_subcarriers = 480\nn_pilots = 60\nfading = false\nprofile = two-equal.txt\n"
+
 INPUTS = {
     **{f"{name}.cfg": w.config_text() for name, w in WORKLOADS.items()},
     "m3.cfg": "n_symbols = 3\n",
     "m1.cfg": "n_symbols = 1\n",
     "np512.cfg": "n_pilots = 512\n",
     "two-ray.txt": "name = two-ray\ntap = 0 0\ntap = 1000 -3\n",
-    # Two equal taps 20 samples apart at 7.68 MHz, unfaded: the true response
-    # is exactly 0 at 10 data cells of every trial, so ideal's zero guard
-    # decides them.
     "two-equal.txt": "name = two-equal\ntap = 0 0\ntap = 2604.1666667 0\n",
-    "zero-cells.cfg": (
-        "n_subcarriers = 480\nn_pilots = 60\nfading = false\nprofile = two-equal.txt\n"
-        f"estimators = {','.join(ESTIMATOR_IDS)}\n"
-    ),
+    "zero-cells.cfg": ZERO_CELLS + f"estimators = {','.join(ESTIMATOR_IDS)}\n",
+    # ideal last: its one response per block makes each SNR point's last
+    # decision, written over the received cells.
+    "reversed.cfg": ZERO_CELLS + f"estimators = {','.join(reversed(ESTIMATOR_IDS))}\n",
     "header-only.csv": f"{CSV_HEADER}\n",
     # 50 errors in 100 bits, but a BER of 0.9.
     "inconsistent.csv": f"{CSV_HEADER}\nideal,10.0,100,50,0.9,0.0,nan\n",
@@ -64,8 +67,8 @@ INSPECT_CASES = {
     "zero-cells": ["--config", "zero-cells.cfg", "--snr", "20", "--trial", "5"],
 }
 
-# Sweep configs: every benchmark workload and the exact-zero case.
-SWEEPS = (*WORKLOADS, "zero-cells")
+# Sweep configs: every benchmark workload and the exact-zero case in both orders.
+SWEEPS = (*WORKLOADS, "zero-cells", "reversed")
 
 # Config flags whose value does not parse, and one that names no profile.
 BAD_FLAGS = {
