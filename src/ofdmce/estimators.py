@@ -37,8 +37,8 @@ conjugated, since a decision is ``rx * conj(h)``: a sweep asks it for the
 data rows only, flattened with no gather, and after :func:`guard_zeros`
 ``equalize`` is one multiply. The genie bound is the true response in
 residue order.
-``estimator_mse`` scores a whole grid; ``cir_mse`` gives the same number
-for a cleaned impulse response from the true tap vector alone, by Parseval.
+``cir_mse`` scores a cleaned impulse response from the true tap vector
+alone, by Parseval.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ __all__ = [
     "multi_symbol_estimate",
     "guard_zeros",
     "equalize",
-    "estimator_mse",
     "cir_mse",
     "nearest_error_terms",
 ]
@@ -279,25 +278,9 @@ def equalize(rx_data: np.ndarray, weights: np.ndarray, out: np.ndarray | None = 
     return np.multiply(rx, w, out=out)
 
 
-def estimator_mse(estimate: np.ndarray, truth: np.ndarray) -> float | np.ndarray:
-    """Mean squared error of an estimated frequency response against the true one.
-
-    The estimate is symbol-major, ``(..., M', N)`` against the truth's
-    ``(..., N)``; per-symbol errors are averaged over the symbols. The
-    difference is squared in place, as ``re**2 + im**2`` on its float view.
-    """
-    est = np.asarray(estimate)
-    truth = np.asarray(truth)
-    if est.ndim < 2 or est.shape[:-2] + est.shape[-1:] != truth.shape:
-        raise ValueError(f"estimate {est.shape} does not match the true response {truth.shape}")
-    diff = np.subtract(est, truth[..., None, :], out=np.empty(est.shape, dtype=np.complex128))
-    squares = np.square(diff.view(np.float64), out=diff.view(np.float64))
-    # The mean over 2N squares is half the mean over N cells.
-    return 2.0 * np.mean(np.mean(squares, axis=-1), axis=-1)
-
-
 def cir_mse(cleaned_cir: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """:func:`estimator_mse` of the zero-padded ``(..., M', Np)`` impulse response.
+    """Mean squared error of the zero-padded ``(..., M', Np)`` impulse
+    response's ``N`` cells against the true ones, averaged over the rows.
 
     By Parseval (the forward transform is unnormalized) that is its energy
     error against the true taps ``(..., L)``, ``L >= Np``, every tap of the

@@ -7,16 +7,16 @@ and 2 (noise); purpose 0, once the data bits, is retired. Each stream is
 drawn row by row in trial order by ``channel.complex_normal``, two
 ``random()`` uniforms per complex value, so a trial's values depend only on
 the seed and its index, not on the block it is drawn in. A pool task is
-one batch, and its totals reach ``sweep`` as they are; a sweep that starts
-no pool does not import one.
+one batch; ``sweep`` keeps every batch's partial, on either worker path,
+and a sweep that starts no pool does not import one.
 
 Estimator choice never touches the streams, so all estimators see identical
 channels and noise (paired comparison). The noise is drawn once per trial
 at unit variance and scaled per SNR point. Each record is an integer count
-and exactly rounded sums of per-trial values, kept as a few floats as
-blocks arrive (``_exact_terms``). These do not depend on order, so records
-do not depend on block size, task split or worker count, and reruns give
-byte-identical CSV files.
+and exactly rounded sums of per-trial values, kept as a few floats
+(``_exact_terms``) that one step, ``_fold``, merges over a batch's blocks
+and then over the batches. Exact sums do not depend on order, so reruns at
+any block size, task split or worker count give byte-identical CSV files.
 
 Every data cell carries ``X0 = (1 + j) / sqrt(2)``, the Gray-mapped QPSK
 point for bits (0, 0), and its errors are the negative parts of its
@@ -450,33 +450,23 @@ def _keep_heap_mapped() -> None:
 
 
 def _sweep_batch(config: SimConfig, profile: PowerDelayProfile, batch: int):
-    """Worker body: batch ``batch``'s trials, a block at a time, folded into
-    totals as ``sweep`` keeps them, once per key for the whole batch."""
-    merged = {}
-    for streams, rows in _blocks(config, batch, config.subframes_per_point):
-        for key, values in _sweep_block(config, profile, streams, rows).items():
-            merged[key] = _join(merged[key], values) if key in merged else values
-    totals = {}
-    _add(totals, merged)
-    return totals
+    """Worker body: batch ``batch``'s trials, a block at a time, folded
+    (``_fold``) once per key over the batch's blocks."""
+    partials = [
+        _sweep_block(config, profile, streams, rows)
+        for streams, rows in _blocks(config, batch, config.subframes_per_point)
+    ]
+    return {key: _fold([partial[key] for partial in partials]) for key in partials[0]}
 
 
-def _join(old: tuple, new: tuple) -> tuple:
-    """Two blocks' ``(bit errors, MSE values, σ̂² values or None)`` of one key as one."""
+def _fold(parts: list[tuple]) -> tuple:
+    """One key's ``(bit errors, MSE values, σ̂² values or None)`` parts as one:
+    the errors summed and each run of values as ``_exact_terms`` of them all."""
+    errors, mse, sigma2 = zip(*parts)
     return (
-        old[0] + new[0], np.concatenate((old[1], new[1])),
-        None if new[2] is None else np.concatenate((old[2], new[2])),
+        sum(errors), _exact_terms(np.concatenate(mse).tolist()),
+        None if sigma2[0] is None else _exact_terms(np.concatenate(sigma2).tolist()),
     )
-
-
-def _add(totals: dict, partial: dict) -> None:
-    """Fold per-key ``(bit errors, MSE values, σ̂² values or None)`` into ``totals`` exactly."""
-    for key, (errors, mse, sigma2) in partial.items():
-        old_errors, old_mse, old_sigma2 = totals.get(key, (0, [], []))
-        totals[key] = (
-            old_errors + errors, _exact_terms(old_mse + list(mse)),
-            None if sigma2 is None else _exact_terms(old_sigma2 + list(sigma2)),
-        )
 
 
 def _exact_terms(values: list[float]) -> list[float]:
@@ -542,11 +532,8 @@ def sweep(config: SimConfig, *, workers: int | None = None) -> list[BerRecord]:
     # pool at the first submit), and a few chunks of whole batches per worker.
     n_workers = min(workers or os.cpu_count() or 1, n_batches)
     task = functools.partial(_sweep_batch, config, profile)
-    # Per (SNR index, estimator), as ``_add`` keeps them; records go in this order.
-    keys = [(i, e) for e in config.estimators for i in range(len(config.snr_points_db))]
-    totals = dict.fromkeys(keys, (0, [], []))
     if n_workers == 1:
-        partials = map(task, range(n_batches))
+        partials = [task(batch) for batch in range(n_batches)]
     else:
         # Imported here: a sweep that starts no pool never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
@@ -554,8 +541,9 @@ def sweep(config: SimConfig, *, workers: int | None = None) -> list[BerRecord]:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             chunksize = -(-n_batches // (4 * n_workers))
             partials = list(pool.map(task, range(n_batches), chunksize=chunksize))
-    for partial in partials:
-        _add(totals, partial)
+    # Per (SNR index, estimator), folded over every batch; records go in this order.
+    points = range(len(config.snr_points_db))
+    totals = {(i, e): _fold([p[i, e] for p in partials]) for e in config.estimators for i in points}
 
     total_bits = n_trials * config.grid.data_bits_per_block
     return [
@@ -601,15 +589,16 @@ def _crossing_snr(snrs, bers, bit_totals, target: float) -> float | None:
     """First downward crossing of ``target``, interpolated in log10(BER).
 
     A zero-BER bracket endpoint is floored at half an error in its bit
-    count so the interpolation stays finite; curves that never reach the
-    target give None. Points are scanned in SNR order, so a point exactly at
-    the target counts only if no earlier bracket crosses it.
+    count, or at the target if that is lower, so the crossing is finite and
+    inside its bracket. Curves that never reach the target give None. Points
+    are scanned in SNR order, so a point exactly at the target counts only if
+    no earlier bracket crosses it.
     """
     for i, upper in enumerate(bers):
         if upper == target:
             return snrs[i]
         if i + 1 < len(bers) and upper > target > bers[i + 1]:
-            floor = 0.5 / bit_totals[i + 1]
+            floor = min(0.5 / bit_totals[i + 1], target)
             span = math.log10(max(bers[i + 1], floor)) - math.log10(upper)
             frac = (math.log10(target) - math.log10(upper)) / span
             return snrs[i] + (snrs[i + 1] - snrs[i]) * frac

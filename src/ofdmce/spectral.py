@@ -24,11 +24,9 @@ import numpy as np
 __all__ = ["dft", "idft", "idft_unscaled"]
 
 
-def dft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Unnormalized forward DFT along the last axis; leading axes are batch axes.
-
-    ``out`` (complex128, the input's shape, possibly the input) receives it."""
-    return np.fft.fft(np.asarray(x, dtype=np.complex128), out=out)
+def dft(x: np.ndarray) -> np.ndarray:
+    """Unnormalized forward DFT along the last axis; leading axes are batch axes."""
+    return np.fft.fft(np.asarray(x, dtype=np.complex128))
 
 
 def idft(x: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 ofdmce receives in the frequency domain: the sweep draws ``H * X +
 sqrt(sigma2) * W`` straight at the cells. This module is the chain that
 receive stands in for, kept beside the tests as their reference model and
-run by no command. It imports only ``GridConfig``, ``dft`` and ``idft`` from
-the package, so it shares no code with the harness, estimator or channel
-code it checks.
+run by no command, with ``estimator_mse``, the whole-grid MSE that the
+sweep's Parseval scores are checked against. It imports only
+``GridConfig``, ``dft`` and ``idft`` from the package, so it shares no code
+with the harness, estimator or channel code it checks.
 
 Its conventions, on top of the symbol-major grids and the pilot comb of
 :mod:`ofdmce.phy` (:func:`pilot_indices`):
@@ -167,3 +168,20 @@ def apply_channel(
         else:
             out += gain * arr
     return out
+
+
+def estimator_mse(estimate: np.ndarray, truth: np.ndarray) -> float | np.ndarray:
+    """Mean squared error of an estimated frequency response against the true one.
+
+    The estimate is symbol-major, ``(..., M', N)`` against the truth's
+    ``(..., N)``; per-symbol errors are averaged over the symbols. The
+    difference is squared in place, as ``re**2 + im**2`` on its float view.
+    """
+    est = np.asarray(estimate)
+    truth = np.asarray(truth)
+    if est.ndim < 2 or est.shape[:-2] + est.shape[-1:] != truth.shape:
+        raise ValueError(f"estimate {est.shape} does not match the true response {truth.shape}")
+    diff = np.subtract(est, truth[..., None, :], out=np.empty(est.shape, dtype=np.complex128))
+    squares = np.square(diff.view(np.float64), out=diff.view(np.float64))
+    # The mean over 2N squares is half the mean over N cells.
+    return 2.0 * np.mean(np.mean(squares, axis=-1), axis=-1)

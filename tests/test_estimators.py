@@ -13,7 +13,6 @@ from ofdmce.estimators import (
     conventional_estimate,
     conventional_noise_var,
     equalize,
-    estimator_mse,
     guard_zeros,
     ls_nearest_estimate,
     multi_symbol_estimate,
@@ -26,7 +25,7 @@ from ofdmce.harness import ESTIMATORS, SimConfig, resolve_profile
 from ofdmce.phy import GridConfig, residue_major
 from ofdmce.spectral import dft, idft
 
-from reference import pilot_indices, qpsk_bit_errors
+from reference import estimator_mse, pilot_indices, qpsk_bit_errors
 
 FS = 7.68e6
 # Perfect delay-spread threshold and denoising constant of the default grid.

@@ -19,7 +19,6 @@ from ofdmce.cli import main
 from ofdmce.estimators import (
     cir_mse,
     conventional_estimate,
-    estimator_mse,
     multi_symbol_estimate,
     stack_pilot_cir,
 )
@@ -43,6 +42,7 @@ from ofdmce.spectral import dft
 from reference import (
     apply_channel,
     build_grid,
+    estimator_mse,
     extract_pilot_ls,
     generate_pilots,
     ofdm_demodulate,
@@ -1186,7 +1186,10 @@ class TestSweep:
         """Folding groups of values through ``_exact_terms`` keeps their exact
         sum: ``math.fsum`` of the terms is ``math.fsum`` of every value,
         however they are grouped. Keeping one rounded term instead fails at
-        every group size here."""
+        every group size here. ``_fold`` keeps it too when per-trial arrays
+        are grouped as blocks and the blocks' folds four at a time as batches,
+        and sums the errors; a key with no σ̂² keeps None, and an all-zero run
+        (``ideal``'s MSE) folds to terms whose sum is exactly 0.0."""
         rng = np.random.default_rng(5)
         values = (rng.random(3000) * 10.0 ** rng.integers(-6, 1, 3000)).tolist()
         values[1000:1000] = [1e16, 1.0, -1e16]
@@ -1200,6 +1203,23 @@ class TestSweep:
         for special in (math.inf, math.nan):
             terms = harness._exact_terms(harness._exact_terms([1.0, special]) + [2.0])
             assert math.fsum(terms) == special or math.isnan(special) and math.isnan(math.fsum(terms))
+        trials = np.array(values)
+        errors = rng.integers(0, 100, len(trials))
+        zeros = np.zeros(len(trials))
+        for size in (1, 7, 64):
+            batches = []
+            for lo in range(0, len(trials), 4 * size):
+                blocks = [
+                    (int(errors[i:i + size].sum()), trials[i:i + size], zeros[i:i + size])
+                    for i in range(lo, min(lo + 4 * size, len(trials)), size)
+                ]
+                batches.append(harness._fold(blocks))
+                assert batches[-1][2] == [], f"groups of {size}"
+            total, mse, sigma2 = harness._fold(batches)
+            assert total == errors.sum(), f"groups of {size}"
+            assert math.fsum(mse) == expected, f"groups of {size}"
+            assert math.fsum(sigma2) == 0.0, f"groups of {size}"
+            assert harness._fold([(e, m, None) for e, m, _ in batches])[2] is None, f"groups of {size}"
 
     def test_three_symbol_blocks(self):
         """A block length that is not a power of two runs the stacked estimator.
@@ -1396,6 +1416,18 @@ class TestGapReport:
             math.log10(floor) - math.log10(1e-2)
         )
         assert report.crossings[1e-3, "ideal"] == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_ber_endpoint_floor_never_passes_the_target(self):
+        """Where half an error in the endpoint's bits is above the target, the
+        floor is the target itself, so the crossing is the bracket's upper
+        SNR, not an extrapolation past it: 6/160 errors at 10 dB and 0/160 at
+        40 dB cross 1e-3 at 40 dB (53.76 dB with the half-error floor)."""
+        records = [
+            BerRecord("ideal", 10.0, 160, 6, 6 / 160, 0.0, None),
+            BerRecord("ideal", 40.0, 160, 0, 0.0, 0.0, None),
+        ]
+        assert 0.5 / 160 > 1e-3
+        assert gap_report(records, (1e-3,)).crossings[1e-3, "ideal"] == 40.0
 
     def test_pairs_ordering(self):
         """Pairs follow first-seen estimator order."""
