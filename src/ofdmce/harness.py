@@ -44,18 +44,19 @@ grid ``(..., S, Np)`` per OFDM symbol (``phy.residue_major``) whose row 0
 holds the pilot least-squares observations, and rows ``1 .. S - 1`` the
 data cells. Across the symbols the pilot rows are ``(..., M, Np)``,
 symbol-major like every grid of the package, so the estimators read them
-with no reorder. What no SNR point changes is done once: each estimator's
-impulse-response stage runs over the pilot rows of a run of SNR points at
-once, ``(points, trials, M, Np)``, and keeps its estimate's rows per point.
-Each point then only scales and adds the data rows, forms every estimate's
-conjugated cells there the same way and decides with one multiply per cell.
-``simulate_subframe`` draws and receives a trial's batch the same way, up
-to the trial, and returns its pilot row and truth as they are, so
-``inspect`` shows what the sweep scored. Both refuse an SNR below
-``channel.SNR_FLOOR_DB``, and both draw through ``_blocks``, which pins
-glibc's malloc thresholds once per process. The time-domain chain and its
-pilots are the tests' reference model, kept in ``tests/reference.py``; no
-command runs it.
+with no reorder. One step, ``_receive``, forms every received cell, at any
+residues and with a leading axis of SNR points. What no SNR point changes is
+done once: each estimator's impulse-response stage runs over the pilot rows
+of a run of SNR points at once, ``(points, trials, M, Np)``, and keeps its
+estimate's rows per point. Each point then only receives the data rows,
+forms every estimate's conjugated cells there the same way and decides with
+one multiply per cell. ``simulate_subframe`` draws a trial's batch the same
+way, up to the trial, receives that trial's pilot row alone and returns it
+and the truth as they are, so ``inspect`` shows what the sweep scored. Both
+refuse an SNR below ``channel.SNR_FLOOR_DB``, and both draw through
+``_blocks``, which pins glibc's malloc thresholds once per process. The
+time-domain chain and its pilots are the tests' reference model, kept in
+``tests/reference.py``; no command runs it.
 """
 
 from __future__ import annotations
@@ -229,17 +230,18 @@ def resolve_profile(config: SimConfig) -> PowerDelayProfile:
     """Map the config's profile string to a builtin name or a file path.
 
     Raises ValueError if the profile's delay spread exceeds the cyclic
-    prefix, where the received grid would no longer be ``H * X`` plus noise.
+    prefix, where the received grid would no longer be ``H * X`` plus noise,
+    or reaches ``n_subcarriers``, past the last tap a block's response has.
     """
     if config.profile.lower() in BUILTIN_PROFILES:
         profile = build_profile(config.profile, config.sample_rate_hz)
     else:
         profile = load_profile(config.profile, config.sample_rate_hz)
+    spreads = f"profile {profile.name} spreads over {profile.delay_spread} samples at {config.sample_rate_hz!r} Hz"
     if profile.delay_spread > config.grid.cp_len:
-        raise ValueError(
-            f"profile {profile.name} spreads over {profile.delay_spread} samples at "
-            f"{config.sample_rate_hz!r} Hz, more than cp_len = {config.grid.cp_len}"
-        )
+        raise ValueError(f"{spreads}, more than cp_len = {config.grid.cp_len}")
+    if profile.delay_spread >= config.grid.n_subcarriers:
+        raise ValueError(f"{spreads}, not fewer than n_subcarriers = {config.grid.n_subcarriers}")
     return profile
 
 
@@ -284,7 +286,7 @@ class _Block:
     trial. ``noise`` is the unit cells, ``(trials, M, S, Np)``; ``clean`` is
     the same in every symbol, ``(trials, 1, S, Np)``: row 0 the pilot
     least-squares part, ``H`` itself, and rows ``1 .. S - 1`` the data cells,
-    ``X0 H``. Drawn once, it serves every SNR point."""
+    ``X0 H``. Drawn once, it serves every SNR point through ``_receive``."""
 
     truth: np.ndarray
     taps: np.ndarray
@@ -315,25 +317,16 @@ def _draw_block(config: SimConfig, profile: PowerDelayProfile, streams, rows: in
     return _Block(truth, taps, clean, noise)
 
 
-def _receive(block: _Block, sigma2: float, rx: np.ndarray, first: int = 0) -> np.ndarray:
-    """Write the received cells of residues ``first .. S - 1`` at noise
-    variance ``sigma2`` into ``rx``, ``(trials, M, S - first, Np)``, and
-    return its first row: at ``first = 0`` the pilot least-squares grid,
-    ``(trials, M, Np)``."""
-    np.multiply(block.noise[..., first:, :], math.sqrt(sigma2), out=rx)
-    rx += block.clean[..., first:, :]
-    return rx[..., 0, :]
-
-
-def _pilot_rows(block: _Block, sigma2s) -> np.ndarray:
-    """The pilot least-squares grids of a block at each noise variance,
-    ``(points, trials, M, Np)``, each formed as ``_receive`` forms it."""
-    noise, clean = block.noise[..., 0, :], block.clean[..., 0, :]
-    rows = np.empty((len(sigma2s),) + noise.shape, dtype=np.complex128)
-    for row, sigma2 in zip(rows, sigma2s):
-        np.multiply(noise, math.sqrt(sigma2), out=row)
-        row += clean
-    return rows
+def _receive(block: _Block, sigma2s, rows, out: np.ndarray | None = None) -> np.ndarray:
+    """The received cells ``clean + sqrt(sigma2) * noise`` of the ``R``
+    residues ``rows`` at each noise variance in ``sigma2s``, ``(points,
+    trials, M, R, Np)``, written into ``out`` if given."""
+    noise = block.noise[..., rows, :]
+    if out is None:
+        out = np.empty((len(sigma2s),) + noise.shape, dtype=np.complex128)
+    np.multiply(noise, np.sqrt(sigma2s).reshape((-1,) + (1,) * noise.ndim), out=out)
+    out += block.clean[..., rows, :]
+    return out
 
 
 def _flat(cells: np.ndarray) -> np.ndarray:
@@ -344,20 +337,21 @@ def _stages(config: SimConfig, block: _Block, sigma2s) -> dict:
     """Each estimator's work at a run of SNR points that no point repeats,
     done over all of them at once: its estimate, with its rows on a leading
     axis of points, and its per-trial MSE and mean σ̂² (or None), ``(points,
-    trials)``. ``ls-only``'s rows are the pilot rows, ``ideal``'s the truth.
+    trials)``, from inputs with that axis on them: ``ls-only``'s rows are the
+    pilot rows ``_receive`` forms, ``ideal``'s the truth broadcast over it.
 
     The MSE over all ``N`` cells is taken by Parseval where the estimate has
     an impulse response, from the block's three sums (``_Block.nearest_terms``)
     for ``ls-only`` and is exactly 0 for ``ideal``, whose cells are the truth.
     """
     # A sweep of ideal alone forms no pilot rows.
-    pilots = _pilot_rows(block, sigma2s) if set(config.estimators) != {"ideal"} else None
+    pilots = None if set(config.estimators) == {"ideal"} else _receive(block, sigma2s, slice(0, 1))[..., 0, :]
+    truth = np.broadcast_to(block.truth, (len(sigma2s),) + block.truth.shape)
     stages = {}
     for estimator_id in config.estimators:
-        est = ESTIMATORS[estimator_id].run(config, pilots, block.truth)
+        est = ESTIMATORS[estimator_id].run(config, pilots, truth)
         if est.form == "cells":
-            mse = np.zeros((len(sigma2s), len(block.truth)))
-            est = est._replace(rows=np.broadcast_to(est.rows, (len(sigma2s),) + est.rows.shape))
+            mse = np.zeros(truth.shape[:-2])
         elif est.form == "nearest":
             a, b, c = block.nearest_terms
             s = np.sqrt(sigma2s)[:, None]
@@ -405,7 +399,7 @@ def _sweep_block(config: SimConfig, profile: PowerDelayProfile, streams, rows: i
         sigma2s = [noise_variance(config.snr_points_db[i]) for i in group]
         stages = _stages(config, block, sigma2s)
         for j, snr_idx in enumerate(group):
-            _receive(block, sigma2s[j], rx, first=1)
+            _receive(block, sigma2s[j : j + 1], slice(1, None), out=rx[None])
             for estimator_id, (est, mse, sigma2) in stages.items():
                 weights = guard_zeros(_flat(conj_cells(est._replace(rows=est.rows[j]), 1)))
                 errors = _bit_errors(rx_data, weights, last=estimator_id == config.estimators[-1])
@@ -482,12 +476,13 @@ def _exact_terms(values: list[float]) -> list[float]:
 def simulate_subframe(config: SimConfig, snr_db: float, trial_index: int):
     """One trial as the sweep scores it: its pilot least-squares grid ``(M,
     Np)`` and its true response in residue order ``(S, Np)``. Its batch is
-    drawn a block at a time up to the block that ends with the trial."""
+    drawn a block at a time up to the block that ends with the trial, and
+    only the trial's pilot row is received."""
     profile, sigma2 = resolve_profile(config), noise_variance(snr_db)
     for streams, rows in _blocks(config, trial_index // _BATCH, trial_index + 1):
         block = _draw_block(config, profile, streams, rows)
-    pilot_ls = _receive(block, sigma2, np.empty_like(block.noise))
-    return pilot_ls[-1], block.truth[-1]
+    trial = _Block(block.truth[-1:], block.taps[-1:], block.clean[-1:], block.noise[-1:])
+    return _receive(trial, [sigma2], slice(0, 1))[0, 0, ..., 0, :], trial.truth[0]
 
 
 # ---------------------------------------------------------------------------

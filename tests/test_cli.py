@@ -262,6 +262,23 @@ class TestGridChecks:
         assert "cp_len = 8" in err and "38 samples" in err, f"unhelpful message: {err}"
         assert not out.exists()
 
+    def test_spread_of_the_whole_symbol(self, tmp_path, capsys):
+        """A 64-sample spread fits a 64-sample prefix but leaves no tap for a
+        64-subcarrier response; ``sweep`` and ``inspect`` refuse it by name."""
+        prof = tmp_path / "spread64.txt"
+        prof.write_text("tap = 0 0\ntap = 64 -3\n")
+        cfg = tmp_path / "whole-symbol.cfg"
+        cfg.write_text(
+            "n_subcarriers = 64\nn_pilots = 8\ncp_len = 64\nsample_rate_hz = 1e9\n"
+            f"th_perfect = 7\nth_inaccurate = 3\nprofile = {prof}\n"
+        )
+        out = tmp_path / "x.csv"
+        for argv in (["sweep", "--estimators", "ideal", "--out", str(out)], ["inspect"]):
+            assert main([*argv, "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert "profile spread64 spreads over 64 samples" in err and "n_subcarriers = 64" in err, err
+        assert not out.exists()
+
     def test_no_data_cells(self, tmp_path, capsys):
         cfg = tmp_path / "pilots-only.cfg"
         cfg.write_text("n_pilots = 512\nsubframes = 1\nsnr_db = 20\n")

@@ -192,8 +192,8 @@ def sweep_blocks(config: SimConfig):
 def receive(block, snr_db: float):
     """A block's received cells at one SNR, ``(trials, M, S, Np)``, and its
     pilot LS grid, ``(trials, M, Np)``."""
-    rx = np.empty_like(block.noise)
-    return rx, harness._receive(block, noise_variance(snr_db), rx)
+    rx = harness._receive(block, [noise_variance(snr_db)], slice(None))[0]
+    return rx, rx[..., 0, :]
 
 
 def reference_estimate(config: SimConfig, estimator_id: str, pilot_ls, block):
@@ -230,10 +230,9 @@ def reference_block(config: SimConfig, profile, streams, rows: int) -> dict:
     the whole grid, runs every estimator on its pilot rows alone and decides
     on ``reference_decisions``."""
     block = harness._draw_block(config, profile, streams, rows)
-    rx = np.empty_like(block.noise)
     partial = {}
     for snr_idx, snr_db in enumerate(config.snr_points_db):
-        pilot_ls = harness._receive(block, noise_variance(snr_db), rx)
+        rx, pilot_ls = receive(block, snr_db)
         for e in config.estimators:
             cells, mse, sigma2 = reference_estimate(config, e, pilot_ls, block)
             decided = reference_decisions(rx, cells).view(np.float64)
@@ -315,26 +314,16 @@ class TestSubframePairing:
     def test_internal_consistency(self):
         """The block's clean part is one grid for every symbol: the point of
         bits (0, 0) times the response at the data cells and the response
-        itself at the pilot row, which is its pilot LS."""
+        itself at the pilot row, and the received cells add it to the scaled
+        noise of each symbol."""
         cfg = tiny_config()
         block = draw_block(cfg, 1, 3)
-        rx, pilot_ls = receive(block, 12.0)
+        rx, _ = receive(block, 12.0)
         x0 = qpsk_modulate(np.zeros(2, dtype=bool))[0]
         assert block.clean.shape == (2, 1, cfg.grid.pilot_spacing, cfg.grid.n_pilots)
         assert np.array_equal(block.clean[:, 0, 1:, :], block.truth[:, 1:, :] * x0)
         assert np.array_equal(block.clean[:, 0, 0, :], block.truth[:, 0, :])
-        assert np.array_equal(pilot_ls, rx[:, :, 0, :])
-
-    @pytest.mark.parametrize("n_symbols", [1, 2, 3])
-    def test_pilot_grid_is_a_view_of_the_receive_buffer(self, n_symbols):
-        """The estimators read the pilot row as received, ``(trials, M, Np)``,
-        in the buffer itself: no axis conversion copies it."""
-        cfg = tiny_config(grid=GridConfig(n_symbols=n_symbols), estimators=("ideal",))
-        grid = cfg.grid
-        rx, pilot_ls = receive(draw_block(cfg, 0, 3), 12.0)
-        assert pilot_ls.shape == (3, grid.n_symbols, grid.n_pilots)
-        assert np.shares_memory(pilot_ls, rx)
-        assert pilot_ls.base is rx
+        assert np.array_equal(rx, block.clean + math.sqrt(noise_variance(12.0)) * block.noise)
 
     @pytest.mark.parametrize("fading", [True, False])
     def test_block_channel_is_tap_gains_of_the_batch_stream(self, fading):
@@ -610,8 +599,7 @@ def assert_fixed_point_law(snr_db: float, estimators: tuple[str, ...], turn: str
     differences = {e: [] for e in estimators}
     for streams, rows in sweep_blocks(cfg):
         block = harness._draw_block(cfg, profile, streams, rows)
-        rx = np.empty_like(block.noise)
-        pilot_ls = harness._receive(block, sigma2, rx)
+        rx, pilot_ls = receive(block, snr_db)
         other = rx.copy()
         bits = np.zeros(rx[:, :, 1:, :].shape[:-1] + (2 * cfg.grid.n_pilots,), dtype=bool)
         if turn == "data":
@@ -902,12 +890,21 @@ class TestSnrStage:
     same work done at each point on its own."""
 
     @pytest.mark.parametrize("config", stage_configs(), ids=lambda c: f"{c.grid}")
-    def test_pilot_rows_are_the_received_rows(self, config):
+    def test_a_run_of_points_is_each_point_received_alone(self, config):
+        """``_receive`` over every SNR point at once is, bit for bit, each
+        point received alone into a buffer of its own, and ``clean +
+        sqrt(σ²) noise`` formed outside it, at the pilot row and at the data
+        rows."""
         block = draw_block(config, 0, config.subframes_per_point)
-        rows = harness._pilot_rows(block, [noise_variance(s) for s in config.snr_points_db])
-        for point, snr_db in enumerate(config.snr_points_db):
-            _, pilot_ls = receive(block, snr_db)
-            assert np.array_equal(rows[point].view(np.float64), pilot_ls.view(np.float64)), snr_db
+        sigma2s = [noise_variance(s) for s in config.snr_points_db]
+        for rows in (slice(0, 1), slice(1, None)):
+            run = harness._receive(block, sigma2s, rows)
+            alone = np.empty_like(run[0])
+            for point, sigma2 in enumerate(sigma2s):
+                assert harness._receive(block, [sigma2], rows, out=alone[None]).base is alone
+                formed = block.clean[..., rows, :] + math.sqrt(sigma2) * block.noise[..., rows, :]
+                for cells in (alone, formed):
+                    assert np.array_equal(run[point].view(np.uint64), cells.view(np.uint64)), (rows, sigma2)
 
     @pytest.mark.parametrize("config", stage_configs(), ids=lambda c: f"{c.grid}")
     def test_stage_is_the_per_point_estimate(self, config):
@@ -1004,6 +1001,75 @@ class TestSnrStage:
                 assert record.mean_mse == expected, label
             expected = math.fsum(sigma2[key]) / n if sigma2[key] else None
             assert record.mean_sigma2_hat == expected, label
+
+
+def kept_noise_energy(k: int, c: float) -> float:
+    """The mean energy left by a unit-variance noise-only tap that is kept
+    when its energy reaches ``c`` times the mean energy of ``k`` other
+    unit-variance taps: ``e_K(c) = (1 + c/K)^-K + c (1 + c/K)^(-K-1)``."""
+    return (1.0 + c / k) ** -k + c * (1.0 + c / k) ** (-k - 1)
+
+
+class TestTheoryOracles:
+    """``conv-perfect`` and ``proposed`` on ``L`` sample-spaced faded taps
+    below ``Np / 2`` (tap ``i`` at ``-i`` dB), with ``th`` one past the
+    spread and ``c = 2``, against their laws. Each of the ``th``
+    (conventional) or ``Np`` (multi-symbol) positions it may keep holds
+    noise of variance ``σ²/Np`` or ``σ²/(Np M)``, the mean σ̂²: a channel
+    tap's all of it, a noise-only one's ``kept_noise_energy`` against the
+    ``K = Np - th`` or ``Np (M - 1)`` samples of its σ̂². That needs every
+    channel tap kept, hence 50 dB. Each mean is held to 4 standard errors
+    of 16 seed replicas of 512 subframes, enough replicas for their spread
+    to be a sound standard error."""
+
+    # (Np, S, M, tap delays in samples)
+    CONFIGS = [
+        (8, 2, 2, (0,)),
+        (8, 4, 3, (0, 1, 3)),
+        (16, 8, 2, (0, 2, 5, 7)),
+        (16, 2, 4, (0, 3)),
+        (32, 4, 2, (0, 1, 2, 4, 7, 11, 15)),
+        (32, 8, 3, (0, 9)),
+        (64, 2, 2, (0, 1, 5, 10, 17, 23, 30, 31)),
+        (64, 4, 4, (0, 6, 13)),
+    ]
+
+    @pytest.mark.parametrize("n_pilots, spacing, n_symbols, delays", CONFIGS)
+    def test_mse_and_noise_estimate_follow_their_laws(self, n_pilots, spacing, n_symbols, delays, tmp_path):
+        profile = tmp_path / "taps.txt"
+        profile.write_text("".join(f"tap = {d} {-i}\n" for i, d in enumerate(delays)))
+        spread, n_taps = delays[-1], len(delays)
+        th = spread + 1
+        grid = GridConfig(n_pilots * spacing, n_pilots, n_symbols, cp_len=spread)
+        replicas = [
+            sweep(
+                SimConfig(
+                    grid=grid, profile=str(profile), sample_rate_hz=1e9, snr_points_db=(50.0,),
+                    subframes_per_point=512, estimators=("conv-perfect", "proposed"), master_seed=seed,
+                    c=2.0, th_perfect=th, th_inaccurate=th,
+                ),
+                workers=1,
+            )
+            for seed in range(16)
+        ]
+        sigma2 = noise_variance(50.0)
+        k_conv, k_prop = n_pilots - th, n_pilots * (n_symbols - 1)
+        laws = {
+            "conv-perfect": ((n_taps + (th - n_taps) * kept_noise_energy(k_conv, 2.0)) / n_pilots, 1 / n_pilots),
+            "proposed": (
+                (n_taps + (n_pilots - n_taps) * kept_noise_energy(k_prop, 1.0)) / (n_pilots * n_symbols),
+                1 / (n_pilots * n_symbols),
+            ),
+        }
+        print(f"Np = {n_pilots}, S = {spacing}, M = {n_symbols}, taps at {delays}, th = {th}")
+        for i, (estimator_id, law) in enumerate(laws.items()):
+            for name, expected, values in zip(
+                ("MSE/σ²", "σ̂²/σ²"), law, zip(*((r[i].mean_mse, r[i].mean_sigma2_hat) for r in replicas))
+            ):
+                values = np.array(values) / sigma2
+                z = (values.mean() - expected) / (values.std(ddof=1) / math.sqrt(len(values)))
+                print(f"  {estimator_id} {name}: {values.mean():.5f} against {expected:.5f}, z = {z:+.2f}")
+                assert abs(z) < 4, f"{estimator_id} {name} at {z:+.2f} standard errors"
 
 
 class TestSweep:

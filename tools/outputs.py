@@ -7,9 +7,10 @@ its estimators in table and in reversed order, at seed 7, 300 subframes and
 on a header-only and an inconsistent CSV;
 ``inspect`` of every estimator in thirteen cases, two of them past the first
 block of their batch;
-``profiles`` at three sample rates; and ``sweep`` and ``inspect`` refusing
-malformed config flags and an empty profile, and each command refusing a
-malformed flag of its own. Each log holds its exit code. Inputs are passed
+``profiles`` at three sample rates; ``sweep`` and ``inspect`` refusing
+malformed config flags, an empty profile and a delay spread of
+``n_subcarriers`` samples; and each command refusing a malformed flag of its
+own. Each log holds its exit code. Inputs are passed
 by paths relative to OUTDIR, so two checkouts' directories compare with
 ``diff -r``.
 """
@@ -44,6 +45,10 @@ INPUTS = {
     # ideal last: its one response per block makes each SNR point's last
     # decision, written over the received cells.
     "reversed.cfg": ZERO_CELLS + f"estimators = {','.join(reversed(ESTIMATOR_IDS))}\n",
+    # A 64-sample spread: it fits the 64-sample prefix, but not 64 subcarriers.
+    "whole-symbol.txt": "name = whole-symbol\ntap = 0 0\ntap = 64 -3\n",
+    "whole-symbol.cfg": "n_subcarriers = 64\nn_pilots = 8\ncp_len = 64\nsample_rate_hz = 1e9\n"
+    "th_perfect = 7\nth_inaccurate = 3\nprofile = whole-symbol.txt\n",
     "header-only.csv": f"{CSV_HEADER}\n",
     # 50 errors in 100 bits, but a BER of 0.9.
     "inconsistent.csv": f"{CSV_HEADER}\nideal,10.0,100,50,0.9,0.0,nan\n",
@@ -120,6 +125,9 @@ def write_outputs(outdir: str) -> None:
     for name, argv in BAD_FLAGS.items():
         for command in ("sweep", "inspect"):
             run(f"{command}-bad-{name}.log", [command, *argv])
+    run("sweep-whole-symbol.log", ["sweep", "--config", "whole-symbol.cfg", "--estimators", "ideal",
+                                   "--out", "whole-symbol.csv"])
+    run("inspect-whole-symbol.log", ["inspect", "--config", "whole-symbol.cfg"])
     for name, argv in BAD_COMMAND_FLAGS.items():
         run(f"{name}.log", argv)
 
