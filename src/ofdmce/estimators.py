@@ -2,43 +2,24 @@
 
 Every estimator takes the same input, the pilot least-squares grid
 ``(..., M, Np)`` of a block of ``M`` OFDM symbols, one row per symbol, and
-returns one :class:`Estimate`: the rows its cells are formed from (the
-denoised impulse response ``(..., M', Np)``, or the pilot rows themselves)
-and the noise estimate ``(..., M')`` (None where the estimator has none).
-No estimator forms cells; :func:`conj_cells` does, for any range of
-residues. ``M' = 1`` when one response serves the whole block and
-``M' = M`` for one per OFDM symbol. Leading axes are batch axes, such as
-one per SNR point.
-
-* ``conventional_estimate`` works one OFDM symbol at a time: it transforms
-  each symbol's pilot row to a length-``Np`` impulse response, reads the
-  noise level off the samples beyond a caller-supplied delay-spread
-  threshold, zeroes that region, zeroes any remaining sample whose energy
-  falls below ``c`` times the noise estimate, and transforms back at the
-  full grid length. Its quality therefore hinges on how well the threshold
-  matches the actual delay spread.
-* ``multi_symbol_estimate`` stacks the pilot rows of all ``M`` symbols
-  into one vector, the flattened grid, before the inverse transform. For a
-  channel that holds still over the block the stacked spectrum is
-  periodic, so the impulse response interleaves: channel energy lands only
-  on indices divisible by ``M`` while the other ``Np (M - 1)`` samples are
-  pure noise. That yields a noise-variance estimate from far more samples
-  than the conventional tail, needs no prior delay-spread knowledge, and
-  one estimate serves the whole block.
-* ``ls_nearest_estimate`` copies each subcarrier's nearest pilot
-  observation, a diagnostic baseline without denoising.
+returns one :class:`Estimate`: the rows its cells are formed from and its
+noise estimate ``(..., M')``, or None. ``M' = 1`` when one response serves
+the whole block and ``M' = M`` for one per OFDM symbol. Leading axes are
+batch axes, such as one per SNR point. ``conventional_estimate`` reads the
+noise off the impulse response past a caller-supplied delay-spread
+threshold, so its quality hinges on how well that threshold matches the
+actual spread. ``multi_symbol_estimate`` reads it off the ``Np (M - 1)``
+noise-only samples of the stacked pilot rows (:func:`stack_pilot_cir`):
+far more samples than the conventional tail, and no delay-spread prior.
+``ls_nearest_estimate`` is a diagnostic baseline without denoising.
 
 Cells are in residue order: with pilot spacing ``S = N / Np``, subcarrier
 ``p S + r`` is entry ``[r, p]`` of one C-ordered ``(..., M', S, Np)`` grid,
-row 0 the pilots and rows ``1 .. S - 1`` the data. Transforming back at the
-full grid length is the zero-padded length-``N`` DFT as ``S`` pilot-length
-transforms (a pruned FFT). :func:`conj_cells` returns the cells
-conjugated, since a decision is ``rx * conj(h)``: a sweep asks it for the
-data rows only, flattened with no gather, and after :func:`guard_zeros`
-``equalize`` is one multiply. The genie bound is the true response in
-residue order.
-``cir_mse`` scores a cleaned impulse response from the true tap vector
-alone, by Parseval.
+row 0 the pilots and rows ``1 .. S - 1`` the data. No estimator forms
+cells; :func:`conj_cells` does, conjugated, at any range of residues, since
+a decision is ``rx * conj(h)``; :func:`equalize` makes that one multiply
+and owns the guard for exact zeros. The genie bound is the true response
+in residue order.
 """
 
 from __future__ import annotations
@@ -59,7 +40,6 @@ __all__ = [
     "stack_pilot_cir",
     "multi_symbol_noise_var",
     "multi_symbol_estimate",
-    "guard_zeros",
     "equalize",
     "cir_mse",
     "nearest_error_terms",
@@ -243,27 +223,20 @@ def multi_symbol_estimate(pilots: np.ndarray, n_subcarriers: int) -> Estimate:
     return Estimate("cir", cleaned, n_subcarriers, sigma2)
 
 
-def guard_zeros(weights: np.ndarray) -> np.ndarray:
-    """Zero-forcing weights from a conjugated estimate, in place: exact zeros
-    become 1, so those cells decide on the received signs."""
-    if not weights.all():
-        weights[weights == 0] = 1.0
-    return weights
-
-
 def equalize(rx_data: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Zero-forcing equalization for hard decisions, in the sign domain.
 
     ``rx_data`` holds data cells symbol-major, ``(..., M, K)``, and
-    ``weights`` the conjugated estimate at the same cells through
-    :func:`guard_zeros`, ``(..., M', K)`` with ``M' = 1`` (one response for
-    the block) or ``M' = M``. Returns ``rx * conj(h)``, which is ``rx / h``
-    scaled by ``|h|**2 > 0``: the real and imaginary parts keep their signs,
-    so QPSK decisions are those of dividing, a deep fade keeps its phase,
-    and no division can overflow. Cells where ``h`` is exactly 0 have weight
-    1 and return ``rx`` itself. The product is written into ``out`` if
-    given, a C-ordered complex128 array of ``rx``'s shape that is ``rx``,
-    the weights, or overlaps neither.
+    ``weights`` the conjugated estimate at the same cells, ``(..., M', K)``
+    with ``M' = 1`` (one response for the block) or ``M' = M``. Returns
+    ``rx * conj(h)``, which is ``rx / h`` scaled by ``|h|**2 > 0``: the real
+    and imaginary parts keep their signs, so QPSK decisions are those of
+    dividing, a deep fade keeps its phase, and no division can overflow.
+    Cells where ``h`` is exactly 0 have weight 1 and return ``rx`` itself:
+    the exact zeros of ``weights`` are made 1, in place, before the
+    multiply. The product is written into ``out`` if given, a C-ordered
+    complex128 array of ``rx``'s shape that is ``rx``, the weights, or
+    overlaps neither.
     """
     rx = np.asarray(rx_data)
     w = np.asarray(weights)
@@ -272,6 +245,8 @@ def equalize(rx_data: np.ndarray, weights: np.ndarray, out: np.ndarray | None = 
         raise ValueError(
             f"estimate {w.shape} is not symbol-major (..., M', K) for data cells {rx.shape}"
         )
+    if not w.all():
+        w[w == 0] = 1.0
     # A C-ordered product, whatever the strides of the weights.
     if out is None:
         out = np.empty(rx.shape, dtype=np.complex128)

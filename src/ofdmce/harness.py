@@ -6,17 +6,14 @@ of batch ``t // 256``, which owns two random streams, exactly numpy's
 and 2 (noise); purpose 0, once the data bits, is retired. Each stream is
 drawn row by row in trial order by ``channel.complex_normal``, two
 ``random()`` uniforms per complex value, so a trial's values depend only on
-the seed and its index, not on the block it is drawn in. A pool task is
-one batch; ``sweep`` keeps every batch's partial, on either worker path,
-and a sweep that starts no pool does not import one.
+the seed and its index, not on the block it is drawn in.
 
 Estimator choice never touches the streams, so all estimators see identical
 channels and noise (paired comparison). The noise is drawn once per trial
 at unit variance and scaled per SNR point. Each record is an integer count
-and exactly rounded sums of per-trial values, kept as a few floats
-(``_exact_terms``) that one step, ``_fold``, merges over a batch's blocks
-and then over the batches. Exact sums do not depend on order, so reruns at
-any block size, task split or worker count give byte-identical CSV files.
+and exactly rounded sums of per-trial values (``_exact_terms``). Exact sums
+do not depend on order, so reruns at any block size, task split or worker
+count give byte-identical CSV files.
 
 Every data cell carries ``X0 = (1 + j) / sqrt(2)``, the Gray-mapped QPSK
 point for bits (0, 0), and its errors are the negative parts of its
@@ -36,27 +33,12 @@ w`` and demodulation) gives exactly ``H * X + sqrt(sigma2) * W``, with
 ``W`` the demodulated ``w``, the same in every symbol. A unitary DFT of
 i.i.d. CN(0, 1) samples is i.i.d. CN(0, 1), so the sweep draws ``W``
 straight at the cells, exact in distribution, and no time-domain noise.
-The sweep's unit of work is a cache-sized block of trials (``_BLOCK_BYTES``
-of cell grid, clipped at batch edges): each block's clean cells (one grid
-for all symbols) and ``W`` are drawn once and run through every SNR point.
-The cells are in the layout of the truth and of every estimate: one residue
-grid ``(..., S, Np)`` per OFDM symbol (``phy.residue_major``) whose row 0
-holds the pilot least-squares observations, and rows ``1 .. S - 1`` the
-data cells. Across the symbols the pilot rows are ``(..., M, Np)``,
-symbol-major like every grid of the package, so the estimators read them
-with no reorder. One step, ``_receive``, forms every received cell, at any
-residues and with a leading axis of SNR points. What no SNR point changes is
-done once: each estimator's impulse-response stage runs over the pilot rows
-of a run of SNR points at once, ``(points, trials, M, Np)``, and keeps its
-estimate's rows per point. Each point then only receives the data rows,
-forms every estimate's conjugated cells there the same way and decides with
-one multiply per cell. ``simulate_subframe`` draws a trial's batch the same
-way, up to the trial, receives that trial's pilot row alone and returns it
-and the truth as they are, so ``inspect`` shows what the sweep scored. Both
-refuse an SNR below ``channel.SNR_FLOOR_DB``, and both draw through
-``_blocks``, which pins glibc's malloc thresholds once per process. The
-time-domain chain and its pilots are the tests' reference model, kept in
-``tests/reference.py``; no command runs it.
+That chain is the tests' reference model, ``tests/reference.py``; no
+command runs it. The cells are in residue order, the layout of the truth
+and of every estimate: one grid ``(..., S, Np)`` per OFDM symbol
+(``phy.residue_major``), row 0 the pilot least-squares observations and
+rows ``1 .. S - 1`` the data cells, symbol-major across the symbols, so
+the estimators read the pilot rows ``(..., M, Np)`` with no reorder.
 """
 
 from __future__ import annotations
@@ -87,7 +69,6 @@ from .estimators import (
     conj_cells,
     conventional_estimate,
     equalize,
-    guard_zeros,
     ls_nearest_estimate,
     multi_symbol_estimate,
     nearest_error_terms,
@@ -386,9 +367,9 @@ def _sweep_block(config: SimConfig, profile: PowerDelayProfile, streams, rows: i
     (``_stages``), over all of them at once. Each point then only receives
     the data rows and, for every estimate alike, forms its zero-forcing
     weights there from its rows at the point (``conj_cells`` of the data
-    rows, exact zeros made 1) and decides: every data cell carries ``X0``,
-    so a cell's bit errors are the negative parts of ``rx`` times the
-    weights, those that decide a bit 1.
+    rows) and decides through ``equalize``, which guards exact zeros: every
+    data cell carries ``X0``, so a cell's bit errors are the negative parts
+    of ``rx`` times the weights, those that decide a bit 1.
     """
     block = _draw_block(config, profile, streams, rows)
     # One data-row receive buffer, flat, serves every SNR point.
@@ -401,10 +382,8 @@ def _sweep_block(config: SimConfig, profile: PowerDelayProfile, streams, rows: i
         for j, snr_idx in enumerate(group):
             _receive(block, sigma2s[j : j + 1], slice(1, None), out=rx[None])
             for estimator_id, (est, mse, sigma2) in stages.items():
-                weights = guard_zeros(_flat(conj_cells(est._replace(rows=est.rows[j]), 1)))
-                errors = _bit_errors(rx_data, weights, last=estimator_id == config.estimators[-1])
-                # Free the weights before the next are formed.
-                del weights
+                last = estimator_id == config.estimators[-1]
+                errors = _bit_errors(rx_data, _flat(conj_cells(est._replace(rows=est.rows[j]), 1)), last)
                 partial[snr_idx, estimator_id] = errors, mse[j], None if sigma2 is None else sigma2[j]
         del stages
     return partial

@@ -1,6 +1,7 @@
 """Power delay profiles, fading realizations, and noise injection."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -106,6 +107,29 @@ class TestProfiles:
             PowerDelayProfile("bad", (0, 3, 3), (0.4, 0.3, 0.3), FS)
         with pytest.raises(ValueError, match="sum to 1"):
             PowerDelayProfile("bad", (0, 1), (0.7, 0.6), FS)
+
+    @pytest.mark.parametrize(
+        "delays, powers, rate, message",
+        [
+            ((0, 1), (1.0,), FS, "profile needs matching, nonempty delay and power lists"),
+            ((), (), FS, "profile needs matching, nonempty delay and power lists"),
+            ((0, 1), (1.0, 0.0), FS, "tap powers must be positive"),
+            ((0, 1), (1.5, -0.5), FS, "tap powers must be positive"),
+            ((0,), (1.0,), np.nan, "sample_rate_hz must be finite and positive, got nan"),
+            ((0,), (1.0,), np.inf, "sample_rate_hz must be finite and positive, got inf"),
+        ],
+    )
+    def test_direct_profiles_are_checked(self, delays, powers, rate, message):
+        """A profile built directly, not through ``profile_from_taps``, checks
+        its lists, its powers and its sample rate."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PowerDelayProfile("bad", delays, powers, rate)
+
+    @pytest.mark.parametrize("delays, powers", [([0.0, 50.0], [0.0]), ([0.0], [[0.0]]), ([], [])])
+    def test_taps_that_are_no_equal_length_vectors_rejected(self, delays, powers):
+        """Delays and powers of unequal shapes, or empty, are refused."""
+        with pytest.raises(ValueError, match="delays and powers must be equal-length nonempty vectors"):
+            profile_from_taps("bad", delays, powers, FS)
 
     @pytest.mark.parametrize(
         "delays, powers, rate, field",

@@ -192,6 +192,26 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert "subframes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("tap = 0 0\ntap = fifty -3\n", ":2: bad tap numbers 'fifty -3'"),
+            ("name = no-taps\n", ": profile defines no taps"),
+        ],
+    )
+    def test_malformed_profile_file(self, text, message, tmp_path, capsys):
+        """A profile file, named by a config file, with a tap line that is no
+        pair of numbers or with no tap line exits 1 naming the file and
+        line, and writes no CSV."""
+        prof = tmp_path / "bad.prof"
+        prof.write_text(text)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"profile = {prof}\nsubframes = 1\nsnr_db = 20\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {prof}{message}\n"
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         """A nonexistent config path is an I/O error."""
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -13,7 +13,6 @@ from ofdmce.estimators import (
     conventional_estimate,
     conventional_noise_var,
     equalize,
-    guard_zeros,
     ls_nearest_estimate,
     multi_symbol_estimate,
     multi_symbol_noise_var,
@@ -158,6 +157,11 @@ class TestStacking:
     def test_single_symbol_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             stack_pilot_cir(np.ones((1, 64)))
+
+    def test_one_row_without_a_symbol_axis_rejected(self):
+        """A 1-D row of pilots is refused, not read as a block of one symbol."""
+        with pytest.raises(ValueError, match=r"pilots must have shape \(\.\.\., n_symbols, n_pilots\)"):
+            stack_pilot_cir(np.ones(64))
 
     def test_matrix_view_indexing(self):
         """Stacked CIR sample n * M + v appears at matrix position (n, v)."""
@@ -467,8 +471,9 @@ def decided_bits(symbols: np.ndarray) -> np.ndarray:
 
 
 def weights_of(h: np.ndarray) -> np.ndarray:
-    """Zero-forcing weights of an estimate ``h``: ``conj(h)``, exact zeros made 1."""
-    return guard_zeros(np.conjugate(h))
+    """Zero-forcing weights of an estimate ``h``: ``conj(h)``, whose exact
+    zeros ``equalize`` makes 1."""
+    return np.conjugate(h)
 
 
 class TestEqualize:
@@ -484,10 +489,14 @@ class TestEqualize:
         assert np.array_equal(out[zero], rx[zero])
         assert qpsk_bit_errors(out[zero], decided_bits(rx[zero])) == 0
 
-    def test_guard_replaces_zeros_in_place(self):
-        """The guard makes exact zeros 1 in the weights it is given and returns them."""
-        guarded = np.array([[0.0, 1.0 + 1.0j, 0.0]])
-        assert guard_zeros(guarded) is guarded and np.array_equal(guarded, [[1.0, 1.0 + 1.0j, 1.0]])
+    def test_equalize_makes_zero_weights_one_in_place(self):
+        """``equalize`` makes the exact zeros, of either sign, of the weights
+        it is given 1, in place, and leaves the other weights as they are."""
+        rx = np.array([[2.0 - 1.0j, 0.5 + 3.0j, -1.0 + 1.0j, 1.0j]])
+        weights = np.array([[0.0, 1.0 + 1.0j, complex(-0.0, -0.0), 1e-300]])
+        out = equalize(rx, weights)
+        assert np.array_equal(weights, [[1.0, 1.0 + 1.0j, 1.0, 1e-300]])
+        assert out[0, 0] == rx[0, 0] and out[0, 2] == rx[0, 2]
 
     def test_tiny_estimate_decides_as_division(self):
         """A deep fade keeps its phase: decisions equal those of dividing by it."""

@@ -19,6 +19,7 @@ from ofdmce.cli import main
 from ofdmce.estimators import (
     cir_mse,
     conventional_estimate,
+    equalize,
     multi_symbol_estimate,
     stack_pilot_cir,
 )
@@ -881,8 +882,9 @@ def stage_at_every_point(config: SimConfig):
 
 
 def point_weights(est, point: int) -> np.ndarray:
-    """A stage estimate's zero-forcing weights at one SNR point, as ``_sweep_block`` forms them."""
-    return harness.guard_zeros(harness._flat(harness.conj_cells(est._replace(rows=est.rows[point]), 1)))
+    """A stage estimate's zero-forcing weights at one SNR point, as ``_sweep_block``
+    forms them, exact zeros kept for ``equalize`` to guard."""
+    return harness._flat(harness.conj_cells(est._replace(rows=est.rows[point]), 1))
 
 
 class TestSnrStage:
@@ -935,7 +937,7 @@ class TestSnrStage:
         """Every estimator's weights at the data rows, formed from its stage
         rows at a point as the sweep forms them, are bitwise ``conj`` of its
         per-point ``Estimate.cells[..., 1:, :]`` and of cells formed outside
-        the package, exact zeros replaced by 1."""
+        the package, exact zeros kept."""
         block, _, stages = stage_at_every_point(config)
         for estimator_id, (est, _, _) in stages.items():
             for point, snr_db in enumerate(config.snr_points_db):
@@ -945,17 +947,23 @@ class TestSnrStage:
                 reference, _, _ = reference_estimate(config, estimator_id, pilot_ls, block)
                 for h in (cells, reference):
                     expected = np.conjugate(harness._flat(h[..., 1:, :]))
-                    expected[expected == 0] = 1.0
                     assert np.array_equal(weights, expected), f"{estimator_id} at {snr_db} dB"
 
     def test_zero_cells_reach_the_guard(self):
         """The exact-zero grid has 10 zero data cells per trial in the truth,
-        which ``ideal``'s weights replace by 1."""
+        where ``ideal``'s weights are exactly 0: through ``equalize`` those
+        cells decide on ``rx`` itself, their weights made 1."""
         config = zero_cells_config()
-        block, _, stages = stage_at_every_point(config)
-        assert np.all(np.count_nonzero(block.truth[:, 1:, :] == 0, axis=(1, 2)) == 10)
+        block, sigma2s, stages = stage_at_every_point(config)
+        zero = harness._flat(block.truth[:, None, 1:, :] == 0)
+        assert np.all(np.count_nonzero(zero, axis=(1, 2)) == 10)
         weights = point_weights(stages["ideal"][0], 0)
-        assert np.count_nonzero(weights == 1.0) >= 10 * config.subframes_per_point
+        assert np.array_equal(weights == 0, zero)
+        rx = harness._flat(harness._receive(block, sigma2s[:1], slice(1, None))[0])
+        decided = equalize(rx, weights)
+        assert np.all(weights[zero] == 1.0)
+        at_zero = np.broadcast_to(zero, rx.shape)
+        assert np.array_equal(decided[at_zero], rx[at_zero])
 
     @pytest.mark.parametrize("config", stage_configs(), ids=lambda c: f"{c.grid}")
     def test_ls_only_mse_from_block_sums_is_the_grid_mse(self, config):
@@ -1011,16 +1019,10 @@ def kept_noise_energy(k: int, c: float) -> float:
 
 
 class TestTheoryOracles:
-    """``conv-perfect`` and ``proposed`` on ``L`` sample-spaced faded taps
-    below ``Np / 2`` (tap ``i`` at ``-i`` dB), with ``th`` one past the
-    spread and ``c = 2``, against their laws. Each of the ``th``
-    (conventional) or ``Np`` (multi-symbol) positions it may keep holds
-    noise of variance ``σ²/Np`` or ``σ²/(Np M)``, the mean σ̂²: a channel
-    tap's all of it, a noise-only one's ``kept_noise_energy`` against the
-    ``K = Np - th`` or ``Np (M - 1)`` samples of its σ̂². That needs every
-    channel tap kept, hence 50 dB. Each mean is held to 4 standard errors
-    of 16 seed replicas of 512 subframes, enough replicas for their spread
-    to be a sound standard error."""
+    """Estimators on ``L`` sample-spaced faded taps below ``Np / 2`` (tap
+    ``i`` at ``-i`` dB) against their laws. Each mean is held to 4 standard
+    errors of 16 seed replicas of 512 subframes, enough replicas for their
+    spread to be a sound standard error."""
 
     # (Np, S, M, tap delays in samples)
     CONFIGS = [
@@ -1034,24 +1036,40 @@ class TestTheoryOracles:
         (64, 4, 4, (0, 6, 13)),
     ]
 
-    @pytest.mark.parametrize("n_pilots, spacing, n_symbols, delays", CONFIGS)
-    def test_mse_and_noise_estimate_follow_their_laws(self, n_pilots, spacing, n_symbols, delays, tmp_path):
+    @staticmethod
+    def replicas(tmp_path, n_pilots, spacing, n_symbols, delays, **fields) -> list[list[BerRecord]]:
+        """The records of 16 seed replicas of 512 subframes on the taps, with
+        ``th`` one past their spread, ``c = 2`` and the other ``fields``."""
         profile = tmp_path / "taps.txt"
         profile.write_text("".join(f"tap = {d} {-i}\n" for i, d in enumerate(delays)))
-        spread, n_taps = delays[-1], len(delays)
-        th = spread + 1
-        grid = GridConfig(n_pilots * spacing, n_pilots, n_symbols, cp_len=spread)
-        replicas = [
-            sweep(
-                SimConfig(
-                    grid=grid, profile=str(profile), sample_rate_hz=1e9, snr_points_db=(50.0,),
-                    subframes_per_point=512, estimators=("conv-perfect", "proposed"), master_seed=seed,
-                    c=2.0, th_perfect=th, th_inaccurate=th,
-                ),
-                workers=1,
-            )
-            for seed in range(16)
-        ]
+        th = delays[-1] + 1
+        fields = dict(
+            grid=GridConfig(n_pilots * spacing, n_pilots, n_symbols, cp_len=delays[-1]), profile=str(profile),
+            sample_rate_hz=1e9, subframes_per_point=512, c=2.0, th_perfect=th, th_inaccurate=th, **fields,
+        )
+        print(f"Np = {n_pilots}, S = {spacing}, M = {n_symbols}, taps at {delays}, th = {th}")
+        return [sweep(SimConfig(master_seed=seed, **fields), workers=1) for seed in range(16)]
+
+    @staticmethod
+    def check(label: str, values: np.ndarray, expected: float) -> None:
+        z = (values.mean() - expected) / (values.std(ddof=1) / math.sqrt(len(values)))
+        print(f"  {label}: {values.mean():.5f} against {expected:.5f}, z = {z:+.2f}")
+        assert abs(z) < 4, f"{label} at {z:+.2f} standard errors"
+
+    @pytest.mark.parametrize("n_pilots, spacing, n_symbols, delays", CONFIGS)
+    def test_mse_and_noise_estimate_follow_their_laws(self, n_pilots, spacing, n_symbols, delays, tmp_path):
+        """``conv-perfect`` and ``proposed`` with ``th`` one past the spread
+        and ``c = 2``. Each of the ``th`` (conventional) or ``Np``
+        (multi-symbol) positions it may keep holds noise of variance
+        ``σ²/Np`` or ``σ²/(Np M)``, the mean σ̂²: a channel tap's all of it,
+        a noise-only one's ``kept_noise_energy`` against the ``K = Np - th``
+        or ``Np (M - 1)`` samples of its σ̂². That needs every channel tap
+        kept, hence 50 dB."""
+        replicas = self.replicas(
+            tmp_path, n_pilots, spacing, n_symbols, delays, snr_points_db=(50.0,),
+            estimators=("conv-perfect", "proposed"),
+        )
+        n_taps, th = len(delays), delays[-1] + 1
         sigma2 = noise_variance(50.0)
         k_conv, k_prop = n_pilots - th, n_pilots * (n_symbols - 1)
         laws = {
@@ -1061,15 +1079,23 @@ class TestTheoryOracles:
                 1 / (n_pilots * n_symbols),
             ),
         }
-        print(f"Np = {n_pilots}, S = {spacing}, M = {n_symbols}, taps at {delays}, th = {th}")
         for i, (estimator_id, law) in enumerate(laws.items()):
             for name, expected, values in zip(
                 ("MSE/σ²", "σ̂²/σ²"), law, zip(*((r[i].mean_mse, r[i].mean_sigma2_hat) for r in replicas))
             ):
-                values = np.array(values) / sigma2
-                z = (values.mean() - expected) / (values.std(ddof=1) / math.sqrt(len(values)))
-                print(f"  {estimator_id} {name}: {values.mean():.5f} against {expected:.5f}, z = {z:+.2f}")
-                assert abs(z) < 4, f"{estimator_id} {name} at {z:+.2f} standard errors"
+                self.check(f"{estimator_id} {name}", np.array(values) / sigma2, expected)
+
+    @pytest.mark.parametrize("n_pilots, spacing, n_symbols, delays", CONFIGS)
+    def test_ideal_ber_is_the_rayleigh_law(self, n_pilots, spacing, n_symbols, delays, tmp_path):
+        """``ideal``'s BER at 10 dB is the Rayleigh closed form ``½(1 −
+        sqrt(γb / (1 + γb)))`` with ``γb = SNR / 2``: every cell's response
+        is CN(0, 1), the taps' powers summing to 1, and each QPSK bit sees
+        half the SNR."""
+        replicas = self.replicas(
+            tmp_path, n_pilots, spacing, n_symbols, delays, snr_points_db=(10.0,), estimators=("ideal",)
+        )
+        gamma_b = 10.0 ** (10.0 / 10.0) / 2.0
+        self.check("ideal BER", np.array([r[0].ber for r in replicas]), 0.5 * (1 - math.sqrt(gamma_b / (1 + gamma_b))))
 
 
 class TestSweep:
